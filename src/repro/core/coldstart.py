@@ -172,7 +172,7 @@ def build_coldstart_policy(name: str, **kwargs) -> "ColdStartPolicy":
     if name == "lsth":
         from repro.core.lsth import LongShortTermHistogram
 
-        return LongShortTermHistogram(_from_registry=True, **kwargs)
+        return LongShortTermHistogram(**kwargs)
     if name == "swap":
         from repro.core.swap import SwapKeepAlive
 

@@ -14,7 +14,6 @@ with 24.3% less idle-resource waste than HHP (Fig. 16).
 
 from __future__ import annotations
 
-import warnings
 from typing import List
 
 from repro.core.coldstart import ColdStartDecision, WindowedKeepAlive
@@ -34,16 +33,7 @@ class LongShortTermHistogram(WindowedKeepAlive):
         long_duration_s: float = 24 * 3600.0,
         head_q: float = 5.0,
         tail_q: float = 99.0,
-        _from_registry: bool = False,
     ) -> None:
-        if not _from_registry:
-            warnings.warn(
-                "constructing LongShortTermHistogram directly is deprecated;"
-                " use repro.core.coldstart.build_coldstart_policy('lsth', ...)"
-                " instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         super().__init__(head_q=head_q, tail_q=tail_q)
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")

@@ -18,7 +18,11 @@ The search is exactly the paper's; the only engineering addition is a
 best-fit shortcut: for a fixed configuration, e_ij is maximised by the
 feasible server with the least weighted free capacity, so each
 configuration scans servers in ascending free order instead of scoring
-all ``m`` of them.
+all ``m`` of them.  On a mixed-generation fleet each GPU generation
+prices the ``<b, c, g>`` grid separately, so the shortcut runs per
+generation: a row priced for one generation scans only its servers.
+A homogeneous fleet is the case with no extra generations, and takes
+the same single path.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import bisect
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.fleet import GpuProfile, profile_map
@@ -121,7 +125,6 @@ class GreedyScheduler:
         #: homogeneous baseline fleet, which keeps every default code
         #: path (cache keys, scan order) bit-identical.
         self._gpu_profiles: Dict[int, GpuProfile] = profile_map(cluster)
-        self._hetero = bool(self._gpu_profiles)
         #: distinct non-default generations, name-sorted for
         #: deterministic candidate enumeration; the leading ``None``
         #: stands for the calibration baseline and also supplies the
@@ -235,29 +238,38 @@ class GreedyScheduler:
         self,
         resources: ResourceVector,
         sorted_free: List[Tuple[float, int]],
-        beta: Optional[float] = None,
+        beta: float,
+        generation: Optional[GpuProfile],
+        allowed: Optional[Set[int]] = None,
     ) -> Optional[int]:
         """Feasible server with the least weighted free capacity.
 
         ``beta`` must be the beta the index was keyed with (the
         efficiency beta); mixing betas between the bisect cost and the
         index keys breaks the best-fit shortcut's argmax property.
+
+        A GPU row is priced for one ``generation`` (None is the
+        calibration baseline), so on a mixed fleet it only fits servers
+        of that generation; CPU-only rows fit any server.  ``allowed``
+        restricts the scan to a server-id set (co-placement).
         """
-        if beta is None:
-            beta = self._efficiency_beta()
         cost = resources.weighted(beta)
         # Skip servers whose weighted free capacity cannot cover the
         # weighted cost, then scan upward for a true fit (single-GPU
         # quota and memory can still rule a server out).  The checks
         # are Server.can_fit inlined: this scan probes millions of
         # servers per large-scale sweep and the two call frames per
-        # probe (lookup + can_fit) dominate its cost.
+        # probe (lookup + can_fit) dominate its cost.  The generation
+        # and ``allowed`` tests come last, so on a homogeneous fleet
+        # they run once per scan, on the winner.
         start = bisect.bisect_left(sorted_free, (cost - 1e-9, -1))
         server_of = self.cluster.server
         cpu = resources.cpu
         memory = resources.memory_mb
         gpu = resources.gpu
         gpu_ok = 0 < gpu <= 100
+        profile_of = self._gpu_profiles.get if gpu and self._gpu_profiles else None
+        want = None if generation is None else generation.name
         for index in range(start, len(sorted_free)):
             server_id = sorted_free[index][1]
             server = server_of(server_id)
@@ -269,85 +281,12 @@ class GreedyScheduler:
                     gpu == 0
                     or (gpu_ok and gpu <= server._gpu_free_max)
                 )
-            ):
-                return server_id
-        return None
-
-    def _best_server_within(
-        self,
-        resources: ResourceVector,
-        sorted_free: List[Tuple[float, int]],
-        beta: float,
-        allowed: object,
-    ) -> Optional[int]:
-        """Best-fit scan restricted to an ``allowed`` server-id set.
-
-        The co-placement variant of :meth:`_best_server_for`, kept
-        separate so the default scan stays branch-free.  Same
-        feasibility checks; only servers in ``allowed`` qualify.
-        """
-        cost = resources.weighted(beta)
-        start = bisect.bisect_left(sorted_free, (cost - 1e-9, -1))
-        server_of = self.cluster.server
-        cpu = resources.cpu
-        memory = resources.memory_mb
-        gpu = resources.gpu
-        gpu_ok = 0 < gpu <= 100
-        for index in range(start, len(sorted_free)):
-            server_id = sorted_free[index][1]
-            if server_id not in allowed:
-                continue
-            server = server_of(server_id)
-            if (
-                server.healthy
-                and cpu <= server.cpu_free
-                and memory <= server.memory_free_mb - server.swap_reserved_mb
                 and (
-                    gpu == 0
-                    or (gpu_ok and gpu <= server._gpu_free_max)
+                    profile_of is None
+                    or getattr(profile_of(server_id), "name", None) == want
                 )
+                and (allowed is None or server_id in allowed)
             ):
-                return server_id
-        return None
-
-    def _best_server_for_profile(
-        self,
-        resources: ResourceVector,
-        sorted_free: List[Tuple[float, int]],
-        beta: float,
-        gpu_profile: Optional[GpuProfile],
-    ) -> Optional[int]:
-        """The heterogeneous-fleet variant of :meth:`_best_server_for`.
-
-        GPU rows are priced per generation, so a row is only feasible
-        on servers of the generation it was priced for (``None`` means
-        the calibration baseline).  Kept separate so the homogeneous
-        scan stays branch-free.
-        """
-        cost = resources.weighted(beta)
-        start = bisect.bisect_left(sorted_free, (cost - 1e-9, -1))
-        server_of = self.cluster.server
-        profile_of = self._gpu_profiles.get
-        want = None if gpu_profile is None else gpu_profile.name
-        cpu = resources.cpu
-        memory = resources.memory_mb
-        gpu = resources.gpu
-        gpu_ok = 0 < gpu <= 100
-        for index in range(start, len(sorted_free)):
-            server_id = sorted_free[index][1]
-            server = server_of(server_id)
-            if not (
-                server.healthy
-                and cpu <= server.cpu_free
-                and memory <= server.memory_free_mb - server.swap_reserved_mb
-            ):
-                continue
-            if gpu == 0:
-                return server_id
-            if not (gpu_ok and gpu <= server._gpu_free_max):
-                continue
-            have = profile_of(server_id)
-            if (None if have is None else have.name) == want:
                 return server_id
         return None
 
@@ -431,21 +370,14 @@ class GreedyScheduler:
     ) -> Optional[Instance]:
         """One iteration of the outer while loop: place one instance."""
         for batch in batches:
-            if self._hetero and self.selection == "efficiency":
-                best = self._select_placement_hetero(
+            if self.selection == "efficiency":
+                best = self._select_placement(
                     function, batch, sorted_free, remaining
                 )
-                if best is None:
-                    continue
             else:
-                candidates = self.available_configs(function, batch, remaining)
-                if not candidates:
-                    continue  # try the next largest batchsize
-                best = self._select_placement(
-                    function, candidates, sorted_free, remaining
-                )
-                if best is None:
-                    continue
+                best = self._select_greedy(function, batch, remaining)
+            if best is None:
+                continue  # try the next largest batchsize
             config, t_exec, bounds, server_id = best
             resources = self._instance_resources(function, config)
             placement = self.cluster.allocate(server_id, resources)
@@ -462,8 +394,16 @@ class GreedyScheduler:
             )
         return None
 
-    def _select_placement(self, function, candidates, sorted_free, remaining):
-        """Argmax of e_ij over feasible (config, server) pairs.
+    def _select_placement(self, function, batch, sorted_free, remaining):
+        """Argmax of e_ij over feasible (config, generation, server) triples.
+
+        The candidate pool holds the profile-free rows first (CPU-only
+        rows may land on any server, GPU rows on baseline servers),
+        then each non-default generation's GPU rows in
+        ``_profile_order``; a homogeneous fleet has no such generations,
+        so its pool is exactly :meth:`available_configs`.  Densities
+        are normalised across the whole pool so Eq. 10 compares
+        generations against each other.
 
         The Eq. 2 objective minimises the resources used for the
         *given* workload, so an instance's useful rate is capped at the
@@ -472,25 +412,21 @@ class GreedyScheduler:
         metric toward the smallest configuration that covers the
         residual instead of an over-sized high-capacity one.
         """
-        if self.selection == "max_rps":
-            return self._select_greedy(
-                function, candidates, sorted_free,
-                key=lambda row: row[2].r_up,
+        pool = [
+            (config, t_exec, bounds, generation)
+            for generation in self._profile_order
+            for config, t_exec, bounds in self.available_configs(
+                function, batch, remaining, gpu_profile=generation
             )
-        if self.selection == "max_density":
-            beta = self.cluster.beta
-            return self._select_greedy(
-                function, candidates, sorted_free,
-                key=lambda row: rps_per_resource(
-                    min(row[2].r_up, remaining), row[0].cpu, row[0].gpu, beta
-                ),
-            )
+        ]
+        if not pool:
+            return None
         beta = self._efficiency_beta()
         densities = [
             rps_per_resource(
                 min(bounds.r_up, remaining), config.cpu, config.gpu, beta
             )
-            for config, _t, bounds in candidates
+            for config, _t, bounds, _g in pool
         ]
         normaliser = max(densities)
         # Eq. 10 inlined: the density term was already computed for the
@@ -511,9 +447,11 @@ class GreedyScheduler:
         best = None
         pref_score = -1.0
         pref_best = None
-        for (config, t_exec, bounds), density in zip(candidates, densities):
+        for (config, t_exec, bounds, generation), density in zip(pool, densities):
             resources = self._instance_resources(function, config)
-            server_id = self._best_server_for(resources, sorted_free, beta)
+            server_id = self._best_server_for(
+                resources, sorted_free, beta, generation
+            )
             if server_id is None:
                 continue
             server = server_of(server_id)
@@ -525,8 +463,8 @@ class GreedyScheduler:
                 best_score = score
                 best = (config, t_exec, bounds, server_id)
             if preferred and server_id not in preferred:
-                pref_id = self._best_server_within(
-                    resources, sorted_free, beta, preferred
+                pref_id = self._best_server_for(
+                    resources, sorted_free, beta, generation, preferred
                 )
                 if pref_id is not None:
                     pserver = server_of(pref_id)
@@ -552,77 +490,24 @@ class GreedyScheduler:
                 hint.observe(False)
         return best
 
-    def _select_placement_hetero(
-        self, function, batch, sorted_free, remaining
-    ):
-        """Eq. 10 argmax over (config, generation, server) triples.
-
-        Each GPU generation prices the same ``<b, c, g>`` grid
-        differently, so candidates are enumerated per generation
-        (profile-free rows cover CPU-only configs and baseline-rate
-        servers) and a row may only land on servers of its generation.
-        The densities are normalised across the *union* of rows so
-        Eq. 10 still compares generations against each other.
-        """
-        beta = self._efficiency_beta()
-        pools = []
-        for profile in self._profile_order:
-            rows = self.available_configs(
-                function, batch, remaining, gpu_profile=profile
-            )
-            if profile is None:
-                # CPU-only rows are generation-independent: they may
-                # land anywhere, including GPU-less and non-baseline
-                # servers.
-                pools.extend(
-                    (row, None, row[0].gpu == 0) for row in rows
-                )
-            else:
-                pools.extend((row, profile, False) for row in rows)
-        if not pools:
-            return None
-        densities = [
-            rps_per_resource(
-                min(row[2].r_up, remaining), row[0].cpu, row[0].gpu, beta
-            )
-            for row, _profile, _any_server in pools
-        ]
-        normaliser = max(densities)
-        # Eq. 10 inlined exactly as in _select_placement.
-        floor = _efficiency.FRAGMENTATION_FLOOR
-        server_of = self.cluster.server
-        best_score = -1.0
-        best = None
-        for (row, profile, any_server), density in zip(pools, densities):
-            config, t_exec, bounds = row
-            resources = self._instance_resources(function, config)
-            if any_server:
-                server_id = self._best_server_for(
-                    resources, sorted_free, beta
-                )
-            else:
-                server_id = self._best_server_for_profile(
-                    resources, sorted_free, beta, profile
-                )
-            if server_id is None:
-                continue
-            server = server_of(server_id)
-            instance_cost = beta * config.cpu + config.gpu
-            server_cost = beta * server.cpu_free + server.gpu_free
-            scaled = min(1.0, density / normaliser)
-            score = scaled / max(1.0 - instance_cost / server_cost, floor)
-            if score > best_score:
-                best_score = score
-                best = (config, t_exec, bounds, server_id)
-        return best
-
-    def _select_greedy(self, function, candidates, sorted_free, key):
+    def _select_greedy(self, function, batch, remaining):
         """Packing-blind selection used by the RS ablations of Fig. 11.
 
         Config choice ignores Eq. 10 and placement degrades to
         first-fit (uniform platforms' behaviour) -- both halves of the
-        resource-scheduling component are off.
+        resource-scheduling component are off.  Rows are priced at the
+        calibration baseline on every fleet.
         """
+        candidates = self.available_configs(function, batch, remaining)
+        beta = self.cluster.beta
+
+        def key(row):
+            if self.selection == "max_rps":
+                return row[2].r_up
+            return rps_per_resource(
+                min(row[2].r_up, remaining), row[0].cpu, row[0].gpu, beta
+            )
+
         for config, t_exec, bounds in sorted(candidates, key=key, reverse=True):
             resources = self._instance_resources(function, config)
             for server in self.cluster.servers:

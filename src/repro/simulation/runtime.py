@@ -30,7 +30,6 @@ is bit-identical to a runtime without this machinery.
 from __future__ import annotations
 
 import itertools
-import warnings
 from collections import Counter, deque
 from dataclasses import asdict
 from typing import Deque, Dict, List, Optional, Union
@@ -413,7 +412,6 @@ class ServingSimulation:
         self.loop.on(EventKind.BATCH_TIMEOUT, self._on_wake)
         self.loop.on(EventKind.BATCH_COMPLETE, self._on_batch_complete)
         self.loop.on(EventKind.CONTROL_TICK, self._on_control_tick)
-        self.loop.on(EventKind.SERVER_FAILURE, self._on_server_failure)
         self.loop.on(EventKind.FAULT, self._on_fault)
         self.loop.on(EventKind.RETRY, self._on_retry)
 
@@ -755,25 +753,9 @@ class ServingSimulation:
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
-    def schedule_server_failure(self, at_s: float, server_id: int) -> None:
-        """Deprecated: put a ``ServerCrash`` in a ``FaultPlan`` instead."""
-        warnings.warn(
-            "schedule_server_failure is deprecated; pass a FaultPlan with a"
-            " ServerCrash event instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.loop.schedule(at_s, EventKind.SERVER_FAILURE, server_id)
-
-    def _on_server_failure(self, event: Event) -> None:
-        self._crash_server(event.payload)
-
     def _crash_server(self, server_id: int) -> None:
         """Kill one machine through the platform's failure hook."""
         handler = getattr(self.platform, "on_server_failure", None)
-        if handler is None:
-            # Pre-protocol platforms may still carry the old hook name.
-            handler = getattr(self.platform, "handle_server_failure", None)
         if handler is None:
             raise RuntimeError(
                 f"{type(self.platform).__name__} cannot handle server failures"

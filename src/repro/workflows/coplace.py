@@ -4,10 +4,12 @@ ESG's second lever after SLO decomposition: when two adjacent workflow
 stages share a server (MPS lets them share a GPU), the inter-stage hop
 stays host-local instead of crossing the cluster network.  The hint is
 advisory only -- :class:`~repro.core.scheduler.GreedyScheduler`
-consults it inside ``_select_placement``, accepts a preferred server
-only when its Eq. 10 efficiency score stays within ``tolerance`` of
-the unconstrained best, and never relaxes feasibility (Eq. 1 bounds
-and server capacity are checked exactly as before).
+consults it inside ``_select_placement``, its one Eq. 10 selector on
+homogeneous and mixed-generation fleets alike, accepts a preferred
+server only when its Eq. 10 efficiency score stays within
+``tolerance`` of the unconstrained best, and never relaxes
+feasibility (Eq. 1 bounds, server capacity and the row's GPU
+generation are checked exactly as before).
 """
 
 from __future__ import annotations

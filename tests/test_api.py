@@ -1,4 +1,4 @@
-"""The Experiment facade: parity with manual setup, registry, shims."""
+"""The Experiment facade: parity with manual setup, registry."""
 
 import json
 
@@ -88,6 +88,37 @@ class TestExperiment:
 
         assert _report_dict(built) == _report_dict(manual)
 
+    def test_fault_plan_matches_manual_setup(self, predictor, executor):
+        fn = FunctionSpec.for_model("resnet-50", slo_s=0.2)
+        workload = {fn.name: constant_trace(100.0, 20.0)}
+        plan = FaultPlan(events=(ServerCrash(at_s=8.0, server_id=0),))
+
+        engine = INFlessEngine(
+            build_testbed_cluster(num_servers=2), predictor=predictor
+        )
+        engine.deploy(fn)
+        manual = ServingSimulation(
+            platform=engine,
+            executor=executor,
+            workload=workload,
+            faults=plan,
+            seed=6,
+        ).run()
+
+        built = Experiment(
+            platform="infless",
+            servers=2,
+            predictor=predictor,
+            functions=[fn],
+            workload=workload,
+            executor=executor,
+            faults=plan,
+            seed=6,
+        ).run()
+
+        assert not engine.cluster.server(0).healthy
+        assert _report_dict(built) == _report_dict(manual)
+
     def test_accepts_prebuilt_platform_and_factory(self, predictor, executor):
         fn = FunctionSpec.for_model("mobilenet", slo_s=0.2)
         workload = {fn.name: constant_trace(50.0, 10.0)}
@@ -157,64 +188,6 @@ class TestExperiment:
             executor=executor,
         )
         assert experiment.build() is experiment.build()
-
-
-class TestDeprecationShims:
-    def test_handle_server_failure_warns(self, predictor):
-        engine = INFlessEngine(
-            build_testbed_cluster(num_servers=2), predictor=predictor
-        )
-        with pytest.warns(DeprecationWarning, match="on_server_failure"):
-            engine.handle_server_failure(0, now=0.0)
-
-    def test_baseline_handle_server_failure_warns(self, predictor):
-        platform = OpenFaaSPlus(
-            build_testbed_cluster(num_servers=2), predictor
-        )
-        with pytest.warns(DeprecationWarning, match="on_server_failure"):
-            platform.handle_server_failure(0, now=0.0)
-
-    def test_schedule_server_failure_warns_and_matches_plan(
-        self, predictor, executor
-    ):
-        fn = FunctionSpec.for_model("resnet-50", slo_s=0.2)
-        workload = {fn.name: constant_trace(100.0, 20.0)}
-
-        def run_legacy():
-            engine = INFlessEngine(
-                build_testbed_cluster(num_servers=2), predictor=predictor
-            )
-            engine.deploy(fn)
-            sim = ServingSimulation(
-                platform=engine,
-                executor=executor,
-                workload=workload,
-                seed=6,
-            )
-            with pytest.warns(DeprecationWarning, match="FaultPlan"):
-                sim.schedule_server_failure(8.0, server_id=0)
-            return sim.run()
-
-        def run_plan():
-            return Experiment(
-                platform="infless",
-                servers=2,
-                predictor=predictor,
-                functions=[fn],
-                workload=workload,
-                executor=executor,
-                faults=FaultPlan(
-                    events=(ServerCrash(at_s=8.0, server_id=0),)
-                ),
-                seed=6,
-            ).run()
-
-        legacy = _report_dict(run_legacy())
-        plan = _report_dict(run_plan())
-        # The plan path additionally reports the resilience block; the
-        # serving outcome itself is identical.
-        plan.pop("resilience")
-        assert legacy == plan
 
 
 class TestExperimentSpec:

@@ -16,7 +16,7 @@ from repro.core.histogram import IdleTimeHistogram
 
 
 def lsth(**kwargs):
-    """LSTH via the registry (direct construction is deprecated)."""
+    """LSTH via the registry, as platforms build it."""
     return build_coldstart_policy("lsth", **kwargs)
 
 
@@ -170,9 +170,13 @@ class TestHybridHistogramPolicy:
 
 
 class TestLongShortTermHistogram:
-    def test_direct_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="build_coldstart_policy"):
-            LongShortTermHistogram()
+    def test_direct_construction_matches_registry(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            direct = LongShortTermHistogram(gamma=0.25)
+            registry = lsth(gamma=0.25)
+        assert type(direct) is type(registry)
+        assert vars(direct) == vars(registry)
 
     def test_registry_construction_does_not_warn(self):
         with warnings.catch_warnings():

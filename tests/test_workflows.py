@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Experiment
-from repro.cluster import build_testbed_cluster
+from repro.cluster import FleetSpec, ServerGroup, build_testbed_cluster
 from repro.core import FunctionSpec, INFlessEngine
 from repro.profiling import GroundTruthExecutor
 from repro.simulation import ServingSimulation
@@ -35,7 +35,12 @@ from repro.workflows import (
     decompose_slo,
     predicted_stage_times,
 )
-from repro.workloads import build_osvt, build_qa_robot, constant_trace
+from repro.workloads import (
+    build_osvt,
+    build_qa_robot,
+    bursty_trace,
+    constant_trace,
+)
 
 DATA = Path(__file__).parent / "data"
 CHAIN_GOLDEN = DATA / "golden_chain_report.json"
@@ -448,6 +453,34 @@ class TestDecomposedBeatsIndependent:
         )
         assert reports["decomposed"]["coplacement"] is not None
         assert reports["independent"]["coplacement"] is None
+
+
+class TestCoPlacementOnMixedFleet:
+    MIXED = FleetSpec(groups=(
+        ServerGroup(count=4, gpu_profile="2080ti"),
+        ServerGroup(count=2, gpu_profile="t4"),
+        ServerGroup(count=2, gpu_profile="a100"),
+    ))
+
+    def test_hint_is_consulted_on_a_mixed_fleet(self):
+        """Generation-aware placement still runs the co-placement
+        preference: the hint sees decisions, as on a homogeneous
+        fleet."""
+        workflows = Experiment(
+            platform="infless",
+            fleet=self.MIXED,
+            workflow="osvt",
+            workflow_policy="decomposed",
+            workload={"osvt-ssd": bursty_trace(
+                300.0, 30.0, period_s=30.0, burst_rate_per_hour=30.0,
+                burst_duration_s=30.0, seed=3,
+            )},
+            warmup_s=5.0,
+            invariants="strict",
+            seed=7,
+        ).run().workflows
+        assert workflows["coplacement"]["decisions"] > 0
+        assert workflows["coplacement"]["hits"] > 0
 
 
 class TestCampaignWorkflowAxis:
