@@ -25,6 +25,7 @@ from repro.core.instance import Instance, InstanceState
 from repro.faults.resilience import backlog_sheds
 from repro.profiling.configspace import InstanceConfig
 from repro.profiling.predictor import LatencyPredictor
+from repro.telemetry import spans as ev
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 
@@ -285,18 +286,18 @@ class UniformScalingPlatform:
                 self.stats.cold_starts += 1
                 action.launched += 1
                 if self.tracer.enabled:
-                    self.tracer.cold_start(
-                        name,
-                        instance.instance_id,
-                        now,
-                        instance.ready_at,
-                        (config.batch, config.cpu, config.gpu),
+                    self.tracer.emit(
+                        ev.COLD_START, now, function=name,
+                        instance=instance.instance_id,
+                        ready_at=instance.ready_at,
+                        config=[config.batch, config.cpu, config.gpu],
                     )
             self.stats.launches += 1
             active.append(instance)
         if self.tracer.enabled and (action.launched or action.reclaimed):
-            self.tracer.scale_up(
-                name, now, action.launched, action.reclaimed, shortfall_rps
+            self.tracer.emit(
+                ev.SCALE_UP, now, function=name, launched=action.launched,
+                reclaimed=action.reclaimed, residual_rps=shortfall_rps,
             )
 
         # Scale in while the remaining fleet still covers the load.
@@ -308,7 +309,9 @@ class UniformScalingPlatform:
             self._retire(name, victim, now)
             action.released += 1
         if self.tracer.enabled and action.released:
-            self.tracer.scale_down(name, now, action.released)
+            self.tracer.emit(
+                ev.SCALE_DOWN, now, function=name, released=action.released
+            )
         action.target = len(active)
 
         share = rps / len(active) if active else 0.0

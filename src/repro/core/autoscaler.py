@@ -43,6 +43,7 @@ from repro.core.instance import Instance, InstanceState
 from repro.core.scheduler import GreedyScheduler
 from repro.core.swap import swap_weights_mb
 from repro.profiling.configspace import InstanceConfig
+from repro.telemetry import spans as ev
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 
@@ -444,13 +445,19 @@ class AutoScaler:
         active = self._active.setdefault(function.name, [])
         plan = plan_dispatch(active, rps, alpha=self.alpha, beta=self.scheduler.cluster.beta)
         if self.tracer.enabled:
-            self.tracer.dispatch_planned(function.name, now, plan.trace_args())
+            self.tracer.emit(
+                ev.DISPATCH_PLAN, now, function=function.name,
+                **plan.trace_args(),
+            )
 
         for instance in plan.to_release:
             active.remove(instance)
             self._retire(function, instance, now)
         if plan.to_release and self.tracer.enabled:
-            self.tracer.scale_down(function.name, now, len(plan.to_release))
+            self.tracer.emit(
+                ev.SCALE_DOWN, now, function=function.name,
+                released=len(plan.to_release),
+            )
 
         launched: List[Instance] = []
         reclaimed: List[Instance] = []
@@ -471,18 +478,18 @@ class AutoScaler:
                     self.stats.cold_starts += 1
                     if self.tracer.enabled:
                         config = instance.config
-                        self.tracer.cold_start(
-                            function.name,
-                            instance.instance_id,
-                            now,
-                            instance.ready_at,
-                            (config.batch, config.cpu, config.gpu),
+                        self.tracer.emit(
+                            ev.COLD_START, now, function=function.name,
+                            instance=instance.instance_id,
+                            ready_at=instance.ready_at,
+                            config=[config.batch, config.cpu, config.gpu],
                         )
             self.stats.launches += len(launched) + len(reclaimed)
             if self.tracer.enabled and (launched or reclaimed):
-                self.tracer.scale_up(
-                    function.name, now, len(launched), len(reclaimed),
-                    plan.residual_rps,
+                self.tracer.emit(
+                    ev.SCALE_UP, now, function=function.name,
+                    launched=len(launched), reclaimed=len(reclaimed),
+                    residual_rps=plan.residual_rps,
                 )
             active.extend(reclaimed)
             active.extend(launched)
@@ -613,12 +620,9 @@ class HybridAutoScaler(AutoScaler):
         instance.queue.timeout_s = instance.batch_timeout_s
         self.stats.vertical_resizes += 1
         if self.tracer.enabled:
-            self.tracer.vertical_resize(
-                function.name,
-                instance.instance_id,
-                now,
-                config.gpu,
-                gpu,
-                bounds.r_up,
+            self.tracer.emit(
+                ev.VERTICAL_RESIZE, now, function=function.name,
+                instance=instance.instance_id, old_gpu=config.gpu,
+                new_gpu=gpu, r_up=bounds.r_up,
             )
         return gain

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.core.histogram import IdleTimeHistogram
+from repro.telemetry import spans as ev
 from repro.telemetry.tracer import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -266,9 +267,11 @@ class WindowedKeepAlive(_DefaultColdStartHooks):
                 return decision
         decision = self._compute_windows(function_name, now)
         self._decision_cache[function_name] = (now, decision)
-        self.tracer.coldstart_decision(
-            function_name, now, decision.prewarm_s, decision.keepalive_s
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                ev.COLDSTART_DECISION, now, function=function_name,
+                prewarm_s=decision.prewarm_s, keepalive_s=decision.keepalive_s,
+            )
         return decision
 
     def _compute_windows(self, function_name: str, now: float) -> ColdStartDecision:

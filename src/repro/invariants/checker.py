@@ -432,11 +432,11 @@ class InvariantChecker:
                 )
 
     def check_telemetry_agreement(self, sim: object, now: float) -> None:
-        events = getattr(sim.tracer, "events", None)
-        if not sim.tracer.enabled or events is None:
+        if not sim.tracer.enabled:
             return
         from repro.telemetry import spans as ev
 
+        events = sim.tracer.events
         completions = [e for e in events if e.kind == ev.REQUEST_COMPLETE]
         drops = sum(1 for e in events if e.kind == ev.REQUEST_DROP)
         arrivals = sum(1 for e in events if e.kind == ev.REQUEST_ARRIVAL)

@@ -471,9 +471,10 @@ class ContinuousBatchingLLM:
         worker.busy = True
         worker.busy_until = now + plan.duration_s
         if self.tracer.enabled:
-            self.tracer.llm_step(
-                worker.worker_id, now, plan.kind, plan.batch_tokens,
-                len(plan.seqs), plan.duration_s,
+            self.tracer.emit(
+                ev.LLM_STEP, now, instance=worker.worker_id, step=plan.kind,
+                batch_tokens=plan.batch_tokens, sequences=len(plan.seqs),
+                duration_s=plan.duration_s,
             )
         return plan
 
@@ -500,9 +501,10 @@ class ContinuousBatchingLLM:
             worker.swap_ins += 1
             cost += worker.spec.kv_mb(resident) / self.swap_mbps
             if self.tracer.enabled:
-                self.tracer.swap_in(
-                    seq.request_id, seq.function, worker.worker_id, now,
-                    resident,
+                self.tracer.emit(
+                    ev.SWAP_IN, now, request=seq.request_id,
+                    function=seq.function, instance=worker.worker_id,
+                    kv_tokens=resident,
                 )
         return cost
 
@@ -588,9 +590,10 @@ class ContinuousBatchingLLM:
             worker.waiting.appendleft(seq)
             worker.sacrifices += 1
         if self.tracer.enabled:
-            self.tracer.preemption(
-                seq.request_id, seq.function, worker.worker_id, now,
-                self.preemption, self.victims, released,
+            self.tracer.emit(
+                ev.PREEMPTION, now, request=seq.request_id,
+                function=seq.function, instance=worker.worker_id,
+                mode=self.preemption, policy=self.victims, kv_tokens=released,
             )
         return cost
 
@@ -610,9 +613,10 @@ class ContinuousBatchingLLM:
             if seq.first_token_ts < 0:
                 seq.first_token_ts = now
                 if self.tracer.enabled:
-                    self.tracer.first_token(
-                        seq.request_id, seq.function, worker.worker_id,
-                        now, now - seq.arrival,
+                    self.tracer.emit(
+                        ev.FIRST_TOKEN, now, request=seq.request_id,
+                        function=seq.function, instance=worker.worker_id,
+                        ttft_s=now - seq.arrival,
                     )
             if seq.generated >= seq.output_tokens:
                 worker.running.remove(seq)

@@ -65,6 +65,7 @@ from repro.telemetry import (
     Tracer,
     attach_tracer,
 )
+from repro.telemetry import spans as ev
 from repro.workloads.arrivals import sample_arrivals, sample_arrivals_window
 from repro.workloads.trace import Trace
 from repro.workflows.spec import WorkflowSpec, find_cycle
@@ -183,8 +184,8 @@ class ServingSimulation:
             arrives, and the per-workflow deadline is judged when the
             sink completes.  Mutually exclusive with ``chains``; adds
             a ``workflows`` block to the report.
-        tracer: telemetry hooks; the default null tracer records
-            nothing and costs one no-op call per hook site.  The tracer
+        tracer: telemetry recorder; the default null tracer records
+            nothing and costs one flag read per emit site.  The tracer
             is also attached to the platform's control-plane components
             so scale/cold-start decisions land in the same trace.
         timeline: optional per-control-tick metrics recorder (queue
@@ -331,10 +332,10 @@ class ServingSimulation:
         self._join_fired: Counter = Counter()
         self._join_purged: Counter = Counter()
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        #: cached ``tracer.enabled``: guards per-request hook calls so a
-        #: disabled tracer costs one attribute read, not a no-op call.
+        #: cached ``tracer.enabled``: guards every emit so a disabled
+        #: tracer costs one attribute read, not a no-op call.
         self._trace: bool = self.tracer.enabled
-        if self.tracer.enabled:
+        if self._trace:
             attach_tracer(platform, self.tracer)
         self.timeline = timeline
         self.invariants = resolve_checker(invariants)
@@ -484,8 +485,9 @@ class ServingSimulation:
         request: Request = event.payload
         self.metrics.record_arrival(self.loop.now)
         if self._trace:
-            self.tracer.request_arrived(
-                request.request_id, request.function, self.loop.now
+            self.tracer.emit(
+                ev.REQUEST_ARRIVAL, self.loop.now,
+                request=request.request_id, function=request.function,
             )
         self._arrivals_since_tick[request.function] += 1
         self.platform.record_invocation(request.function, self.loop.now)
@@ -518,8 +520,9 @@ class ServingSimulation:
         drop_time = request.origin if self._wf_tracking else self.loop.now
         self.metrics.record_drop(drop_time, reason)
         if self._trace:
-            self.tracer.request_dropped(
-                request.request_id, request.function, self.loop.now, reason
+            self.tracer.emit(
+                ev.REQUEST_DROP, self.loop.now, request=request.request_id,
+                function=request.function, reason=reason,
             )
 
     def _dispatch(self, request: Request) -> None:
@@ -536,8 +539,9 @@ class ServingSimulation:
                 return
             pending.append(request)
             if self._trace:
-                self.tracer.request_parked(
-                    request.request_id, request.function, self.loop.now
+                self.tracer.emit(
+                    ev.REQUEST_PARKED, self.loop.now,
+                    request=request.request_id, function=request.function,
                 )
             return
         self._enqueue(instance, request)
@@ -569,12 +573,10 @@ class ServingSimulation:
                 return
         queue.enqueue(request, now)
         if self._trace:
-            self.tracer.request_enqueued(
-                request.request_id,
-                request.function,
-                instance.instance_id,
-                now,
-                not ready,
+            self.tracer.emit(
+                ev.REQUEST_ENQUEUED, now, request=request.request_id,
+                function=request.function, instance=instance.instance_id,
+                cold=not ready,
             )
         self._maybe_start(instance)
 
@@ -637,15 +639,14 @@ class ServingSimulation:
                 gpu_profile=gpu_profile,
             )
         batch_id = 0
-        if self.tracer.enabled:
+        if self._trace:
             config = instance.config
-            batch_id = self.tracer.batch_started(
-                instance.instance_id,
-                instance.function.name,
-                [r.request_id for r in requests],
-                now,
-                exec_s,
-                (config.batch, config.cpu, config.gpu),
+            batch_id = self.tracer.emit(
+                ev.BATCH_START, now, instance=instance.instance_id,
+                function=instance.function.name,
+                requests=[r.request_id for r in requests],
+                batch_size=len(requests), exec_s=exec_s,
+                config=[config.batch, config.cpu, config.gpu],
             )
         batch = _BatchInFlight(
             instance=instance, requests=requests, start=now, exec_s=exec_s,
@@ -696,12 +697,11 @@ class ServingSimulation:
                     if latency > self.end_to_end_slo_s:
                         self._wf_violations += 1
                 if self._trace:
-                    self.tracer.workflow_completed(
-                        request.root,
-                        self.workflow.name,
-                        request.origin,
-                        now,
-                        self.end_to_end_slo_s,
+                    self.tracer.emit(
+                        ev.WORKFLOW_COMPLETE, now, workflow_id=request.root,
+                        workflow=self.workflow.name, origin=request.origin,
+                        latency_s=now - request.origin,
+                        slo_s=self.end_to_end_slo_s,
                     )
             if request.attempt:
                 self._retry_completions += 1
@@ -709,33 +709,32 @@ class ServingSimulation:
             cold_wait = min(
                 max(0.0, instance.ready_at - request.arrival), total_wait
             )
-            self.metrics.record_completion(
-                RequestRecord(
-                    function=request.function,
-                    arrival=request.origin,
-                    completion=now,
-                    cold_wait_s=cold_wait,
-                    queue_wait_s=max(0.0, total_wait - cold_wait),
-                    exec_s=batch.exec_s,
-                    batch_size=len(batch.requests),
-                    config=(config.batch, config.cpu, config.gpu),
-                    slo_s=request.slo_s,
-                )
+            record = RequestRecord(
+                function=request.function,
+                arrival=request.origin,
+                completion=now,
+                cold_wait_s=cold_wait,
+                queue_wait_s=max(0.0, total_wait - cold_wait),
+                exec_s=batch.exec_s,
+                batch_size=len(batch.requests),
+                config=(config.batch, config.cpu, config.gpu),
+                slo_s=request.slo_s,
             )
-            if self.tracer.enabled:
-                self.tracer.request_completed(
-                    request.request_id,
-                    request.function,
-                    instance.instance_id,
-                    batch.batch_id,
-                    request.origin,
-                    now,
-                    cold_wait,
-                    max(0.0, now - request.origin - cold_wait - batch.exec_s),
-                    batch.exec_s,
-                    len(batch.requests),
-                    (config.batch, config.cpu, config.gpu),
-                    request.slo_s,
+            self.metrics.record_completion(record)
+            if self._trace:
+                # batch_wait_s spans every upstream stage of a chain or
+                # workflow; the record's queue_wait_s is this stage's.
+                self.tracer.emit(
+                    ev.REQUEST_COMPLETE, now, request=request.request_id,
+                    function=request.function, instance=instance.instance_id,
+                    batch=batch.batch_id, arrival=record.arrival,
+                    cold_wait_s=cold_wait,
+                    batch_wait_s=max(
+                        0.0, now - request.origin - cold_wait - batch.exec_s
+                    ),
+                    exec_s=batch.exec_s, latency_s=record.latency_s,
+                    batch_size=record.batch_size, config=list(record.config),
+                    slo_s=record.slo_s, violated=record.violated_slo,
                 )
         if self._outage_start:
             # First completed batch of the function after an instance
@@ -762,7 +761,10 @@ class ServingSimulation:
             )
         lost = handler(server_id, self.loop.now)
         if self._trace:
-            self.tracer.server_failure(self.loop.now, server_id, len(lost))
+            self.tracer.emit(
+                ev.SERVER_FAILURE, self.loop.now, server=server_id,
+                lost=len(lost),
+            )
         self._handle_lost_instances(lost)
 
     def _handle_lost_instances(self, lost: List[Instance]) -> None:
@@ -804,7 +806,9 @@ class ServingSimulation:
                 for key, value in asdict(fault).items()
                 if key not in ("kind", "at_s")
             )
-            self.tracer.fault_injected(now, fault.kind, detail)
+            self.tracer.emit(
+                ev.FAULT_INJECTED, now, fault=fault.kind, detail=detail
+            )
         if isinstance(fault, ServerCrash):
             self._crash_server(fault.server_id)
         elif isinstance(fault, ServerRecovery):
@@ -812,7 +816,9 @@ class ServingSimulation:
             if not cluster.server(fault.server_id).healthy:
                 cluster.recover_server(fault.server_id)
                 if self._trace:
-                    self.tracer.server_recovery(now, fault.server_id)
+                    self.tracer.emit(
+                        ev.SERVER_RECOVERY, now, server=fault.server_id
+                    )
         elif isinstance(fault, InstanceKill):
             victim = self.platform.kill_instance(fault.function, now)
             if victim is not None:
@@ -864,8 +870,9 @@ class ServingSimulation:
         self._retry_pending += 1
         self._retries += 1
         if self._trace:
-            self.tracer.request_retry(
-                request.request_id, request.function, now, attempt, delay
+            self.tracer.emit(
+                ev.REQUEST_RETRY, now, request=request.request_id,
+                function=request.function, attempt=attempt, delay_s=delay,
             )
         self.loop.schedule(now + delay, EventKind.RETRY, request)
 
@@ -897,8 +904,9 @@ class ServingSimulation:
         if self._wf_tracking:
             self._stage_injected[next_stage] += 1
             if self._trace:
-                self.tracer.workflow_stage(
-                    follow_on.root, follow_on.request_id, next_stage, now
+                self.tracer.emit(
+                    ev.WORKFLOW_STAGE, now, workflow_id=follow_on.root,
+                    request=follow_on.request_id, function=next_stage,
                 )
         self._arrivals_since_tick[next_stage] += 1
         self.platform.record_invocation(next_stage, now)
@@ -965,8 +973,9 @@ class ServingSimulation:
         )
         self._stage_injected[stage] += 1
         if self._trace:
-            self.tracer.workflow_stage(
-                root, merged.request_id, stage, now
+            self.tracer.emit(
+                ev.WORKFLOW_STAGE, now, workflow_id=root,
+                request=merged.request_id, function=stage,
             )
         self._arrivals_since_tick[stage] += 1
         self.platform.record_invocation(stage, now)
@@ -1017,7 +1026,9 @@ class ServingSimulation:
     def _on_control_tick(self, event: Event) -> None:
         now = self.loop.now
         if self._trace:
-            self.tracer.control_tick(now, len(self._managed))
+            self.tracer.emit(
+                ev.CONTROL_TICK, now, functions=len(self._managed)
+            )
         for name in self._managed:
             rate = self._estimate_rate(name)
             action = self.platform.control(name, rate, now)

@@ -1,7 +1,8 @@
 """Per-request tracing, sim-time metric timelines and trace exporters.
 
-Simulator-side observability (not a paper mechanism): a zero-overhead
-hook API (:class:`Tracer`, null by default) threaded through the
+Simulator-side observability (not a paper mechanism): one recording
+method, ``Tracer.emit(kind, ts, **fields)`` (null by default), checked
+against the event table :data:`EVENT_SCHEMA` and threaded through the
 serving runtime, the INFless control plane and the baselines, an
 in-memory recorder, control-tick metric timelines, and exporters to
 JSONL / CSV / Chrome ``trace_event`` so a run opens directly in
@@ -16,6 +17,7 @@ from repro.telemetry.spans import (
     DROP_SERVER_FAILURE,
     DROP_SHED,
     DROP_SLO_UNREACHABLE,
+    EVENT_SCHEMA,
     WORKFLOW_COMPLETE,
     WORKFLOW_STAGE,
     Span,
@@ -26,7 +28,6 @@ from repro.telemetry.spans import (
 from repro.telemetry.tracer import (
     NULL_TRACER,
     InMemoryTracer,
-    NullTracer,
     Tracer,
     attach_tracer,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "DROP_SERVER_FAILURE",
     "DROP_SHED",
     "DROP_SLO_UNREACHABLE",
+    "EVENT_SCHEMA",
     "WORKFLOW_COMPLETE",
     "WORKFLOW_STAGE",
     "Span",
@@ -62,7 +64,6 @@ __all__ = [
     "request_spans",
     "NULL_TRACER",
     "InMemoryTracer",
-    "NullTracer",
     "Tracer",
     "attach_tracer",
     "TIMELINE_COLUMNS",

@@ -19,8 +19,7 @@ import csv
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.telemetry import spans as ev
-from repro.telemetry.spans import batch_spans, request_spans
+from repro.telemetry.spans import EVENT_SCHEMA, batch_spans, request_spans
 from repro.telemetry.timeline import TIMELINE_COLUMNS, TimelineRecorder
 
 #: Chrome-trace process ids: one synthetic "process" per track family.
@@ -88,17 +87,6 @@ def _us(seconds: float) -> float:
     return seconds * 1e6
 
 
-_INSTANT_KINDS = {
-    ev.REQUEST_DROP: (PID_SYSTEM, "drop"),
-    ev.SCALE_UP: (PID_SYSTEM, "scale_up"),
-    ev.SCALE_DOWN: (PID_SYSTEM, "scale_down"),
-    ev.COLD_START: (PID_SYSTEM, "cold_start"),
-    ev.COLDSTART_DECISION: (PID_SYSTEM, "coldstart_decision"),
-    ev.SERVER_FAILURE: (PID_SYSTEM, "server_failure"),
-    ev.CONTROL_TICK: (PID_SYSTEM, "control_tick"),
-}
-
-
 def chrome_trace(
     events: Iterable[Any], timeline: Optional[TimelineRecorder] = None
 ) -> Dict[str, Any]:
@@ -150,10 +138,10 @@ def chrome_trace(
         )
 
     for event in events:
-        mapped = _INSTANT_KINDS.get(event["kind"])
-        if mapped is None:
+        row = EVENT_SCHEMA.get(event["kind"])
+        if row is None or row.instant is None:
             continue
-        pid, name = mapped
+        name = row.instant
         args = {
             key: value
             for key, value in event.items()
@@ -167,7 +155,7 @@ def chrome_trace(
                 "ph": "i",
                 "s": "g",
                 "ts": _us(event["ts"]),
-                "pid": pid,
+                "pid": PID_SYSTEM,
                 "tid": 0,
                 "args": args,
             }

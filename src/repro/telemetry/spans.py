@@ -1,11 +1,13 @@
-"""The telemetry data model: flat trace events and derived spans.
+"""The telemetry data model: the event table, flat events and spans.
 
 Everything the tracer records is a :class:`TraceEvent` -- a sim-time
-timestamp, a kind string and a flat argument dict.  Request *spans*
+timestamp, a kind string and a flat argument dict.  Which fields each
+kind carries is declared once, in :data:`EVENT_SCHEMA`; the recording
+tracer checks every emitted event against it.  Request *spans*
 (``cold_wait -> batch_wait -> exec``) are not tracked live; they are
 reconstructed from ``request_complete`` events, whose latency
 decomposition (``l = t_cold + t_batch + t_exec``) pins each phase's
-boundaries exactly.  This keeps the hot path to one append per hook
+boundaries exactly.  This keeps the hot path to one append per event
 and makes the span invariant trivially true by construction *of the
 export*, while the tests check it against the runtime's own records.
 """
@@ -13,7 +15,7 @@ export*, while the tests check it against the runtime's own records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # drop reasons (satellite: replaces the bare `dropped` count)
@@ -87,13 +89,116 @@ WORKFLOW_COMPLETE = "workflow_complete"
 REQUEST_PHASES = ("cold_wait", "batch_wait", "exec")
 
 
+@dataclass(frozen=True)
+class EventSchema:
+    """One row of :data:`EVENT_SCHEMA`: what an event of a kind carries."""
+
+    #: the fields the emitting site passes, in recorded order.
+    fields: Tuple[str, ...]
+    #: fields holding raw ids the recording tracer interns, in interning
+    #: order: ``request``, ``workflow_id`` and the ``requests`` list index
+    #: requests; ``instance`` indexes instances.
+    ids: Tuple[str, ...] = ()
+    #: the recording tracer adds a fresh ``batch`` id and returns it.
+    mints_batch: bool = False
+    #: Chrome-trace instant-event label; None keeps the kind off the
+    #: control-plane instant track.
+    instant: Optional[str] = None
+
+
+_REQUEST = ("request",)
+_REQUEST_INSTANCE = ("request", "instance")
+
+#: event kind -> schema row.  Adding an event kind takes one row here
+#: and one line in ``docs/telemetry.md``.
+EVENT_SCHEMA: Dict[str, EventSchema] = {
+    # -- request lifecycle
+    REQUEST_ARRIVAL: EventSchema(("request", "function"), _REQUEST),
+    REQUEST_PARKED: EventSchema(("request", "function"), _REQUEST),
+    REQUEST_ENQUEUED: EventSchema(
+        ("request", "function", "instance", "cold"), _REQUEST_INSTANCE
+    ),
+    REQUEST_DROP: EventSchema(
+        ("request", "function", "reason"), _REQUEST, instant="drop"
+    ),
+    REQUEST_COMPLETE: EventSchema(
+        (
+            "request", "function", "instance", "batch", "arrival",
+            "cold_wait_s", "batch_wait_s", "exec_s", "latency_s",
+            "batch_size", "config", "slo_s", "violated",
+        ),
+        _REQUEST_INSTANCE,
+    ),
+    BATCH_START: EventSchema(
+        ("instance", "function", "requests", "batch_size", "exec_s", "config"),
+        ("instance", "requests"),
+        mints_batch=True,
+    ),
+    # -- control plane
+    CONTROL_TICK: EventSchema(("functions",), instant="control_tick"),
+    DISPATCH_PLAN: EventSchema((
+        "function", "case", "assigned", "total_assigned", "residual_rps",
+        "to_release",
+    )),
+    SCALE_UP: EventSchema(
+        ("function", "launched", "reclaimed", "residual_rps"),
+        instant="scale_up",
+    ),
+    SCALE_DOWN: EventSchema(("function", "released"), instant="scale_down"),
+    COLD_START: EventSchema(
+        ("function", "instance", "ready_at", "config"), ("instance",),
+        instant="cold_start",
+    ),
+    COLDSTART_DECISION: EventSchema(
+        ("function", "prewarm_s", "keepalive_s"), instant="coldstart_decision"
+    ),
+    VERTICAL_RESIZE: EventSchema(
+        ("function", "instance", "old_gpu", "new_gpu", "r_up"), ("instance",)
+    ),
+    # -- faults
+    SERVER_FAILURE: EventSchema(("server", "lost"), instant="server_failure"),
+    SERVER_RECOVERY: EventSchema(("server",)),
+    FAULT_INJECTED: EventSchema(("fault", "detail")),
+    REQUEST_RETRY: EventSchema(
+        ("request", "function", "attempt", "delay_s"), _REQUEST
+    ),
+    # -- autoregressive serving (repro.llm)
+    LLM_STEP: EventSchema(
+        ("instance", "step", "batch_tokens", "sequences", "duration_s"),
+        ("instance",),
+    ),
+    FIRST_TOKEN: EventSchema(
+        ("request", "function", "instance", "ttft_s"), _REQUEST_INSTANCE
+    ),
+    PREEMPTION: EventSchema(
+        ("request", "function", "instance", "mode", "policy", "kv_tokens"),
+        _REQUEST_INSTANCE,
+    ),
+    SWAP_IN: EventSchema(
+        ("request", "function", "instance", "kv_tokens"), _REQUEST_INSTANCE
+    ),
+    # -- DAG workflows (repro.workflows); ``workflow_id`` is the root
+    # request's id, linking every stage request of one execution.
+    WORKFLOW_STAGE: EventSchema(
+        ("workflow_id", "request", "function"), ("workflow_id", "request")
+    ),
+    WORKFLOW_COMPLETE: EventSchema(
+        ("workflow_id", "workflow", "origin", "latency_s", "slo_s"),
+        ("workflow_id",),
+    ),
+}
+
+
 @dataclass
 class TraceEvent:
     """One recorded observation: ``(sim time, kind, flat args)``."""
 
+    # Slots: a traced run holds one of these per event.
+    __slots__ = ("ts", "kind", "args")
+
     ts: float
     kind: str
-    args: Dict[str, Any] = field(default_factory=dict)
+    args: Dict[str, Any]
 
     def to_dict(self) -> Dict[str, Any]:
         """A flat JSON-serialisable view (args keys never clash)."""
@@ -115,6 +220,7 @@ class Span:
 
     @property
     def duration(self) -> float:
+        """Span length in sim-time seconds."""
         return self.end - self.start
 
 

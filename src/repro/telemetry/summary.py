@@ -40,13 +40,16 @@ class FunctionSummary:
 
     @property
     def dropped(self) -> int:
+        """Drops across every reason."""
         return sum(self.drops.values())
 
     def mean(self, attr: str) -> float:
+        """Mean of one per-completion series (0.0 when empty)."""
         values: List[float] = getattr(self, attr)
         return sum(values) / len(values) if values else 0.0
 
     def p95_latency_s(self) -> float:
+        """Nearest-rank 95th-percentile end-to-end latency."""
         return _percentile(self.latency_s, 95.0)
 
     def decomposition(self) -> Dict[str, float]:

@@ -1,9 +1,12 @@
-"""Tracer hook points and the in-memory recording tracer.
+"""The tracer's one recording method and the in-memory recorder.
 
-The base :class:`Tracer` is the **null tracer**: every hook is a no-op
-and ``enabled`` is False, so instrumented components can call hooks
-unconditionally on the hot path (a no-op method call) while sites that
-would have to *build* arguments first guard on ``tracer.enabled``.
+Instrumented components record through a single call,
+``tracer.emit(kind, ts, **fields)``, where ``kind`` is a row of the
+event table :data:`~repro.telemetry.spans.EVENT_SCHEMA` and ``fields``
+are exactly that row's fields.  The base :class:`Tracer` is the **null
+tracer**: ``emit`` is a no-op and ``enabled`` is False, so every emit
+site guards on ``enabled`` (or a cached copy of it) and a disabled
+tracer costs one attribute read, never the cost of building fields.
 The serving runtime, the auto-scaler, the baselines and the cold-start
 policies all default to :data:`NULL_TRACER`; passing an
 :class:`InMemoryTracer` to :class:`~repro.simulation.runtime.ServingSimulation`
@@ -12,533 +15,119 @@ whole stack to recording.
 
 Determinism: raw request/instance ids come from process-global
 counters, so two runs in one process would disagree.  The recording
-tracer therefore *interns* ids -- dense, first-seen-order local ids --
-which makes traces from identical seeds byte-identical.
+tracer therefore *interns* the id fields the table names -- dense,
+first-seen-order local ids -- which makes traces from identical seeds
+byte-identical.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.telemetry import spans as ev
-from repro.telemetry.spans import TraceEvent
+from repro.telemetry.spans import EVENT_SCHEMA, TraceEvent
 
 
 class Tracer:
-    """No-op telemetry hooks (the null tracer).
+    """The null tracer: :meth:`emit` records nothing.
 
-    Subclasses override the hooks they care about; every hook receives
-    plain scalars (ids, names, sim-time floats) so implementations are
-    free of simulator imports.
+    Subclasses override :meth:`emit`; every field is a plain scalar (an
+    id, a name, a sim-time float) or a list of them, so implementations
+    are free of simulator imports.
     """
 
-    #: True when hooks actually record; hot paths that must assemble
-    #: arguments check this before doing any work.
+    #: True when :meth:`emit` actually records; emit sites check this
+    #: before assembling any fields.
     enabled: bool = False
 
-    # -- request lifecycle ---------------------------------------------
-    def request_arrived(self, request: int, function: str, ts: float) -> None:
-        """A request reached the platform gateway."""
+    def emit(self, kind: str, ts: float, **fields: Any) -> int:
+        """Record one event of ``kind`` at sim time ``ts``.
 
-    def request_parked(self, request: int, function: str, ts: float) -> None:
-        """No instance exists yet; the request waits in the pending queue."""
-
-    def request_enqueued(
-        self,
-        request: int,
-        function: str,
-        instance: int,
-        ts: float,
-        cold: bool,
-    ) -> None:
-        """The request entered an instance's batch queue."""
-
-    def request_dropped(
-        self, request: int, function: str, ts: float, reason: str
-    ) -> None:
-        """The request was rejected; ``reason`` is a DROP_* constant."""
-
-    def request_completed(
-        self,
-        request: int,
-        function: str,
-        instance: int,
-        batch: int,
-        arrival: float,
-        ts: float,
-        cold_wait_s: float,
-        batch_wait_s: float,
-        exec_s: float,
-        batch_size: int,
-        config: Tuple[int, int, int],
-        slo_s: float,
-    ) -> None:
-        """The request finished; carries the full latency decomposition."""
-
-    # -- batch lifecycle -----------------------------------------------
-    def batch_started(
-        self,
-        instance: int,
-        function: str,
-        requests: Sequence[int],
-        ts: float,
-        exec_s: float,
-        config: Tuple[int, int, int],
-    ) -> int:
-        """A batch began executing; returns the batch id (0 when null)."""
+        Returns the minted batch id for ``batch_start`` events and 0
+        otherwise (always 0 on the null tracer).
+        """
         return 0
 
-    # -- control plane --------------------------------------------------
-    def control_tick(self, ts: float, functions: int) -> None:
-        """The periodic auto-scaling control step ran."""
-
-    def dispatch_planned(
-        self, function: str, ts: float, args: Dict[str, Any]
-    ) -> None:
-        """The dispatcher chose a section-3.2 case for a function."""
-
-    def scale_up(
-        self,
-        function: str,
-        ts: float,
-        launched: int,
-        reclaimed: int,
-        residual_rps: float,
-    ) -> None:
-        """A control step added instances for overflow load."""
-
-    def scale_down(self, function: str, ts: float, released: int) -> None:
-        """A control step retired surplus instances."""
-
-    def cold_start(
-        self,
-        function: str,
-        instance: int,
-        ts: float,
-        ready_at: float,
-        config: Tuple[int, int, int],
-    ) -> None:
-        """A freshly launched instance began its cold start."""
-
-    def coldstart_decision(
-        self, function: str, ts: float, prewarm_s: float, keepalive_s: float
-    ) -> None:
-        """A keep-alive policy recomputed its (pre-warm, keep-alive) pair."""
-
-    def vertical_resize(
-        self,
-        function: str,
-        instance: int,
-        ts: float,
-        old_gpu: int,
-        new_gpu: int,
-        r_up: float,
-    ) -> None:
-        """The hybrid scaler grew an instance's SM quota in place."""
-
-    # -- faults ----------------------------------------------------------
-    def server_failure(self, ts: float, server: int, lost: int) -> None:
-        """An injected machine loss took ``lost`` instances down."""
-
-    def server_recovery(self, ts: float, server: int) -> None:
-        """A failed machine was replaced by an empty one."""
-
-    def fault_injected(self, ts: float, kind: str, detail: str) -> None:
-        """A fault-plan event fired (kind is a FAULT_KINDS key)."""
-
-    def request_retry(
-        self, request: int, function: str, ts: float, attempt: int,
-        delay_s: float,
-    ) -> None:
-        """A stranded request was scheduled for re-dispatch."""
-
-    # -- autoregressive serving (repro.llm) ------------------------------
-    def llm_step(
-        self,
-        instance: int,
-        ts: float,
-        kind: str,
-        batch_tokens: int,
-        sequences: int,
-        duration_s: float,
-    ) -> None:
-        """An LLM worker ran one prefill/decode iteration."""
-
-    def first_token(
-        self, request: int, function: str, instance: int, ts: float,
-        ttft_s: float,
-    ) -> None:
-        """A sequence emitted its first output token."""
-
-    def preemption(
-        self,
-        request: int,
-        function: str,
-        instance: int,
-        ts: float,
-        mode: str,
-        policy: str,
-        kv_tokens: int,
-    ) -> None:
-        """A running sequence was evicted under KV-memory pressure."""
-
-    def swap_in(
-        self, request: int, function: str, instance: int, ts: float,
-        kv_tokens: int,
-    ) -> None:
-        """A swapped-out sequence's KV cache returned to the GPU."""
-
-    # -- DAG workflows (repro.workflows) ---------------------------------
-    def workflow_stage(
-        self, workflow_id: int, request: int, stage: str, ts: float
-    ) -> None:
-        """A workflow token entered its next stage (span link).
-
-        ``workflow_id`` is the root request's id: every stage request
-        of one workflow execution carries it, linking the per-stage
-        request spans into one end-to-end workflow trace.
-        """
-
-    def workflow_completed(
-        self,
-        workflow_id: int,
-        workflow: str,
-        origin: float,
-        ts: float,
-        slo_s: float,
-    ) -> None:
-        """A workflow's sink stage completed: the end-to-end span."""
-
-
-#: alias making call sites explicit about the zero-overhead default.
-NullTracer = Tracer
 
 #: shared default instance; stateless, so sharing is safe.
 NULL_TRACER = Tracer()
 
 
+def _schema_error(kind: str, fields: Dict[str, Any]) -> ValueError:
+    """The ValueError for an event that does not match its table row."""
+    row = EVENT_SCHEMA.get(kind)
+    if row is None:
+        return ValueError(f"unknown trace event kind {kind!r}")
+    missing = sorted(set(row.fields) - fields.keys())
+    extra = sorted(fields.keys() - set(row.fields))
+    return ValueError(
+        f"trace event {kind!r}: missing fields {missing}, unexpected"
+        f" fields {extra}"
+    )
+
+
 class InMemoryTracer(Tracer):
-    """Records every hook as a :class:`TraceEvent` with interned ids."""
+    """Records every event as a :class:`TraceEvent` with interned ids."""
 
     enabled = True
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
         self._batch_seq = itertools.count(1)
-        self._request_ids: Dict[int, int] = {}
-        self._instance_ids: Dict[int, int] = {}
-
-    # -- id interning ----------------------------------------------------
-    def _request(self, raw_id: int) -> int:
-        return self._request_ids.setdefault(raw_id, len(self._request_ids))
-
-    def _instance(self, raw_id: int) -> int:
-        return self._instance_ids.setdefault(raw_id, len(self._instance_ids))
-
-    def _emit(self, ts: float, kind: str, **args: Any) -> None:
-        self.events.append(TraceEvent(ts=ts, kind=kind, args=args))
+        requests: Dict[int, int] = {}
+        instances: Dict[int, int] = {}
+        # id field -> the interning table of its id space.
+        tables = {
+            "request": requests,
+            "workflow_id": requests,
+            "requests": requests,
+            "instance": instances,
+        }
+        #: kind -> (field names, (id field, table) pairs, the same for
+        #: fields holding id lists, mints a batch id): the schema table
+        #: resolved once against this tracer's tables, so an emit does
+        #: no per-field lookups.
+        self._plans: Dict[str, tuple] = {}
+        for kind, row in EVENT_SCHEMA.items():
+            ids = tuple((f, tables[f]) for f in row.ids if f != "requests")
+            lists = tuple((f, tables[f]) for f in row.ids if f == "requests")
+            self._plans[kind] = (
+                frozenset(row.fields), ids, lists, row.mints_batch
+            )
 
     def as_dicts(self) -> List[Dict[str, Any]]:
         """The flat-dict view the exporters and summaries consume."""
         return [event.to_dict() for event in self.events]
 
-    # -- request lifecycle ----------------------------------------------
-    def request_arrived(self, request: int, function: str, ts: float) -> None:
-        self._emit(
-            ts, ev.REQUEST_ARRIVAL, request=self._request(request),
-            function=function,
-        )
+    def emit(self, kind: str, ts: float, **fields: Any) -> int:
+        """Check ``fields`` against the kind's row, intern ids, record.
 
-    def request_parked(self, request: int, function: str, ts: float) -> None:
-        self._emit(
-            ts, ev.REQUEST_PARKED, request=self._request(request),
-            function=function,
-        )
-
-    def request_enqueued(
-        self, request: int, function: str, instance: int, ts: float, cold: bool
-    ) -> None:
-        self._emit(
-            ts,
-            ev.REQUEST_ENQUEUED,
-            request=self._request(request),
-            function=function,
-            instance=self._instance(instance),
-            cold=cold,
-        )
-
-    def request_dropped(
-        self, request: int, function: str, ts: float, reason: str
-    ) -> None:
-        self._emit(
-            ts,
-            ev.REQUEST_DROP,
-            request=self._request(request),
-            function=function,
-            reason=reason,
-        )
-
-    def request_completed(
-        self,
-        request: int,
-        function: str,
-        instance: int,
-        batch: int,
-        arrival: float,
-        ts: float,
-        cold_wait_s: float,
-        batch_wait_s: float,
-        exec_s: float,
-        batch_size: int,
-        config: Tuple[int, int, int],
-        slo_s: float,
-    ) -> None:
-        latency = ts - arrival
-        self._emit(
-            ts,
-            ev.REQUEST_COMPLETE,
-            request=self._request(request),
-            function=function,
-            instance=self._instance(instance),
-            batch=batch,
-            arrival=arrival,
-            cold_wait_s=cold_wait_s,
-            batch_wait_s=batch_wait_s,
-            exec_s=exec_s,
-            latency_s=latency,
-            batch_size=batch_size,
-            config=list(config),
-            slo_s=slo_s,
-            violated=latency > slo_s + 1e-9,
-        )
-
-    # -- batch lifecycle -------------------------------------------------
-    def batch_started(
-        self,
-        instance: int,
-        function: str,
-        requests: Sequence[int],
-        ts: float,
-        exec_s: float,
-        config: Tuple[int, int, int],
-    ) -> int:
-        batch_id = next(self._batch_seq)
-        self._emit(
-            ts,
-            ev.BATCH_START,
-            batch=batch_id,
-            instance=self._instance(instance),
-            function=function,
-            requests=[self._request(r) for r in requests],
-            batch_size=len(requests),
-            exec_s=exec_s,
-            config=list(config),
-        )
-        return batch_id
-
-    # -- control plane ----------------------------------------------------
-    def control_tick(self, ts: float, functions: int) -> None:
-        self._emit(ts, ev.CONTROL_TICK, functions=functions)
-
-    def dispatch_planned(
-        self, function: str, ts: float, args: Dict[str, Any]
-    ) -> None:
-        self._emit(ts, ev.DISPATCH_PLAN, function=function, **args)
-
-    def scale_up(
-        self,
-        function: str,
-        ts: float,
-        launched: int,
-        reclaimed: int,
-        residual_rps: float,
-    ) -> None:
-        self._emit(
-            ts,
-            ev.SCALE_UP,
-            function=function,
-            launched=launched,
-            reclaimed=reclaimed,
-            residual_rps=residual_rps,
-        )
-
-    def scale_down(self, function: str, ts: float, released: int) -> None:
-        self._emit(ts, ev.SCALE_DOWN, function=function, released=released)
-
-    def cold_start(
-        self,
-        function: str,
-        instance: int,
-        ts: float,
-        ready_at: float,
-        config: Tuple[int, int, int],
-    ) -> None:
-        self._emit(
-            ts,
-            ev.COLD_START,
-            function=function,
-            instance=self._instance(instance),
-            ready_at=ready_at,
-            config=list(config),
-        )
-
-    def coldstart_decision(
-        self, function: str, ts: float, prewarm_s: float, keepalive_s: float
-    ) -> None:
-        self._emit(
-            ts,
-            ev.COLDSTART_DECISION,
-            function=function,
-            prewarm_s=prewarm_s,
-            keepalive_s=keepalive_s,
-        )
-
-    def vertical_resize(
-        self,
-        function: str,
-        instance: int,
-        ts: float,
-        old_gpu: int,
-        new_gpu: int,
-        r_up: float,
-    ) -> None:
-        self._emit(
-            ts,
-            ev.VERTICAL_RESIZE,
-            function=function,
-            instance=self._instance(instance),
-            old_gpu=old_gpu,
-            new_gpu=new_gpu,
-            r_up=r_up,
-        )
-
-    # -- faults ------------------------------------------------------------
-    def server_failure(self, ts: float, server: int, lost: int) -> None:
-        self._emit(ts, ev.SERVER_FAILURE, server=server, lost=lost)
-
-    def server_recovery(self, ts: float, server: int) -> None:
-        self._emit(ts, ev.SERVER_RECOVERY, server=server)
-
-    def fault_injected(self, ts: float, kind: str, detail: str) -> None:
-        self._emit(ts, ev.FAULT_INJECTED, fault=kind, detail=detail)
-
-    def request_retry(
-        self, request: int, function: str, ts: float, attempt: int,
-        delay_s: float,
-    ) -> None:
-        self._emit(
-            ts,
-            ev.REQUEST_RETRY,
-            request=self._request(request),
-            function=function,
-            attempt=attempt,
-            delay_s=delay_s,
-        )
-
-    # -- autoregressive serving (repro.llm) --------------------------------
-    def llm_step(
-        self,
-        instance: int,
-        ts: float,
-        kind: str,
-        batch_tokens: int,
-        sequences: int,
-        duration_s: float,
-    ) -> None:
-        self._emit(
-            ts,
-            ev.LLM_STEP,
-            instance=self._instance(instance),
-            step=kind,
-            batch_tokens=batch_tokens,
-            sequences=sequences,
-            duration_s=duration_s,
-        )
-
-    def first_token(
-        self, request: int, function: str, instance: int, ts: float,
-        ttft_s: float,
-    ) -> None:
-        self._emit(
-            ts,
-            ev.FIRST_TOKEN,
-            request=self._request(request),
-            function=function,
-            instance=self._instance(instance),
-            ttft_s=ttft_s,
-        )
-
-    def preemption(
-        self,
-        request: int,
-        function: str,
-        instance: int,
-        ts: float,
-        mode: str,
-        policy: str,
-        kv_tokens: int,
-    ) -> None:
-        self._emit(
-            ts,
-            ev.PREEMPTION,
-            request=self._request(request),
-            function=function,
-            instance=self._instance(instance),
-            mode=mode,
-            policy=policy,
-            kv_tokens=kv_tokens,
-        )
-
-    # -- DAG workflows ---------------------------------------------------
-    def workflow_stage(
-        self, workflow_id: int, request: int, stage: str, ts: float
-    ) -> None:
-        self._emit(
-            ts,
-            ev.WORKFLOW_STAGE,
-            workflow_id=self._request(workflow_id),
-            request=self._request(request),
-            function=stage,
-        )
-
-    def workflow_completed(
-        self,
-        workflow_id: int,
-        workflow: str,
-        origin: float,
-        ts: float,
-        slo_s: float,
-    ) -> None:
-        self._emit(
-            ts,
-            ev.WORKFLOW_COMPLETE,
-            workflow_id=self._request(workflow_id),
-            workflow=workflow,
-            origin=origin,
-            latency_s=ts - origin,
-            slo_s=slo_s,
-        )
-
-    def swap_in(
-        self, request: int, function: str, instance: int, ts: float,
-        kv_tokens: int,
-    ) -> None:
-        self._emit(
-            ts,
-            ev.SWAP_IN,
-            request=self._request(request),
-            function=function,
-            instance=self._instance(instance),
-            kv_tokens=kv_tokens,
-        )
+        Raises ValueError naming the kind (and the offending fields)
+        for an unknown kind or a field set that differs from the row.
+        """
+        try:
+            names, ids, lists, mints_batch = self._plans[kind]
+        except KeyError:
+            raise _schema_error(kind, fields) from None
+        if len(fields) != len(names) or not names.issuperset(fields):
+            raise _schema_error(kind, fields)
+        for name, table in ids:
+            fields[name] = table.setdefault(fields[name], len(table))
+        for name, table in lists:
+            fields[name] = [table.setdefault(r, len(table)) for r in fields[name]]
+        if not mints_batch:
+            self.events.append(TraceEvent(ts, kind, fields))
+            return 0
+        batch = next(self._batch_seq)
+        self.events.append(TraceEvent(ts, kind, {"batch": batch, **fields}))
+        return batch
 
 
 def attach_tracer(platform: Any, tracer: Optional[Tracer]) -> Tracer:
     """Point a platform and its traced components at one tracer.
 
     Works on any object: sets ``tracer`` on the platform itself and on
-    the sub-components that carry hooks today (the auto-scaler and the
+    the sub-components that emit events today (the auto-scaler and the
     keep-alive policy).  Passing None resets to the null tracer.
     """
     tracer = tracer if tracer is not None else NULL_TRACER

@@ -76,6 +76,23 @@ def test_paper_map_covers_equations_1_to_8():
     assert not missing, f"paper-map.md misses equations: {missing}"
 
 
+def test_telemetry_doc_lists_every_event_kind():
+    """Each schema row has a line in docs/telemetry.md naming its fields."""
+    from repro.telemetry import EVENT_SCHEMA
+
+    lines = (REPO_ROOT / "docs" / "telemetry.md").read_text().splitlines()
+    rows = {
+        line.split("|")[1].strip().strip("`"): line
+        for line in lines
+        if line.startswith("| `")
+    }
+    missing = [kind for kind in EVENT_SCHEMA if kind not in rows]
+    assert not missing, f"telemetry.md misses event kinds: {missing}"
+    for kind, schema in EVENT_SCHEMA.items():
+        absent = [f for f in schema.fields if f"`{f}`" not in rows[kind]]
+        assert not absent, f"telemetry.md row {kind!r} misses fields {absent}"
+
+
 def test_paper_map_names_every_perf_benchmark():
     text = (REPO_ROOT / "docs" / "paper-map.md").read_text()
     from repro.bench import BENCHMARKS

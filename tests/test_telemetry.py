@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import Experiment
 from repro.baselines import OpenFaaSPlus
 from repro.cluster import build_testbed_cluster
 from repro.core import FunctionSpec, INFlessEngine
@@ -26,6 +27,7 @@ from repro.telemetry import (
     write_jsonl,
     write_timeline_csv,
 )
+from repro.telemetry import spans as ev
 from repro.telemetry.timeline import TIMELINE_COLUMNS
 from repro.workloads import constant_trace
 
@@ -49,12 +51,15 @@ def run_sim(predictor, executor, platform=None, tracer=None, timeline=None,
 
 
 class TestNullTracer:
-    def test_hooks_are_noops(self):
+    def test_emit_returns_zero_and_records_nothing(self):
         tracer = Tracer()
         assert not tracer.enabled
-        tracer.request_arrived(1, "f", 0.0)
-        tracer.request_dropped(1, "f", 0.0, "queue_full")
-        assert tracer.batch_started(1, "f", [1], 0.0, 0.1, (4, 2, 20)) == 0
+        tracer.emit(ev.REQUEST_ARRIVAL, 0.0, request=1, function="f")
+        assert tracer.emit(
+            ev.BATCH_START, 0.0, instance=1, function="f", requests=[1],
+            batch_size=1, exec_s=0.1, config=[4, 2, 20],
+        ) == 0
+        assert vars(tracer) == {}  # no state to record into
 
     def test_default_runtime_uses_null_tracer(self, predictor, executor):
         _report, sim = run_sim(predictor, executor)
@@ -69,6 +74,44 @@ class TestNullTracer:
         assert engine.policy.tracer is tracer
         attach_tracer(engine, None)
         assert engine.autoscaler.tracer is NULL_TRACER
+
+
+class TestEventSchema:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="'no_such_kind'"):
+            InMemoryTracer().emit("no_such_kind", 0.0, request=1)
+
+    def test_missing_field_rejected(self):
+        with pytest.raises(ValueError, match=r"'request_drop'.*\['reason'\]"):
+            InMemoryTracer().emit(
+                ev.REQUEST_DROP, 0.0, request=1, function="f"
+            )
+
+    def test_extra_field_rejected(self):
+        with pytest.raises(ValueError, match=r"'request_arrival'.*\['bogus'\]"):
+            InMemoryTracer().emit(
+                ev.REQUEST_ARRIVAL, 0.0, request=1, function="f", bogus=2
+            )
+
+    def test_rejected_event_is_not_recorded(self):
+        tracer = InMemoryTracer()
+        with pytest.raises(ValueError):
+            tracer.emit(ev.SCALE_DOWN, 0.0, function="f")
+        assert tracer.events == []
+
+    def test_ids_interned_and_batch_minted(self):
+        tracer = InMemoryTracer()
+        tracer.emit(ev.REQUEST_ARRIVAL, 0.0, request=907, function="f")
+        batch = tracer.emit(
+            ev.BATCH_START, 1.0, instance=55, function="f",
+            requests=[907, 908], batch_size=2, exec_s=0.1, config=[2, 1, 10],
+        )
+        assert batch == 1
+        assert tracer.as_dicts()[1] == {
+            "ts": 1.0, "kind": ev.BATCH_START, "batch": 1, "instance": 0,
+            "function": "f", "requests": [0, 1], "batch_size": 2,
+            "exec_s": 0.1, "config": [2, 1, 10],
+        }
 
 
 class TestTraceRecording:
@@ -262,3 +305,27 @@ class TestSummary:
 
     def test_empty_events(self):
         assert summarize_events([]) == {}
+
+    def test_llm_violations_match_report(self):
+        """LLM completions are judged on TTFT and TPOT, as in the report.
+
+        Whole-generation latency far exceeds the TTFT SLO here, so a
+        trace judging it against that SLO would count violations the
+        report does not.
+        """
+        function = FunctionSpec.for_model("llm-125m", slo_s=0.2)
+        experiment = Experiment(
+            platform="llm",
+            functions=[function],
+            workload={function.name: constant_trace(15.0, 10.0)},
+            platform_options={"tpot_slo_s": 0.06},
+            telemetry=True,
+            warmup_s=0.0,
+            seed=1,
+        )
+        report = experiment.run()
+        assert report.completed > 0
+        assert report.slo_violations == 0
+        summaries = summarize_events(experiment.tracer.events)
+        assert sum(s.completed for s in summaries.values()) == report.completed
+        assert sum(s.violations for s in summaries.values()) == 0
