@@ -4,8 +4,11 @@
 Runs the OSVT application as a *pipeline* -- every request flows
 through object detection (SSD), then license recognition (MobileNet),
 then vehicle classification (ResNet-50) -- with an end-to-end 400 ms
-SLO.  Each stage batches independently under INFless's rate control,
-and the report shows how the latency budget splits across stages.
+SLO.  The pipeline is a linear :class:`repro.workflows.WorkflowSpec`:
+the platform splits the end-to-end budget across stages by predicted
+execution time, each stage batches independently under INFless's rate
+control, and the report shows how the latency budget splits across
+stages.
 
 Run:
     python examples/function_chain.py
@@ -13,50 +16,40 @@ Run:
 
 from collections import defaultdict
 
-from repro import (
-    GroundTruthExecutor,
-    INFlessEngine,
-    ServingSimulation,
-    build_osvt,
-    build_testbed_cluster,
-    constant_trace,
-)
-from repro.profiling import build_default_predictor
+from repro import Experiment, build_osvt, constant_trace
 
 
 def main() -> None:
-    predictor = build_default_predictor()
-    engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
-    app = build_osvt(slo_s=0.400)  # end-to-end budget for three stages
-    for function in app.as_chain_stages():  # per-stage SLO split
-        engine.deploy(function)
+    workflow = build_osvt(slo_s=0.400).as_workflow()  # three-stage budget
+    print("OSVT as a chain:", " -> ".join(workflow.topological_order()))
+    print(f"end-to-end SLO: {workflow.end_to_end_slo_s * 1e3:.0f} ms\n")
 
-    print("OSVT as a chain:", " -> ".join(app.function_names()))
-    print(f"end-to-end SLO: {app.slo_s * 1e3:.0f} ms\n")
-
-    simulation = ServingSimulation(
-        platform=engine,
-        executor=GroundTruthExecutor(),
-        workload={app.entry_function.name: constant_trace(150.0, 180.0)},
-        chains=app.chain_map(),
-        end_to_end_slo_s=app.slo_s,
+    experiment = Experiment(
+        platform="infless",
+        workflow=workflow,
+        workload={workflow.entry: constant_trace(150.0, 180.0)},
         warmup_s=30.0,
+        invariants="strict",
         seed=13,
     )
-    report = simulation.run()
+    report = experiment.run()
 
     print(f"requests completed : {report.completed}")
     print(f"end-to-end mean    : {report.latency_mean_s * 1e3:7.1f} ms")
     print(f"end-to-end p99     : {report.latency_p99_s * 1e3:7.1f} ms")
     print(f"SLO violations     : {report.violation_rate:7.2%}")
-    print(f"drops              : {report.drop_rate:7.2%}\n")
+    print(f"drops              : {report.drop_rate:7.2%}")
+    print(f"invariant findings : {len(report.invariant_violations)}\n")
 
-    print("per-stage provisioning:")
-    for function in app.functions:
+    print("per-stage latency and provisioning:")
+    for name, stats in report.workflows["per_stage"].items():
         configs = defaultdict(int)
-        for instance in engine.instances(function.name):
+        for instance in experiment.platform.instances(name):
             configs[str(instance.config)] += 1
-        print(f"  {function.name:18s} {dict(configs)}")
+        print(
+            f"  {name:18s} mean {stats['mean_s'] * 1e3:6.1f} ms"
+            f"  {dict(configs)}"
+        )
 
 
 if __name__ == "__main__":

@@ -140,8 +140,9 @@ class Experiment:
             dict form, a path to a workflow JSON file, or a preset name
             like ``"osvt"``).  Stage FunctionSpecs are synthesized from
             the DAG with per-stage SLO budgets decomposed from the
-            end-to-end SLO; mutually exclusive with ``functions=`` and
-            the deprecated linear ``chains=``.
+            end-to-end SLO; mutually exclusive with ``functions=``.
+            A linear pipeline is a path-shaped workflow, and the
+            workflow's ``end_to_end_slo_s`` is its only budget.
         workflow_policy: ``"decomposed"`` (default; ESG-style budget
             split plus the co-placement scheduling hint) or
             ``"independent"`` (every stage gets the full end-to-end
@@ -185,8 +186,6 @@ class Experiment:
         ewma: float = 0.6,
         pending_cap: int = 100_000,
         cold_queue_batches: int = 64,
-        chains: Optional[Dict[str, str]] = None,
-        end_to_end_slo_s: Optional[float] = None,
         workflow: Union[None, WorkflowSpec, Dict[str, object], str] = None,
         workflow_policy: str = "decomposed",
         metrics_mode: str = "exact",
@@ -239,8 +238,6 @@ class Experiment:
         self.ewma = ewma
         self.pending_cap = pending_cap
         self.cold_queue_batches = cold_queue_batches
-        self.chains = chains
-        self.end_to_end_slo_s = end_to_end_slo_s
         self.workflow = WorkflowSpec.coerce(workflow)
         if workflow_policy not in WORKFLOW_POLICIES:
             known = ", ".join(WORKFLOW_POLICIES)
@@ -249,8 +246,6 @@ class Experiment:
             )
         self.workflow_policy = workflow_policy
         if self.workflow is not None:
-            if self.chains:
-                raise ValueError("pass either workflow= or chains=, not both")
             if self.functions is not None:
                 raise ValueError(
                     "workflow= synthesizes its stage functions from the DAG"
@@ -334,11 +329,6 @@ class Experiment:
             for function in self.functions:
                 self.platform.deploy(function)
         if getattr(self.platform, "workload_class", "") == "autoregressive":
-            if self.chains:
-                raise ValueError(
-                    "function chains are not supported on autoregressive"
-                    " platforms"
-                )
             if self.workflow is not None:
                 raise ValueError(
                     "workflows are not supported on autoregressive"
@@ -381,8 +371,6 @@ class Experiment:
             pending_cap=self.pending_cap,
             cold_queue_batches=self.cold_queue_batches,
             warmup_s=self.warmup_s,
-            chains=self.chains,
-            end_to_end_slo_s=self.end_to_end_slo_s,
             workflow=self.workflow,
             tracer=self.tracer,
             timeline=self.timeline,
@@ -420,7 +408,7 @@ class Experiment:
 
         Both paths serve single-shot workloads on the INFless control
         laws; features that only exist in the discrete event loop
-        (chaos plans, resilience retries, telemetry spans, chains,
+        (chaos plans, resilience retries, telemetry spans, workflows,
         windowed arrivals) are rejected loudly rather than silently
         ignored.
         """
@@ -456,7 +444,6 @@ class Experiment:
                 ("resilience", self.resilience),
                 ("telemetry", self.tracer),
                 ("timeline", self.timeline),
-                ("chains", self.chains),
                 ("workflow", self.workflow),
             )
             if value
@@ -582,8 +569,6 @@ class Experiment:
             "ewma": self.ewma,
             "pending_cap": self.pending_cap,
             "cold_queue_batches": self.cold_queue_batches,
-            "chains": dict(self.chains) if self.chains else None,
-            "end_to_end_slo_s": self.end_to_end_slo_s,
         }
         # Emitted only when non-default: campaign resume is content-
         # addressed on the spec, so default-mode specs must hash exactly
@@ -624,6 +609,15 @@ class Experiment:
                 f"unsupported experiment spec schema {schema!r}"
                 f" (this build reads schema {SPEC_SCHEMA})"
             )
+        # Older specs always carried these keys; a null value is the
+        # plain-run default, anything else would be dropped silently.
+        for key in ("chains", "end_to_end_slo_s"):
+            if spec.get(key) is not None:
+                raise ValueError(
+                    f"experiment spec key {key!r} is no longer supported;"
+                    " pass the pipeline and its end-to-end SLO as"
+                    " workflow= (a WorkflowSpec)"
+                )
         functions = None
         if spec.get("functions") is not None:
             functions = [
@@ -657,8 +651,6 @@ class Experiment:
             ewma=spec.get("ewma", 0.6),
             pending_cap=spec.get("pending_cap", 100_000),
             cold_queue_batches=spec.get("cold_queue_batches", 64),
-            chains=spec.get("chains"),
-            end_to_end_slo_s=spec.get("end_to_end_slo_s"),
             workflow=spec.get("workflow"),
             workflow_policy=spec.get("workflow_policy", "decomposed"),
             metrics_mode=spec.get("metrics_mode", "exact"),

@@ -224,6 +224,7 @@ def bench_workflow_sched(quick: bool = False) -> int:
     profiling is offline work).  Returns instances placed.
     """
     from repro.cluster import build_testbed_cluster
+    from repro.core.function import FunctionSpec
     from repro.core.scheduler import GreedyScheduler
     from repro.profiling import build_default_predictor
     from repro.workflows import CoPlacementHint
@@ -231,9 +232,14 @@ def bench_workflow_sched(quick: bool = False) -> int:
 
     predictor = build_default_predictor()
     osvt = build_osvt()
-    stage_functions = (
-        osvt.as_chain_stages() + build_qa_robot().as_chain_stages()
-    )
+    # Each stage gets a uniform share of its application's SLO.
+    stage_functions = [
+        FunctionSpec(
+            name=fn.name, model=fn.model, slo_s=app.slo_s / len(app.functions)
+        )
+        for app in (osvt, build_qa_robot())
+        for fn in app.functions
+    ]
     loads = (120.0, 90.0, 90.0, 300.0, 260.0, 260.0)
     workflow = osvt.as_workflow()
     rounds = 10 if quick else 40

@@ -42,7 +42,7 @@ from repro.core import (
     build_coldstart_policy,
 )
 from repro.faults import FaultPlan, ResiliencePolicy
-from repro.models import list_llm_models, list_models
+from repro.models import LLM_ZOO, MODEL_ZOO, list_llm_models, list_models
 from repro.profiling import GroundTruthExecutor, build_default_predictor
 from repro.simulation import compare_policies
 from repro.telemetry import (
@@ -60,6 +60,11 @@ from repro.workloads import (
     coldstart_fleet_invocations,
     constant_trace,
 )
+
+#: ``--model`` choices: the Table 1 zoo, plus the LLM zoo for
+#: ``simulate`` (the only subcommand that serves autoregressive models).
+_TABLE1_MODELS = sorted(MODEL_ZOO)
+_ANY_MODELS = _TABLE1_MODELS + sorted(LLM_ZOO)
 
 
 def _cmd_list_models(_args: argparse.Namespace) -> int:
@@ -781,7 +786,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-models", help="show the Table 1 model zoo")
 
     predict = sub.add_parser("predict", help="COP latency prediction")
-    predict.add_argument("--model", required=True)
+    predict.add_argument(
+        "--model", required=True, choices=_TABLE1_MODELS, metavar="MODEL",
+        help="a Table 1 model (see list-models)",
+    )
     predict.add_argument("--batch", type=int, default=8)
     predict.add_argument("--cpu", type=int, default=2)
     predict.add_argument("--gpu", type=int, default=20)
@@ -791,7 +799,11 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument("--servers", type=int, default=8)
 
     simulate = sub.add_parser("simulate", help="discrete-event serving run")
-    simulate.add_argument("--model", default="resnet-50")
+    simulate.add_argument(
+        "--model", default="resnet-50", choices=_ANY_MODELS, metavar="MODEL",
+        help="a Table 1 model, or an LLM model on the llm platforms"
+             " (see list-models)",
+    )
     simulate.add_argument(
         "--platform", default="infless", choices=sorted(PLATFORMS),
         help="serving platform to run (default: infless)",
@@ -1024,7 +1036,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_shard.add_argument("--platform", default="infless",
                                 choices=sorted(PLATFORMS))
     campaign_shard.add_argument("--servers", type=int, default=2)
-    campaign_shard.add_argument("--model", default="resnet-50")
+    campaign_shard.add_argument(
+        "--model", default="resnet-50", choices=_TABLE1_MODELS,
+        metavar="MODEL", help="the Table 1 model every trace function runs",
+    )
     campaign_shard.add_argument("--slo-ms", type=float, default=200.0)
     campaign_shard.add_argument("--seed", type=int, default=42)
     campaign_shard.add_argument(
@@ -1076,7 +1091,10 @@ def build_parser() -> argparse.ArgumentParser:
     coldstart.add_argument("--gamma", type=float, default=0.5)
 
     plan = sub.add_parser("plan", help="SLO feasibility & sizing")
-    plan.add_argument("--model", required=True)
+    plan.add_argument(
+        "--model", required=True, choices=_TABLE1_MODELS, metavar="MODEL",
+        help="a Table 1 model (see list-models)",
+    )
     plan.add_argument("--slo-ms", type=float, default=200.0)
     plan.add_argument("--rps", type=float, default=0.0)
     plan.add_argument("--top", type=int, default=10)

@@ -385,12 +385,11 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def check_latency_tiling(self, sim: object, now: float) -> None:
         # Retried requests spend time in the crashed attempt and the
-        # backoff window that no wait bucket sees: like chain and
-        # workflow stages, the parts then only lower-bound the
-        # end-to-end latency.
+        # backoff window that no wait bucket sees: like workflow
+        # stages, the parts then only lower-bound the end-to-end
+        # latency.
         chained = (
-            bool(sim.chains)
-            or getattr(sim, "workflow", None) is not None
+            getattr(sim, "workflow", None) is not None
             or getattr(sim, "_retries", 0) > 0
         )
         for record in sim.metrics.records:
@@ -413,8 +412,8 @@ class InvariantChecker:
                 )
                 continue
             tol = TOL * max(1.0, latency)
-            # Chained requests spend time in *earlier* stages that the
-            # final stage's decomposition does not see: the parts only
+            # Workflow requests spend time in *earlier* stages that the
+            # sink stage's decomposition does not see: the parts only
             # lower-bound the end-to-end latency.
             if chained:
                 bad = parts > latency + tol

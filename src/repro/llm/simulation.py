@@ -74,10 +74,6 @@ class LLMSimulation:
         seed: drives arrival times and per-request token lengths.
     """
 
-    #: no chained stages at token granularity; the shared
-    #: latency-tiling audit reads this to demand exact tiling.
-    chains: Dict[str, str] = {}
-
     def __init__(
         self,
         platform: ContinuousBatchingLLM,

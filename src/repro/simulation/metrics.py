@@ -129,8 +129,8 @@ class SimulationReport:
     llm: Optional[Dict[str, object]] = None
     #: DAG-workflow summary (workflow goodput, end-to-end percentiles,
     #: per-stage latency decomposition, co-placement hit rate); None on
-    #: non-workflow runs -- including the legacy chains shim -- so those
-    #: reports stay bit-identical to the pre-workflow goldens.
+    #: non-workflow runs so those reports stay bit-identical to the
+    #: pre-workflow goldens.
     workflows: Optional[Dict[str, object]] = None
     #: how latency statistics were collected; "exact" reports serialise
     #: without this field so pre-sketch goldens stay bit-identical.

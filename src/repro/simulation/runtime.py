@@ -68,7 +68,7 @@ from repro.telemetry import (
 from repro.telemetry import spans as ev
 from repro.workloads.arrivals import sample_arrivals, sample_arrivals_window
 from repro.workloads.trace import Trace
-from repro.workflows.spec import WorkflowSpec, find_cycle
+from repro.workflows.spec import WorkflowSpec
 
 _request_ids = itertools.count()
 
@@ -76,10 +76,10 @@ _request_ids = itertools.count()
 class Request:
     """One inference request in flight.
 
-    For chained applications (the paper's section 7 future work),
-    ``arrival`` is when the request reached its *current stage* (it
-    drives the stage's batch-queue deadline) while ``origin_arrival``
-    is when the user issued it (it drives the end-to-end SLO).
+    Inside a workflow, each stage gets its own request: ``arrival`` is
+    when it reached that stage (it drives the stage's batch-queue
+    deadline) while ``origin_arrival`` is when the user issued the
+    request at the entry stage (it drives the end-to-end SLO).
 
     A ``__slots__`` class: one instance exists per simulated request,
     so per-object dict overhead dominates replay memory otherwise.
@@ -172,17 +172,12 @@ class ServingSimulation:
             instance; beyond it arrivals are dropped.
         cold_queue_batches: how many batches may queue at an instance
             that is still cold-starting before arrivals drop.
-        chains: optional function-chain topology (the paper's section 7
-            future work): ``{"stage-a": "stage-b"}`` forwards every
-            completed stage-a request into stage-b's batch queues; the
-            SLO applies end to end and only the final stage records a
-            completion. Workload traces drive the chain's entry
-            functions only.  Deprecated in favour of ``workflow``.
         workflow: optional :class:`~repro.workflows.spec.WorkflowSpec`
             DAG: stage completions fan out along the DAG's edges, join
             barriers gate fan-in stages until every upstream copy
-            arrives, and the per-workflow deadline is judged when the
-            sink completes.  Mutually exclusive with ``chains``; adds
+            arrives, and the workflow's ``end_to_end_slo_s`` is judged
+            when the sink completes.  Only the entry stage takes a
+            workload trace and only the sink records completions; adds
             a ``workflows`` block to the report.
         tracer: telemetry recorder; the default null tracer records
             nothing and costs one flag read per emit site.  The tracer
@@ -220,9 +215,7 @@ class ServingSimulation:
         pending_cap: int = 100_000,
         cold_queue_batches: int = 64,
         warmup_s: float = 0.0,
-        chains: Optional[Dict[str, str]] = None,
         workflow: Optional[WorkflowSpec] = None,
-        end_to_end_slo_s: Optional[float] = None,
         tracer: Optional[Tracer] = None,
         timeline: Optional[TimelineRecorder] = None,
         invariants: Union[None, str, InvariantChecker] = None,
@@ -250,25 +243,20 @@ class ServingSimulation:
         self.pending_cap = pending_cap
         self.cold_queue_batches = cold_queue_batches
         self.warmup_s = warmup_s
-        self.chains = dict(chains or {})
-        for src, dst in self.chains.items():
-            if src == dst:
-                raise ValueError(f"chain stage {src!r} forwards to itself")
-        if workflow is not None and self.chains:
-            raise ValueError("pass either workflow= or chains=, not both")
-        #: the DAG workflow under test (None for plain and legacy
-        #: chained runs); drives fan-out/fan-in forwarding, the
-        #: end-to-end deadline at the sink and the report's
-        #: ``workflows`` block.
+        #: the DAG workflow under test (None for plain runs); drives
+        #: fan-out/fan-in forwarding, the end-to-end deadline at the
+        #: sink and the report's ``workflows`` block.
         self.workflow = workflow
         self._wf_tracking = workflow is not None
-        #: chained requests are judged against the end-to-end budget,
-        #: while each stage's (smaller) function SLO drives its batch
-        #: deadline; defaults to the entry function's SLO when unset.
-        self.end_to_end_slo_s = end_to_end_slo_s
+        #: stage -> downstream stages (only stages with successors).
+        self._successors: Dict[str, tuple] = {}
+        self._fan_in: Dict[str, int] = {}
+        # Functions the control loop must manage: trace-driven
+        # functions plus the DAG's interior stages in topological
+        # order (upstream rates settle before downstream ones read
+        # their forwarded arrivals).
+        self._managed = list(workload)
         if workflow is not None:
-            if self.end_to_end_slo_s is None:
-                self.end_to_end_slo_s = workflow.end_to_end_slo_s
             stage_names = set(workflow.stage_names())
             entry = workflow.entry
             for name in workload:
@@ -281,34 +269,13 @@ class ServingSimulation:
                 raise ValueError(
                     f"workflow entry stage {entry!r} needs a workload trace"
                 )
-            #: stage -> downstream stages (only stages with successors).
-            self._successors: Dict[str, tuple] = {
+            self._successors = {
                 s.name: s.downstream for s in workflow.stages if s.downstream
             }
-            self._fan_in: Dict[str, int] = workflow.fan_in()
-            # Functions the control loop must manage: trace-driven
-            # functions plus the DAG's interior stages in topological
-            # order (upstream rates settle before downstream ones read
-            # their forwarded arrivals).
-            self._managed = list(dict.fromkeys(
-                list(workload)
-                + [n for n in workflow.topological_order() if n not in workload]
-            ))
-        else:
-            self._successors = {
-                src: (dst,) for src, dst in self.chains.items()
-            }
-            cycle = find_cycle(self._successors)
-            if cycle is not None:
-                raise ValueError(
-                    f"chains contain a cycle: {' -> '.join(cycle)}"
-                )
-            self._fan_in = {}
-            # Functions the control loop must manage: trace-driven entry
-            # stages plus every chained downstream stage.
-            self._managed = list(
-                dict.fromkeys(list(workload) + list(self.chains.values()))
-            )
+            self._fan_in = workflow.fan_in()
+            self._managed += [
+                n for n in workflow.topological_order() if n not in workload
+            ]
         # -- workflow bookkeeping (all zero outside workflow mode) ------
         #: (stage, root) -> tokens waiting at a fan-in join barrier.
         self._join_barriers: Dict[tuple, List[Request]] = {}
@@ -444,10 +411,9 @@ class ServingSimulation:
             self._schedule_arrival_times(name, times)
 
     def _arrival_slo(self, name: str) -> float:
-        slo = self.platform.function(name).slo_s
-        if self._successors and self.end_to_end_slo_s is not None:
-            slo = self.end_to_end_slo_s
-        return slo
+        if self._successors:
+            return self.workflow.end_to_end_slo_s
+        return self.platform.function(name).slo_s
 
     def _schedule_arrival_times(self, name: str, times: np.ndarray) -> None:
         """Turn sampled arrival instants into heap events."""
@@ -694,14 +660,14 @@ class ServingSimulation:
                     latency = now - request.origin
                     self._wf_latencies.append(latency)
                     self._wf_completed += 1
-                    if latency > self.end_to_end_slo_s:
+                    if latency > self.workflow.end_to_end_slo_s:
                         self._wf_violations += 1
                 if self._trace:
                     self.tracer.emit(
                         ev.WORKFLOW_COMPLETE, now, workflow_id=request.root,
                         workflow=self.workflow.name, origin=request.origin,
                         latency_s=now - request.origin,
-                        slo_s=self.end_to_end_slo_s,
+                        slo_s=self.workflow.end_to_end_slo_s,
                     )
             if request.attempt:
                 self._retry_completions += 1
@@ -722,8 +688,8 @@ class ServingSimulation:
             )
             self.metrics.record_completion(record)
             if self._trace:
-                # batch_wait_s spans every upstream stage of a chain or
-                # workflow; the record's queue_wait_s is this stage's.
+                # batch_wait_s spans every upstream stage of a workflow;
+                # the record's queue_wait_s is this stage's.
                 self.tracer.emit(
                     ev.REQUEST_COMPLETE, now, request=request.request_id,
                     function=request.function, instance=instance.instance_id,
@@ -886,12 +852,7 @@ class ServingSimulation:
         request.arrival = self.loop.now
         self._dispatch(request)
 
-    def _forward(
-        self,
-        request: Request,
-        next_stage: str,
-        root_id: Optional[int] = None,
-    ) -> None:
+    def _forward(self, request: Request, next_stage: str, root: int) -> None:
         """Hand a completed stage's request to the next stage."""
         now = self.loop.now
         follow_on = Request(
@@ -899,15 +860,14 @@ class ServingSimulation:
             arrival=now,
             slo_s=request.slo_s,
             origin_arrival=request.origin,
-            root_id=root_id,
+            root_id=root,
         )
-        if self._wf_tracking:
-            self._stage_injected[next_stage] += 1
-            if self._trace:
-                self.tracer.emit(
-                    ev.WORKFLOW_STAGE, now, workflow_id=follow_on.root,
-                    request=follow_on.request_id, function=next_stage,
-                )
+        self._stage_injected[next_stage] += 1
+        if self._trace:
+            self.tracer.emit(
+                ev.WORKFLOW_STAGE, now, workflow_id=root,
+                request=follow_on.request_id, function=next_stage,
+            )
         self._arrivals_since_tick[next_stage] += 1
         self.platform.record_invocation(next_stage, now)
         self._dispatch(follow_on)
@@ -920,15 +880,10 @@ class ServingSimulation:
     ) -> None:
         """Route one completed stage token along its outgoing edges.
 
-        Legacy chains (no workflow attached) have exactly one successor
-        and forward unconditionally -- the original behaviour.  In
-        workflow mode the token fans out to every downstream stage,
-        waits at fan-in join barriers until all sibling copies arrive,
-        and is silently absorbed when its root already failed.
+        The token fans out to every downstream stage, waits at fan-in
+        join barriers until all sibling copies arrive, and is silently
+        absorbed when its root already failed.
         """
-        if not self._wf_tracking:
-            self._forward(request, successors[0])
-            return
         root = request.root
         stage = request.function
         if request.origin >= self.warmup_s:
@@ -1202,7 +1157,7 @@ class ServingSimulation:
         )
         return {
             "workflow": workflow.name,
-            "end_to_end_slo_s": self.end_to_end_slo_s,
+            "end_to_end_slo_s": workflow.end_to_end_slo_s,
             "started": self._wf_started,
             "completed": self._wf_completed,
             "violations": self._wf_violations,

@@ -64,45 +64,14 @@ class Application:
     def function_names(self) -> List[str]:
         return [fn.name for fn in self.functions]
 
-    # ------------------------------------------------------------------
-    # function-chain view (the paper's section 7 future work)
-    # ------------------------------------------------------------------
-    @property
-    def entry_function(self) -> FunctionSpec:
-        """The first stage when the application runs as a chain."""
-        return self.functions[0]
-
-    def chain_map(self) -> Dict[str, str]:
-        """Consecutive stage topology for ServingSimulation(chains=...).
-
-        ``{stage_i: stage_{i+1}}`` -- e.g. OSVT as a pipeline runs
-        object detection, then license recognition, then vehicle
-        classification on each request.
-        """
-        names = self.function_names()
-        return {src: dst for src, dst in zip(names[:-1], names[1:])}
-
-    def as_chain_stages(self) -> List[FunctionSpec]:
-        """Stage functions with the end-to-end SLO split across stages.
-
-        Each stage's batching deadline must consume only its share of
-        the latency budget, otherwise three stages each waiting up to
-        ``slo - t_exec`` blow the end-to-end target.  The split is
-        uniform; deploy these (instead of ``functions``) when running
-        the application as a chain.
-        """
-        per_stage = self.slo_s / len(self.functions)
-        return [
-            FunctionSpec(name=fn.name, model=fn.model, slo_s=per_stage)
-            for fn in self.functions
-        ]
-
     def as_workflow(self) -> "WorkflowSpec":
         """The application as a linear :class:`WorkflowSpec`.
 
-        The DAG view of :meth:`chain_map`: same stage order, but with
-        the end-to-end SLO carried on the workflow itself so the
-        platform (not a uniform split) decides per-stage budgets.
+        The paper's section 7 future work: every request flows through
+        the functions in order (OSVT runs object detection, then
+        license recognition, then vehicle classification), with the
+        application SLO carried on the workflow as its end-to-end
+        budget so the platform decides per-stage budgets.
         """
         from repro.workflows.spec import WorkflowSpec
 

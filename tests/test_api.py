@@ -242,3 +242,17 @@ class TestExperimentSpec:
         spec["schema"] = 99
         with pytest.raises(ValueError, match="schema"):
             Experiment.from_spec(spec)
+
+    def test_spec_accepts_null_retired_keys(self):
+        spec = self._experiment().to_spec()
+        old = {**spec, "chains": None, "end_to_end_slo_s": None}
+        assert Experiment.from_spec(old).to_spec() == spec
+
+    @pytest.mark.parametrize("key, value", [
+        ("chains", {"fn-mobilenet": "fn-mnist"}),
+        ("end_to_end_slo_s", 0.4),
+    ])
+    def test_spec_rejects_retired_keys(self, key, value):
+        spec = {**self._experiment().to_spec(), key: value}
+        with pytest.raises(ValueError, match=rf"'{key}'.*workflow="):
+            Experiment.from_spec(spec)

@@ -22,6 +22,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["capacity", "--app", "webshop"])
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--model", "nosuch"],
+        ["predict", "--model", "llm-125m"],
+        ["plan", "--model", "nosuch", "--slo-ms", "100"],
+        ["simulate", "--model", "nosuch"],
+        ["campaign", "shard-trace", "trace.csv", "--model", "nosuch"],
+    ])
+    def test_unknown_model_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "resnet-50" in err
+
+    def test_simulate_accepts_llm_models(self):
+        args = build_parser().parse_args(
+            ["simulate", "--platform", "llm", "--model", "llm-125m"]
+        )
+        assert args.model == "llm-125m"
+
 
 class TestCommands:
     def test_list_models_output(self, capsys):

@@ -30,6 +30,7 @@ from repro.invariants import (
 from repro.profiling.configspace import InstanceConfig
 from repro.simulation import ServingSimulation
 from repro.simulation.metrics import RequestRecord
+from repro.workflows import WorkflowSpec
 from repro.workloads import constant_trace
 
 
@@ -330,7 +331,7 @@ class TestDifferentialSuite:
         max_examples=3, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_chained_workload_conserves(self, predictor, executor, seed):
+    def test_linear_workflow_conserves(self, predictor, executor, seed):
         cluster = build_testbed_cluster(num_servers=2)
         engine = INFlessEngine(cluster, predictor=predictor)
         entry = FunctionSpec.for_model("mobilenet", slo_s=0.2, name="stage-a")
@@ -341,8 +342,11 @@ class TestDifferentialSuite:
             engine,
             executor,
             {entry.name: constant_trace(20.0, 8.0)},
-            chains={entry.name: tail.name},
-            end_to_end_slo_s=0.4,
+            workflow=WorkflowSpec.linear(
+                "pair",
+                stages=[(entry.name, "mobilenet"), (tail.name, "mnist")],
+                end_to_end_slo_s=0.4,
+            ),
             invariants="strict",
             seed=seed,
         )

@@ -1,14 +1,14 @@
 """Tests for ``repro.workflows``: DAG specs, SLO decomposition,
-co-placement, workflow execution, and the chains compatibility shim.
+co-placement and workflow execution.
 
-The two golden files under ``tests/data/`` pin exact behaviour:
+A linear pipeline is a path-shaped workflow, so two goldens under
+``tests/data/`` pin the forwarding path byte for byte:
 
-- ``golden_chain_report.json``: the deprecated ``chains=`` path,
-  generated *before* the workflow subsystem landed.  Byte-identity
-  here proves the shim left legacy runs untouched.
+- ``golden_traces.json`` scenario ``osvt_workflow`` (checked by
+  ``tests/test_trace_golden.py``): linear stage-to-stage forwarding
+  on the OSVT pipeline, down to every trace event.
 - ``golden_workflow_report.json``: the diamond fan-out/fan-in
-  scenario, pinning workflow determinism going forward.  Regenerate
-  (deliberate behaviour changes only) with::
+  scenario.  Regenerate (deliberate behaviour changes only) with::
 
       PYTHONPATH=src python -m tests.test_workflows --write
 """
@@ -37,13 +37,11 @@ from repro.workflows import (
 )
 from repro.workloads import (
     build_osvt,
-    build_qa_robot,
     bursty_trace,
     constant_trace,
 )
 
 DATA = Path(__file__).parent / "data"
-CHAIN_GOLDEN = DATA / "golden_chain_report.json"
 WORKFLOW_GOLDEN = DATA / "golden_workflow_report.json"
 
 
@@ -62,32 +60,6 @@ def diamond_workflow() -> WorkflowSpec:
         ),
         end_to_end_slo_s=0.4,
     )
-
-
-def chain_shim_report(predictor=None):
-    """The exact pre-workflow ``chains=`` recipe the golden pins."""
-    from repro.profiling import build_default_predictor
-
-    app = build_osvt(slo_s=0.4)
-    engine = INFlessEngine(
-        build_testbed_cluster(),
-        predictor=predictor or build_default_predictor(),
-    )
-    for function in app.as_chain_stages():
-        engine.deploy(function)
-    simulation = ServingSimulation(
-        platform=engine,
-        executor=GroundTruthExecutor(),
-        workload={app.entry_function.name: constant_trace(120.0, 60.0)},
-        chains=app.chain_map(),
-        end_to_end_slo_s=app.slo_s,
-        warmup_s=10.0,
-        invariants="off",
-        seed=12,
-    )
-    report = simulation.run().to_dict()
-    report.pop("scheduling_overhead_s", None)
-    return report
 
 
 def diamond_report():
@@ -125,18 +97,11 @@ class TestWorkflowSpec:
     def test_linear_matches_app_chain(self):
         app = build_osvt()
         workflow = app.as_workflow()
-        assert workflow.entry == app.entry_function.name
+        assert workflow.entry == app.functions[0].name
         assert workflow.topological_order() == [
             fn.name for fn in app.functions
         ]
         assert workflow.end_to_end_slo_s == app.slo_s
-
-    def test_from_chains_round_trip(self):
-        app = build_qa_robot()
-        workflow = WorkflowSpec.from_chains(
-            app.chain_map(), end_to_end_slo_s=app.slo_s
-        )
-        assert workflow.sink == app.functions[-1].name
 
     def test_diamond_topology_helpers(self):
         workflow = diamond_workflow()
@@ -191,26 +156,6 @@ class TestSLODecomposition:
             )
 
 
-class TestChainShimGolden:
-    def test_chain_report_is_byte_identical_to_pre_workflow_golden(
-        self, predictor
-    ):
-        assert CHAIN_GOLDEN.exists(), (
-            f"{CHAIN_GOLDEN} missing; it pins the pre-workflow chains"
-            " behaviour and cannot be regenerated on this commit"
-        )
-        golden = json.loads(CHAIN_GOLDEN.read_text())
-        current = json.loads(json.dumps(chain_shim_report(predictor)))
-        assert current == golden, (
-            "the deprecated chains= path diverged from its pre-workflow"
-            " golden -- the workflow subsystem leaked into legacy runs"
-        )
-
-    def test_chain_report_has_no_workflows_block(self, predictor):
-        report = chain_shim_report(predictor)
-        assert "workflows" not in report
-
-
 class TestDiamondGolden:
     def test_diamond_matches_golden_bit_identically(self):
         assert WORKFLOW_GOLDEN.exists(), (
@@ -229,15 +174,49 @@ class TestDiamondGolden:
 
 class TestWorkflowExecution:
     @pytest.fixture(scope="class")
-    def osvt_report(self):
-        return Experiment(
+    def osvt_experiment(self):
+        experiment = Experiment(
             platform="infless",
             workflow="osvt",
             workload={"osvt-ssd": constant_trace(200.0, 40.0)},
             warmup_s=10.0,
             invariants="strict",
             seed=3,
-        ).run()
+        )
+        experiment.run()
+        return experiment
+
+    @pytest.fixture(scope="class")
+    def osvt_report(self, osvt_experiment):
+        return osvt_experiment.report
+
+    def test_only_sink_stage_completes(self, osvt_experiment):
+        records = osvt_experiment.simulation.metrics.records
+        assert {record.function for record in records} == {"osvt-resnet-50"}
+
+    def test_end_to_end_conservation(self, osvt_report):
+        assert (
+            osvt_report.completed + osvt_report.dropped == osvt_report.arrived
+        )
+
+    def test_end_to_end_latency_spans_stages(self, osvt_report):
+        # Three stages of execution: the mean end-to-end latency must
+        # exceed any single stage's execution time.
+        assert osvt_report.latency_mean_s > osvt_report.mean_exec_s
+
+    def test_sink_meets_end_to_end_slo(self, osvt_report):
+        assert osvt_report.violation_rate < 0.05
+
+    def test_all_stages_scaled(self, osvt_experiment):
+        sim = osvt_experiment.simulation
+        for name in sim.workflow.stage_names():
+            assert sim.platform.instances(name), name
+
+    def test_downstream_rates_follow_entry(self, osvt_experiment):
+        estimates = osvt_experiment.simulation._rate_estimate
+        assert estimates["osvt-resnet-50"] == pytest.approx(
+            estimates["osvt-ssd"], rel=0.5
+        )
 
     def test_summary_block(self, osvt_report):
         wf = osvt_report.workflows
@@ -298,65 +277,37 @@ class TestOracleRateRegression:
     """Satellite 1: interior stages in oracle mode get the true
     forwarded rate, not an EWMA cold-start blend."""
 
-    def test_interior_stage_oracle_rate_is_raw_forwarded_rate(
-        self, predictor
-    ):
+    @staticmethod
+    def _oracle_simulation(predictor):
         app = build_osvt(slo_s=0.4)
         engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
-        for function in app.as_chain_stages():
+        for function in app.functions:
             engine.deploy(function)
-        sim = ServingSimulation(
+        return ServingSimulation(
             platform=engine,
             executor=GroundTruthExecutor(),
-            workload={app.entry_function.name: constant_trace(100.0, 10.0)},
-            chains=app.chain_map(),
-            end_to_end_slo_s=app.slo_s,
+            workload={"osvt-ssd": constant_trace(100.0, 10.0)},
+            workflow=app.as_workflow(),
             rate_mode="oracle",
             invariants="off",
             seed=1,
         )
+
+    def test_interior_stage_oracle_rate_is_raw_forwarded_rate(
+        self, predictor
+    ):
+        sim = self._oracle_simulation(predictor)
         sim._arrivals_since_tick["osvt-mobilenet"] = 100
         # Pre-fix this EWMA-blended from a cold start: 0.6*100 = 60.0.
         assert sim._estimate_rate("osvt-mobilenet") == 100.0
 
     def test_entry_stage_still_reads_the_trace(self, predictor):
-        app = build_osvt(slo_s=0.4)
-        engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
-        for function in app.as_chain_stages():
-            engine.deploy(function)
-        sim = ServingSimulation(
-            platform=engine,
-            executor=GroundTruthExecutor(),
-            workload={app.entry_function.name: constant_trace(100.0, 10.0)},
-            chains=app.chain_map(),
-            end_to_end_slo_s=app.slo_s,
-            rate_mode="oracle",
-            invariants="off",
-            seed=1,
-        )
-        assert sim._estimate_rate(app.entry_function.name) == 100.0
+        sim = self._oracle_simulation(predictor)
+        assert sim._estimate_rate("osvt-ssd") == 100.0
 
 
 class TestCycleDetection:
     """Satellite 2: multi-stage cycles fail at construction, loudly."""
-
-    def _two_functions(self, predictor):
-        engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
-        a = FunctionSpec.for_model("mnist", 0.1, name="a")
-        b = FunctionSpec.for_model("mnist", 0.1, name="b")
-        engine.deploy(a)
-        engine.deploy(b)
-        return engine, a, b
-
-    def test_chain_two_cycle_rejected(self, predictor):
-        engine, a, b = self._two_functions(predictor)
-        with pytest.raises(ValueError, match="contain a cycle"):
-            ServingSimulation(
-                engine,
-                GroundTruthExecutor(),
-                {a.name: constant_trace(10.0, 10.0)},
-                chains={"a": "b", "b": "a"},
-            )
 
     def test_workflow_cycle_rejected(self):
         with pytest.raises(ValueError, match="contains a cycle"):
@@ -402,10 +353,6 @@ class TestWorkflowRejections:
     def test_resilience_rejects_workflow(self):
         with pytest.raises(ValueError, match="resilience"):
             Experiment(**self._kwargs(resilience=True))
-
-    def test_workflow_and_chains_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            Experiment(**self._kwargs(chains={"a": "b"}))
 
     def test_workflow_and_functions_mutually_exclusive(self):
         function = FunctionSpec.for_model("mnist", 0.1)
