@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster, Placement
 from repro.cluster.resources import ResourceVector
-from repro.core.autoscaler import ScalingStats
+from repro.core.autoscaler import InstanceRegistry, WarmPoolEntry
 from repro.core.batching import RateBounds
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance, InstanceState
@@ -27,13 +27,6 @@ from repro.profiling.configspace import InstanceConfig
 from repro.profiling.predictor import LatencyPredictor
 from repro.telemetry import spans as ev
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-
-
-@dataclass
-class _WarmEntry:
-    instance: Instance
-    expires_at: float
-    entered_at: float
 
 
 @dataclass
@@ -47,8 +40,11 @@ class BaselineAction:
     scheduling_overhead_s: float = 0.0
 
 
-class UniformScalingPlatform:
+class UniformScalingPlatform(InstanceRegistry):
     """Base class for uniform-scaling serving platforms.
+
+    The platform is its own ``registry``, sharing INFless's warm-pool
+    expiry, failure eviction and instance kill.
 
     Args:
         cluster: the cluster to place instances on.
@@ -62,6 +58,8 @@ class UniformScalingPlatform:
             sizing the fleet (scaling out at 100% would leave no slack).
     """
 
+    #: the audit layer only checks ``r_up > 0`` (BATCH overrides).
+    invariant_slo_check = "none"
     #: extra delay requests spend outside the platform (OTP designs).
     ingress_delay_s = 0.0
     #: bounded per-instance batch-queue depth (OpenFaaS+ overrides).
@@ -81,21 +79,17 @@ class UniformScalingPlatform:
     ) -> None:
         if not 0.0 < headroom <= 1.0:
             raise ValueError("headroom must lie in (0, 1]")
-        self.cluster = cluster
+        super().__init__(cluster)
         self.predictor = predictor
         self.keepalive_s = keepalive_s
         self.headroom = headroom
         self.name = name
-        self.stats = ScalingStats()
         self._functions: Dict[str, FunctionSpec] = {}
-        self._active: Dict[str, List[Instance]] = {}
-        self._warm: Dict[str, List[_WarmEntry]] = {}
         self._rng = np.random.default_rng(seed)
         # name -> (state version, valid-until, pool).  The router's
         # candidate pool only changes at control steps / failures
         # (version bump) or when a cold start finishes (valid-until).
         self._route_cache: Dict[str, tuple] = {}
-        self._route_version = 0
         #: telemetry hooks, so baselines emit traces comparable to
         #: INFless's (attached by the serving runtime when recording).
         self.tracer: Tracer = NULL_TRACER
@@ -118,6 +112,8 @@ class UniformScalingPlatform:
         if function.name in self._functions:
             raise ValueError(f"function {function.name!r} already deployed")
         self._functions[function.name] = function
+        # Ledger entries exist from deploy on, in deploy order: warm
+        # expiry and failure eviction walk the functions in that order.
         self._active[function.name] = []
         self._warm[function.name] = []
 
@@ -128,8 +124,13 @@ class UniformScalingPlatform:
     def functions(self) -> List[FunctionSpec]:
         return list(self._functions.values())
 
+    @property
+    def registry(self) -> "UniformScalingPlatform":
+        """The instance ledger: the platform keeps it itself."""
+        return self
+
     def instances(self, name: str) -> List[Instance]:
-        return list(self._active.get(name, []))
+        return self.active_instances(name)
 
     def record_invocation(self, name: str, now: float) -> None:
         """Fixed keep-alive platforms keep no invocation history."""
@@ -142,28 +143,11 @@ class UniformScalingPlatform:
         once per request so seeded replays stay bit-identical.
         """
         cached = self._route_cache.get(name)
-        if (
-            cached is not None
-            and cached[0] == self._route_version
-            and now < cached[1]
-        ):
+        if cached is not None and cached[0] == self.version and now < cached[1]:
             pool = cached[2]
         else:
-            candidates = [
-                inst
-                for inst in self._active.get(name, [])
-                if inst.is_dispatchable()
-            ]
-            valid_until = min(
-                (inst.ready_at for inst in candidates if inst.ready_at > now),
-                default=float("inf"),
-            )
-            if candidates:
-                ready = [inst for inst in candidates if now >= inst.ready_at]
-                pool = ready or candidates
-            else:
-                pool = None
-            self._route_cache[name] = (self._route_version, valid_until, pool)
+            pool, valid_until = self.route_pool(name, now)
+            self._route_cache[name] = (self.version, valid_until, pool)
         if pool is None:
             return None
         return pool[int(self._rng.integers(len(pool)))]
@@ -220,25 +204,6 @@ class UniformScalingPlatform:
     # ------------------------------------------------------------------
     # warm pool
     # ------------------------------------------------------------------
-    def _expire_warm(self, now: float) -> None:
-        for name, entries in self._warm.items():
-            kept = []
-            for entry in entries:
-                if now >= entry.expires_at:
-                    self._unload(entry, until=entry.expires_at)
-                else:
-                    kept.append(entry)
-            self._warm[name] = kept
-
-    def _unload(self, entry: _WarmEntry, until: float) -> None:
-        held = max(0.0, until - entry.entered_at)
-        weighted = entry.instance.config.weighted_cost(self.cluster.beta)
-        self.stats.reserved_idle_resource_s += held * weighted
-        if entry.instance.placement is not None:
-            self.cluster.release(entry.instance.placement)
-            entry.instance.placement = None
-        entry.instance.state = InstanceState.TERMINATED
-
     def _reclaim_warm(
         self, name: str, config: InstanceConfig, now: float
     ) -> Optional[Instance]:
@@ -258,8 +223,8 @@ class UniformScalingPlatform:
     # the control step
     # ------------------------------------------------------------------
     def control(self, name: str, rps: float, now: float) -> BaselineAction:
-        self._route_version += 1
-        self._expire_warm(now)
+        self.version += 1
+        self.expire_warm_pool(now)
         function = self._functions[name]
         active = self._active[name]
         action = BaselineAction()
@@ -343,34 +308,11 @@ class UniformScalingPlatform:
     # ------------------------------------------------------------------
     def on_server_failure(self, server_id: int, now: float) -> List[Instance]:
         """Terminate instances lost with a failed machine."""
-        self._route_version += 1
         lost_ids = {
             placement.placement_id
             for placement in self.cluster.fail_server(server_id)
         }
-        lost: List[Instance] = []
-        for name, group in self._active.items():
-            kept = []
-            for instance in group:
-                placement = instance.placement
-                if placement is not None and placement.placement_id in lost_ids:
-                    instance.placement = None
-                    instance.state = InstanceState.TERMINATED
-                    lost.append(instance)
-                else:
-                    kept.append(instance)
-            self._active[name] = kept
-        for name, entries in self._warm.items():
-            kept_entries = []
-            for entry in entries:
-                placement = entry.instance.placement
-                if placement is not None and placement.placement_id in lost_ids:
-                    entry.instance.placement = None
-                    entry.instance.state = InstanceState.TERMINATED
-                else:
-                    kept_entries.append(entry)
-            self._warm[name] = kept_entries
-        return lost
+        return self.evict_lost(lost_ids, now, failed_server_ids={server_id})
 
     def should_shed(self, name: str, now: float, pending: int) -> bool:
         """Shed when the backlog exceeds the ready fleet's SLO budget."""
@@ -385,30 +327,16 @@ class UniformScalingPlatform:
             self.shed_slo_factor,
         )
 
-    def kill_instance(self, name: str, now: float) -> Optional[Instance]:
-        """Terminate one instance of ``name`` (container-crash fault)."""
-        group = self._active.get(name)
-        if not group:
-            return None
-        victim = max(group, key=lambda inst: inst.instance_id)
-        group.remove(victim)
-        if victim.placement is not None:
-            self.cluster.release(victim.placement)
-            victim.placement = None
-        victim.state = InstanceState.TERMINATED
-        victim.assigned_rate = 0.0
-        self.stats.failures += 1
-        self._route_version += 1
-        return victim
-
     def _retire(self, name: str, instance: Instance, now: float) -> None:
         instance.state = InstanceState.WARM_IDLE
         instance.assigned_rate = 0.0
         self.stats.releases += 1
         self._warm[name].append(
-            _WarmEntry(
+            WarmPoolEntry(
                 instance=instance,
                 expires_at=now + self.keepalive_s,
+                reserved=True,
+                available_from=now,
                 entered_at=now,
             )
         )

@@ -18,6 +18,9 @@ warm pool governed by the cold-start policy:
   park in the server's host RAM, so a reuse pays only the PCIe
   swap-in delay instead of a full cold start.
 
+The ledger itself -- live instances, warm pool, failure eviction --
+is :class:`InstanceRegistry`, which the uniform baselines share.
+
 :class:`HybridAutoScaler` adds HAS-GPU-style vertical scaling on top:
 before launching new instances for overflow load, it grows the SM
 quota of live instances in place (re-pricing their Eq. 1 rate ranges)
@@ -27,8 +30,9 @@ and only falls back to horizontal scale-out for the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.cluster.cluster import Cluster
 from repro.core.batching import InfeasibleBatchError, rate_bounds
 from repro.core.coldstart import (
     IDLE_DROP,
@@ -98,24 +102,16 @@ class ScalingAction:
     scheduling_overhead_s: float = 0.0
 
 
-class AutoScaler:
-    """Per-function scaling on top of the greedy scheduler.
+class InstanceRegistry:
+    """Per-function live instances and warm pools, plus scaling stats.
 
-    Args:
-        scheduler: Algorithm 1 wrapper owning cluster placement.
-        policy: keep-alive policy deciding warm-pool windows.
-        alpha: the dispatcher's oscillation-damping constant.
+    :class:`AutoScaler` (INFless) and the uniform baselines subclass
+    it; the serving runtime and the invariant audit read it as the
+    platform's ``registry``.
     """
 
-    def __init__(
-        self,
-        scheduler: GreedyScheduler,
-        policy: KeepAlivePolicy,
-        alpha: float = ALPHA_DEFAULT,
-    ) -> None:
-        self.scheduler = scheduler
-        self.policy = policy
-        self.alpha = alpha
+    def __init__(self, cluster: Cluster) -> None:
+        self.cluster = cluster
         self._active: Dict[str, List[Instance]] = {}
         self._warm: Dict[str, List[WarmPoolEntry]] = {}
         #: bumped whenever instance sets / states / rates may change
@@ -123,8 +119,6 @@ class AutoScaler:
         #: cache keys on it.
         self.version = 0
         self.stats = ScalingStats()
-        #: telemetry hooks; no-op unless a recording tracer is attached.
-        self.tracer: Tracer = NULL_TRACER
 
     # ------------------------------------------------------------------
     # views
@@ -140,6 +134,32 @@ class AutoScaler:
     def warm_pool(self, function_name: str) -> List[WarmPoolEntry]:
         """Copy of a function's warm-pool entries."""
         return list(self._warm.get(function_name, []))
+
+    def all_warm_entries(self) -> List[WarmPoolEntry]:
+        """Warm-pool entries across every function."""
+        return [entry for entries in self._warm.values() for entry in entries]
+
+    def route_pool(
+        self, function_name: str, now: float
+    ) -> Tuple[Optional[List[Instance]], float]:
+        """The router's candidates and the time they stop being valid.
+
+        Ready instances, else cold-starting ones (their requests wait),
+        else None; valid until the next pending ``ready_at``.
+        """
+        candidates = [
+            inst
+            for inst in self._active.get(function_name, [])
+            if inst.is_dispatchable()
+        ]
+        valid_until = min(
+            (inst.ready_at for inst in candidates if inst.ready_at > now),
+            default=float("inf"),
+        )
+        if not candidates:
+            return None, valid_until
+        ready = [inst for inst in candidates if now >= inst.ready_at]
+        return ready or candidates, valid_until
 
     # ------------------------------------------------------------------
     # warm pool maintenance
@@ -159,22 +179,123 @@ class AutoScaler:
         self._drop_swap_reservation(entry)
         if entry.reserved:
             held = max(0.0, until - entry.entered_at)
-            weighted = entry.instance.config.weighted_cost(
-                self.scheduler.cluster.beta
-            )
+            weighted = entry.instance.config.weighted_cost(self.cluster.beta)
             self.stats.reserved_idle_resource_s += held * weighted
-            self.scheduler.release(entry.instance)
+            self._release(entry.instance)
         entry.instance.state = InstanceState.TERMINATED
 
     def _drop_swap_reservation(self, entry: WarmPoolEntry) -> None:
         """Return an entry's parked weights to the host-RAM pool."""
         if entry.swap_mb <= 0.0 or entry.swap_server_id is None:
             return
-        server = self.scheduler.cluster.server(entry.swap_server_id)
+        server = self.cluster.server(entry.swap_server_id)
         if server.healthy:
             server.swap_release(entry.swap_mb)
         entry.swap_mb = 0.0
         entry.swap_server_id = None
+
+    def _release(self, instance: Instance) -> None:
+        """Return an instance's placement to the cluster; terminate it."""
+        if instance.placement is not None:
+            self.cluster.release(instance.placement)
+            instance.placement = None
+        instance.state = InstanceState.TERMINATED
+
+    # ------------------------------------------------------------------
+    # failures
+    # ------------------------------------------------------------------
+    def evict_lost(
+        self, lost_placement_ids, now: float, failed_server_ids=None
+    ) -> List[Instance]:
+        """Drop instances whose placements died with a failed server.
+
+        Their resources are already gone (the cluster removed the
+        placements); this just terminates the bookkeeping so the next
+        control step re-provisions capacity elsewhere.  Warm-pool
+        entries whose swapped-out weights were parked on a server in
+        ``failed_server_ids`` are dropped too -- without releasing the
+        reservation, since recovery resets the machine's ledger.
+        """
+        self.version += 1
+        failed_servers = frozenset(failed_server_ids or ())
+        lost_instances: List[Instance] = []
+        for name, group in self._active.items():
+            kept = []
+            for instance in group:
+                placement = instance.placement
+                if placement is not None and placement.placement_id in lost_placement_ids:
+                    instance.placement = None
+                    instance.state = InstanceState.TERMINATED
+                    instance.assigned_rate = 0.0
+                    lost_instances.append(instance)
+                else:
+                    kept.append(instance)
+            self._active[name] = kept
+        for name, entries in self._warm.items():
+            kept_entries = []
+            for entry in entries:
+                placement = entry.instance.placement
+                if placement is not None and placement.placement_id in lost_placement_ids:
+                    entry.instance.placement = None
+                    entry.instance.state = InstanceState.TERMINATED
+                elif (
+                    entry.swap_server_id is not None
+                    and entry.swap_server_id in failed_servers
+                ):
+                    # The parked weights died with the host.
+                    entry.swap_mb = 0.0
+                    entry.swap_server_id = None
+                    entry.instance.state = InstanceState.TERMINATED
+                else:
+                    kept_entries.append(entry)
+            self._warm[name] = kept_entries
+        self.stats.failures += len(lost_instances)
+        return lost_instances
+
+    def kill_instance(self, name: str, now: float) -> Optional[Instance]:
+        """Terminate one active instance of ``name`` (container crash).
+
+        Deterministically picks the youngest instance (highest id),
+        releases its placement and returns it; None when the function
+        has no active instances to kill.
+        """
+        group = self._active.get(name)
+        if not group:
+            return None
+        victim = max(group, key=lambda inst: inst.instance_id)
+        group.remove(victim)
+        self._release(victim)
+        victim.assigned_rate = 0.0
+        self.version += 1
+        self.stats.failures += 1
+        return victim
+
+
+class AutoScaler(InstanceRegistry):
+    """Per-function scaling on top of the greedy scheduler.
+
+    Args:
+        scheduler: Algorithm 1 wrapper owning cluster placement.
+        policy: keep-alive policy deciding warm-pool windows.
+        alpha: the dispatcher's oscillation-damping constant.
+    """
+
+    def __init__(
+        self,
+        scheduler: GreedyScheduler,
+        policy: KeepAlivePolicy,
+        alpha: float = ALPHA_DEFAULT,
+    ) -> None:
+        super().__init__(scheduler.cluster)
+        self.scheduler = scheduler
+        self.policy = policy
+        self.alpha = alpha
+        #: telemetry hooks; no-op unless a recording tracer is attached.
+        self.tracer: Tracer = NULL_TRACER
+
+    def _release(self, instance: Instance) -> None:
+        # The scheduler also tells the co-placement hint.
+        self.scheduler.release(instance)
 
     def _idle_mode(
         self, function: FunctionSpec, instance: Instance, decision, now: float
@@ -339,75 +460,6 @@ class AutoScaler:
             if server.can_fit(resources):
                 return cluster.allocate(server.server_id, resources)
         return None
-
-    # ------------------------------------------------------------------
-    # failures
-    # ------------------------------------------------------------------
-    def evict_lost(
-        self, lost_placement_ids, now: float, failed_server_ids=None
-    ) -> List[Instance]:
-        """Drop instances whose placements died with a failed server.
-
-        Their resources are already gone (the cluster removed the
-        placements); this just terminates the bookkeeping so the next
-        control step re-provisions capacity elsewhere.  Warm-pool
-        entries whose swapped-out weights were parked on a server in
-        ``failed_server_ids`` are dropped too -- without releasing the
-        reservation, since recovery resets the machine's ledger.
-        """
-        self.version += 1
-        failed_servers = frozenset(failed_server_ids or ())
-        lost_instances: List[Instance] = []
-        for name, group in self._active.items():
-            kept = []
-            for instance in group:
-                placement = instance.placement
-                if placement is not None and placement.placement_id in lost_placement_ids:
-                    instance.placement = None
-                    instance.state = InstanceState.TERMINATED
-                    instance.assigned_rate = 0.0
-                    lost_instances.append(instance)
-                else:
-                    kept.append(instance)
-            self._active[name] = kept
-        for name, entries in self._warm.items():
-            kept_entries = []
-            for entry in entries:
-                placement = entry.instance.placement
-                if placement is not None and placement.placement_id in lost_placement_ids:
-                    entry.instance.placement = None
-                    entry.instance.state = InstanceState.TERMINATED
-                elif (
-                    entry.swap_server_id is not None
-                    and entry.swap_server_id in failed_servers
-                ):
-                    # The parked weights died with the host.
-                    entry.swap_mb = 0.0
-                    entry.swap_server_id = None
-                    entry.instance.state = InstanceState.TERMINATED
-                else:
-                    kept_entries.append(entry)
-            self._warm[name] = kept_entries
-        self.stats.failures += len(lost_instances)
-        return lost_instances
-
-    def kill_instance(self, name: str, now: float):
-        """Terminate one active instance of ``name`` (container crash).
-
-        Deterministically picks the youngest instance (highest id),
-        releases its placement and returns it; None when the function
-        has no active instances to kill.
-        """
-        group = self._active.get(name)
-        if not group:
-            return None
-        victim = max(group, key=lambda inst: inst.instance_id)
-        group.remove(victim)
-        self.scheduler.release(victim)
-        victim.assigned_rate = 0.0
-        self.version += 1
-        self.stats.failures += 1
-        return victim
 
     # ------------------------------------------------------------------
     # vertical scaling hook

@@ -112,6 +112,11 @@ class INFlessEngine:
     def functions(self) -> List[FunctionSpec]:
         return list(self._functions.values())
 
+    @property
+    def registry(self) -> AutoScaler:
+        """The instance ledger: the autoscaler keeps it."""
+        return self.autoscaler
+
     # ------------------------------------------------------------------
     # control plane
     # ------------------------------------------------------------------
@@ -154,26 +159,10 @@ class INFlessEngine:
             if candidates is None:
                 return None
         else:
-            candidates = [
-                inst
-                for inst in self.autoscaler.active_instances(name)
-                if inst.is_dispatchable()
-            ]
-            # The ready/cold split below flips when a pending cold
-            # start completes; the cached entry expires at the earliest
-            # such moment.
-            valid_until = min(
-                (inst.ready_at for inst in candidates if inst.ready_at > now),
-                default=float("inf"),
-            )
-            if not candidates:
+            candidates, valid_until = self.autoscaler.route_pool(name, now)
+            if candidates is None:
                 self._route_cache[name] = (version, valid_until, None, None)
                 return None
-            # Prefer instances whose cold start already finished; fall
-            # back to cold-starting ones (their requests wait for
-            # readiness).
-            ready = [inst for inst in candidates if now >= inst.ready_at]
-            candidates = ready or candidates
             weights = np.array(
                 [max(inst.assigned_rate, 1e-9) for inst in candidates],
                 dtype=float,

@@ -412,7 +412,7 @@ class FunctionFluid:
                 + (1.0 - self.ewma) * self.rate_estimate
             )
         self.rate_estimate = estimate
-        self._expire_warm_pool(now)
+        self._drop_expired_warm(now)
         capacity = self.capacity_rps + math.fsum(
             row.r_up for _ready, row in self.launching
         )
@@ -517,7 +517,7 @@ class FunctionFluid:
             for _ready, row in self.launching
         )
 
-    def _expire_warm_pool(self, now: float) -> None:
+    def _drop_expired_warm(self, now: float) -> None:
         kept: List[Tuple[float, float, ConfigRow]] = []
         for expires_at, entered_at, row in self.warm_pool:
             if now >= expires_at:

@@ -40,7 +40,7 @@ turns this on globally via an autouse conftest fixture).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.core.batching import cached_rate_bounds
 
@@ -101,9 +101,12 @@ class InvariantChecker:
     """Audits a :class:`ServingSimulation` while it runs.
 
     The checker is platform-agnostic: it reads only the serving
-    runtime's own bookkeeping, the shared cluster/server structures and
-    (duck-typed) the active/warm instance registries every platform
-    keeps, so INFless and all baselines run under the same audit.
+    runtime's own ledgers, the shared cluster/server structures and the
+    instance ledger every platform declares as ``platform.registry``
+    (an :class:`~repro.core.autoscaler.InstanceRegistry`), so INFless
+    and all baselines run under the same audit.  Every read is a plain
+    attribute access: a renamed or missing ledger raises
+    ``AttributeError`` instead of turning a check into a no-op.
     """
 
     def __init__(self, mode: Optional[str] = None) -> None:
@@ -128,39 +131,15 @@ class InvariantChecker:
         self.violations.append(violation)
 
     # ------------------------------------------------------------------
-    # platform introspection (duck-typed)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _registry_owner(platform: object) -> object:
-        """Whoever keeps the _active/_warm instance registries."""
-        autoscaler = getattr(platform, "autoscaler", None)
-        if autoscaler is not None and hasattr(autoscaler, "_active"):
-            return autoscaler
-        return platform
-
-    @classmethod
-    def _all_instances(cls, platform: object) -> List[object]:
-        owner = cls._registry_owner(platform)
-        active = getattr(owner, "_active", {})
-        return [inst for group in active.values() for inst in group]
-
-    @classmethod
-    def _warm_instances(cls, platform: object) -> List[object]:
-        owner = cls._registry_owner(platform)
-        warm = getattr(owner, "_warm", {})
-        return [entry.instance for entries in warm.values() for entry in entries]
-
-    # ------------------------------------------------------------------
     # request conservation
     # ------------------------------------------------------------------
     def _request_counts(self, sim: object) -> Dict[str, int]:
         parked = sum(len(queue) for queue in sim._pending.values())
         queued = sum(
             len(inst.queue)
-            for inst in self._all_instances(sim.platform)
+            for inst in sim.platform.registry.all_active_instances()
             if inst.queue is not None
         )
-        barriers = getattr(sim, "_join_barriers", None) or {}
         return {
             "arrived": sim.metrics.arrived,
             # completed_count, not len(records): sketch-mode collectors
@@ -170,13 +149,13 @@ class InvariantChecker:
             "parked": parked,
             "queued": queued,
             "executing": sim._executing,
-            "retrying": getattr(sim, "_retry_pending", 0),
+            "retrying": sim._retry_pending,
             # DAG-workflow terms (all zero outside workflow mode):
             # fan-out spawns extra tokens, joins/failed-root absorption
             # retire them, and tokens may wait at fan-in barriers.
-            "spawned": getattr(sim, "_wf_spawned", 0),
-            "retired": getattr(sim, "_wf_retired", 0),
-            "joining": sum(len(w) for w in barriers.values()),
+            "spawned": sim._wf_spawned,
+            "retired": sim._wf_retired,
+            "joining": sum(len(w) for w in sim._join_barriers.values()),
         }
 
     def check_request_conservation(self, sim: object, now: float) -> None:
@@ -210,22 +189,22 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # resource conservation
     # ------------------------------------------------------------------
-    def check_resource_conservation(self, sim: object, now: float) -> None:
+    def check_resource_conservation(
+        self, sim: object, now: float, warm_entries: Iterable[object]
+    ) -> None:
         cluster = sim.platform.cluster
         by_server: Dict[int, List[object]] = {}
         for placement in cluster.placements:
             by_server.setdefault(placement.server_id, []).append(placement)
         # Host-RAM swap ledger (Torpor-style policies): parked weights
-        # per server, summed from the warm pool's swap entries.
+        # per server, summed from the caller's warm-pool entries.
         swap_by_server: Dict[int, float] = {}
-        owner = self._registry_owner(sim.platform)
-        for entries in getattr(owner, "_warm", {}).values():
-            for entry in entries:
-                swap_server = getattr(entry, "swap_server_id", None)
-                if swap_server is not None:
-                    swap_by_server[swap_server] = swap_by_server.get(
-                        swap_server, 0.0
-                    ) + getattr(entry, "swap_mb", 0.0)
+        for entry in warm_entries:
+            swap_server = entry.swap_server_id
+            if swap_server is not None:
+                swap_by_server[swap_server] = (
+                    swap_by_server.get(swap_server, 0.0) + entry.swap_mb
+                )
         for server in cluster.servers:
             if not server.healthy:
                 continue
@@ -281,7 +260,7 @@ class InvariantChecker:
                         server=server.server_id,
                         dimension=dim,
                     )
-            swap = getattr(server, "swap_reserved_mb", 0.0)
+            swap = server.swap_reserved_mb
             if swap < 0 or swap > server.memory_free_mb + TOL:
                 self._flag(
                     "resource_conservation",
@@ -305,14 +284,15 @@ class InvariantChecker:
     def check_placement_ownership(self, sim: object, now: float) -> None:
         """Every outstanding placement belongs to a tracked instance."""
         cluster = sim.platform.cluster
-        owners = set()
-        holders = self._all_instances(sim.platform) + self._warm_instances(
-            sim.platform
-        )
-        for inst in holders:
-            placement = getattr(inst, "placement", None)
-            if placement is not None:
-                owners.add(placement.placement_id)
+        registry = sim.platform.registry
+        holders = registry.all_active_instances() + [
+            entry.instance for entry in registry.all_warm_entries()
+        ]
+        owners = {
+            inst.placement.placement_id
+            for inst in holders
+            if inst.placement is not None
+        }
         leaked = [
             p.placement_id
             for p in cluster.placements
@@ -331,8 +311,8 @@ class InvariantChecker:
     # scheduler soundness
     # ------------------------------------------------------------------
     def check_scheduler_soundness(self, sim: object, now: float) -> None:
-        level = getattr(sim.platform, "invariant_slo_check", "none")
-        for inst in self._all_instances(sim.platform):
+        level = sim.platform.invariant_slo_check
+        for inst in sim.platform.registry.all_active_instances():
             if inst.placement is None:
                 continue
             if not inst.r_up > 0.0:
@@ -383,15 +363,10 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # latency tiling
     # ------------------------------------------------------------------
-    def check_latency_tiling(self, sim: object, now: float) -> None:
-        # Retried requests spend time in the crashed attempt and the
-        # backoff window that no wait bucket sees: like workflow
-        # stages, the parts then only lower-bound the end-to-end
-        # latency.
-        chained = (
-            getattr(sim, "workflow", None) is not None
-            or getattr(sim, "_retries", 0) > 0
-        )
+    def check_latency_tiling(
+        self, sim: object, now: float, chained: bool
+    ) -> None:
+        """Wait + exec parts tile each latency (``chained``: bound it)."""
         for record in sim.metrics.records:
             latency = record.completion - record.arrival
             parts = record.cold_wait_s + record.queue_wait_s + record.exec_s
@@ -412,9 +387,6 @@ class InvariantChecker:
                 )
                 continue
             tol = TOL * max(1.0, latency)
-            # Workflow requests spend time in *earlier* stages that the
-            # sink stage's decomposition does not see: the parts only
-            # lower-bound the end-to-end latency.
             if chained:
                 bad = parts > latency + tol
             else:
@@ -653,7 +625,8 @@ class InvariantChecker:
         if not self.enabled:
             return
         self.check_llm_request_conservation(sim, now)
-        self.check_resource_conservation(sim, now)
+        # LLM platforms never park weights in host RAM.
+        self.check_resource_conservation(sim, now, ())
         self.check_kv_ledger(sim, now)
 
     def check_llm_final(self, sim: object, now: float) -> None:
@@ -661,9 +634,9 @@ class InvariantChecker:
         if not self.enabled:
             return
         self.check_llm_request_conservation(sim, now)
-        self.check_resource_conservation(sim, now)
+        self.check_resource_conservation(sim, now, ())
         self.check_kv_ledger(sim, now)
-        self.check_latency_tiling(sim, now)
+        self.check_latency_tiling(sim, now, chained=False)
         self.check_llm_records(sim, now)
         self.check_telemetry_agreement(sim, now)
         waiting, running, swapped = sim.sequences_in_system()
@@ -766,7 +739,7 @@ class InvariantChecker:
         full or failed-root barrier is an orphan the forwarding logic
         should have resolved.
         """
-        workflow = getattr(sim, "workflow", None)
+        workflow = sim.workflow
         if workflow is None:
             return
         fan_in = workflow.fan_in()
@@ -826,7 +799,9 @@ class InvariantChecker:
         if not self.enabled:
             return
         self.check_request_conservation(sim, now)
-        self.check_resource_conservation(sim, now)
+        self.check_resource_conservation(
+            sim, now, sim.platform.registry.all_warm_entries()
+        )
         self.check_scheduler_soundness(sim, now)
         self.check_workflow_tick(sim, now)
 
@@ -835,10 +810,16 @@ class InvariantChecker:
         if not self.enabled:
             return
         self.check_request_conservation(sim, now)
-        self.check_resource_conservation(sim, now)
+        self.check_resource_conservation(
+            sim, now, sim.platform.registry.all_warm_entries()
+        )
         self.check_placement_ownership(sim, now)
         self.check_scheduler_soundness(sim, now)
-        self.check_latency_tiling(sim, now)
+        # Earlier workflow stages, crashed attempts and retry backoff
+        # are latency no wait bucket sees: the parts only bound it.
+        self.check_latency_tiling(
+            sim, now, chained=sim.workflow is not None or sim._retries > 0
+        )
         self.check_telemetry_agreement(sim, now)
         self.check_workflow_tick(sim, now)
         if sim._executing != 0:

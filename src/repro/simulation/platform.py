@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Protocol, runtime_checkable
 
 from repro.cluster.cluster import Cluster
+from repro.core.autoscaler import InstanceRegistry
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance
 
@@ -19,11 +20,13 @@ from repro.core.instance import Instance
 class ServingPlatform(Protocol):
     """What the runtime expects from a serving platform.
 
-    Everything the runtime consumes is declared here -- including the
-    ingress/queueing knobs (``ingress_delay_s``, ``waiting_batches``,
-    ``timeout_slack_s``) and the fault hooks (``on_server_failure``,
-    ``should_shed``, ``kill_instance``) that earlier revisions probed
-    with ``getattr`` type-sniffing.
+    Everything the runtime and the invariant audit consume is declared
+    here: the ingress/queueing knobs (``ingress_delay_s``,
+    ``waiting_batches``, ``timeout_slack_s``), the fault hooks
+    (``on_server_failure``, ``should_shed``, ``kill_instance``), the
+    audit's Eq. 1 check level and the instance ledger (``registry``).
+    Both read these attributes directly; a platform missing one fails
+    loudly instead of silently skipping a check.
 
     Telemetry: platforms need not declare anything here, but when the
     runtime runs with a recording tracer it attaches the tracer to the
@@ -42,6 +45,15 @@ class ServingPlatform(Protocol):
 
     #: per-instance bounded batch-queue depth (Fig. 6a waiting rule).
     waiting_batches: int
+
+    #: how far the audit re-derives each placed instance's Eq. 1 rate
+    #: bounds: ``"exact"`` (they must match), ``"feasible"`` (the
+    #: config must be SLO-feasible) or ``"none"`` (only ``r_up > 0``).
+    invariant_slo_check: str
+
+    #: the live instances, warm pool and scaling counters: INFless's
+    #: autoscaler, or the uniform baseline platform itself.
+    registry: InstanceRegistry
 
     def deploy(self, function: FunctionSpec) -> None:
         """Register a function before the simulation starts."""

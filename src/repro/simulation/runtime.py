@@ -309,8 +309,7 @@ class ServingSimulation:
         #: server_id -> non-default GPU generation; empty on the
         #: homogeneous baseline fleet, keeping the default execution
         #: path (argument lists, cache keys) bit-identical.
-        cluster = getattr(platform, "cluster", None)
-        self._gpu_profiles = profile_map(cluster) if cluster is not None else {}
+        self._gpu_profiles = profile_map(platform.cluster)
         self._rng = np.random.default_rng(seed)
         self.loop = EventLoop()
         self.metrics = MetricsCollector(
@@ -364,6 +363,7 @@ class ServingSimulation:
         # (ServingPlatform), so the runtime never type-sniffs.
         self._ingress_delay_s = platform.ingress_delay_s
         self._waiting_batches = platform.waiting_batches
+        self._registry = platform.registry
         self._pending: Dict[str, Deque[Request]] = {
             name: deque() for name in self._managed
         }
@@ -946,10 +946,6 @@ class ServingSimulation:
             self._join_purged[key[0]] += len(waiters)
             self._wf_retired += len(waiters)
 
-    def _joining(self) -> int:
-        """Tokens currently waiting at join barriers (ledger term)."""
-        return sum(len(w) for w in self._join_barriers.values())
-
     # ------------------------------------------------------------------
     # control loop
     # ------------------------------------------------------------------
@@ -1032,9 +1028,6 @@ class ServingSimulation:
         oracle = (
             self.workload[name].rps_at(now) if name in self.workload else ""
         )
-        warm_pool = getattr(
-            getattr(self.platform, "autoscaler", None), "warm_pool", None
-        )
         self.timeline.sample(
             t=now,
             function=name,
@@ -1044,7 +1037,7 @@ class ServingSimulation:
             queue_depth=queue_depth,
             live_instances=live,
             launching_instances=launching,
-            warm_pool=len(warm_pool(name)) if warm_pool is not None else "",
+            warm_pool=len(self._registry.warm_pool(name)),
             weighted_usage=self.platform.cluster.weighted_used(),
             dispatch_case=getattr(
                 getattr(action, "plan", None), "case", ""
@@ -1062,28 +1055,14 @@ class ServingSimulation:
             fragment_ratio=cluster.fragment_ratio(),
         )
 
-    def _scaling_stats(self):
-        """The platform's cumulative scaling counters, wherever kept.
-
-        INFless keeps them on its autoscaler; the uniform baselines
-        keep them on the platform itself.
-        """
-        autoscaler_stats = getattr(
-            getattr(self.platform, "autoscaler", None), "stats", None
-        )
-        if autoscaler_stats is not None:
-            return autoscaler_stats
-        return getattr(self.platform, "stats", None)
-
     def _record_scaling_state(self, now: float) -> None:
-        stats = self._scaling_stats()
-        if stats is not None:
-            self.metrics.record_scaling_state(
-                now,
-                cold_starts=stats.cold_starts,
-                launches=stats.launches,
-                warm_reuses=stats.warm_reuses,
-            )
+        stats = self._registry.stats
+        self.metrics.record_scaling_state(
+            now,
+            cold_starts=stats.cold_starts,
+            launches=stats.launches,
+            warm_reuses=stats.warm_reuses,
+        )
 
     # ------------------------------------------------------------------
     # entry point
@@ -1100,16 +1079,14 @@ class ServingSimulation:
         self._sample_usage(self.loop.now)
         if self.invariants.enabled:
             self.invariants.check_final(self, self.loop.now)
-        stats = self._scaling_stats()
+        stats = self._registry.stats
         report = self.metrics.finalize(
             duration_s=self._horizon,
             warmup_s=self.warmup_s,
-            cold_starts=getattr(stats, "cold_starts", 0),
-            launches=getattr(stats, "launches", 0),
-            warm_reuses=getattr(stats, "warm_reuses", 0),
-            reserved_idle_resource_s=getattr(
-                stats, "reserved_idle_resource_s", 0.0
-            ),
+            cold_starts=stats.cold_starts,
+            launches=stats.launches,
+            warm_reuses=stats.warm_reuses,
+            reserved_idle_resource_s=stats.reserved_idle_resource_s,
         )
         if self.faults is not None or self.resilience is not None:
             report.resilience = self._resilience_summary(report)

@@ -68,6 +68,20 @@ class TestOpenFaaSPlus:
             platform.deploy(resnet_fn)
 
 
+class TestBaselineFailures:
+    @pytest.mark.parametrize("platform_cls", [OpenFaaSPlus, BatchOTP])
+    def test_server_crash_counts_lost_instances(
+        self, predictor, resnet_fn, platform_cls
+    ):
+        platform = platform_cls(build_testbed_cluster(num_servers=8), predictor)
+        platform.deploy(resnet_fn)
+        platform.control(resnet_fn.name, rps=300.0, now=0.0)
+        lost = platform.on_server_failure(0, now=30.0)
+        lost += platform.on_server_failure(1, now=30.0)
+        assert lost
+        assert platform.stats.failures == len(lost)
+
+
 class TestBatchOTP:
     def test_config_restricted_to_tiers(self, predictor, resnet_fn):
         platform = BatchOTP(build_testbed_cluster(), predictor)

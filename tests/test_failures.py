@@ -5,10 +5,48 @@ import pytest
 from repro.baselines import OpenFaaSPlus
 from repro.cluster import ResourceVector, build_testbed_cluster
 from repro.core import FunctionSpec, INFlessEngine, InstanceState
+from repro.core.autoscaler import InstanceRegistry
 from repro.faults import FaultPlan, ServerCrash
 from repro.profiling import GroundTruthExecutor
 from repro.simulation import ServingSimulation
 from repro.workloads import constant_trace
+
+
+class _NoRegistry:
+    """Every platform protocol member except the ledger and fault hooks."""
+
+    ingress_delay_s = 0.0
+    waiting_batches = 2
+    invariant_slo_check = "none"
+
+    def __init__(self):
+        self.cluster = build_testbed_cluster()
+
+    def function(self, name):
+        return FunctionSpec.for_model("mnist", 0.1, name=name)
+
+    def deploy(self, fn):
+        pass
+
+    def control(self, name, rps, now):
+        return None
+
+    def record_invocation(self, name, now):
+        pass
+
+    def route(self, name, now):
+        return None
+
+    def instances(self, name):
+        return []
+
+
+class _NoFailover(_NoRegistry):
+    """A platform with a ledger but no server-failure hook."""
+
+    def __init__(self):
+        super().__init__()
+        self.registry = InstanceRegistry(self.cluster)
 
 
 class TestClusterFailures:
@@ -119,36 +157,12 @@ class TestRuntimeFaultInjection:
         # The failure costs at most the in-flight batches plus a brief
         # re-provisioning dip, not the service.
         assert report.completed > 0.9 * report.arrived
-        assert engine.autoscaler.stats.failures >= 0
+        assert engine.autoscaler.stats.failures >= 1
         assert not engine.cluster.server(0).healthy
 
     def test_unsupported_platform_raises(self, predictor, executor):
-        class NoFailover:
-            cluster = build_testbed_cluster()
-            ingress_delay_s = 0.0
-            waiting_batches = 2
-
-            def function(self, name):
-                return FunctionSpec.for_model("mnist", 0.1, name=name)
-
-            def deploy(self, fn):
-                pass
-
-            def control(self, name, rps, now):
-                return None
-
-            def record_invocation(self, name, now):
-                pass
-
-            def route(self, name, now):
-                return None
-
-            def instances(self, name):
-                return []
-
-        platform = NoFailover()
         sim = ServingSimulation(
-            platform=platform,
+            platform=_NoFailover(),
             executor=executor,
             workload={"f": constant_trace(1.0, 5.0)},
             seed=17,
@@ -156,3 +170,11 @@ class TestRuntimeFaultInjection:
         sim.faults = FaultPlan(events=(ServerCrash(at_s=1.0, server_id=0),))
         with pytest.raises(RuntimeError, match="cannot handle server failures"):
             sim.run()
+
+    def test_platform_without_registry_rejected(self, executor):
+        with pytest.raises(AttributeError, match="registry"):
+            ServingSimulation(
+                platform=_NoRegistry(),
+                executor=executor,
+                workload={"f": constant_trace(1.0, 5.0)},
+            )

@@ -98,6 +98,13 @@ class TestRequestConservation:
         sim.metrics.record_drop(0.0, "queue_full")
         sim.invariants.check_request_conservation(sim, 1.0)
 
+    def test_missing_ledger_fails_loudly(self, predictor, executor):
+        """A renamed runtime ledger breaks the audit, not silences it."""
+        sim, _fn = make_sim(predictor, executor)
+        del sim._wf_spawned
+        with pytest.raises(AttributeError, match="_wf_spawned"):
+            sim.invariants.check_tick(sim, 0.0)
+
     def test_stuck_executing_counter_detected(self, predictor, executor):
         sim, _fn = make_sim(predictor, executor)
         sim._executing = 3
@@ -111,7 +118,9 @@ class TestResourceConservation:
         server = sim.platform.cluster.servers[0]
         server.cpu_free = -1
         with pytest.raises(InvariantViolation) as excinfo:
-            sim.invariants.check_resource_conservation(sim, 0.0)
+            sim.invariants.check_resource_conservation(
+                sim, 0.0, sim.platform.registry.all_warm_entries()
+            )
         assert excinfo.value.violation.invariant == "resource_conservation"
 
     def test_stale_gpu_aggregate_detected(self, predictor, executor):
@@ -119,7 +128,9 @@ class TestResourceConservation:
         server = sim.platform.cluster.servers[0]
         server.gpus[0].free -= 10  # bypass _refresh_gpu_totals
         with pytest.raises(InvariantViolation):
-            sim.invariants.check_resource_conservation(sim, 0.0)
+            sim.invariants.check_resource_conservation(
+                sim, 0.0, sim.platform.registry.all_warm_entries()
+            )
 
     def test_unmatched_allocation_detected(self, predictor, executor):
         """An allocate with no owning instance is a leak at finalize."""
@@ -127,7 +138,9 @@ class TestResourceConservation:
         sim.platform.cluster.allocate(
             0, ResourceVector(cpu=2, gpu=10, memory_mb=512)
         )
-        sim.invariants.check_resource_conservation(sim, 0.0)  # books balance
+        sim.invariants.check_resource_conservation(  # books balance
+            sim, 0.0, sim.platform.registry.all_warm_entries()
+        )
         with pytest.raises(InvariantViolation) as excinfo:
             sim.invariants.check_placement_ownership(sim, 0.0)
         assert "leak" in excinfo.value.violation.message
@@ -137,7 +150,9 @@ class TestResourceConservation:
         cluster = sim.platform.cluster
         cluster.fail_server(0)
         cluster.servers[0].cpu_free = -5  # dead machine: not audited
-        sim.invariants.check_resource_conservation(sim, 0.0)
+        sim.invariants.check_resource_conservation(
+            sim, 0.0, sim.platform.registry.all_warm_entries()
+        )
 
 
 class TestSchedulerSoundness:
@@ -154,7 +169,7 @@ class TestSchedulerSoundness:
             placement=placement,
             state=InstanceState.ACTIVE,
         )
-        sim.platform.autoscaler._active.setdefault(fn.name, []).append(
+        sim.platform.registry._active.setdefault(fn.name, []).append(
             instance
         )
         return instance
@@ -208,7 +223,7 @@ class TestLatencyTiling:
             self._record(fn, queue=0.5)  # parts sum to 0.55, latency 0.1
         )
         with pytest.raises(InvariantViolation) as excinfo:
-            sim.invariants.check_latency_tiling(sim, 1.0)
+            sim.invariants.check_latency_tiling(sim, 1.0, chained=False)
         assert excinfo.value.violation.invariant == "latency_tiling"
 
     def test_negative_component_detected(self, predictor, executor):
@@ -217,12 +232,12 @@ class TestLatencyTiling:
             self._record(fn, cold=-0.1, queue=0.15)
         )
         with pytest.raises(InvariantViolation):
-            sim.invariants.check_latency_tiling(sim, 1.0)
+            sim.invariants.check_latency_tiling(sim, 1.0, chained=False)
 
     def test_consistent_record_passes(self, predictor, executor):
         sim, fn = make_sim(predictor, executor)
         sim.metrics.record_completion(self._record(fn))
-        sim.invariants.check_latency_tiling(sim, 1.0)
+        sim.invariants.check_latency_tiling(sim, 1.0, chained=False)
 
 
 class TestReportConsistency:
