@@ -331,12 +331,10 @@ class UniformScalingPlatform(InstanceRegistry):
         instance.state = InstanceState.WARM_IDLE
         instance.assigned_rate = 0.0
         self.stats.releases += 1
-        self._warm[name].append(
-            WarmPoolEntry(
-                instance=instance,
-                expires_at=now + self.keepalive_s,
-                reserved=True,
-                available_from=now,
-                entered_at=now,
-            )
-        )
+        self._park(self._warm[name], WarmPoolEntry(
+            instance=instance,
+            expires_at=now + self.keepalive_s,
+            reserved=True,
+            available_from=now,
+            entered_at=now,
+        ))

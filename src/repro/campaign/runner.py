@@ -36,13 +36,13 @@ class RunTimeout(RuntimeError):
     """A run exceeded the campaign's per-run timeout."""
 
 
-#: re-arm period for the timeout alarm.  A one-shot alarm can be
-#: silently consumed: if the signal lands while the interpreter is
-#: inside a context that discards exceptions (e.g. a gc callback --
-#: hypothesis installs one, and ``measure`` calls ``gc.collect()``),
-#: the ``RunTimeout`` becomes an "exception ignored" unraisable and
-#: the run proceeds untimed.  An interval timer keeps firing until the
-#: raise happens somewhere it can propagate.
+#: re-arm delay for the timeout alarm.  An alarm can be silently
+#: consumed: if the signal lands while the interpreter is inside a
+#: context that discards exceptions (e.g. a gc callback -- hypothesis
+#: installs one, and ``measure`` calls ``gc.collect()``), the
+#: ``RunTimeout`` becomes an "exception ignored" unraisable and the
+#: run would proceed untimed.  Such a swallowed raise re-arms the alarm
+#: after this delay, until the raise happens somewhere it propagates.
 _REFIRE_S = 0.005
 
 
@@ -53,12 +53,18 @@ def _time_limit(seconds: Optional[float]):
     Workers are single-task processes, so an alarm in the worker's
     main thread is a genuine hard per-run timeout.  No-op when the
     platform lacks ``SIGALRM`` or we are not on the main thread.
+
+    The handler disarms the timer before it raises, so no second alarm
+    can land while the ``RunTimeout`` unwinds (or inside whatever hook
+    reports it).  Only a raise that ends as an unraisable -- swallowed
+    by a gc callback or a finaliser -- re-arms it.
     """
     if not seconds or not hasattr(signal, "SIGALRM"):
         yield
         return
 
     def _expired(signum, frame):
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
         raise RunTimeout(f"run exceeded {seconds:g}s timeout")
 
     try:
@@ -66,11 +72,21 @@ def _time_limit(seconds: Optional[float]):
     except ValueError:  # not the main thread
         yield
         return
-    signal.setitimer(signal.ITIMER_REAL, seconds, _REFIRE_S)
+    previous_hook = sys.unraisablehook
+
+    def _swallowed(unraisable):
+        if isinstance(unraisable.exc_value, RunTimeout):
+            signal.setitimer(signal.ITIMER_REAL, _REFIRE_S)
+        else:
+            previous_hook(unraisable)
+
+    sys.unraisablehook = _swallowed
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
+        sys.unraisablehook = previous_hook
         signal.signal(signal.SIGALRM, previous)
 
 

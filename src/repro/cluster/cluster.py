@@ -52,10 +52,11 @@ class Cluster:
         # summing per-server free pools there is O(servers) per
         # placement, i.e. quadratic over a provisioning sweep.  All
         # resource mutations flow through allocate/release/
-        # recover_server below, which keep these exact.  Like the
-        # per-server iteration they replace, the aggregates span every
-        # server regardless of health (a failed machine keeps its free
-        # counters; can_fit() is what rejects it).
+        # resize_placement/fail_server/recover_server below, which keep
+        # these exact.  Like the per-server iteration they replace, the
+        # free aggregates span every server regardless of health (a
+        # failed machine keeps its free counters; can_fit() is what
+        # rejects it).
         self._index_of = {
             server.server_id: index
             for index, server in enumerate(self.servers)
@@ -69,6 +70,24 @@ class Cluster:
         )
         self._free_cpu_total = int(sum(s.cpu_free for s in self.servers))
         self._free_gpu_total = int(sum(s.gpu_free for s in self.servers))
+        # The used totals span *healthy* servers only, like the
+        # per-server sums behind ``total_used`` they replace; the usage
+        # sampler reads them every control tick.
+        healthy = [s for s in self.servers if s.healthy]
+        self._used_cpu = sum(s.cpu_capacity - s.cpu_free for s in healthy)
+        self._used_gpu = sum(s.gpu_capacity - s.gpu_free for s in healthy)
+        self._used_memory_mb = sum(
+            s.memory_capacity_mb - s.memory_free_mb for s in healthy
+        )
+
+    def _count_used(
+        self, server: Server, cpu: int, gpu: int, memory_mb: int
+    ) -> None:
+        """Move the used totals by a change on ``server``, if healthy."""
+        if server.healthy:
+            self._used_cpu += cpu
+            self._used_gpu += gpu
+            self._used_memory_mb += memory_mb
 
     def _sync_server_free(self, server: Server) -> None:
         index = self._index_of[server.server_id]
@@ -129,6 +148,7 @@ class Cluster:
         self._placements[placement.placement_id] = placement
         self._free_cpu_total -= request.cpu
         self._free_gpu_total -= request.gpu
+        self._count_used(server, request.cpu, request.gpu, request.memory_mb)
         self._sync_server_free(server)
         self.version += 1
         return placement
@@ -139,8 +159,10 @@ class Cluster:
         server = self.server(placement.server_id)
         server.release(placement.resources, placement.gpu_device_id)
         del self._placements[placement.placement_id]
-        self._free_cpu_total += placement.resources.cpu
-        self._free_gpu_total += placement.resources.gpu
+        freed = placement.resources
+        self._free_cpu_total += freed.cpu
+        self._free_gpu_total += freed.gpu
+        self._count_used(server, -freed.cpu, -freed.gpu, -freed.memory_mb)
         self._sync_server_free(server)
         self.version += 1
 
@@ -185,6 +207,7 @@ class Cluster:
         )
         self._placements[placement.placement_id] = resized
         self._free_gpu_total -= delta
+        self._count_used(server, 0, delta, 0)
         self._sync_server_free(server)
         self.version += 1
         return resized
@@ -206,30 +229,39 @@ class Cluster:
 
     @property
     def total_used(self) -> ResourceVector:
-        total = ResourceVector()
-        for server in self.servers:
-            if server.healthy:
-                total = total + server.used
-        return total
+        """Resources allocated on healthy servers; O(1)."""
+        return ResourceVector(
+            cpu=self._used_cpu,
+            gpu=self._used_gpu,
+            memory_mb=self._used_memory_mb,
+        )
 
     def active_servers(self) -> List[Server]:
         return [server for server in self.servers if server.is_active()]
 
     def weighted_used(self) -> float:
-        """beta * used_cpu + used_gpu across the cluster."""
-        used = self.total_used
-        return used.weighted(self.beta)
+        """beta * used_cpu + used_gpu across healthy servers; O(1)."""
+        return self.beta * self._used_cpu + self._used_gpu
 
     def weighted_active_capacity(self) -> float:
         """Eq. 2's objective value: resources of every *used* server."""
         return sum(server.weighted_capacity(self.beta) for server in self.active_servers())
 
     def fragment_ratio(self) -> float:
-        """Average unallocated fraction across active servers (Fig. 17b)."""
-        active = self.active_servers()
+        """Average unallocated fraction across active servers (Fig. 17b).
+
+        One pass that builds nothing, summing left to right from 0 as
+        ``sum()`` does.
+        """
+        total = 0
+        active = 0
+        for server in self.servers:
+            if server.is_active():
+                total += server.fragment_ratio(self.beta)
+                active += 1
         if not active:
             return 0.0
-        return sum(server.fragment_ratio(self.beta) for server in active) / len(active)
+        return total / active
 
     def utilisation(self) -> float:
         """Weighted used resources over weighted total capacity."""
@@ -256,6 +288,13 @@ class Cluster:
         server = self.server(server_id)
         if not server.healthy:
             return []
+        # The machine leaves the used totals with everything on it.
+        self._count_used(
+            server,
+            server.cpu_free - server.cpu_capacity,
+            server.gpu_free - server.gpu_capacity,
+            server.memory_free_mb - server.memory_capacity_mb,
+        )
         server.healthy = False
         lost = [
             placement
@@ -274,6 +313,7 @@ class Cluster:
             return
         self._free_cpu_total += server.cpu_capacity - server.cpu_free
         self._free_gpu_total += server.gpu_capacity - server.gpu_free
+        # Back empty, so the used totals gain nothing.
         server.reset_free()
         server.healthy = True
         self._sync_server_free(server)

@@ -166,7 +166,8 @@ class Server:
             ]
         # Incrementally-maintained aggregates: the scheduler probes
         # can_fit()/gpu_free millions of times at cluster scale, so
-        # they must be O(1).
+        # they must be O(1).  Device capacities never change.
+        self._gpu_capacity = sum(gpu.capacity for gpu in self.gpus)
         self._gpu_free_total = sum(gpu.free for gpu in self.gpus)
         self._gpu_free_max = max(
             (gpu.free for gpu in self.gpus), default=0
@@ -182,7 +183,7 @@ class Server:
     @property
     def gpu_capacity(self) -> int:
         """Total GPU percent units across all devices (``G_j`` in Eq. 6)."""
-        return sum(gpu.capacity for gpu in self.gpus)
+        return self._gpu_capacity
 
     @property
     def gpu_free(self) -> int:
@@ -213,7 +214,10 @@ class Server:
 
     def is_active(self) -> bool:
         """True when at least one instance occupies this server (``y_j = 1``)."""
-        return self.healthy and (self.used.cpu > 0 or self.used.gpu > 0)
+        return self.healthy and (
+            self.cpu_free < self.cpu_capacity
+            or self._gpu_free_total < self._gpu_capacity
+        )
 
     @property
     def host_memory_available_mb(self) -> float:

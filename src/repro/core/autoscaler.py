@@ -114,6 +114,12 @@ class InstanceRegistry:
         self.cluster = cluster
         self._active: Dict[str, List[Instance]] = {}
         self._warm: Dict[str, List[WarmPoolEntry]] = {}
+        #: a lower bound on every warm entry's ``expires_at``: until
+        #: then :meth:`expire_warm_pool` has nothing to do.  Entries
+        #: enter only through :meth:`_park`, which lowers it; leaving
+        #: (reclaim, eviction) can only raise the true minimum, so the
+        #: bound stays valid until the next full pass recomputes it.
+        self._next_expiry = float("inf")
         #: bumped whenever instance sets / states / rates may change
         #: (control steps, failures); the router's per-function candidate
         #: cache keys on it.
@@ -164,8 +170,20 @@ class InstanceRegistry:
     # ------------------------------------------------------------------
     # warm pool maintenance
     # ------------------------------------------------------------------
+    def _park(self, pool: List[WarmPoolEntry], entry: WarmPoolEntry) -> None:
+        """Append a retired instance's entry to its function's pool."""
+        pool.append(entry)
+        if entry.expires_at < self._next_expiry:
+            self._next_expiry = entry.expires_at
+
     def expire_warm_pool(self, now: float) -> None:
-        """Unload warm-pool entries whose keep-alive window elapsed."""
+        """Unload warm-pool entries whose keep-alive window elapsed.
+
+        Free before the expiry watermark; a pass recomputes it.
+        """
+        if now < self._next_expiry:
+            return
+        next_expiry = float("inf")
         for name, entries in self._warm.items():
             kept: List[WarmPoolEntry] = []
             for entry in entries:
@@ -173,7 +191,10 @@ class InstanceRegistry:
                     self._unload(entry, until=entry.expires_at)
                 else:
                     kept.append(entry)
+                    if entry.expires_at < next_expiry:
+                        next_expiry = entry.expires_at
             self._warm[name] = kept
+        self._next_expiry = next_expiry
 
     def _unload(self, entry: WarmPoolEntry, until: float) -> None:
         self._drop_swap_reservation(entry)
@@ -331,17 +352,15 @@ class AutoScaler(InstanceRegistry):
             if server is not None and server.swap_reserve(weights_mb):
                 self.scheduler.release(instance)
                 instance.state = InstanceState.WARM_IDLE
-                pool.append(
-                    WarmPoolEntry(
-                        instance=instance,
-                        expires_at=now + decision.keepalive_s,
-                        reserved=False,
-                        available_from=now,
-                        entered_at=now,
-                        swap_server_id=server.server_id,
-                        swap_mb=weights_mb,
-                    )
-                )
+                self._park(pool, WarmPoolEntry(
+                    instance=instance,
+                    expires_at=now + decision.keepalive_s,
+                    reserved=False,
+                    available_from=now,
+                    entered_at=now,
+                    swap_server_id=server.server_id,
+                    swap_mb=weights_mb,
+                ))
                 self.stats.releases += 1
                 return
             # Host RAM full (Torpor's cache overflow): plain unload.
@@ -354,28 +373,24 @@ class AutoScaler(InstanceRegistry):
             return
         if mode == IDLE_RESERVE:
             instance.state = InstanceState.WARM_IDLE
-            pool.append(
-                WarmPoolEntry(
-                    instance=instance,
-                    expires_at=now + decision.keepalive_s,
-                    reserved=True,
-                    available_from=now,
-                    entered_at=now,
-                )
-            )
+            self._park(pool, WarmPoolEntry(
+                instance=instance,
+                expires_at=now + decision.keepalive_s,
+                reserved=True,
+                available_from=now,
+                entered_at=now,
+            ))
         else:
             # Unload now, prefetch the image at the pre-warm time.
             self.scheduler.release(instance)
             instance.state = InstanceState.WARM_IDLE
-            pool.append(
-                WarmPoolEntry(
-                    instance=instance,
-                    expires_at=now + decision.prewarm_s + decision.keepalive_s,
-                    reserved=False,
-                    available_from=now + decision.prewarm_s,
-                    entered_at=now,
-                )
-            )
+            self._park(pool, WarmPoolEntry(
+                instance=instance,
+                expires_at=now + decision.prewarm_s + decision.keepalive_s,
+                reserved=False,
+                available_from=now + decision.prewarm_s,
+                entered_at=now,
+            ))
         self.stats.releases += 1
 
     def _reclaim(

@@ -20,9 +20,11 @@ feasible server with the least weighted free capacity, so each
 configuration scans servers in ascending free order instead of scoring
 all ``m`` of them.  On a mixed-generation fleet each GPU generation
 prices the ``<b, c, g>`` grid separately, so the shortcut runs per
-generation: a row priced for one generation scans only its servers.
-A homogeneous fleet is the case with no extra generations, and takes
-the same single path.
+generation: the ascending index is kept once for the whole fleet and
+once per generation (each in the same order), and a row priced for one
+generation scans only its servers.  CPU-only rows fit any server and
+scan the whole index.  A homogeneous fleet is the case with no extra
+generations: its one index serves every row.
 """
 
 from __future__ import annotations
@@ -96,14 +98,14 @@ class GreedyScheduler:
         #: the RS-ablation of Fig. 11 ("selecting only the resource
         #: configuration with the maximum throughput").
         self.selection = selection
-        #: (function, model, slo, batch) -> feasible (config, t_exec,
-        #: bounds) rows independent of the residual-load filter;
-        #: predictions do not change between scheduling calls, so this
-        #: is safe to cache.  The key must carry the SLO and the model
-        #: identity, not just the function name: ablation sweeps reuse
-        #: a scheduler across specs that share a name but differ in
-        #: either, and a name-only key hands them each other's rows.
-        self._config_cache: Dict[Tuple[str, str, float, int], List[Tuple]] = {}
+        #: (model, slo, batch[, generation]) -> feasible (config,
+        #: t_exec, bounds) rows independent of the residual-load
+        #: filter; predictions do not change between scheduling calls,
+        #: so this is safe to cache.  The rows depend on the model and
+        #: the SLO only, never on the function's name, so functions
+        #: sharing both share one row list (a 120-function fleet needs
+        #: about half as many).
+        self._config_cache: Dict[Tuple, List[Tuple]] = {}
         #: (model, b, c, g) -> ResourceVector; the memory footprint of
         #: a configuration is a pure function of its key.
         self._resources_cache: Dict[Tuple, ResourceVector] = {}
@@ -111,6 +113,10 @@ class GreedyScheduler:
         #: schedule() calls and invalidated via Cluster.version (and
         #: re-keyed whenever the efficiency beta moves).
         self._free_index: Optional[List[Tuple[float, int]]] = None
+        #: generation name (None: the calibration baseline) -> its
+        #: servers' rows of ``_free_index``, in the same order.  Only
+        #: kept on a mixed fleet.
+        self._free_by_generation: Dict[Optional[str], List[Tuple[float, int]]] = {}
         self._free_index_version: int = -1
         self._free_index_beta: float = float("nan")
         self._beta_cache: Tuple[int, float] = (-1, 0.0)
@@ -135,6 +141,12 @@ class GreedyScheduler:
         self._profile_order: List[Optional[GpuProfile]] = [None] + [
             profiles[name] for name in sorted(profiles)
         ]
+        #: server_id -> generation name, the key of
+        #: ``_free_by_generation`` (baseline servers are absent: None).
+        self._generation_of: Dict[int, str] = {
+            server_id: profile.name
+            for server_id, profile in self._gpu_profiles.items()
+        }
         #: optional :class:`~repro.workflows.coplace.CoPlacementHint`:
         #: when attached (workflow runs), placement prefers servers
         #: already hosting adjacent DAG stages, accepting them only
@@ -183,13 +195,10 @@ class GreedyScheduler:
         by the profile-free rows).
         """
         if gpu_profile is None:
-            cache_key = (
-                function.name, function.model.name, function.slo_s, batch,
-            )
+            cache_key = (function.model.name, function.slo_s, batch)
         else:
             cache_key = (
-                function.name, function.model.name, function.slo_s, batch,
-                gpu_profile.name,
+                function.model.name, function.slo_s, batch, gpu_profile.name,
             )
         rows = self._config_cache.get(cache_key)
         if rows is None:
@@ -237,41 +246,45 @@ class GreedyScheduler:
     def _best_server_for(
         self,
         resources: ResourceVector,
-        sorted_free: List[Tuple[float, int]],
         beta: float,
         generation: Optional[GpuProfile],
         allowed: Optional[Set[int]] = None,
     ) -> Optional[int]:
         """Feasible server with the least weighted free capacity.
 
-        ``beta`` must be the beta the index was keyed with (the
-        efficiency beta); mixing betas between the bisect cost and the
-        index keys breaks the best-fit shortcut's argmax property.
+        Scans the index :meth:`_sorted_free` keeps; ``beta`` must be
+        the beta it was keyed with (the efficiency beta): mixing betas
+        between the bisect cost and the index keys breaks the best-fit
+        shortcut's argmax property.
 
         A GPU row is priced for one ``generation`` (None is the
         calibration baseline), so on a mixed fleet it only fits servers
-        of that generation; CPU-only rows fit any server.  ``allowed``
+        of that generation and scans that generation's index; CPU-only
+        rows fit any server and scan the whole fleet's.  ``allowed``
         restricts the scan to a server-id set (co-placement).
         """
+        gpu = resources.gpu
+        if gpu and self._generation_of:
+            rows = self._free_by_generation[
+                None if generation is None else generation.name
+            ]
+        else:
+            rows = self._free_index
         cost = resources.weighted(beta)
         # Skip servers whose weighted free capacity cannot cover the
         # weighted cost, then scan upward for a true fit (single-GPU
         # quota and memory can still rule a server out).  The checks
         # are Server.can_fit inlined: this scan probes millions of
         # servers per large-scale sweep and the two call frames per
-        # probe (lookup + can_fit) dominate its cost.  The generation
-        # and ``allowed`` tests come last, so on a homogeneous fleet
-        # they run once per scan, on the winner.
-        start = bisect.bisect_left(sorted_free, (cost - 1e-9, -1))
+        # probe (lookup + can_fit) dominate its cost.  The ``allowed``
+        # test comes last, so it runs once per scan, on the winner.
+        start = bisect.bisect_left(rows, (cost - 1e-9, -1))
         server_of = self.cluster.server
         cpu = resources.cpu
         memory = resources.memory_mb
-        gpu = resources.gpu
         gpu_ok = 0 < gpu <= 100
-        profile_of = self._gpu_profiles.get if gpu and self._gpu_profiles else None
-        want = None if generation is None else generation.name
-        for index in range(start, len(sorted_free)):
-            server_id = sorted_free[index][1]
+        for index in range(start, len(rows)):
+            server_id = rows[index][1]
             server = server_of(server_id)
             if (
                 server.healthy
@@ -280,10 +293,6 @@ class GreedyScheduler:
                 and (
                     gpu == 0
                     or (gpu_ok and gpu <= server._gpu_free_max)
-                )
-                and (
-                    profile_of is None
-                    or getattr(profile_of(server_id), "name", None) == want
                 )
                 and (allowed is None or server_id in allowed)
             ):
@@ -296,7 +305,8 @@ class GreedyScheduler:
         Keyed with the *efficiency* beta so the best-fit shortcut ranks
         servers exactly as Eq. 10 would score them; under dynamic beta
         the static ``cluster.beta`` ordering can disagree with the
-        argmax once the free CPU/GPU ratio drifts.
+        argmax once the free CPU/GPU ratio drifts.  A rebuild also
+        rebuilds every generation's index.
         """
         beta = self._efficiency_beta()
         if (
@@ -304,10 +314,25 @@ class GreedyScheduler:
             or self._free_index_version != self.cluster.version
             or self._free_index_beta != beta
         ):
-            self._free_index = self.cluster.sorted_weighted_free(beta)
-            self._free_index_version = self.cluster.version
-            self._free_index_beta = beta
+            self._rebuild_free_index(beta)
         return self._free_index
+
+    def _rebuild_free_index(self, beta: float) -> None:
+        """Re-key every server at ``beta``: the whole fleet's index and,
+        on a mixed fleet, each generation's (same order, one pass)."""
+        rows = self.cluster.sorted_weighted_free(beta)
+        self._free_index = rows
+        if self._generation_of:
+            by_generation = {
+                None if profile is None else profile.name: []
+                for profile in self._profile_order
+            }
+            generation_of = self._generation_of.get
+            for row in rows:
+                by_generation[generation_of(row[1])].append(row)
+            self._free_by_generation = by_generation
+        self._free_index_version = self.cluster.version
+        self._free_index_beta = beta
 
     # ------------------------------------------------------------------
     # Schedule() (Algorithm 1, lines 1-15)
@@ -341,12 +366,12 @@ class GreedyScheduler:
             for b in sorted(batch_choices(self.config_space.max_batch), reverse=True)
             if b <= function.model.max_batch
         ]
-        sorted_free = self._sorted_free()
+        self._sorted_free()
 
         while remaining > 1e-9:
             if max_instances is not None and len(outcome.instances) >= max_instances:
                 break
-            placed = self._schedule_one(function, remaining, batches, sorted_free)
+            placed = self._schedule_one(function, remaining, batches)
             if placed is None:
                 if allow_partial:
                     break
@@ -366,14 +391,11 @@ class GreedyScheduler:
         function: FunctionSpec,
         remaining: float,
         batches: Sequence[int],
-        sorted_free: List[Tuple[float, int]],
     ) -> Optional[Instance]:
         """One iteration of the outer while loop: place one instance."""
         for batch in batches:
             if self.selection == "efficiency":
-                best = self._select_placement(
-                    function, batch, sorted_free, remaining
-                )
+                best = self._select_placement(function, batch, remaining)
             else:
                 best = self._select_greedy(function, batch, remaining)
             if best is None:
@@ -381,7 +403,7 @@ class GreedyScheduler:
             config, t_exec, bounds, server_id = best
             resources = self._instance_resources(function, config)
             placement = self.cluster.allocate(server_id, resources)
-            self._update_sorted_free(sorted_free, server_id)
+            self._update_sorted_free(server_id)
             if self.coplacement is not None:
                 self.coplacement.record(function.name, server_id)
             return Instance(
@@ -394,7 +416,7 @@ class GreedyScheduler:
             )
         return None
 
-    def _select_placement(self, function, batch, sorted_free, remaining):
+    def _select_placement(self, function, batch, remaining):
         """Argmax of e_ij over feasible (config, generation, server) triples.
 
         The candidate pool holds the profile-free rows first (CPU-only
@@ -449,9 +471,7 @@ class GreedyScheduler:
         pref_best = None
         for (config, t_exec, bounds, generation), density in zip(pool, densities):
             resources = self._instance_resources(function, config)
-            server_id = self._best_server_for(
-                resources, sorted_free, beta, generation
-            )
+            server_id = self._best_server_for(resources, beta, generation)
             if server_id is None:
                 continue
             server = server_of(server_id)
@@ -464,7 +484,7 @@ class GreedyScheduler:
                 best = (config, t_exec, bounds, server_id)
             if preferred and server_id not in preferred:
                 pref_id = self._best_server_for(
-                    resources, sorted_free, beta, generation, preferred
+                    resources, beta, generation, preferred
                 )
                 if pref_id is not None:
                     pserver = server_of(pref_id)
@@ -515,30 +535,32 @@ class GreedyScheduler:
                     return (config, t_exec, bounds, server.server_id)
         return None
 
-    def _update_sorted_free(
-        self, sorted_free: List[Tuple[float, int]], server_id: int
-    ) -> None:
+    def _update_sorted_free(self, server_id: int) -> None:
         """Re-key the index after our own allocation.
 
         An allocation moves the free CPU/GPU ratio, so under dynamic
         beta *every* key may be stale, not just the touched server's;
-        rebuild in place when beta moved, else re-key the one server.
+        rebuild every index when beta moved, else re-key the one
+        server in the fleet's index and in its generation's.
         """
         beta = self._efficiency_beta()
         if beta != self._free_index_beta:
-            sorted_free[:] = self.cluster.sorted_weighted_free(beta)
-        else:
-            for index, (_key, sid) in enumerate(sorted_free):
-                if sid == server_id:
-                    del sorted_free[index]
-                    break
-            server = self.cluster.server(server_id)
-            bisect.insort(
-                sorted_free, (server.weighted_free(beta), server_id)
+            self._rebuild_free_index(beta)
+            return
+        row = (self.cluster.server(server_id).weighted_free(beta), server_id)
+        indexes = [self._free_index]
+        if self._generation_of:
+            indexes.append(
+                self._free_by_generation[self._generation_of.get(server_id)]
             )
+        for rows in indexes:
+            for index, (_key, sid) in enumerate(rows):
+                if sid == server_id:
+                    del rows[index]
+                    break
+            bisect.insort(rows, row)
         # The index now reflects the cluster state after our own
         # allocation; keep the cache valid across schedule() calls.
-        self._free_index_beta = beta
         self._free_index_version = self.cluster.version
 
     # ------------------------------------------------------------------

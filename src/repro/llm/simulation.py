@@ -33,6 +33,7 @@ from repro.simulation.metrics import (
     LLMRequestRecord,
     MetricsCollector,
     SimulationReport,
+    sample_usage,
 )
 from repro.telemetry import (
     DROP_SERVER_FAILURE,
@@ -270,7 +271,7 @@ class LLMSimulation:
         for worker in self.platform.workers:
             if not worker.busy and worker.has_work:
                 self._kick(worker)
-        self._sample_usage(now)
+        sample_usage(self.metrics, self.platform.cluster, now)
         if self.invariants.enabled:
             self.invariants.check_llm_tick(self, now)
         next_tick = now + self.control_interval_s
@@ -291,17 +292,6 @@ class LLMSimulation:
             warm_pool="",
             weighted_usage=self.platform.cluster.weighted_used(),
             dispatch_case="",
-        )
-
-    def _sample_usage(self, now: float) -> None:
-        cluster = self.platform.cluster
-        used = cluster.total_used
-        self.metrics.record_usage(
-            now,
-            weighted=cluster.weighted_used(),
-            cpu=used.cpu,
-            gpu=used.gpu,
-            fragment_ratio=cluster.fragment_ratio(),
         )
 
     # ------------------------------------------------------------------
@@ -383,7 +373,7 @@ class LLMSimulation:
                 self.loop.schedule(fault.at_s, EventKind.FAULT, fault)
         self.loop.schedule(0.0, EventKind.CONTROL_TICK)
         self.loop.run()
-        self._sample_usage(self.loop.now)
+        sample_usage(self.metrics, self.platform.cluster, self.loop.now)
         if self.invariants.enabled:
             self.invariants.check_llm_final(self, self.loop.now)
         report = self.metrics.finalize(

@@ -651,3 +651,18 @@ class MetricsCollector:
             metrics_mode="sketch",
             latency_sketch=sketch.to_dict(),
         )
+
+
+def sample_usage(metrics: MetricsCollector, cluster, now: float) -> None:
+    """Record the cluster's usage at ``now``: one control-tick sample.
+
+    Shared by the single-shot and the LLM runtimes.
+    """
+    used = cluster.total_used
+    metrics.record_usage(
+        now,
+        weighted=cluster.weighted_used(),
+        cpu=used.cpu,
+        gpu=used.gpu,
+        fragment_ratio=cluster.fragment_ratio(),
+    )

@@ -51,7 +51,12 @@ from repro.invariants import InvariantChecker, resolve_checker
 from repro.profiling.executor import GroundTruthExecutor
 from repro.simulation.engine import EventLoop
 from repro.simulation.events import Event, EventKind
-from repro.simulation.metrics import MetricsCollector, RequestRecord, SimulationReport
+from repro.simulation.metrics import (
+    MetricsCollector,
+    RequestRecord,
+    SimulationReport,
+    sample_usage,
+)
 from repro.simulation.platform import ServingPlatform
 from repro.telemetry import (
     DROP_DEADLINE,
@@ -993,7 +998,7 @@ class ServingSimulation:
             # Cold starts launched by this control step inside an active
             # straggler window are stretched too.
             self._apply_stragglers(now)
-        self._sample_usage(now)
+        sample_usage(self.metrics, self.platform.cluster, now)
         self._record_scaling_state(now)
         if self.invariants.enabled:
             self.invariants.check_tick(self, now)
@@ -1044,17 +1049,6 @@ class ServingSimulation:
             ),
         )
 
-    def _sample_usage(self, now: float) -> None:
-        cluster = self.platform.cluster
-        used = cluster.total_used
-        self.metrics.record_usage(
-            now,
-            weighted=cluster.weighted_used(),
-            cpu=used.cpu,
-            gpu=used.gpu,
-            fragment_ratio=cluster.fragment_ratio(),
-        )
-
     def _record_scaling_state(self, now: float) -> None:
         stats = self._registry.stats
         self.metrics.record_scaling_state(
@@ -1076,7 +1070,7 @@ class ServingSimulation:
                 self.loop.schedule(fault.at_s, EventKind.FAULT, fault)
         self.loop.schedule(0.0, EventKind.CONTROL_TICK)
         self.loop.run()
-        self._sample_usage(self.loop.now)
+        sample_usage(self.metrics, self.platform.cluster, self.loop.now)
         if self.invariants.enabled:
             self.invariants.check_final(self, self.loop.now)
         stats = self._registry.stats

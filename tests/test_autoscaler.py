@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import OpenFaaSPlus
 from repro.cluster import build_testbed_cluster
 from repro.core import (
     AutoScaler,
@@ -10,7 +11,8 @@ from repro.core import (
     GreedyScheduler,
     InstanceState,
 )
-from repro.core.coldstart import ColdStartDecision
+from repro.core.coldstart import IDLE_DROP, IDLE_SWAP, ColdStartDecision
+from repro.core.swap import SwapKeepAlive
 
 
 class PrewarmPolicy:
@@ -152,3 +154,70 @@ class TestScaleInAndWarmPool:
         cold_before = scaler.stats.cold_starts
         scaler.observe(resnet_fn, rps=2000.0, now=20.0)  # before 10+30s
         assert scaler.stats.cold_starts > cold_before
+
+
+class SwapEveryRetiree(SwapKeepAlive):
+    """Parks every retiree's weights in host RAM, even for 0 s."""
+
+    def on_idle(self, function_name, instance, server, now):
+        return IDLE_DROP if server is None else IDLE_SWAP
+
+
+class TestExpiryWatermark:
+    """``expire_warm_pool`` does nothing before the earliest expiry."""
+
+    def test_infless_pool_untouched_until_the_expiry_tick(
+        self, predictor, resnet_fn
+    ):
+        scaler = make_scaler(predictor, FixedKeepAlive(30.0))
+        scaler.observe(resnet_fn, rps=2000.0, now=0.0)
+        scaler.observe(resnet_fn, rps=50.0, now=10.0)
+        pool = scaler._warm[resnet_fn.name]
+        parked = list(pool)
+        assert parked and scaler._next_expiry == 40.0
+        used = scaler.scheduler.cluster.weighted_used()
+        scaler.expire_warm_pool(39.999)
+        assert scaler._warm[resnet_fn.name] is pool and pool == parked
+        assert scaler.scheduler.cluster.weighted_used() == used
+        scaler.expire_warm_pool(40.0)
+        assert not scaler.warm_pool(resnet_fn.name)
+        assert all(
+            entry.instance.state == InstanceState.TERMINATED
+            for entry in parked
+        )
+        assert scaler.scheduler.cluster.weighted_used() < used
+        assert scaler._next_expiry == float("inf")
+
+    def test_openfaas_pool_untouched_until_the_expiry_tick(
+        self, predictor, resnet_fn
+    ):
+        platform = OpenFaaSPlus(
+            build_testbed_cluster(), predictor, keepalive_s=30.0
+        )
+        platform.deploy(resnet_fn)
+        platform.control(resnet_fn.name, rps=500.0, now=0.0)
+        platform.control(resnet_fn.name, rps=50.0, now=10.0)
+        pool = platform._warm[resnet_fn.name]
+        parked = list(pool)
+        assert parked and platform._next_expiry == 40.0
+        platform.expire_warm_pool(39.999)
+        assert platform._warm[resnet_fn.name] is pool and pool == parked
+        platform.expire_warm_pool(40.0)
+        assert not platform.warm_pool(resnet_fn.name)
+        assert platform._next_expiry == float("inf")
+
+    def test_zero_keepalive_swap_unloads_at_next_observe_same_tick(
+        self, predictor, resnet_fn
+    ):
+        scaler = make_scaler(predictor, SwapEveryRetiree(keepalive_s=0.0))
+        cluster = scaler.scheduler.cluster
+        scaler.observe(resnet_fn, rps=2000.0, now=0.0)
+        scaler.observe(resnet_fn, rps=50.0, now=10.0)
+        parked = scaler.warm_pool(resnet_fn.name)
+        assert parked
+        assert all(entry.expires_at == 10.0 for entry in parked)
+        assert sum(server.swap_reserved_mb for server in cluster.servers) > 0
+        other = FunctionSpec.for_model("mobilenet", slo_s=0.1)
+        scaler.observe(other, rps=0.0, now=10.0)
+        assert not scaler.warm_pool(resnet_fn.name)
+        assert all(server.swap_reserved_mb == 0.0 for server in cluster.servers)

@@ -1,7 +1,10 @@
 """repro.campaign: spec round-trip, determinism, resume, retries."""
 
+import gc
 import json
 import signal
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from repro.campaign import (
     summarize,
 )
 from repro.campaign.aggregate import CELL_METRICS
-from repro.campaign.runner import RunTimeout
+from repro.campaign.runner import RunTimeout, _time_limit
 from repro.cli import main
 
 
@@ -272,6 +275,42 @@ class TestRunner:
         run = quick_spec(duration_s=600.0, warmup_s=0.0).expand()[0]
         with pytest.raises(RunTimeout):
             execute_run(run.to_dict(), timeout_s=0.05)
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGALRM"), reason="needs SIGALRM"
+    )
+    def test_timeout_swallowed_by_gc_callback_refires(self, monkeypatch):
+        """An alarm that lands in a gc callback is swallowed there; the
+        limit re-arms until a ``RunTimeout`` escapes the block, and no
+        ``RunTimeout`` ever reaches the unraisable hook."""
+        leaked = []
+        monkeypatch.setattr(sys, "unraisablehook", leaked.append)
+        in_callback = []
+
+        def slow_callback(phase, info):
+            if phase == "start":
+                in_callback.append(True)
+                time.sleep(0.001)  # alarms land here about a third of the time
+
+        # Busy spans of random length, so the 5 ms re-arm cannot lock
+        # onto the collection's phase; young-generation collections
+        # keep the time spent inside the collector itself negligible.
+        rng = np.random.default_rng(7)
+        gc.callbacks.append(slow_callback)  # the collector reads this list
+        try:
+            for _attempt in range(50):
+                with pytest.raises(RunTimeout):
+                    with _time_limit(0.01):
+                        while True:
+                            busy_s = float(rng.uniform(0.001, 0.003))
+                            deadline = time.perf_counter() + busy_s
+                            while time.perf_counter() < deadline:
+                                pass
+                            gc.collect(0)
+        finally:
+            gc.callbacks.remove(slow_callback)
+        assert in_callback
+        assert not [u for u in leaked if isinstance(u.exc_value, RunTimeout)]
 
     def test_duplicate_runs_rejected(self, tmp_path):
         spec = quick_spec(replicates=(0, 0))

@@ -38,13 +38,26 @@ class TestAvailableConfig:
 
     def test_results_cached_per_function_batch(self, scheduler, resnet_fn):
         scheduler.available_configs(resnet_fn, batch=8, residual_rps=100.0)
-        key = (
-            resnet_fn.name,
-            resnet_fn.model.name,
-            resnet_fn.slo_s,
-            8,
-        )
+        key = (resnet_fn.model.name, resnet_fn.slo_s, 8)
         assert key in scheduler._config_cache
+
+    def test_rows_shared_across_function_names(self, scheduler, resnet_fn):
+        twin = FunctionSpec(
+            name="other-resnet", model=resnet_fn.model, slo_s=resnet_fn.slo_s
+        )
+        scheduler.available_configs(resnet_fn, batch=8, residual_rps=100.0)
+        rows = scheduler._config_cache[(resnet_fn.model.name, 0.2, 8)]
+        assert scheduler.available_configs(
+            twin, batch=8, residual_rps=100.0
+        ) == scheduler.available_configs(resnet_fn, batch=8, residual_rps=100.0)
+        assert len(scheduler._config_cache) == 1
+        assert scheduler._config_cache[(twin.model.name, 0.2, 8)] is rows
+        looser = FunctionSpec(
+            name=resnet_fn.name, model=resnet_fn.model, slo_s=0.4
+        )
+        scheduler.available_configs(looser, batch=8, residual_rps=100.0)
+        assert scheduler._config_cache[(resnet_fn.model.name, 0.4, 8)] is not rows
+        assert len(scheduler._config_cache) == 2
 
 
 class TestSchedule:
