@@ -125,8 +125,9 @@ def bench_llm_decode(quick: bool = False) -> int:
 
     Replays a steady autoregressive workload against one worker so the
     engine spends nearly all its time in the per-iteration decode loop
-    (KV acquire per token, step planning, completion bookkeeping);
-    returns the discrete events processed.
+    (one KV-ledger charge per iteration for the whole batch, step
+    planning, completion bookkeeping); returns the discrete events
+    processed.
     """
     from repro.api import Experiment
     from repro.core import FunctionSpec

@@ -93,18 +93,32 @@ class GpuDevice:
             )
         self.weights_reserved_mb -= mb
 
-    def kv_acquire(self, tokens: int, mb_per_token: float) -> None:
-        """Charge ``tokens`` of KV cache against device memory."""
-        if tokens < 0:
+    def kv_acquire(
+        self, tokens: int, mb_per_token: float, sequences: int = 1
+    ) -> None:
+        """Charge ``tokens`` of KV cache to each of ``sequences``.
+
+        Each sequence is booked as its own ``tokens * mb_per_token``
+        charge, in order, so the MB ledger is bit-identical to
+        ``sequences`` separate calls; the whole charge is refused,
+        leaving the ledger untouched, when any of those calls would
+        have been.  Free memory only falls along the way, so the last
+        booking's capacity check is the binding one.
+        """
+        if tokens < 0 or sequences < 1:
             raise AllocationError("negative KV acquisition")
         mb = tokens * mb_per_token
-        if mb > self.memory_free_mb + 1e-9:
+        booked = self.kv_reserved_mb
+        for _ in range(sequences - 1):
+            booked += mb
+        if mb > self.memory_mb - self.weights_reserved_mb - booked + 1e-9:
             raise AllocationError(
                 f"GPU {self.device_id}: {self.memory_free_mb:.0f} MB free,"
-                f" KV ask {mb:.0f} MB ({tokens} tokens)"
+                f" KV ask {sequences * mb:.0f} MB"
+                f" ({sequences} x {tokens} tokens)"
             )
-        self.kv_reserved_tokens += tokens
-        self.kv_reserved_mb += mb
+        self.kv_reserved_tokens += tokens * sequences
+        self.kv_reserved_mb = booked + mb
 
     def kv_release(self, tokens: int, mb_per_token: float) -> None:
         """Return ``tokens`` of KV cache; over-release is a hard error."""

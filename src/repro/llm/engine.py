@@ -143,14 +143,47 @@ class LLMWorker:
     # ------------------------------------------------------------------
     @property
     def kv_free_tokens(self) -> int:
-        """KV tokens still allocatable (own budget vs device memory)."""
-        own = self.kv_capacity_tokens - self.kv_resident_tokens
-        shared = self.spec.kv_capacity_tokens(self.device.memory_free_mb)
-        return min(own, shared)
+        """KV tokens still allocatable (own budget vs device memory).
 
-    def kv_acquire(self, tokens: int) -> None:
-        """Reserve KV cache for ``tokens``, mirrored on the device."""
-        self.device.kv_acquire(tokens, self.spec.kv_mb_per_token)
+        ``min(own, spec.kv_capacity_tokens(device.memory_free_mb))``
+        read straight off the device fields: it runs several times per
+        iteration, so it stays one frame.
+        """
+        own = self.kv_capacity_tokens - self.kv_resident_tokens
+        device = self.device
+        free_mb = (
+            device.memory_mb - device.weights_reserved_mb
+            - device.kv_reserved_mb
+        )
+        if free_mb <= 0:
+            return min(own, 0)
+        shared = int(free_mb / self.spec.kv_mb_per_token)
+        return own if own < shared else shared
+
+    @property
+    def kv_reach_tokens(self) -> int:
+        """Most KV tokens this worker can ever hold at once.
+
+        Its own budget, capped by the device memory no weights hold: a
+        replica placed later on the same GPU loads its weights after
+        this worker's budget was sized.
+        """
+        device = self.device
+        return min(
+            self.kv_capacity_tokens,
+            self.spec.kv_capacity_tokens(
+                device.memory_mb - device.weights_reserved_mb
+            ),
+        )
+
+    def kv_acquire(self, tokens: int, sequences: int = 1) -> None:
+        """Reserve ``tokens`` of KV cache for each of ``sequences``.
+
+        A decode iteration charges its whole batch (one token each)
+        in one call; the device still books one charge per sequence.
+        """
+        self.device.kv_acquire(tokens, self.spec.kv_mb_per_token, sequences)
+        tokens *= sequences
         self.kv_resident_tokens += tokens
         self.kv_acquired_total += tokens
         if self.kv_resident_tokens > self.kv_peak_tokens:
@@ -397,9 +430,11 @@ class ContinuousBatchingLLM:
         workers = self._by_function.get(seq.function)
         if not workers:
             return None, ev.DROP_NO_CAPACITY
-        if seq.total_kv_need > max(w.kv_capacity_tokens for w in workers):
+        need = seq.total_kv_need
+        fits = [w for w in workers if w.kv_reach_tokens >= need]
+        if not fits:
             return None, ev.DROP_KV_INFEASIBLE
-        worker = min(workers, key=lambda w: (w.load, w.worker_id))
+        worker = min(fits, key=lambda w: (w.load, w.worker_id))
         if len(worker.waiting) >= self.max_queue:
             return None, ev.DROP_QUEUE_FULL
         if self.admission == "slo":
@@ -454,10 +489,10 @@ class ContinuousBatchingLLM:
             )
         elif worker.running:
             swap_cost += self._ensure_kv(worker, len(worker.running), now)
-            for seq in worker.running:
-                worker.kv_acquire(1)
-                seq.kv_tokens += 1
             batch_tokens = len(worker.running)
+            worker.kv_acquire(1, batch_tokens)
+            for seq in worker.running:
+                seq.kv_tokens += 1
             worker.decode_steps += 1
             plan = StepPlan(
                 "decode",
@@ -605,11 +640,12 @@ class ContinuousBatchingLLM:
         if plan.lost:
             return []
         completed: List[Sequence] = []
+        generated = 0
         for seq in plan.seqs:
             if seq.state is not SequenceState.RUNNING:
                 continue  # evicted by a fault between plan and finish
             seq.generated += 1
-            worker.tokens_generated += 1
+            generated += 1
             if seq.first_token_ts < 0:
                 seq.first_token_ts = now
                 if self.tracer.enabled:
@@ -624,6 +660,7 @@ class ContinuousBatchingLLM:
                 seq.kv_tokens = 0
                 seq.state = SequenceState.DONE
                 completed.append(seq)
+        worker.tokens_generated += generated
         return completed
 
     # ------------------------------------------------------------------

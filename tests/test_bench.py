@@ -32,11 +32,12 @@ EVENT_QUEUE_FLOOR_EV_PER_CAL = 2_000.0
 #: calibration loop length (~12 ms on an idle 2.0 GHz x86-64 core).
 CALIBRATION_ITERATIONS = 20_000
 
-#: conservative events/sec floor for the continuous-batching decode
-#: micro-benchmark.  The engine does ~9k ev/s on the development
-#: machine; the floor leaves ~10x headroom for CI jitter while still
-#: catching a decode-loop hot-path regression.
-LLM_DECODE_FLOOR_EV_S = 900.0
+#: events per calibration loop the continuous-batching decode
+#: micro-benchmark must reach, gated like the event queue's.  With one
+#: KV-ledger charge per decode iteration it does ~2,000 (Python 3.11,
+#: x86-64; ~1,750 with one charge per sequence); the floor is a third
+#: of that, so it catches a collapse of the per-iteration hot path.
+LLM_DECODE_FLOOR_EV_PER_CAL = 650.0
 
 
 # ----------------------------------------------------------------------
@@ -208,11 +209,16 @@ def test_llm_decode_throughput_floor():
     Guards the ``repro.llm`` iteration-level scheduler: the benchmark
     replays a steady decode-dominated workload, so a collapse here
     means per-token bookkeeping (KV ledger updates, step planning)
-    regressed to something pathological.
+    regressed to something pathological.  Gated in events per
+    calibration loop, like :func:`test_event_queue_throughput_floor`.
     """
+    paces = [calibration_s() for _ in range(3)]
     (result,) = run_suite(quick=True, names=["llm_decode"])
+    paces += [calibration_s() for _ in range(3)]
     assert result.events > 0
-    assert result.events_per_s >= LLM_DECODE_FLOOR_EV_S, (
-        f"llm_decode throughput {result.events_per_s:,.0f} ev/s fell below"
-        f" the {LLM_DECODE_FLOOR_EV_S:,.0f} ev/s regression floor"
+    per_cal = result.events_per_s * statistics.median(paces)
+    assert per_cal >= LLM_DECODE_FLOOR_EV_PER_CAL, (
+        f"llm_decode throughput {per_cal:,.0f} events per calibration"
+        f" loop fell below the {LLM_DECODE_FLOOR_EV_PER_CAL:,.0f}"
+        " regression floor"
     )

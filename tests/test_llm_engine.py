@@ -7,20 +7,30 @@ raises instead of silently skewing an assertion.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Experiment
 from repro.baselines import LLMFCFSBaseline
 from repro.cluster import build_testbed_cluster
-from repro.cluster.server import AllocationError
+from repro.cluster.cluster import Cluster
+from repro.cluster.fleet import GpuProfile
+from repro.cluster.server import AllocationError, GpuDevice, Server
 from repro.core import FunctionSpec
 from repro.llm import (
     ContinuousBatchingLLM,
     LLMSimulation,
+    LLMWorker,
+    Sequence,
     StaticBatchLLM,
 )
 from repro.faults import FaultPlan, IngressSpike, ServerCrash, ServerRecovery
+from repro.models import LLM_ZOO
 from repro.telemetry import InMemoryTracer
+from repro.telemetry import spans as ev
 from repro.workloads import constant_trace
 
 
@@ -150,6 +160,180 @@ def test_fcfs_queue_cap_sheds_overflow():
     )
     assert report.drop_reasons.get("queue_full", 0) > 0
     assert report.completed + report.dropped == report.arrived
+
+
+# ----------------------------------------------------------------------
+# admission routing by KV reach
+# ----------------------------------------------------------------------
+def _two_replica_platform(servers, victims: str, gpu_percent: int):
+    platform = ContinuousBatchingLLM(
+        Cluster(servers, beta=1.0), replicas=2, gpu_percent=gpu_percent,
+        admission="fcfs", victims=victims,
+    )
+    function = FunctionSpec.for_model("llm-1b", slo_s=5.0)
+    platform.deploy(function)
+    return platform, function
+
+
+def _chat(request_id: int, function: str, prompt: int, output: int):
+    return Sequence(request_id, function, 0.0, 5.0, 0.1, prompt, output)
+
+
+def _drain(platform, worker, max_steps: int = 5_000) -> None:
+    """Step ``worker`` until it runs dry; fails on a stalled plan."""
+    now = 0.0
+    for _ in range(max_steps):
+        if not worker.has_work:
+            return
+        plan = platform.begin_step(worker, now)
+        assert plan is not None, "worker has work but plans no step"
+        now += plan.duration_s
+        platform.finish_step(worker, plan, now)
+    pytest.fail(f"worker still busy after {max_steps} steps")
+
+
+@pytest.mark.parametrize("victims", ["conservative", "aggressive"])
+def test_admission_guard_uses_what_the_shared_gpu_can_hold(victims):
+    # Two llm-1b replicas share one 5.5 GB GPU.  Replica 0 sized its
+    # budget (15957 tokens) before replica 1's weights loaded, leaving
+    # 2273 tokens of KV memory for both; a 2600-token worst case can
+    # never run, whichever replica it is routed to.
+    small = GpuProfile(name="small", memory_gb=5.5)
+    platform, function = _two_replica_platform(
+        [Server(server_id=0, num_gpus=1, gpu_profile=small)], victims, 50
+    )
+    assert [w.kv_capacity_tokens for w in platform.workers] == [15957, 2273]
+    first, reason = platform.admit(_chat(0, function.name, 100, 10), 0.0)
+    assert (first.worker_id, reason) == (0, None)
+    worker, reason = platform.admit(_chat(1, function.name, 2000, 600), 0.0)
+    assert (worker, reason) == (None, ev.DROP_KV_INFEASIBLE)
+    fits, reason = platform.admit(_chat(2, function.name, 2000, 200), 0.0)
+    assert (fits.worker_id, reason) == (1, None)
+    assert [w.kv_reach_tokens for w in platform.workers] == [2273, 2273]
+    for worker in platform.workers:
+        _drain(platform, worker)
+
+
+@pytest.mark.parametrize("victims", ["conservative", "aggressive"])
+def test_admission_routes_past_a_replica_too_small_for_the_request(victims):
+    # Replica 1 sits on a 3 GB GPU (2484 KV tokens) and is the least
+    # loaded; a 2600-token worst case must go to replica 0 instead.
+    servers = [
+        Server(server_id=0, num_gpus=1),
+        Server(server_id=1, num_gpus=1,
+               gpu_profile=GpuProfile(name="small", memory_gb=3.0)),
+    ]
+    platform, function = _two_replica_platform(servers, victims, 100)
+    assert [w.kv_capacity_tokens for w in platform.workers] == [45600, 2484]
+    platform.admit(_chat(0, function.name, 100, 10), 0.0)
+    worker, reason = platform.admit(_chat(1, function.name, 2000, 600), 0.0)
+    assert (worker.worker_id, reason) == (0, None)
+    _drain(platform, worker)
+    assert worker.tokens_generated == 610
+
+
+# ----------------------------------------------------------------------
+# KV ledger: one device charge per decode iteration
+# ----------------------------------------------------------------------
+def _ledger(device):
+    return device.kv_reserved_tokens, device.kv_reserved_mb
+
+
+def _charge_each(device, mb_per_token: float, sequences: int):
+    """The reference: ``sequences`` separate one-token charges."""
+    for _ in range(sequences):
+        device.kv_acquire(1, mb_per_token)
+
+
+_NEAR_FULL = dict(
+    spec=st.sampled_from(sorted(LLM_ZOO.values(), key=lambda s: s.name)),
+    memory_gb=st.sampled_from([11.0, 16.0, 24.0]),
+    prompts=st.lists(st.integers(1, 2048), max_size=3),
+    slack=st.integers(0, 160),
+)
+
+
+def _near_full_devices(spec, memory_gb, prompts, slack):
+    """Two identical devices holding ``spec``'s weights, filled by real
+    prompt charges to within ``slack`` tokens of their KV capacity, so
+    decode batches straddle the capacity edge."""
+    devices = []
+    for _ in range(2):
+        device = GpuDevice(device_id=0, memory_mb=memory_gb * 1024.0)
+        device.reserve_weights(spec.weights_mb)
+        free = spec.kv_capacity_tokens(device.memory_free_mb)
+        for tokens in prompts + [free - sum(prompts) - slack - 1]:
+            if 0 < tokens <= spec.kv_capacity_tokens(device.memory_free_mb):
+                device.kv_acquire(tokens, spec.kv_mb_per_token)
+        devices.append(device)
+    return devices
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches=st.lists(st.integers(1, 64), min_size=1, max_size=5),
+       **_NEAR_FULL)
+def test_batch_kv_charge_equals_per_sequence_charges(
+    spec, memory_gb, prompts, slack, batches
+):
+    batched, single = _near_full_devices(spec, memory_gb, prompts, slack)
+    mb = spec.kv_mb_per_token
+    for sequences in batches:
+        before = _ledger(batched)
+        try:
+            _charge_each(single, mb, sequences)
+        except AllocationError:
+            with pytest.raises(AllocationError):
+                batched.kv_acquire(1, mb, sequences)
+            assert _ledger(batched) == before  # refused whole
+            return
+        batched.kv_acquire(1, mb, sequences)
+        # Exact float equality: the MB ledger must be bit-identical.
+        assert _ledger(batched) == _ledger(single)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sequences=st.integers(1, 64),
+    budget_offset=st.integers(-200, 200),
+    overcommit_mb=st.one_of(st.none(), st.floats(0.0, 500.0)),
+    **_NEAR_FULL,
+)
+def test_kv_free_tokens_matches_the_device_capacity(
+    spec, memory_gb, prompts, slack, sequences, budget_offset,
+    overcommit_mb,
+):
+    batched, single = _near_full_devices(spec, memory_gb, prompts, slack)
+    worker = LLMWorker(
+        worker_id=0,
+        function=FunctionSpec.for_model(spec.name, slo_s=1.0),
+        placement=SimpleNamespace(server_id=0),
+        device=batched,
+        config=(1, 2, 100),
+        kv_capacity_tokens=max(
+            0, spec.kv_capacity_tokens(batched.memory_free_mb)
+            + budget_offset
+        ),
+    )
+    before = _ledger(single)
+    try:
+        _charge_each(single, spec.kv_mb_per_token, sequences)
+    except AllocationError:
+        with pytest.raises(AllocationError):
+            worker.kv_acquire(1, sequences)
+        # The batched charge is refused whole; so is the reference.
+        single.kv_reserved_tokens, single.kv_reserved_mb = before
+    else:
+        worker.kv_acquire(1, sequences)
+    if overcommit_mb is not None:
+        # Free memory at or below zero: weights claim the rest and more.
+        for device in (batched, single):
+            device.weights_reserved_mb = (
+                device.memory_mb - single.kv_reserved_mb + overcommit_mb
+            )
+    own = worker.kv_capacity_tokens - worker.kv_resident_tokens
+    assert worker.kv_free_tokens == min(
+        own, spec.kv_capacity_tokens(single.memory_free_mb)
+    )
 
 
 # ----------------------------------------------------------------------
