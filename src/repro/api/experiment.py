@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Callable, Dict, Iterable, Optional, Union
 
+from repro.api.compatibility import ENGINES, check, requested_features
 from repro.cluster.cluster import Cluster, build_testbed_cluster
 from repro.cluster.fleet import FleetSpec
 from repro.core.coldstart import COLDSTART_POLICIES
@@ -42,10 +43,6 @@ from repro.workloads.trace import Trace
 
 #: version tag of the :meth:`Experiment.to_spec` schema.
 SPEC_SCHEMA = 1
-
-#: simulation engines: discrete-event ground truth, the continuous
-#: fluid approximation, or the hybrid top-K-discrete split.
-ENGINES = ("des", "fluid", "hybrid")
 
 #: registry name -> platform class; every entry follows the normalized
 #: ``(cluster, predictor, *, name, seed, ...)`` constructor shape.
@@ -83,6 +80,29 @@ def make_platform(
     if predictor is None:
         predictor = build_default_predictor()
     return platform_cls(cluster, predictor, **options)
+
+
+def _fresh_if_true(value: object, make: Callable[[], object]) -> object:
+    """``True`` -> a fresh ``make()``, ``False`` -> None, else ``value``."""
+    if value is True:
+        return make()
+    return None if value is False else value
+
+
+def _platform_class(platform: object) -> Optional[str]:
+    """The platform's compatibility-table column; None until built.
+
+    A factory's class (and an unregistered name's) is known only once
+    :meth:`Experiment.build` resolves it.
+    """
+    if platform == "infless":
+        return "infless"
+    if isinstance(platform, str):
+        registered = PLATFORMS.get(platform)
+        return registered.workload_class if registered else None
+    if callable(platform) and not hasattr(platform, "route"):
+        return None
+    return platform.workload_class
 
 
 class Experiment:
@@ -215,21 +235,13 @@ class Experiment:
         self.platform_options = dict(platform_options or {})
         self.executor = executor
         self.faults = FaultPlan.coerce(faults)
-        if resilience is True:
-            resilience = ResiliencePolicy()
-        elif resilience is False:
-            resilience = None
-        self.resilience = resilience
-        if telemetry is True:
-            telemetry = InMemoryTracer()
-        elif telemetry is False:
-            telemetry = None
-        self.tracer: Optional[Tracer] = telemetry
-        if timeline is True:
-            timeline = TimelineRecorder()
-        elif timeline is False:
-            timeline = None
-        self.timeline: Optional[TimelineRecorder] = timeline
+        self.resilience = _fresh_if_true(resilience, ResiliencePolicy)
+        self.tracer: Optional[Tracer] = _fresh_if_true(
+            telemetry, InMemoryTracer
+        )
+        self.timeline: Optional[TimelineRecorder] = _fresh_if_true(
+            timeline, TimelineRecorder
+        )
         self.invariants = invariants
         self.warmup_s = warmup_s
         self.seed = seed
@@ -245,26 +257,12 @@ class Experiment:
                 f"unknown workflow policy {workflow_policy!r} (known: {known})"
             )
         self.workflow_policy = workflow_policy
-        if self.workflow is not None:
-            if self.functions is not None:
-                raise ValueError(
-                    "workflow= synthesizes its stage functions from the DAG"
-                    " (SLO decomposition); pass either workflow= or"
-                    " functions=, not both"
-                )
-            unsupported = [
-                label
-                for label, value in (
-                    ("faults", self.faults),
-                    ("resilience", self.resilience),
-                )
-                if value
-            ]
-            if unsupported:
-                raise ValueError(
-                    "workflow= runs on the plain discrete-event loop; it"
-                    f" does not support: {', '.join(unsupported)} yet"
-                )
+        if self.workflow is not None and self.functions is not None:
+            raise ValueError(
+                "workflow= synthesizes its stage functions from the DAG"
+                " (SLO decomposition); pass either workflow= or"
+                " functions=, not both"
+            )
         self.metrics_mode = metrics_mode
         self.arrival_mode = arrival_mode
         self.arrival_window_s = arrival_window_s
@@ -276,6 +274,16 @@ class Experiment:
             raise ValueError("hot_k must be >= 0")
         self.engine = engine
         self.hot_k = hot_k
+        self._features = requested_features(
+            workload=self.workload, functions=self.functions,
+            workflow=self.workflow, faults=self.faults,
+            resilience=self.resilience, telemetry=self.tracer,
+            timeline=self.timeline, metrics_mode=metrics_mode,
+            arrival_mode=arrival_mode, fleet=self.fleet,
+            coldstart=coldstart, autoscaler=autoscaler,
+        )
+        self._platform_class = _platform_class(platform)
+        check(self.engine, self._platform_class, self._features)
         self.platform = None
         self.simulation: Union[None, ServingSimulation, LLMSimulation] = None
         self.report: Optional[SimulationReport] = None
@@ -328,30 +336,18 @@ class Experiment:
         if self.functions is not None:
             for function in self.functions:
                 self.platform.deploy(function)
-        if getattr(self.platform, "workload_class", "") == "autoregressive":
-            if self.workflow is not None:
-                raise ValueError(
-                    "workflows are not supported on autoregressive"
-                    " platforms (single-shot serving only)"
-                )
-            if self.metrics_mode != "exact" or self.arrival_mode != "eager":
-                raise ValueError(
-                    "sketch metrics / windowed arrivals are not supported"
-                    " on autoregressive platforms yet (the LLM summary"
-                    " keeps per-request token records)"
-                )
-            self.simulation = LLMSimulation(
-                platform=self.platform,
-                workload=self.workload,
-                control_interval_s=self.control_interval_s,
-                warmup_s=self.warmup_s,
-                tracer=self.tracer,
-                timeline=self.timeline,
-                invariants=self.invariants,
-                faults=self.faults,
-                resilience=self.resilience,
-                seed=self.seed,
-            )
+        if self._platform_class is None:
+            # A factory's class is known only once it is called.
+            check(self.engine, self.platform.workload_class, self._features)
+        common = dict(
+            platform=self.platform, workload=self.workload,
+            control_interval_s=self.control_interval_s,
+            warmup_s=self.warmup_s, tracer=self.tracer,
+            timeline=self.timeline, invariants=self.invariants,
+            faults=self.faults, resilience=self.resilience, seed=self.seed,
+        )
+        if self.platform.workload_class == "autoregressive":
+            self.simulation = LLMSimulation(**common)
             return self.simulation
         if self.workflow is not None:
             for function in self._stage_functions():
@@ -362,25 +358,16 @@ class Experiment:
             ):
                 scheduler.coplacement = CoPlacementHint(self.workflow)
         self.simulation = ServingSimulation(
-            platform=self.platform,
             executor=self.executor or GroundTruthExecutor(),
-            workload=self.workload,
-            control_interval_s=self.control_interval_s,
             rate_mode=self.rate_mode,
             ewma=self.ewma,
             pending_cap=self.pending_cap,
             cold_queue_batches=self.cold_queue_batches,
-            warmup_s=self.warmup_s,
             workflow=self.workflow,
-            tracer=self.tracer,
-            timeline=self.timeline,
-            invariants=self.invariants,
-            faults=self.faults,
-            resilience=self.resilience,
             metrics_mode=self.metrics_mode,
             arrival_mode=self.arrival_mode,
             arrival_window_s=self.arrival_window_s,
-            seed=self.seed,
+            **common,
         )
         return self.simulation
 
@@ -407,86 +394,25 @@ class Experiment:
         """Assemble the fluid or hybrid simulation.
 
         Both paths serve single-shot workloads on the INFless control
-        laws; features that only exist in the discrete event loop
-        (chaos plans, resilience retries, telemetry spans, workflows,
-        windowed arrivals) are rejected loudly rather than silently
-        ignored.
+        laws; construction already refused (via the compatibility
+        table) every feature that only exists in the discrete event
+        loop.
         """
         from repro.fluid import FluidSimulation, HybridSimulation
 
-        if self._platform_spec != "infless":
-            raise ValueError(
-                f"engine={self.engine!r} models the INFless control laws;"
-                " use platform='infless' (baselines run engine='des')"
-            )
-        if self.workflow is not None:
-            raise ValueError(
-                f"engine={self.engine!r} does not support: workflow"
-                " (discrete-event only)"
-            )
-        if self.functions is None:
-            raise ValueError(
-                f"engine={self.engine!r} needs explicit function specs"
-            )
-        if (
-            self.fleet is not None
-            or self.coldstart is not None
-            or self.autoscaler != "horizontal"
-        ):
-            raise ValueError(
-                f"engine={self.engine!r} models the homogeneous default"
-                " fleet; fleet=/coldstart=/autoscaler= need engine='des'"
-            )
-        unsupported = [
-            label
-            for label, value in (
-                ("faults", self.faults),
-                ("resilience", self.resilience),
-                ("telemetry", self.tracer),
-                ("timeline", self.timeline),
-                ("workflow", self.workflow),
-            )
-            if value
-        ]
-        if unsupported:
-            raise ValueError(
-                f"engine={self.engine!r} does not support:"
-                f" {', '.join(unsupported)} (discrete-event only)"
-            )
-        if self.arrival_mode != "eager":
-            raise ValueError(
-                f"engine={self.engine!r} reads rates straight off the"
-                " trace; windowed arrivals only apply to engine='des'"
-            )
-        if self.engine == "fluid":
-            return FluidSimulation(
-                functions=self.functions,
-                workload=self.workload,
-                predictor=self.predictor,
-                executor=self.executor,
-                control_interval_s=self.control_interval_s,
-                warmup_s=self.warmup_s,
-                ewma=self.ewma,
-                pending_cap=self.pending_cap,
-                invariants=self.invariants,
-                seed=self.seed,
-                rate_mode=self.rate_mode,
-            )
-        return HybridSimulation(
-            functions=self.functions,
-            workload=self.workload,
-            hot_k=self.hot_k,
-            platform=self._platform_spec,
-            servers=self.servers,
-            predictor=self.predictor,
-            executor=self.executor,
+        common = dict(
+            functions=self.functions, workload=self.workload,
+            predictor=self.predictor, executor=self.executor,
             control_interval_s=self.control_interval_s,
-            warmup_s=self.warmup_s,
-            ewma=self.ewma,
-            pending_cap=self.pending_cap,
-            invariants=self.invariants,
-            seed=self.seed,
-            rate_mode=self.rate_mode,
+            warmup_s=self.warmup_s, ewma=self.ewma,
+            pending_cap=self.pending_cap, invariants=self.invariants,
+            seed=self.seed, rate_mode=self.rate_mode,
+        )
+        if self.engine == "fluid":
+            return FluidSimulation(**common)
+        return HybridSimulation(
+            hot_k=self.hot_k, platform=self._platform_spec,
+            servers=self.servers, **common,
         )
 
     def run(self) -> SimulationReport:

@@ -60,6 +60,7 @@ class UniformScalingPlatform(InstanceRegistry):
 
     #: the audit layer only checks ``r_up > 0`` (BATCH overrides).
     invariant_slo_check = "none"
+    workload_class = "single_shot"
     #: extra delay requests spend outside the platform (OTP designs).
     ingress_delay_s = 0.0
     #: bounded per-instance batch-queue depth (OpenFaaS+ overrides).

@@ -260,6 +260,8 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "CampaignSpec":
         """Parse a campaign from its JSON dict form."""
+        if not isinstance(payload, dict):
+            raise ValueError("a campaign spec must be a JSON object")
         schema = payload.get("schema", CAMPAIGN_SCHEMA)
         if schema != CAMPAIGN_SCHEMA:
             raise ValueError(

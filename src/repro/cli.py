@@ -31,17 +31,15 @@ from typing import List, Optional
 
 from repro.analysis import stress_capacity
 from repro.analysis.reporting import format_table
-from repro.api import PLATFORMS, Experiment
-from repro.baselines import BatchOTP, OpenFaaSPlus
+from repro.api import PLATFORMS, Experiment, make_platform
 from repro.cluster import build_testbed_cluster
 from repro.core import (
     FixedKeepAlive,
     FunctionSpec,
     HybridHistogramPolicy,
-    INFlessEngine,
     build_coldstart_policy,
 )
-from repro.faults import FaultPlan, ResiliencePolicy
+from repro.faults import ResiliencePolicy
 from repro.models import LLM_ZOO, MODEL_ZOO, list_llm_models, list_models
 from repro.profiling import GroundTruthExecutor, build_default_predictor
 from repro.simulation import compare_policies
@@ -54,6 +52,7 @@ from repro.telemetry import (
     write_jsonl,
     write_timeline_csv,
 )
+from repro.workflows import WorkflowSpec
 from repro.workloads import (
     build_osvt,
     build_qa_robot,
@@ -91,12 +90,6 @@ def _cmd_list_models(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_llm_platform(name: str) -> bool:
-    """Whether a registry platform serves autoregressive workloads."""
-    cls = PLATFORMS.get(name)
-    return getattr(cls, "workload_class", "") == "autoregressive"
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     predictor = build_default_predictor()
     executor = GroundTruthExecutor()
@@ -114,25 +107,15 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_app(name: str):
-    if name == "osvt":
-        return build_osvt()
-    if name == "qa":
-        return build_qa_robot()
-    raise SystemExit(f"unknown app {name!r}: choose osvt or qa")
-
-
 def _cmd_capacity(args: argparse.Namespace) -> int:
     predictor = build_default_predictor()
-    app = _build_app(args.app)
+    app = {"osvt": build_osvt, "qa": build_qa_robot}[args.app]()
     rows = []
-    for label, factory in (
-        ("infless", lambda c: INFlessEngine(c, predictor=predictor)),
-        ("batch", lambda c: BatchOTP(c, predictor)),
-        ("openfaas+", lambda c: OpenFaaSPlus(c, predictor)),
-    ):
+    for label in ("infless", "batch", "openfaas+"):
         cluster = build_testbed_cluster(num_servers=args.servers)
-        result = stress_capacity(factory(cluster), app.functions)
+        result = stress_capacity(
+            make_platform(label, cluster, predictor), app.functions
+        )
         rows.append(
             [label, f"{result.max_app_rps:,.0f}",
              f"{result.throughput_per_resource:.2f}",
@@ -155,181 +138,120 @@ def _parse_seed_list(raw: str) -> List[int]:
     return seeds
 
 
-def _simulate_load(args: argparse.Namespace):
-    """Resolve what the simulate run serves: workflow or one function.
+def _simulate_experiment(args: argparse.Namespace, seed: int) -> Experiment:
+    """The experiment the simulate flags describe, run with ``seed``.
 
-    Returns ``(workflow, functions, workload, label)`` where exactly
-    one of ``workflow``/``functions`` is set and ``label`` names the
-    served thing for campaign cell keys.
+    The one builder for single and multi-seed runs: ``--seeds`` runs
+    its :meth:`~repro.api.Experiment.to_spec` once per seed, so both
+    paths share every flag and the construction-time validation.
     """
+    options = resilience = None
+    if PLATFORMS[args.platform].workload_class == "autoregressive":
+        options = {"tpot_slo_s": args.tpot_slo_ms / 1e3}
+        if args.preemption:
+            options["preemption"] = args.preemption
+        if args.victims:
+            options["victims"] = args.victims
+    elif args.faults is not None and not args.no_resilience:
+        # Token-granularity runs recover through preemption instead of
+        # the retry/deadline layer.
+        resilience = ResiliencePolicy(max_retries=args.max_retries)
+    workflow = functions = None
     if args.workflow is not None:
-        from repro.workflows import WorkflowSpec
-
         workflow = WorkflowSpec.coerce(args.workflow)
-        workload = {workflow.entry: constant_trace(args.rps, args.duration)}
-        return workflow, None, workload, workflow.name
-    function = FunctionSpec.for_model(args.model, slo_s=args.slo_ms / 1e3)
-    workload = {function.name: constant_trace(args.rps, args.duration)}
-    return None, [function], workload, args.model
+        entry = workflow.entry
+    else:
+        functions = [FunctionSpec.for_model(args.model, slo_s=args.slo_ms / 1e3)]
+        entry = functions[0].name
+    return Experiment(
+        platform=args.platform, platform_options=options,
+        servers=args.servers, fleet=args.fleet, coldstart=args.coldstart,
+        autoscaler=args.autoscaler, functions=functions,
+        workload={entry: constant_trace(args.rps, args.duration)},
+        workflow=workflow, workflow_policy=args.workflow_policy,
+        warmup_s=min(20.0, args.duration / 4),
+        telemetry=bool(args.trace_out or args.chrome_trace_out),
+        timeline=bool(args.timeline_out or args.chrome_trace_out),
+        invariants=args.check_invariants,
+        faults=args.faults, resilience=resilience,
+        metrics_mode=args.metrics_mode, arrival_mode=args.arrival_mode,
+        arrival_window_s=args.arrival_window,
+        seed=seed, engine=args.engine, hot_k=args.hot_k,
+    )
 
 
-def _cmd_simulate_seeds(args: argparse.Namespace, faults, resilience) -> int:
+def _simulate_seeds(args: argparse.Namespace, experiments: list) -> int:
     """One configuration across a seed list: mean +/- std, not a point."""
     from repro.campaign import RunSpec, run_specs_serial, summarize
 
-    if args.trace_out or args.chrome_trace_out or args.timeline_out:
-        print("--seeds does not combine with trace/timeline export",
-              file=sys.stderr)
-        return 1
-    seeds = _parse_seed_list(args.seeds)
-    try:
-        workflow, functions, workload, label = _simulate_load(args)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load workflow {args.workflow}: {exc}", file=sys.stderr)
-        return 1
-    options = _platform_options(args)
-    runs = []
-    for seed in seeds:
-        experiment = Experiment(
-            platform=args.platform,
-            servers=args.servers,
-            fleet=args.fleet,
-            coldstart=args.coldstart,
-            autoscaler=args.autoscaler,
-            functions=functions,
-            workload=workload,
-            workflow=workflow,
-            workflow_policy=args.workflow_policy,
-            platform_options=options,
-            warmup_s=min(20.0, args.duration / 4),
-            invariants=args.check_invariants,
-            faults=faults,
-            resilience=resilience,
-            metrics_mode=args.metrics_mode,
-            arrival_mode=args.arrival_mode,
-            arrival_window_s=args.arrival_window,
-            seed=seed,
-        )
-        runs.append(RunSpec(
+    seeds = [experiment.seed for experiment in experiments]
+    workflow = experiments[0].workflow
+    label = workflow.name if workflow is not None else args.model
+    runs = [
+        RunSpec(
             campaign="simulate-seeds",
             cell={"platform": args.platform, "model": label},
-            replicate=seed,
-            seed=seed,
+            replicate=experiment.seed,
+            seed=experiment.seed,
             experiment=experiment.to_spec(),
-        ))
+        )
+        for experiment in experiments
+    ]
     # The campaign runner's single-process path: serial, same executor
     # the parallel workers use.
-    results = run_specs_serial(runs, timeout_s=None)
-    metrics = {
-        "goodput (rps)": [r["report"]["goodput_rps"] for r in results],
-        "p99 latency (ms)": [
-            r["report"]["latency_p99_s"] * 1e3 for r in results
-        ],
-        "SLO violations (%)": [
-            r["report"]["violation_rate"] * 1e2 for r in results
-        ],
+    reports = [r["report"] for r in run_specs_serial(runs, timeout_s=None)]
+    summaries = {
+        name: summarize(values) for name, values in (
+            ("goodput (rps)", [r["goodput_rps"] for r in reports]),
+            ("p99 latency (ms)", [r["latency_p99_s"] * 1e3 for r in reports]),
+            ("SLO violations (%)", [r["violation_rate"] * 1e2 for r in reports]),
+        )
     }
     if args.output == "json":
-        payload = {
-            "seeds": seeds,
-            "metrics": {
-                name: summarize(values) for name, values in metrics.items()
-            },
-        }
+        payload = {"seeds": seeds, "metrics": summaries}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    rows = []
-    for name, values in metrics.items():
-        stats = summarize(values)
-        rows.append([
-            name, f"{stats['mean']:.3f}", f"{stats['std']:.3f}",
-            f"{stats['min']:.3f}", f"{stats['max']:.3f}",
-        ])
+    rows = [
+        [name] + [f"{stats[key]:.3f}" for key in ("mean", "std", "min", "max")]
+        for name, stats in summaries.items()
+    ]
     print(f"{len(seeds)} seeds: {', '.join(str(s) for s in seeds)}")
     print(format_table(["metric", "mean", "std", "min", "max"], rows))
     return 0
 
 
-def _platform_options(args: argparse.Namespace) -> Optional[dict]:
-    """Registry-platform options the simulate flags imply."""
-    if not _is_llm_platform(args.platform):
-        return None
-    options = {"tpot_slo_s": args.tpot_slo_ms / 1e3}
-    if args.preemption:
-        options["preemption"] = args.preemption
-    if args.victims:
-        options["victims"] = args.victims
-    return options
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    exports = (args.trace_out, args.chrome_trace_out, args.timeline_out)
+    if args.seeds and any(exports):
+        print("--seeds does not combine with trace/timeline export",
+              file=sys.stderr)
+        return 1
     # Fail on unwritable export paths before spending time simulating.
-    for path in (args.trace_out, args.chrome_trace_out, args.timeline_out):
+    for path in exports:
         if path:
             parent = os.path.dirname(path) or "."
             if not os.path.isdir(parent):
                 print(f"cannot write {path}: no such directory {parent!r}",
                       file=sys.stderr)
                 return 1
+    seeds = _parse_seed_list(args.seeds) if args.seeds else [args.seed]
     try:
-        faults = FaultPlan.coerce(args.faults)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load fault plan {args.faults}: {exc}", file=sys.stderr)
-        return 1
-    if args.fleet is not None and not os.path.isfile(args.fleet):
-        print(f"cannot load fleet spec {args.fleet}: no such file",
-              file=sys.stderr)
-        return 1
-    resilience = None
-    if (
-        faults is not None
-        and not args.no_resilience
-        and not _is_llm_platform(args.platform)
-    ):
-        # Token-granularity runs recover through preemption, not the
-        # retry/deadline layer.
-        resilience = ResiliencePolicy(max_retries=args.max_retries)
-    if args.seeds:
-        return _cmd_simulate_seeds(args, faults, resilience)
-    try:
-        workflow, functions, workload, _ = _simulate_load(args)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load workflow {args.workflow}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        experiment = Experiment(
-            platform=args.platform,
-            servers=args.servers,
-            fleet=args.fleet,
-            coldstart=args.coldstart,
-            autoscaler=args.autoscaler,
-            functions=functions,
-            workload=workload,
-            workflow=workflow,
-            workflow_policy=args.workflow_policy,
-            platform_options=_platform_options(args),
-            warmup_s=min(20.0, args.duration / 4),
-            telemetry=bool(args.trace_out or args.chrome_trace_out),
-            timeline=bool(args.timeline_out or args.chrome_trace_out),
-            invariants=args.check_invariants,
-            faults=faults,
-            resilience=resilience,
-            metrics_mode=args.metrics_mode,
-            arrival_mode=args.arrival_mode,
-            arrival_window_s=args.arrival_window,
-            seed=args.seed,
-            engine=args.engine,
-            hot_k=args.hot_k,
-        )
-        report = experiment.run()
-    except (ValueError, OSError) as exc:
-        # Unsupported knob combinations (e.g. --engine fluid with
-        # faults or telemetry) and malformed --fleet files are
-        # rejected with the reason.
+        experiments = [_simulate_experiment(args, seed) for seed in seeds]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # Malformed --faults/--fleet/--workflow files and unsupported
+        # knob combinations (the compatibility table) are rejected
+        # with the reason, before any run starts.
         print(f"cannot run: {exc}", file=sys.stderr)
         return 1
-    tracer = experiment.tracer
-    timeline = experiment.timeline
+    if args.seeds:
+        return _simulate_seeds(args, experiments)
+    experiment = experiments[0]
+    try:
+        report = experiment.run()
+    except (ValueError, OSError) as exc:
+        print(f"cannot run: {exc}", file=sys.stderr)
+        return 1
+    tracer, timeline = experiment.tracer, experiment.timeline
     if report.invariant_violations:
         print(
             f"{len(report.invariant_violations)} invariant violation(s)"

@@ -241,6 +241,8 @@ class FleetSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FleetSpec":
         """Inverse of :meth:`to_dict`; validates the group list."""
+        if not isinstance(payload, dict):
+            raise ValueError("a fleet spec must be a JSON object")
         groups = payload.get("groups")
         if not isinstance(groups, (list, tuple)):
             raise ValueError("FleetSpec dict needs a 'groups' list")

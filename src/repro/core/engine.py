@@ -50,6 +50,7 @@ class INFlessEngine:
     """
 
     invariant_slo_check = "exact"
+    workload_class = "single_shot"
     #: protocol knobs -- INFless models no extra gateway hop and uses
     #: the paper's two-waiting-batches queue bound.
     ingress_delay_s = 0.0

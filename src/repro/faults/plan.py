@@ -228,6 +228,8 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FaultPlan":
         """Parse a plan from its JSON dict form."""
+        if not isinstance(payload, dict):
+            raise ValueError("a fault plan must be a JSON object")
         events: List[FaultEvent] = []
         for raw in payload.get("events", []):
             kind = raw.get("kind")

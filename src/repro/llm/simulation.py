@@ -46,9 +46,6 @@ from repro.telemetry import spans as ev
 from repro.workloads.arrivals import sample_arrivals
 from repro.workloads.trace import Trace
 
-#: fault kinds the token-boundary runtime knows how to apply.
-_SUPPORTED_FAULTS = (ServerCrash, ServerRecovery, InstanceKill)
-
 
 class LLMSimulation:
     """Replays traces against an autoregressive platform.
@@ -70,8 +67,11 @@ class LLMSimulation:
             audit adds the KV-token ledger to the standard
             conservation checks.
         faults: optional chaos plan; only server crash/recovery and
-            instance kills are meaningful at token granularity --
-            other kinds raise rather than silently no-op.
+            instance kills are meaningful at token granularity -- the
+            compatibility table refuses other kinds at construction.
+        resilience: refused by the compatibility table (preemption
+            handles recovery at token granularity); accepted only so
+            a refusal names its row.
         seed: drives arrival times and per-request token lengths.
     """
 
@@ -88,17 +88,18 @@ class LLMSimulation:
         resilience: Union[None, bool, object] = None,
         seed: int = 42,
     ) -> None:
-        if getattr(platform, "workload_class", None) != "autoregressive":
+        # repro.api imports this module, so its table is read lazily.
+        from repro.api.compatibility import check, requested_features
+
+        if platform.workload_class != "autoregressive":
             raise TypeError(
                 f"{type(platform).__name__} is not an autoregressive"
                 " platform; use ServingSimulation for single-shot serving"
             )
-        if resilience not in (None, False):
-            raise ValueError(
-                "resilience policies (retries/deadlines) are not"
-                " supported for LLM serving; preemption handles"
-                " recovery at token granularity"
-            )
+        self.faults = FaultPlan.coerce(faults)
+        check("des", "autoregressive", requested_features(
+            workload=workload, faults=self.faults, resilience=resilience,
+        ))
         self.platform = platform
         self.workload = dict(workload)
         self.control_interval_s = control_interval_s
@@ -109,7 +110,6 @@ class LLMSimulation:
             attach_tracer(platform, self.tracer)
         self.timeline = timeline
         self.invariants = resolve_checker(invariants)
-        self.faults = FaultPlan.coerce(faults)
         self._rng = np.random.default_rng(seed)
         self.loop = EventLoop()
         self.metrics = MetricsCollector()
@@ -364,12 +364,6 @@ class LLMSimulation:
         if self.faults is not None:
             num_servers = len(self.platform.cluster.servers)
             for fault in self.faults.materialize(self._horizon, num_servers):
-                if not isinstance(fault, _SUPPORTED_FAULTS):
-                    raise ValueError(
-                        f"fault kind {fault.kind!r} is not supported at"
-                        " token granularity (use server_crash,"
-                        " server_recovery or instance_kill)"
-                    )
                 self.loop.schedule(fault.at_s, EventKind.FAULT, fault)
         self.loop.schedule(0.0, EventKind.CONTROL_TICK)
         self.loop.run()

@@ -40,6 +40,12 @@ class ServingPlatform(Protocol):
     #: human-readable platform name used in reports and benchmarks.
     name: str
 
+    #: ``"single_shot"`` (one execution per request) or
+    #: ``"autoregressive"`` (token-level LLM serving, run by
+    #: :class:`~repro.llm.simulation.LLMSimulation`); the compatibility
+    #: table's platform-class column keys on it.
+    workload_class: str
+
     #: fixed network/gateway delay added to every arrival (seconds).
     ingress_delay_s: float
 

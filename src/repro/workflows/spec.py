@@ -316,6 +316,8 @@ class WorkflowSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "WorkflowSpec":
         """Inverse of :meth:`to_dict`; validates the DAG."""
+        if not isinstance(payload, dict):
+            raise ValueError("a workflow spec must be a JSON object")
         stages = payload.get("stages")
         if not isinstance(stages, (list, tuple)):
             raise ValueError("WorkflowSpec dict needs a 'stages' list")

@@ -1,5 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -97,8 +103,6 @@ class TestPlanCommand:
 
 class TestSimulateOutputs:
     def test_json_output(self, capsys, predictor):
-        import json
-
         assert main(
             ["simulate", "--model", "mnist", "--rps", "50", "--duration",
              "30", "--slo-ms", "100", "--output", "json"]
@@ -109,8 +113,6 @@ class TestSimulateOutputs:
         assert "violation_rate" in payload
 
     def test_trace_and_timeline_exports(self, capsys, predictor, tmp_path):
-        import json
-
         trace = tmp_path / "run.jsonl"
         chrome = tmp_path / "run.chrome.json"
         timeline = tmp_path / "run.csv"
@@ -155,8 +157,6 @@ class TestScaleOutFlags:
             build_parser().parse_args(["simulate", "--metrics-mode", "fuzzy"])
 
     def test_simulate_sketch_json(self, capsys, predictor):
-        import json
-
         assert main(
             ["simulate", "--model", "mnist", "--rps", "50", "--duration",
              "30", "--slo-ms", "100", "--metrics-mode", "sketch",
@@ -168,8 +168,6 @@ class TestScaleOutFlags:
         assert payload["latency_sketch"]["bins"]
 
     def test_shard_trace_roundtrip(self, capsys, predictor, tmp_path):
-        import json
-
         from repro.workloads import constant_trace
         from repro.workloads.azure import write_azure_csv
 
@@ -194,3 +192,72 @@ class TestScaleOutFlags:
         assert main(
             ["campaign", "shard-trace", "/nonexistent/trace.csv", "--quiet"]
         ) == 1
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+CHAOS_PLAN = str(REPO_ROOT / "examples" / "chaos_plan.json")
+_SMALL_RUN = ["simulate", "--model", "mnist", "--rps", "50",
+              "--duration", "10", "--servers", "2", "--output", "json"]
+
+
+class TestSeedsShareTheSingleRunBuilder:
+    def test_seeds_honour_engine(self, capsys, predictor):
+        assert main(_SMALL_RUN + ["--seed", "1", "--engine", "fluid"]) == 0
+        single = json.loads(capsys.readouterr().out)["goodput_rps"]
+        assert main(_SMALL_RUN + ["--seeds", "1", "--engine", "fluid"]) == 0
+        seeds = json.loads(capsys.readouterr().out)
+        assert seeds["metrics"]["goodput (rps)"]["values"] == [single]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--workflow", "osvt", "--faults", CHAOS_PLAN],
+        ["simulate", "--platform", "llm", "--model", "llm-1b",
+         "--metrics-mode", "sketch"],
+    ], ids=["workflow-faults", "llm-sketch"])
+    def test_seeds_reject_incompatible_specs_before_running(
+        self, capsys, monkeypatch, argv
+    ):
+        import repro.campaign
+
+        def no_runs(*_args, **_kwargs):
+            raise AssertionError("a rejected spec must not be dispatched")
+
+        monkeypatch.setattr(repro.campaign, "run_specs_serial", no_runs)
+        assert main(argv + ["--seeds", "1,2"]) == 1
+        assert "cannot run: compatibility row" in capsys.readouterr().err
+
+
+#: (flag, a valid-looking document missing a required key).
+_INPUT_FILES = {
+    "--faults": {"events": [{"kind": "server_crash", "server_id": 0}]},
+    "--fleet": {"groups": [{"cpu": 4}]},
+    "--workflow": {"name": "w", "end_to_end_slo_s": 0.5},
+    "campaign": {"axes": {"platform": ["infless"]}},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_INPUT_FILES))
+@pytest.mark.parametrize("content", ["list", "truncated", "missing-key"])
+def test_malformed_json_inputs_exit_without_traceback(tmp_path, flag, content):
+    path = tmp_path / "input.json"
+    missing_key = json.dumps(_INPUT_FILES[flag])
+    path.write_text({
+        "list": "[1, 2]",
+        "truncated": missing_key[: len(missing_key) // 2],
+        "missing-key": missing_key,
+    }[content])
+    if flag == "campaign":
+        argv = ["campaign", "run", str(path), "--quiet",
+                "--dir", str(tmp_path / "store")]
+    else:
+        argv = ["simulate", flag, str(path), "--duration", "2"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("cannot ")

@@ -124,23 +124,20 @@ class TestExperimentIntegration:
             _osvt_experiment(engine="hybrid", hot_k=-1)
 
     def test_non_infless_platform_rejected(self):
-        experiment = _osvt_experiment(platform="openfaas+")
         with pytest.raises(ValueError, match="INFless"):
-            experiment.run()
+            _osvt_experiment(platform="openfaas+").run()
 
     def test_discrete_only_features_rejected(self):
         from repro.faults import FaultPlan, ServerCrash
 
-        experiment = _osvt_experiment(
-            faults=FaultPlan(events=(ServerCrash(at_s=5.0, server_id=0),)),
-        )
         with pytest.raises(ValueError, match="faults"):
-            experiment.run()
+            _osvt_experiment(
+                faults=FaultPlan(events=(ServerCrash(at_s=5.0, server_id=0),)),
+            ).run()
 
     def test_windowed_arrivals_rejected(self):
-        experiment = _osvt_experiment(arrival_mode="windowed")
         with pytest.raises(ValueError, match="windowed"):
-            experiment.run()
+            _osvt_experiment(arrival_mode="windowed").run()
 
     def test_spec_round_trip_preserves_engine(self):
         spec = _osvt_experiment(engine="hybrid", hot_k=2).to_spec()

@@ -440,10 +440,9 @@ def test_unsupported_fault_kinds_raise_at_run():
     function = _llm_function()
     platform = ContinuousBatchingLLM(build_testbed_cluster(num_servers=2))
     platform.deploy(function)
-    simulation = LLMSimulation(
-        platform=platform,
-        workload={function.name: constant_trace(5.0, 4.0)},
-        faults=plan,
-    )
     with pytest.raises(ValueError, match="token granularity"):
-        simulation.run()
+        LLMSimulation(
+            platform=platform,
+            workload={function.name: constant_trace(5.0, 4.0)},
+            faults=plan,
+        ).run()

@@ -89,16 +89,15 @@ class TestSketchVsExact:
 
     def test_llm_platform_rejects_sketch(self):
         function = FunctionSpec.for_model("llm-125m", slo_s=0.5)
-        experiment = Experiment(
-            platform="llm",
-            servers=1,
-            functions=[function],
-            workload={function.name: constant_trace(5.0, 10.0)},
-            metrics_mode="sketch",
-            seed=1,
-        )
         with pytest.raises(ValueError):
-            experiment.build()
+            Experiment(
+                platform="llm",
+                servers=1,
+                functions=[function],
+                workload={function.name: constant_trace(5.0, 10.0)},
+                metrics_mode="sketch",
+                seed=1,
+            ).build()
 
 
 class TestWarmupBoundaryCarry:
@@ -172,16 +171,15 @@ class TestWindowedArrivals:
 
     def test_llm_platform_rejects_windowed(self):
         function = FunctionSpec.for_model("llm-125m", slo_s=0.5)
-        experiment = Experiment(
-            platform="llm",
-            servers=1,
-            functions=[function],
-            workload={function.name: constant_trace(5.0, 10.0)},
-            arrival_mode="windowed",
-            seed=1,
-        )
         with pytest.raises(ValueError):
-            experiment.build()
+            Experiment(
+                platform="llm",
+                servers=1,
+                functions=[function],
+                workload={function.name: constant_trace(5.0, 10.0)},
+                arrival_mode="windowed",
+                seed=1,
+            ).build()
 
 
 class TestSpecStability:
