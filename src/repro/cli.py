@@ -477,14 +477,19 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         print(f"cannot load campaign spec {args.spec}: {exc}", file=sys.stderr)
         return 1
     campaign_dir = _campaign_dir(args, spec.name)
-    outcome = run_campaign(
-        spec,
-        campaign_dir,
-        workers=args.workers,
-        timeout_s=args.timeout,
-        max_retries=args.retries,
-        progress=None if args.quiet else default_progress(),
-    )
+    try:
+        outcome = run_campaign(
+            spec,
+            campaign_dir,
+            workers=args.workers,
+            timeout_s=args.timeout,
+            max_retries=args.retries,
+            progress=None if args.quiet else default_progress(),
+        )
+    except ValueError as exc:
+        # Cells are validated as the grid expands, before any run.
+        print(f"cannot run campaign {args.spec}: {exc}", file=sys.stderr)
+        return 1
     manifest = outcome.manifest
     print(format_table(["metric", "value"], [
         ["campaign", spec.name],

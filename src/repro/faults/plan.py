@@ -230,8 +230,18 @@ class FaultPlan:
         """Parse a plan from its JSON dict form."""
         if not isinstance(payload, dict):
             raise ValueError("a fault plan must be a JSON object")
+        raw_events = payload.get("events", [])
+        if not isinstance(raw_events, list):
+            raise ValueError(
+                f"fault plan events must be a list of objects,"
+                f" not {raw_events!r}"
+            )
         events: List[FaultEvent] = []
-        for raw in payload.get("events", []):
+        for raw in raw_events:
+            if not isinstance(raw, dict):
+                raise ValueError(
+                    f"fault plan event {raw!r} is not a JSON object"
+                )
             kind = raw.get("kind")
             klass = FAULT_KINDS.get(kind)
             if klass is None:
@@ -277,7 +287,7 @@ class FaultPlan:
             return cls.from_dict(value)
         if isinstance(value, str):
             return cls.from_json(value)
-        raise TypeError(
+        raise ValueError(
             f"cannot build a FaultPlan from {type(value).__name__}"
         )
 

@@ -50,6 +50,11 @@ WORKER_OVERHEAD_MB = 1024
 SWAP_MBPS = 12_000.0
 
 
+#: what a fault leaves of one worker: ``(worker, stranded sequences,
+#: requeue candidates)``.
+Lost = Tuple["LLMWorker", List[Sequence], List[Sequence]]
+
+
 class StepPlan:
     """One planned iteration: what runs, for how long."""
 
@@ -409,10 +414,6 @@ class ContinuousBatchingLLM:
             if self._place_worker(function) is None:
                 break
 
-    def should_shed(self, *_args, **_kwargs) -> bool:
-        """Never shed here; admission control already runs per arrival."""
-        return False
-
     def route(self, function_name: str) -> Optional[LLMWorker]:
         """Least-loaded worker for ``function_name`` (id tie-break)."""
         workers = self._by_function.get(function_name)
@@ -666,48 +667,35 @@ class ContinuousBatchingLLM:
     # ------------------------------------------------------------------
     # failures
     # ------------------------------------------------------------------
-    def on_server_failure(self, server_id: int) -> List[LLMWorker]:
-        """Protocol hook: forget workers on a dead machine."""
-        lost, _stranded, _requeue = self.fail_server(server_id)
-        return lost
+    def on_server_failure(self, server_id: int, now: float) -> List[Lost]:
+        """A machine died: fail it and evacuate its workers.
 
-    def fail_server(
-        self, server_id: int
-    ) -> Tuple[List[LLMWorker], List[Sequence], List[Sequence]]:
-        """Remove a crashed server's workers.
-
-        Returns ``(lost workers, stranded sequences, requeue
-        candidates)``: running/swapped sequences lose their progress
-        with the machine, waiting ones can be re-admitted elsewhere.
+        Returns one ``(worker, stranded, requeue)`` per lost worker:
+        running/swapped sequences lose their progress with the machine,
+        waiting ones can be re-admitted elsewhere.
         """
+        self.cluster.fail_server(server_id)
         lost = [w for w in self.workers if w.server_id == server_id]
-        stranded: List[Sequence] = []
-        requeue: List[Sequence] = []
-        for worker in lost:
-            self._retire_worker(worker, release_placement=False)
-            for seq in list(worker.running) + list(worker.swapped):
-                if seq.kv_tokens:
-                    worker.kv_release(seq.kv_tokens)
-                    seq.kv_tokens = 0
-                stranded.append(seq)
-            requeue.extend(worker.waiting)
-            worker.running.clear()
-            worker.swapped.clear()
-            worker.waiting.clear()
-        return lost, stranded, requeue
+        return [self._evacuate(w, release_placement=False) for w in lost]
 
-    def kill_instance(
-        self, function: str, now: float
-    ) -> Optional[Tuple[LLMWorker, List[Sequence], List[Sequence]]]:
+    def kill_instance(self, function: str, now: float) -> Optional[Lost]:
         """Fault hook: tear down one healthy worker of ``function``.
 
-        Returns ``(worker, stranded sequences, requeue candidates)``
-        like :meth:`fail_server`, or None when nothing is running.
+        Returns its ``(worker, stranded, requeue)`` like
+        :meth:`on_server_failure`, or None when nothing is running.
         """
         workers = self._by_function.get(function)
         if not workers:
             return None
         worker = max(workers, key=lambda w: w.worker_id)
+        return self._evacuate(worker, release_placement=True)
+
+    def _evacuate(self, worker: LLMWorker, release_placement: bool) -> Lost:
+        """Retire ``worker``, freeing the KV cache its sequences hold.
+
+        A crashed machine's placement is already gone with it; a killed
+        worker hands its weights and placement back.
+        """
         stranded = list(worker.running) + list(worker.swapped)
         requeue = list(worker.waiting)
         for seq in stranded:
@@ -717,12 +705,6 @@ class ContinuousBatchingLLM:
         worker.running.clear()
         worker.swapped.clear()
         worker.waiting.clear()
-        self._retire_worker(worker, release_placement=True)
-        return worker, stranded, requeue
-
-    def _retire_worker(
-        self, worker: LLMWorker, release_placement: bool
-    ) -> None:
         self.workers.remove(worker)
         self._by_function[worker.function.name].remove(worker)
         for counter in self._retired:
@@ -730,6 +712,7 @@ class ContinuousBatchingLLM:
         if release_placement:
             worker.device.release_weights(worker.spec.weights_mb)
             self.cluster.release(worker.placement)
+        return worker, stranded, requeue
 
     # ------------------------------------------------------------------
     # reporting

@@ -1,14 +1,15 @@
 """The token-boundary discrete-event runtime for LLM serving.
 
-Mirrors :class:`~repro.simulation.runtime.ServingSimulation`'s shape
-(same workload/tracer/invariants/faults surface, same report type) but
-advances per *iteration* instead of per batch: each busy worker has
-exactly one ``DECODE_STEP`` event in flight -- the completion of its
-current prefill or decode iteration -- and the next iteration is
-planned the moment the previous one finishes.  Per-request output
-lengths are sampled up front, in arrival order, from the same seeded
-stream as the arrival times, so a run is a pure function of
-``(workload, platform options, seed)``.
+Shares :class:`~repro.simulation.runtime.RuntimeCore` with the
+single-shot :class:`~repro.simulation.runtime.ServingSimulation` (the
+event loop, tracer, audit, fault dispatch, control-tick skeleton and
+report path) but advances per *iteration* instead of per batch: each
+busy worker has exactly one ``DECODE_STEP`` event in flight -- the
+completion of its current prefill or decode iteration -- and the next
+iteration is planned the moment the previous one finishes.
+Per-request output lengths are sampled up front, in arrival order,
+from the same seeded stream as the arrival times, so a run is a pure
+function of ``(workload, platform options, seed)``.
 """
 
 from __future__ import annotations
@@ -18,36 +19,20 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.faults import (
-    FaultPlan,
-    InstanceKill,
-    ServerCrash,
-    ServerRecovery,
-)
-from repro.invariants import InvariantChecker, resolve_checker
-from repro.llm.engine import ContinuousBatchingLLM, LLMWorker, StepPlan
+from repro.faults import FaultPlan
+from repro.invariants import InvariantChecker
+from repro.llm.engine import ContinuousBatchingLLM, LLMWorker, Lost, StepPlan
 from repro.llm.sequence import Sequence, SequenceState
-from repro.simulation.engine import EventLoop
 from repro.simulation.events import Event, EventKind
-from repro.simulation.metrics import (
-    LLMRequestRecord,
-    MetricsCollector,
-    SimulationReport,
-    sample_usage,
-)
-from repro.telemetry import (
-    DROP_SERVER_FAILURE,
-    NULL_TRACER,
-    TimelineRecorder,
-    Tracer,
-    attach_tracer,
-)
+from repro.simulation.metrics import LLMRequestRecord, SimulationReport
+from repro.simulation.runtime import RuntimeCore
+from repro.telemetry import DROP_SERVER_FAILURE, TimelineRecorder, Tracer
 from repro.telemetry import spans as ev
 from repro.workloads.arrivals import sample_arrivals
 from repro.workloads.trace import Trace
 
 
-class LLMSimulation:
+class LLMSimulation(RuntimeCore):
     """Replays traces against an autoregressive platform.
 
     Args:
@@ -96,36 +81,20 @@ class LLMSimulation:
                 f"{type(platform).__name__} is not an autoregressive"
                 " platform; use ServingSimulation for single-shot serving"
             )
-        self.faults = FaultPlan.coerce(faults)
+        faults = FaultPlan.coerce(faults)
         check("des", "autoregressive", requested_features(
-            workload=workload, faults=self.faults, resilience=resilience,
+            workload=workload, faults=faults, resilience=resilience,
         ))
-        self.platform = platform
-        self.workload = dict(workload)
-        self.control_interval_s = control_interval_s
-        self.warmup_s = warmup_s
-        self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        self._trace = self.tracer.enabled
-        if self._trace:
-            attach_tracer(platform, self.tracer)
-        self.timeline = timeline
-        self.invariants = resolve_checker(invariants)
-        self._rng = np.random.default_rng(seed)
-        self.loop = EventLoop()
-        self.metrics = MetricsCollector()
+        super().__init__(
+            platform, workload, control_interval_s, warmup_s, tracer,
+            timeline, invariants, faults, "exact", seed,
+        )
         self._request_ids = itertools.count()
         self._llm_records: List[LLMRequestRecord] = []
         #: worker_id -> the plan its in-flight DECODE_STEP will finish;
         #: faults mark these lost so stale events become no-ops.
         self._inflight: Dict[int, StepPlan] = {}
-        self._arrivals_since_tick: Dict[str, int] = {
-            name: 0 for name in workload
-        }
-        self._horizon = max(trace.duration_s for trace in workload.values())
-        self.loop.on(EventKind.ARRIVAL, self._on_arrival)
         self.loop.on(EventKind.DECODE_STEP, self._on_step)
-        self.loop.on(EventKind.CONTROL_TICK, self._on_control_tick)
-        self.loop.on(EventKind.FAULT, self._on_fault)
 
     # ------------------------------------------------------------------
     # setup
@@ -153,19 +122,6 @@ class LLMSimulation:
     # ------------------------------------------------------------------
     # arrival path
     # ------------------------------------------------------------------
-    def _on_arrival(self, event: Event) -> None:
-        seq: Sequence = event.payload
-        now = self.loop.now
-        self.metrics.record_arrival(now)
-        if self._trace:
-            self.tracer.emit(
-                ev.REQUEST_ARRIVAL, now, request=seq.request_id,
-                function=seq.function,
-            )
-        self._arrivals_since_tick[seq.function] += 1
-        self.platform.record_invocation(seq.function, now)
-        self._admit(seq)
-
     def _admit(self, seq: Sequence) -> None:
         worker, reason = self.platform.admit(seq, self.loop.now)
         if reason is not None:
@@ -254,29 +210,22 @@ class LLMSimulation:
     # ------------------------------------------------------------------
     # control loop
     # ------------------------------------------------------------------
-    def _on_control_tick(self, event: Event) -> None:
-        now = self.loop.now
-        if self._trace:
-            self.tracer.emit(
-                ev.CONTROL_TICK, now, functions=len(self.workload)
-            )
-        for name in self.workload:
-            arrivals = self._arrivals_since_tick[name]
-            self._arrivals_since_tick[name] = 0
-            rate = arrivals / self.control_interval_s
-            self.platform.control(name, rate, now)
-            if self.timeline is not None:
-                self._sample_timeline(name, rate, now)
+    def _control(self, name: str, now: float) -> None:
+        arrivals = self._arrivals_since_tick[name]
+        self._arrivals_since_tick[name] = 0
+        rate = arrivals / self.control_interval_s
+        self.platform.control(name, rate, now)
+        if self.timeline is not None:
+            self._sample_timeline(name, rate, now)
+
+    def _after_control(self, now: float) -> None:
         # Healing may have added workers; put them to work.
         for worker in self.platform.workers:
             if not worker.busy and worker.has_work:
                 self._kick(worker)
-        sample_usage(self.metrics, self.platform.cluster, now)
-        if self.invariants.enabled:
-            self.invariants.check_llm_tick(self, now)
-        next_tick = now + self.control_interval_s
-        if next_tick <= self._horizon:
-            self.loop.schedule(next_tick, EventKind.CONTROL_TICK)
+
+    def _audit_tick(self, now: float) -> None:
+        self.invariants.check_llm_tick(self, now)
 
     def _sample_timeline(self, name: str, rate: float, now: float) -> None:
         workers = self.platform.instances(name)
@@ -297,95 +246,42 @@ class LLMSimulation:
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
-    def _on_fault(self, event: Event) -> None:
-        fault = event.payload
-        now = self.loop.now
-        if self._trace:
-            self.tracer.emit(
-                ev.FAULT_INJECTED, now, fault=fault.kind, detail=""
-            )
-        if isinstance(fault, ServerCrash):
-            self._crash_server(fault.server_id)
-        elif isinstance(fault, ServerRecovery):
-            cluster = self.platform.cluster
-            if not cluster.server(fault.server_id).healthy:
-                cluster.recover_server(fault.server_id)
-                if self._trace:
-                    self.tracer.emit(
-                        ev.SERVER_RECOVERY, now, server=fault.server_id
-                    )
-        elif isinstance(fault, InstanceKill):
-            result = self.platform.kill_instance(fault.function, now)
-            if result is not None:
-                worker, stranded, requeue = result
-                self._handle_lost(
-                    [worker], stranded, requeue
-                )
-
-    def _crash_server(self, server_id: int) -> None:
-        now = self.loop.now
-        self.platform.cluster.fail_server(server_id)
-        lost, stranded, requeue = self.platform.fail_server(server_id)
-        if self._trace:
-            self.tracer.emit(
-                ev.SERVER_FAILURE, now, server=server_id, lost=len(lost)
-            )
-        self._handle_lost(lost, stranded, requeue)
-
-    def _handle_lost(
-        self,
-        workers: List[LLMWorker],
-        stranded: List[Sequence],
-        requeue: List[Sequence],
-    ) -> None:
+    def _handle_lost(self, lost: List[Lost]) -> None:
         """Re-account sequences that lost their machine.
 
-        Running/swapped sequences lose generated tokens with the KV
-        cache and are dropped; queued ones survived in the gateway and
-        re-enter admission on the remaining fleet.
+        ``lost`` holds one ``(worker, stranded, requeue)`` per dead
+        worker.  Running/swapped sequences lose generated tokens with
+        the KV cache and are dropped; queued ones survived in the
+        gateway and re-enter admission on the remaining fleet.
         """
-        for worker in workers:
+        for worker, _stranded, _requeue in lost:
             plan = self._inflight.pop(worker.worker_id, None)
             if plan is not None:
                 plan.lost = True
-        for seq in stranded:
-            seq.state = SequenceState.DROPPED
-            self._drop(seq, DROP_SERVER_FAILURE)
-        for seq in requeue:
-            seq.state = SequenceState.WAITING
-            self._admit(seq)
+        for _worker, stranded, _requeue in lost:
+            for seq in stranded:
+                seq.state = SequenceState.DROPPED
+                self._drop(seq, DROP_SERVER_FAILURE)
+        for _worker, _stranded, requeue in lost:
+            for seq in requeue:
+                seq.state = SequenceState.WAITING
+                self._admit(seq)
 
     # ------------------------------------------------------------------
-    # entry point
+    # reporting
     # ------------------------------------------------------------------
-    def run(self) -> SimulationReport:
-        """Replay the full workload and return the aggregated report."""
-        self._schedule_arrivals()
-        if self.faults is not None:
-            num_servers = len(self.platform.cluster.servers)
-            for fault in self.faults.materialize(self._horizon, num_servers):
-                self.loop.schedule(fault.at_s, EventKind.FAULT, fault)
-        self.loop.schedule(0.0, EventKind.CONTROL_TICK)
-        self.loop.run()
-        sample_usage(self.metrics, self.platform.cluster, self.loop.now)
-        if self.invariants.enabled:
-            self.invariants.check_llm_final(self, self.loop.now)
+    def _audit_final(self, now: float) -> None:
+        self.invariants.check_llm_final(self, now)
+
+    def _report(self) -> SimulationReport:
         report = self.metrics.finalize(
             duration_s=self._horizon,
             warmup_s=self.warmup_s,
             launches=self.platform.launches,
         )
         report.llm = self._llm_summary()
-        if self.invariants.enabled:
-            self.invariants.check_report(self, report)
-            report.invariant_violations = [
-                v.to_dict() for v in self.invariants.violations
-            ]
         return report
 
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
     def _llm_summary(self) -> Dict[str, object]:
         """The ``llm`` report block: per-token latency + engine tallies."""
         records = [

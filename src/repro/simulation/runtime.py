@@ -25,6 +25,11 @@ materialized into ordinary heap events, and a
 exponential-backoff retries of requests stranded in lost batches, and
 gateway load-shedding.  With neither configured the zero-fault replay
 is bit-identical to a runtime without this machinery.
+
+:class:`RuntimeCore` is the part this runtime shares with the
+token-boundary :class:`~repro.llm.simulation.LLMSimulation`: the event
+loop, metrics, tracer, audit, fault dispatch, control-tick skeleton and
+:meth:`~RuntimeCore.run`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import asdict
-from typing import Deque, Dict, List, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -41,7 +46,6 @@ from repro.core.instance import Instance, InstanceState
 from repro.faults import (
     ColdStartStraggler,
     FaultPlan,
-    IngressSpike,
     InstanceKill,
     ResiliencePolicy,
     ServerCrash,
@@ -161,7 +165,181 @@ class _BatchInFlight:
         self.lost = False
 
 
-class ServingSimulation:
+class RuntimeCore:
+    """The gateway and control loop every serving runtime shares.
+
+    Owns the event loop, metrics collector, tracer, timeline, audit,
+    seeded rng, horizon, per-tick arrival counters and the fault plan;
+    runs the one fault dispatch (server crash, recovery, instance
+    kill), the control-tick skeleton and :meth:`run`.  A subclass
+    supplies the request path through these hooks:
+
+    * ``_schedule_arrivals()`` and ``_admit(request)`` -- the
+      workload's way in (arrivals are counted and traced here first);
+    * ``_control(name, now)`` -- one function's share of a control
+      tick; ``_after_control(now)`` -- work after every function's;
+    * ``_handle_lost(lost)`` -- re-account what died with a machine or
+      an instance, given the platform's ``on_server_failure`` result
+      or a one-element list of its ``kill_instance`` result;
+    * ``_audit_tick(now)`` / ``_audit_final(now)`` -- the audit's
+      entry points for this runtime;
+    * ``_report()`` -- finalize the metrics into a report.
+    """
+
+    def __init__(
+        self,
+        platform,
+        workload: Dict[str, Trace],
+        control_interval_s: float,
+        warmup_s: float,
+        tracer: Optional[Tracer],
+        timeline: Optional[TimelineRecorder],
+        invariants: Union[None, str, InvariantChecker],
+        faults: Union[None, FaultPlan, Dict[str, object], str],
+        metrics_mode: str,
+        seed: int,
+    ) -> None:
+        self.platform = platform
+        self.workload = dict(workload)
+        self.control_interval_s = control_interval_s
+        self.warmup_s = warmup_s
+        #: the functions each control tick visits, in order.
+        self._managed = list(workload)
+        self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
+        #: cached ``tracer.enabled``: guards every emit so a disabled
+        #: tracer costs one attribute read, not a no-op call.
+        self._trace: bool = self.tracer.enabled
+        if self._trace:
+            attach_tracer(platform, self.tracer)
+        self.timeline = timeline
+        self.invariants = resolve_checker(invariants)
+        self._rng = np.random.default_rng(seed)
+        self.loop = EventLoop()
+        self.metrics = MetricsCollector(
+            metrics_mode=metrics_mode, warmup_s=warmup_s
+        )
+        self.faults = FaultPlan.coerce(faults)
+        self._fault_counts: Counter = Counter()
+        #: fault kind -> live handler; kinds without one (ingress
+        #: spikes) act when arrivals are scheduled.
+        self._fault_handlers: Dict[str, Callable[[object, float], None]] = {
+            ServerCrash.kind: self._crash_server,
+            ServerRecovery.kind: self._recover_server,
+            InstanceKill.kind: self._kill_instance,
+        }
+        self._arrivals_since_tick: Dict[str, int] = dict.fromkeys(
+            self._managed, 0
+        )
+        self._horizon = max(trace.duration_s for trace in workload.values())
+        self.loop.on(EventKind.ARRIVAL, self._on_arrival)
+        self.loop.on(EventKind.CONTROL_TICK, self._on_control_tick)
+        self.loop.on(EventKind.FAULT, self._on_fault)
+
+    # ------------------------------------------------------------------
+    # arrival path
+    # ------------------------------------------------------------------
+    def _on_arrival(self, event: Event) -> None:
+        request = event.payload
+        now = self.loop.now
+        self.metrics.record_arrival(now)
+        if self._trace:
+            self.tracer.emit(
+                ev.REQUEST_ARRIVAL, now, request=request.request_id,
+                function=request.function,
+            )
+        self._arrivals_since_tick[request.function] += 1
+        self.platform.record_invocation(request.function, now)
+        self._admit(request)
+
+    # ------------------------------------------------------------------
+    # fault injection
+    # ------------------------------------------------------------------
+    def _on_fault(self, event: Event) -> None:
+        """Execute one materialized fault-plan event."""
+        fault = event.payload
+        now = self.loop.now
+        self._fault_counts[fault.kind] += 1
+        if self._trace:
+            detail = ", ".join(
+                f"{key}={value}"
+                for key, value in asdict(fault).items()
+                if key not in ("kind", "at_s")
+            )
+            self.tracer.emit(
+                ev.FAULT_INJECTED, now, fault=fault.kind, detail=detail
+            )
+        handler = self._fault_handlers.get(fault.kind)
+        if handler is not None:
+            handler(fault, now)
+
+    def _crash_server(self, fault: ServerCrash, now: float) -> None:
+        """Kill one machine through the platform's failure hook."""
+        lost = self.platform.on_server_failure(fault.server_id, now)
+        if self._trace:
+            self.tracer.emit(
+                ev.SERVER_FAILURE, now, server=fault.server_id,
+                lost=len(lost),
+            )
+        self._handle_lost(lost)
+
+    def _recover_server(self, fault: ServerRecovery, now: float) -> None:
+        cluster = self.platform.cluster
+        if not cluster.server(fault.server_id).healthy:
+            cluster.recover_server(fault.server_id)
+            if self._trace:
+                self.tracer.emit(
+                    ev.SERVER_RECOVERY, now, server=fault.server_id
+                )
+
+    def _kill_instance(self, fault: InstanceKill, now: float) -> None:
+        victim = self.platform.kill_instance(fault.function, now)
+        if victim is not None:
+            self._handle_lost([victim])
+
+    # ------------------------------------------------------------------
+    # control loop
+    # ------------------------------------------------------------------
+    def _on_control_tick(self, event: Event) -> None:
+        now = self.loop.now
+        if self._trace:
+            self.tracer.emit(
+                ev.CONTROL_TICK, now, functions=len(self._managed)
+            )
+        for name in self._managed:
+            self._control(name, now)
+        self._after_control(now)
+        sample_usage(self.metrics, self.platform.cluster, now)
+        if self.invariants.enabled:
+            self._audit_tick(now)
+        next_tick = now + self.control_interval_s
+        if next_tick <= self._horizon:
+            self.loop.schedule(next_tick, EventKind.CONTROL_TICK)
+
+    # ------------------------------------------------------------------
+    # entry point
+    # ------------------------------------------------------------------
+    def run(self) -> SimulationReport:
+        """Replay the full workload and return the aggregated report."""
+        self._schedule_arrivals()
+        if self.faults is not None:
+            num_servers = len(self.platform.cluster.servers)
+            for fault in self.faults.materialize(self._horizon, num_servers):
+                self.loop.schedule(fault.at_s, EventKind.FAULT, fault)
+        self.loop.schedule(0.0, EventKind.CONTROL_TICK)
+        self.loop.run()
+        sample_usage(self.metrics, self.platform.cluster, self.loop.now)
+        if self.invariants.enabled:
+            self._audit_final(self.loop.now)
+        report = self._report()
+        if self.invariants.enabled:
+            self.invariants.check_report(self, report)
+            report.invariant_violations = [
+                v.to_dict() for v in self.invariants.violations
+            ]
+        return report
+
+
+class ServingSimulation(RuntimeCore):
     """Replays traces against a platform and reports the outcome.
 
     Args:
@@ -239,15 +417,15 @@ class ServingSimulation:
             raise ValueError("arrival_mode must be 'eager' or 'windowed'")
         if arrival_window_s <= 0:
             raise ValueError("arrival_window_s must be positive")
-        self.platform = platform
+        super().__init__(
+            platform, workload, control_interval_s, warmup_s, tracer,
+            timeline, invariants, faults, metrics_mode, seed,
+        )
         self.executor = executor
-        self.workload = dict(workload)
-        self.control_interval_s = control_interval_s
         self.rate_mode = rate_mode
         self.ewma = ewma
         self.pending_cap = pending_cap
         self.cold_queue_batches = cold_queue_batches
-        self.warmup_s = warmup_s
         #: the DAG workflow under test (None for plain runs); drives
         #: fan-out/fan-in forwarding, the end-to-end deadline at the
         #: sink and the report's ``workflows`` block.
@@ -256,11 +434,6 @@ class ServingSimulation:
         #: stage -> downstream stages (only stages with successors).
         self._successors: Dict[str, tuple] = {}
         self._fan_in: Dict[str, int] = {}
-        # Functions the control loop must manage: trace-driven
-        # functions plus the DAG's interior stages in topological
-        # order (upstream rates settle before downstream ones read
-        # their forwarded arrivals).
-        self._managed = list(workload)
         if workflow is not None:
             stage_names = set(workflow.stage_names())
             entry = workflow.entry
@@ -278,9 +451,14 @@ class ServingSimulation:
                 s.name: s.downstream for s in workflow.stages if s.downstream
             }
             self._fan_in = workflow.fan_in()
-            self._managed += [
+            # The control loop also manages the DAG's interior stages,
+            # in topological order (upstream rates settle before
+            # downstream ones read their forwarded arrivals).
+            interior = [
                 n for n in workflow.topological_order() if n not in workload
             ]
+            self._managed += interior
+            self._arrivals_since_tick.update(dict.fromkeys(interior, 0))
         # -- workflow bookkeeping (all zero outside workflow mode) ------
         #: (stage, root) -> tokens waiting at a fan-in join barrier.
         self._join_barriers: Dict[tuple, List[Request]] = {}
@@ -303,23 +481,10 @@ class ServingSimulation:
         self._stage_injected: Counter = Counter()
         self._join_fired: Counter = Counter()
         self._join_purged: Counter = Counter()
-        self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        #: cached ``tracer.enabled``: guards every emit so a disabled
-        #: tracer costs one attribute read, not a no-op call.
-        self._trace: bool = self.tracer.enabled
-        if self._trace:
-            attach_tracer(platform, self.tracer)
-        self.timeline = timeline
-        self.invariants = resolve_checker(invariants)
         #: server_id -> non-default GPU generation; empty on the
         #: homogeneous baseline fleet, keeping the default execution
         #: path (argument lists, cache keys) bit-identical.
         self._gpu_profiles = profile_map(platform.cluster)
-        self._rng = np.random.default_rng(seed)
-        self.loop = EventLoop()
-        self.metrics = MetricsCollector(
-            metrics_mode=metrics_mode, warmup_s=warmup_s
-        )
         self.arrival_mode = arrival_mode
         self.arrival_window_s = arrival_window_s
         #: windowed mode: per-function independent arrival streams and
@@ -331,7 +496,7 @@ class ServingSimulation:
         #: layer's request-conservation ledger needs the exact count.
         self._executing = 0
         # -- fault injection and resilience ----------------------------
-        self.faults = FaultPlan.coerce(faults)
+        self._fault_handlers[ColdStartStraggler.kind] = self._start_straggler
         if resilience is True:
             resilience = ResiliencePolicy()
         elif resilience is False:
@@ -356,7 +521,6 @@ class ServingSimulation:
             self.faults is not None or self.resilience is not None
         )
         self._inflight: Dict[int, _BatchInFlight] = {}
-        self._fault_counts: Counter = Counter()
         #: per-function open outage start / closed outage durations,
         #: feeding the MTTR metric (outage = instance loss until the
         #: next completed batch of that function).
@@ -372,20 +536,13 @@ class ServingSimulation:
         self._pending: Dict[str, Deque[Request]] = {
             name: deque() for name in self._managed
         }
-        self._arrivals_since_tick: Dict[str, int] = {
-            name: 0 for name in self._managed
-        }
         self._rate_estimate: Dict[str, float] = {
             name: 0.0 for name in self._managed
         }
         self._wake_scheduled: Dict[int, float] = {}
-        self._horizon = max(trace.duration_s for trace in workload.values())
-        self.loop.on(EventKind.ARRIVAL, self._on_arrival)
         self.loop.on(EventKind.ARRIVAL_REFILL, self._on_arrival_refill)
         self.loop.on(EventKind.BATCH_TIMEOUT, self._on_wake)
         self.loop.on(EventKind.BATCH_COMPLETE, self._on_batch_complete)
-        self.loop.on(EventKind.CONTROL_TICK, self._on_control_tick)
-        self.loop.on(EventKind.FAULT, self._on_fault)
         self.loop.on(EventKind.RETRY, self._on_retry)
 
     # ------------------------------------------------------------------
@@ -452,16 +609,7 @@ class ServingSimulation:
     # ------------------------------------------------------------------
     # arrival path
     # ------------------------------------------------------------------
-    def _on_arrival(self, event: Event) -> None:
-        request: Request = event.payload
-        self.metrics.record_arrival(self.loop.now)
-        if self._trace:
-            self.tracer.emit(
-                ev.REQUEST_ARRIVAL, self.loop.now,
-                request=request.request_id, function=request.function,
-            )
-        self._arrivals_since_tick[request.function] += 1
-        self.platform.record_invocation(request.function, self.loop.now)
+    def _admit(self, request: Request) -> None:
         if self._wf_tracking and request.arrival >= self.warmup_s:
             self._wf_started += 1
         if self._shed and self.platform.should_shed(
@@ -723,22 +871,7 @@ class ServingSimulation:
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
-    def _crash_server(self, server_id: int) -> None:
-        """Kill one machine through the platform's failure hook."""
-        handler = getattr(self.platform, "on_server_failure", None)
-        if handler is None:
-            raise RuntimeError(
-                f"{type(self.platform).__name__} cannot handle server failures"
-            )
-        lost = handler(server_id, self.loop.now)
-        if self._trace:
-            self.tracer.emit(
-                ev.SERVER_FAILURE, self.loop.now, server=server_id,
-                lost=len(lost),
-            )
-        self._handle_lost_instances(lost)
-
-    def _handle_lost_instances(self, lost: List[Instance]) -> None:
+    def _handle_lost(self, lost: List[Instance]) -> None:
         """Re-account every request stranded on dead instances.
 
         Queued (not yet executing) requests survived in the gateway and
@@ -766,39 +899,9 @@ class ServingSimulation:
                     self._redispatched += 1
                     self._dispatch(request)
 
-    def _on_fault(self, event: Event) -> None:
-        """Execute one materialized fault-plan event."""
-        fault = event.payload
-        now = self.loop.now
-        self._fault_counts[fault.kind] += 1
-        if self._trace:
-            detail = ", ".join(
-                f"{key}={value}"
-                for key, value in asdict(fault).items()
-                if key not in ("kind", "at_s")
-            )
-            self.tracer.emit(
-                ev.FAULT_INJECTED, now, fault=fault.kind, detail=detail
-            )
-        if isinstance(fault, ServerCrash):
-            self._crash_server(fault.server_id)
-        elif isinstance(fault, ServerRecovery):
-            cluster = self.platform.cluster
-            if not cluster.server(fault.server_id).healthy:
-                cluster.recover_server(fault.server_id)
-                if self._trace:
-                    self.tracer.emit(
-                        ev.SERVER_RECOVERY, now, server=fault.server_id
-                    )
-        elif isinstance(fault, InstanceKill):
-            victim = self.platform.kill_instance(fault.function, now)
-            if victim is not None:
-                self._handle_lost_instances([victim])
-        elif isinstance(fault, ColdStartStraggler):
-            self._straggler_windows.append(fault)
-            self._apply_stragglers(now)
-        elif isinstance(fault, IngressSpike):
-            pass  # folded into arrival scheduling, nothing to do live
+    def _start_straggler(self, fault: ColdStartStraggler, now: float) -> None:
+        self._straggler_windows.append(fault)
+        self._apply_stragglers(now)
 
     def _apply_stragglers(self, now: float) -> None:
         """Stretch pending cold starts covered by a straggler window."""
@@ -979,32 +1082,31 @@ class ServingSimulation:
         self._rate_estimate[name] = estimate
         return estimate
 
-    def _on_control_tick(self, event: Event) -> None:
-        now = self.loop.now
-        if self._trace:
-            self.tracer.emit(
-                ev.CONTROL_TICK, now, functions=len(self._managed)
-            )
-        for name in self._managed:
-            rate = self._estimate_rate(name)
-            action = self.platform.control(name, rate, now)
-            overhead = getattr(action, "scheduling_overhead_s", 0.0)
-            if overhead:
-                self.metrics.record_scheduling_overhead(overhead)
-            self._drain_pending(name)
-            if self.timeline is not None:
-                self._sample_timeline(name, rate, action, now)
+    def _control(self, name: str, now: float) -> None:
+        rate = self._estimate_rate(name)
+        action = self.platform.control(name, rate, now)
+        overhead = getattr(action, "scheduling_overhead_s", 0.0)
+        if overhead:
+            self.metrics.record_scheduling_overhead(overhead)
+        self._drain_pending(name)
+        if self.timeline is not None:
+            self._sample_timeline(name, rate, action, now)
+
+    def _after_control(self, now: float) -> None:
         if self._straggler_windows:
             # Cold starts launched by this control step inside an active
             # straggler window are stretched too.
             self._apply_stragglers(now)
-        sample_usage(self.metrics, self.platform.cluster, now)
-        self._record_scaling_state(now)
-        if self.invariants.enabled:
-            self.invariants.check_tick(self, now)
-        next_tick = now + self.control_interval_s
-        if next_tick <= self._horizon:
-            self.loop.schedule(next_tick, EventKind.CONTROL_TICK)
+        stats = self._registry.stats
+        self.metrics.record_scaling_state(
+            now,
+            cold_starts=stats.cold_starts,
+            launches=stats.launches,
+            warm_reuses=stats.warm_reuses,
+        )
+
+    def _audit_tick(self, now: float) -> None:
+        self.invariants.check_tick(self, now)
 
     def _drain_pending(self, name: str) -> None:
         pending = self._pending[name]
@@ -1049,30 +1151,13 @@ class ServingSimulation:
             ),
         )
 
-    def _record_scaling_state(self, now: float) -> None:
-        stats = self._registry.stats
-        self.metrics.record_scaling_state(
-            now,
-            cold_starts=stats.cold_starts,
-            launches=stats.launches,
-            warm_reuses=stats.warm_reuses,
-        )
+    # ------------------------------------------------------------------
+    # reporting
+    # ------------------------------------------------------------------
+    def _audit_final(self, now: float) -> None:
+        self.invariants.check_final(self, now)
 
-    # ------------------------------------------------------------------
-    # entry point
-    # ------------------------------------------------------------------
-    def run(self) -> SimulationReport:
-        """Replay the full workload and return the aggregated report."""
-        self._schedule_arrivals()
-        if self.faults is not None:
-            num_servers = len(self.platform.cluster.servers)
-            for fault in self.faults.materialize(self._horizon, num_servers):
-                self.loop.schedule(fault.at_s, EventKind.FAULT, fault)
-        self.loop.schedule(0.0, EventKind.CONTROL_TICK)
-        self.loop.run()
-        sample_usage(self.metrics, self.platform.cluster, self.loop.now)
-        if self.invariants.enabled:
-            self.invariants.check_final(self, self.loop.now)
+    def _report(self) -> SimulationReport:
         stats = self._registry.stats
         report = self.metrics.finalize(
             duration_s=self._horizon,
@@ -1086,11 +1171,6 @@ class ServingSimulation:
             report.resilience = self._resilience_summary(report)
         if self._wf_tracking:
             report.workflows = self._workflow_summary()
-        if self.invariants.enabled:
-            self.invariants.check_report(self, report)
-            report.invariant_violations = [
-                v.to_dict() for v in self.invariants.violations
-            ]
         return report
 
     def _workflow_summary(self) -> Dict[str, object]:

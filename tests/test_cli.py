@@ -234,9 +234,25 @@ _INPUT_FILES = {
     "campaign": {"axes": {"platform": ["infless"]}},
 }
 
+#: (flag, a complete document with one value of the wrong type).
+_WRONG_TYPE_FILES = {
+    "--faults": {"events": "x"},
+    "--fleet": {"groups": "x"},
+    "--workflow": {"name": "w", "end_to_end_slo_s": 0.5, "stages": "x"},
+    "campaign": {
+        "name": "c",
+        "axes": {"platform": ["infless"]},
+        "experiment": {"faults": [
+            {"kind": "server_crash", "at_s": 1.0, "server_id": 0},
+        ]},
+    },
+}
+
 
 @pytest.mark.parametrize("flag", sorted(_INPUT_FILES))
-@pytest.mark.parametrize("content", ["list", "truncated", "missing-key"])
+@pytest.mark.parametrize(
+    "content", ["list", "truncated", "missing-key", "wrong-type"]
+)
 def test_malformed_json_inputs_exit_without_traceback(tmp_path, flag, content):
     path = tmp_path / "input.json"
     missing_key = json.dumps(_INPUT_FILES[flag])
@@ -244,6 +260,7 @@ def test_malformed_json_inputs_exit_without_traceback(tmp_path, flag, content):
         "list": "[1, 2]",
         "truncated": missing_key[: len(missing_key) // 2],
         "missing-key": missing_key,
+        "wrong-type": json.dumps(_WRONG_TYPE_FILES[flag]),
     }[content])
     if flag == "campaign":
         argv = ["campaign", "run", str(path), "--quiet",

@@ -25,7 +25,13 @@ from repro.api.compatibility import (
     requested_features,
 )
 from repro.core.function import FunctionSpec
-from repro.faults import FaultPlan, IngressSpike, ServerCrash, ServerRecovery
+from repro.faults import (
+    FaultPlan,
+    IngressSpike,
+    InstanceKill,
+    ServerCrash,
+    ServerRecovery,
+)
 from repro.workloads import constant_trace
 
 ROW_NAMES = {row.name for row in COMPATIBILITY}
@@ -56,6 +62,8 @@ def _experiment(
         model = "llm-125m" if llm else "mnist"
         functions = [FunctionSpec.for_model(model, slo_s=0.5 if llm else 0.1)]
         entry = functions[0].name
+    if faults == "kill":
+        faults = FaultPlan(events=(InstanceKill(at_s=3.0, function=entry),))
     return Experiment(
         platform=platform,
         engine=engine,
@@ -82,7 +90,7 @@ def _experiment(
     engine=st.sampled_from(ENGINES),
     fleet=st.booleans(),
     workflow=st.booleans(),
-    faults=st.sampled_from([None, _CRASH, _SPIKE]),
+    faults=st.sampled_from([None, _CRASH, _SPIKE, "kill"]),
     resilience=st.booleans(),
     telemetry=st.booleans(),
     metrics_mode=st.sampled_from(["exact", "sketch"]),

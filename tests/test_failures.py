@@ -168,7 +168,9 @@ class TestRuntimeFaultInjection:
             seed=17,
         )
         sim.faults = FaultPlan(events=(ServerCrash(at_s=1.0, server_id=0),))
-        with pytest.raises(RuntimeError, match="cannot handle server failures"):
+        # The runtime calls the protocol's failure hook directly, so a
+        # platform without it fails loudly, naming the missing hook.
+        with pytest.raises(AttributeError, match="on_server_failure"):
             sim.run()
 
     def test_platform_without_registry_rejected(self, executor):

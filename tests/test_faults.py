@@ -69,7 +69,7 @@ class TestFaultPlan:
         assert FaultPlan.coerce(plan) is plan
         assert FaultPlan.coerce(plan.to_dict()) == plan
         assert FaultPlan.coerce(str(path)) == plan
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="cannot build a FaultPlan from float"):
             FaultPlan.coerce(3.14)
 
     def test_unknown_kind_rejected(self):

@@ -27,7 +27,13 @@ from repro.llm import (
     Sequence,
     StaticBatchLLM,
 )
-from repro.faults import FaultPlan, IngressSpike, ServerCrash, ServerRecovery
+from repro.faults import (
+    FaultPlan,
+    IngressSpike,
+    InstanceKill,
+    ServerCrash,
+    ServerRecovery,
+)
 from repro.models import LLM_ZOO
 from repro.telemetry import InMemoryTracer
 from repro.telemetry import spans as ev
@@ -429,6 +435,58 @@ def test_server_crash_drops_in_flight_and_recovery_reheals():
     assert report.drop_reasons.get("server_failure", 0) > 0
     # The control loop re-placed the lost replica after recovery.
     assert simulation.platform.launches > 2
+
+
+def test_instance_kill_drops_in_flight_and_readmits_the_queue():
+    # A tight KV cap keeps prompts waiting behind the running batch, so
+    # the killed worker holds both kinds of sequence.
+    function = _llm_function()
+    experiment = Experiment(
+        platform="llm",
+        functions=[function],
+        workload={function.name: constant_trace(15.0, 12.0)},
+        servers=2,
+        platform_options={
+            "tpot_slo_s": 0.05, "max_kv_tokens": 2000, "preemption": "swap",
+        },
+        faults=FaultPlan(events=(
+            InstanceKill(at_s=5.0, function=function.name),
+        )),
+        telemetry=True,
+        invariants="strict",
+        seed=11,
+    )
+    platform = experiment.build().platform
+    kills = []
+
+    def kill_instance(name, now):
+        kills.append(ContinuousBatchingLLM.kill_instance(platform, name, now))
+        return kills[-1]
+
+    platform.kill_instance = kill_instance
+    report = experiment.run()
+    (worker, stranded, requeue), = kills
+    assert stranded and requeue
+    events = experiment.tracer.events
+    drops = {}
+    for event in events:
+        if event.kind == ev.REQUEST_DROP:
+            drops.setdefault(event.args["reason"], set()).add(
+                event.args["request"]
+            )
+    # Running and swapped sequences lost their KV cache with the worker.
+    assert drops[ev.DROP_SERVER_FAILURE] == {s.request_id for s in stranded}
+    # Waiting ones went back through admission; the function's only
+    # replica is gone until the next control tick heals it.
+    assert drops[ev.DROP_NO_CAPACITY] == {s.request_id for s in requeue}
+    assert worker not in platform.workers
+    assert (report.arrived, report.completed) == (174, 166)
+    assert report.drop_reasons == {"server_failure": 4, "no_capacity": 4}
+    assert report.invariant_violations == []
+    injected = [e for e in events if e.kind == ev.FAULT_INJECTED]
+    assert [e.args for e in injected] == [{
+        "fault": "instance_kill", "detail": f"function={function.name}",
+    }]
 
 
 def test_unsupported_fault_kinds_raise_at_run():
