@@ -61,9 +61,10 @@ COMPATIBILITY: Tuple[Row, ...] = (
         " LLM serving recovers through preemption at token granularity"),
     Row("telemetry", {"des": _ALL}, _DES_ONLY),
     Row("timeline", {"des": _ALL}, _DES_ONLY),
-    Row("sketch metrics", {"des": _SINGLE_SHOT, "fluid": ("infless",),
-                           "hybrid": ("infless",)},
-        "the LLM summary keeps per-request token records"),
+    Row("sketch metrics", {"des": _SINGLE_SHOT},
+        "the fluid and hybrid engines build their own report whatever"
+        " the metrics mode, and the LLM summary keeps per-request token"
+        " records"),
     Row("windowed arrivals", {"des": _SINGLE_SHOT},
         "the fluid engines read rates straight off the trace and the"
         " LLM summary keeps per-request token records"),
@@ -83,10 +84,11 @@ def requested_features(
 ) -> FrozenSet[str]:
     """The :data:`COMPATIBILITY` rows a spec asks for.
 
-    Plans, policies and observers count when truthy, as the runtimes
-    read them: an empty fault plan, or a timeline recorder holding no
-    rows, asks for nothing.  Delay faults count only before the
-    workload's horizon, where a run would inject them.
+    Plans, policies and tracers count when truthy, as the runtimes
+    read them: an empty fault plan asks for nothing.  A timeline
+    recorder counts whenever given, even one still holding no rows.
+    Delay faults count only before the workload's horizon, where a run
+    would inject them.
     """
     horizon_s = max(
         (trace.duration_s for trace in (workload or {}).values()),
@@ -103,7 +105,7 @@ def requested_features(
         ),
         "resilience": resilience,
         "telemetry": telemetry,
-        "timeline": timeline,
+        "timeline": timeline is not None,
         "sketch metrics": metrics_mode != "exact",
         "windowed arrivals": arrival_mode != "eager",
         "fleet": fleet is not None,

@@ -100,24 +100,29 @@ class LLMSimulation(RuntimeCore):
     # setup
     # ------------------------------------------------------------------
     def _schedule_arrivals(self) -> None:
+        arrivals: List[np.ndarray] = []
+        sequences: List[Sequence] = []
         for name, trace in self.workload.items():
             function = self.platform.function(name)
             spec = function.model
             times = sample_arrivals(trace, self._rng)
+            arrivals.append(times)
             # Token lengths draw from the same stream, in arrival
             # order, immediately after the times: the full request
             # stream is one deterministic read of the seeded rng.
-            for t in times:
-                seq = Sequence(
+            for t in times.tolist():
+                sequences.append(Sequence(
                     request_id=next(self._request_ids),
                     function=name,
-                    arrival=float(t),
+                    arrival=t,
                     slo_ttft_s=function.slo_s,
                     tpot_slo_s=self.platform.tpot_slo_s,
                     prompt_tokens=spec.sample_prompt_tokens(self._rng),
                     output_tokens=spec.sample_output_tokens(self._rng),
-                )
-                self.loop.schedule(float(t), EventKind.ARRIVAL, seq)
+                ))
+        self.loop.schedule_many(
+            np.concatenate(arrivals), EventKind.ARRIVAL, sequences
+        )
 
     # ------------------------------------------------------------------
     # arrival path

@@ -7,12 +7,12 @@ from typing import Any
 
 
 class EventKind(enum.Enum):
-    """What an event on the heap means."""
+    """What a queued event means."""
 
     #: a request arrives at the platform gateway.
     ARRIVAL = "arrival"
     #: windowed arrival mode: sample and schedule the next window of
-    #: arrivals (keeps the heap O(window), not O(trace)).
+    #: arrivals (keeps the arrival lane O(window), not O(trace)).
     ARRIVAL_REFILL = "arrival_refill"
     #: a batch queue's waiting deadline fires (flush partial batch).
     BATCH_TIMEOUT = "batch_timeout"

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import asdict
-from typing import Callable, Deque, Dict, List, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -558,7 +558,8 @@ class ServingSimulation(RuntimeCore):
         if self.arrival_mode == "windowed":
             # Per-function streams derived from the main stream in
             # sorted-name order: deterministic for a given seed, and
-            # the heap only ever holds one window of arrivals.
+            # the loop only ever holds one window of arrivals plus the
+            # previous window's still-undelivered tail.
             names = sorted(self.workload)
             seeds = self._rng.integers(0, 2**63 - 1, size=len(names))
             self._arrival_rngs = {
@@ -568,40 +569,50 @@ class ServingSimulation(RuntimeCore):
             self._window_start = 0.0
             self.loop.schedule(0.0, EventKind.ARRIVAL_REFILL)
             return
-        for name, trace in self.workload.items():
-            times = sample_arrivals(trace, self._rng)
-            self._schedule_arrival_times(name, times)
+        self._schedule_arrival_times([
+            (name, sample_arrivals(trace, self._rng))
+            for name, trace in self.workload.items()
+        ])
 
     def _arrival_slo(self, name: str) -> float:
         if self._successors:
             return self.workflow.end_to_end_slo_s
         return self.platform.function(name).slo_s
 
-    def _schedule_arrival_times(self, name: str, times: np.ndarray) -> None:
-        """Turn sampled arrival instants into heap events."""
-        delay = self._ingress_delay_s
-        spikes = self._ingress_spikes
-        slo = self._arrival_slo(name)
-        for t in times:
-            request = Request(function=name, arrival=float(t), slo_s=slo)
-            extra = 0.0
-            if spikes:
-                for spike in spikes:
-                    if spike.covers(float(t)):
+    def _schedule_arrival_times(
+        self, sampled: List[Tuple[str, np.ndarray]]
+    ) -> None:
+        """Book sampled arrival instants as one block of lane events.
+
+        Requests are built function by function, then by time, so their
+        ids follow the sampling order; each is due at its issue time
+        plus the ingress delay and any spike it falls in.
+        """
+        requests: List[Request] = []
+        for name, times in sampled:
+            slo = self._arrival_slo(name)
+            requests.extend(Request(name, t, slo) for t in times.tolist())
+        due = np.concatenate([times for _name, times in sampled])
+        due += self._ingress_delay_s
+        if self._ingress_spikes:
+            for index, request in enumerate(requests):
+                extra = 0.0
+                for spike in self._ingress_spikes:
+                    if spike.covers(request.arrival):
                         extra += spike.extra_delay_s
-            self.loop.schedule(
-                float(t) + delay + extra, EventKind.ARRIVAL, request
-            )
+                due[index] += extra
+        self.loop.schedule_many(due, EventKind.ARRIVAL, requests)
 
     def _on_arrival_refill(self, event: Event) -> None:
         """Sample one window of arrivals and book the next refill."""
         start = self._window_start
         end = min(start + self.arrival_window_s, self._horizon)
-        for name in sorted(self.workload):
-            times = sample_arrivals_window(
+        self._schedule_arrival_times([
+            (name, sample_arrivals_window(
                 self.workload[name], self._arrival_rngs[name], start, end
-            )
-            self._schedule_arrival_times(name, times)
+            ))
+            for name in sorted(self.workload)
+        ])
         self._window_start = end
         if end < self._horizon:
             self.loop.schedule(end, EventKind.ARRIVAL_REFILL)
@@ -725,7 +736,11 @@ class ServingSimulation(RuntimeCore):
 
     def _on_wake(self, event: Event) -> None:
         instance: Instance = event.payload
-        self._wake_scheduled.pop(instance.instance_id, None)
+        if self._wake_scheduled.get(instance.instance_id) != event.time:
+            # Stale: another booking superseded this wake and fires on
+            # its own; acting here would only book that deadline twice.
+            return
+        del self._wake_scheduled[instance.instance_id]
         self._maybe_start(instance)
 
     def _start_batch(self, instance: Instance) -> None:

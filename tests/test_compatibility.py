@@ -136,6 +136,24 @@ def test_factory_platforms_are_checked_once_built():
         experiment.build()
 
 
+@pytest.mark.parametrize("engine", ["fluid", "hybrid"])
+@pytest.mark.parametrize("option, row", [
+    # A fresh recorder holds no rows, yet it is still a timeline.
+    ({"timeline": True}, "timeline"),
+    ({"metrics_mode": "sketch"}, "sketch metrics"),
+])
+def test_fluid_engines_refuse_what_they_would_ignore(engine, option, row):
+    function = FunctionSpec.for_model("mnist", slo_s=0.1)
+    with pytest.raises(ValueError, match=f"compatibility row '{row}'"):
+        Experiment(
+            platform="infless",
+            engine=engine,
+            functions=[function],
+            workload={function.name: constant_trace(20.0, DURATION_S)},
+            **option,
+        )
+
+
 def test_delay_faults_count_only_inside_the_horizon():
     late = FaultPlan(events=(
         IngressSpike(at_s=2 * DURATION_S, duration_s=1.0, extra_delay_s=0.1),

@@ -1,9 +1,17 @@
 """Tests for the event loop, metrics and the serving runtime."""
 
+import hashlib
+import json
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
 
+import repro.simulation.runtime as runtime
 from repro.cluster import build_testbed_cluster
 from repro.core import FunctionSpec, INFlessEngine
+from repro.faults import FaultPlan, IngressSpike
 from repro.simulation import (
     EventBudgetExceeded,
     EventKind,
@@ -12,7 +20,8 @@ from repro.simulation import (
     ServingSimulation,
 )
 from repro.simulation.metrics import RequestRecord
-from repro.workloads import constant_trace
+from repro.workloads import build_osvt, constant_trace
+from repro.workloads.generators import bursty_trace
 
 
 class TestEventLoop:
@@ -80,6 +89,141 @@ class TestEventLoop:
         assert excinfo.value.budget == 100
         assert excinfo.value.now == pytest.approx(99.0)
         assert loop.now == excinfo.value.now
+
+    # -- the arrival lane (schedule_many) ------------------------------
+    @staticmethod
+    def _recording_loop():
+        loop = EventLoop()
+        seen = []
+        for kind in (EventKind.ARRIVAL, EventKind.BATCH_TIMEOUT):
+            loop.on(kind, lambda e: seen.append((e.time, e.seq, e.payload)))
+        return loop, seen
+
+    def test_lane_and_heap_ties_run_in_seq_order(self):
+        loop, seen = self._recording_loop()
+        loop.schedule(1.0, EventKind.BATCH_TIMEOUT, "heap")
+        loop.schedule_many([1.0], EventKind.ARRIVAL, ["lane"])
+        loop.run()
+        assert [p for _t, _s, p in seen] == ["heap", "lane"]
+
+        loop, seen = self._recording_loop()
+        loop.schedule_many([1.0], EventKind.ARRIVAL, ["lane"])
+        loop.schedule(1.0, EventKind.BATCH_TIMEOUT, "heap")
+        loop.run()
+        assert [p for _t, _s, p in seen] == ["lane", "heap"]
+
+    def test_lane_reserves_one_seq_per_event(self):
+        loop, seen = self._recording_loop()
+        loop.schedule_many([3.0, 1.0, 2.0], EventKind.ARRIVAL, "abc")
+        assert loop.schedule(0.5, EventKind.BATCH_TIMEOUT, "d").seq == 3
+        loop.run()
+        assert seen == [
+            (0.5, 3, "d"), (1.0, 1, "b"), (2.0, 2, "c"), (3.0, 0, "a"),
+        ]
+
+    def test_lane_sorts_stably_and_clamps_to_now(self):
+        loop, seen = self._recording_loop()
+        loop.schedule(5.0, EventKind.BATCH_TIMEOUT, "tick")
+        loop.run()
+        loop.schedule_many(
+            [7.0, 2.0, 6.0, 2.0, 6.0], EventKind.ARRIVAL, "abcde"
+        )
+        loop.run()
+        assert [(t, p) for t, _s, p in seen] == [
+            (5.0, "tick"), (5.0, "b"), (5.0, "d"), (6.0, "c"), (6.0, "e"),
+            (7.0, "a"),
+        ]
+
+    def test_second_block_merges_into_undrained_tail(self):
+        loop, seen = self._recording_loop()
+
+        def refill(event):
+            seen.append((event.time, event.seq, event.payload))
+            loop.schedule_many(
+                [3.0, 2.0, 5.0, 4.0], EventKind.ARRIVAL,
+                ["new3", "new2", "new5", "new4"],
+            )
+
+        loop.on(EventKind.ARRIVAL_REFILL, refill)
+        loop.schedule_many(
+            [1.0, 3.0, 5.0, 6.0], EventKind.ARRIVAL,
+            ["old1", "old3", "old5", "old6"],
+        )
+        loop.schedule(1.5, EventKind.ARRIVAL_REFILL, "refill")
+        loop.run()
+        assert [p for _t, _s, p in seen] == [
+            "old1", "refill", "new2", "old3", "new3", "new4", "old5",
+            "new5", "old6",
+        ]
+
+    def test_lane_matches_one_heap(self):
+        """Any mix of lane blocks and heap events pops as one heap would."""
+
+        def replay(use_lane, seed):
+            rng = random.Random(seed)
+            loop = EventLoop()
+            seen = []
+
+            def book_block():
+                times = [
+                    round(loop.now + rng.uniform(0, 4), 1)
+                    for _ in range(rng.randrange(1, 8))
+                ]
+                payloads = [f"a{rng.random():.6f}" for _ in times]
+                if use_lane:
+                    loop.schedule_many(times, EventKind.ARRIVAL, payloads)
+                else:
+                    for time, payload in zip(times, payloads):
+                        loop.schedule(time, EventKind.ARRIVAL, payload)
+
+            def handler(event):
+                seen.append((event.time, event.seq, event.kind, event.payload))
+                roll = rng.random()
+                if roll < 0.3:
+                    loop.schedule(
+                        round(loop.now + rng.uniform(0, 2), 1),
+                        EventKind.BATCH_TIMEOUT, f"h{len(seen)}",
+                    )
+                elif roll < 0.4 and len(seen) < 200:
+                    book_block()
+
+            loop.on(EventKind.ARRIVAL, handler)
+            loop.on(EventKind.BATCH_TIMEOUT, handler)
+            book_block()
+            loop.schedule(0.5, EventKind.BATCH_TIMEOUT, "h0")
+            book_block()
+            loop.run()
+            return seen
+
+        for seed in range(25):
+            assert replay(True, seed) == replay(False, seed), seed
+
+    def test_run_until_stops_inside_the_lane(self):
+        loop, seen = self._recording_loop()
+        loop.schedule_many([1.0, 2.0, 3.0], EventKind.ARRIVAL, "abc")
+        loop.run(until=2.0)
+        assert [p for _t, _s, p in seen] == ["a", "b"]
+        assert loop.peek_time() == 3.0
+        loop.run()
+        assert [p for _t, _s, p in seen] == ["a", "b", "c"]
+        assert loop.peek_time() is None
+
+    def test_event_budget_counts_lane_events(self):
+        loop, _seen = self._recording_loop()
+        loop.schedule_many(
+            [float(t) for t in range(10)], EventKind.ARRIVAL, list(range(10))
+        )
+        loop.schedule(2.5, EventKind.BATCH_TIMEOUT, "heap")
+        with pytest.raises(EventBudgetExceeded) as excinfo:
+            loop.run(max_events=5)
+        assert excinfo.value.processed == 5
+        assert excinfo.value.now == 3.0
+
+    def test_lane_holds_one_kind(self):
+        loop = EventLoop()
+        loop.schedule_many([1.0], EventKind.ARRIVAL, ["a"])
+        with pytest.raises(ValueError, match="lane"):
+            loop.schedule_many([2.0], EventKind.RETRY, ["b"])
 
 
 def record(arrival, completion, slo=0.2, fn="f", batch=4):
@@ -279,6 +423,24 @@ class TestServingSimulation:
         assert report.mean_weighted_usage > 0
         assert report.resource_time_weighted > 0
 
+    def test_each_batch_wake_is_booked_once(self, predictor, executor):
+        """A stale wake must not re-book the deadline already queued."""
+        sim, _fn = build_sim(
+            duration=20.0, predictor=predictor, executor=executor
+        )
+        booked = Counter()
+        schedule = sim.loop.schedule
+
+        def recording_schedule(time, kind, payload=None):
+            if kind is EventKind.BATCH_TIMEOUT:
+                booked[payload.instance_id, time] += 1
+            return schedule(time, kind, payload)
+
+        sim.loop.schedule = recording_schedule
+        assert sim.run().completed > 0
+        assert booked
+        assert max(booked.values()) == 1
+
 
 class TestReportSerialisation:
     def test_to_dict_json_roundtrip(self):
@@ -295,3 +457,83 @@ class TestReportSerialisation:
         assert restored["batch_histogram"] == {"4": 1}
         assert "b4c2g20" in restored["config_histogram"]
         assert restored["violation_rate"] == 0.0
+
+
+class TestArrivalOrder:
+    """Orderings the arrival lane must keep from the all-heap loop."""
+
+    @pytest.mark.parametrize("spiked, digest", [
+        (False,
+         "5affc704b9280debcbb77ac91696bdb82c4c0f31ae6b0583c9ad778abfe56e63"),
+        # The spike delays arrivals past the next window's refill, so
+        # each refill merges into an undrained tail.
+        (True,
+         "3ec5ee9ae4ad58943264c2752c9eb3042acad5dd62da07f4f492afd962013bd3"),
+    ])
+    def test_windowed_osvt_report_is_pinned(
+        self, spiked, digest, predictor, executor
+    ):
+        app = build_osvt()
+        trace = bursty_trace(
+            300.0, 30.0, period_s=30.0, burst_rate_per_hour=30.0,
+            burst_duration_s=30.0, seed=22,
+        )
+        engine = INFlessEngine(
+            build_testbed_cluster(num_servers=8), predictor=predictor
+        )
+        for function in app.functions:
+            engine.deploy(function)
+        faults = FaultPlan(events=(
+            IngressSpike(at_s=5.0, duration_s=4.0, extra_delay_s=2.5),
+        )) if spiked else None
+        simulation = ServingSimulation(
+            platform=engine,
+            executor=executor,
+            workload={
+                name: trace.with_mean(rps)
+                for name, rps in app.rps_split(trace.mean_rps).items()
+            },
+            warmup_s=5.0,
+            arrival_mode="windowed",
+            arrival_window_s=7.0,
+            faults=faults,
+            seed=5,
+        )
+        report = simulation.run().to_dict()
+        report.pop("scheduling_overhead_s")
+        encoded = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest() == digest
+
+    def test_spiked_arrivals_run_in_due_order_ties_in_schedule_order(
+        self, monkeypatch, predictor, executor
+    ):
+        # Binary-exact times: the spike moves a's 0.5 onto its own 0.75
+        # and b's 0.5 onto the same instant, and b's 0.25 ties a's.
+        issued = iter([
+            np.array([0.25, 0.5, 0.75, 1.25]), np.array([0.25, 0.5, 1.0]),
+        ])
+        monkeypatch.setattr(
+            runtime, "sample_arrivals", lambda trace, rng: next(issued)
+        )
+        seen = []
+
+        class Recording(ServingSimulation):
+            def _admit(self, request):
+                seen.append((self.loop.now, request.function, request.arrival))
+                super()._admit(request)
+
+        engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
+        for name in ("a", "b"):
+            engine.deploy(FunctionSpec.for_model("mnist", slo_s=0.2, name=name))
+        Recording(
+            engine, executor,
+            {name: constant_trace(1.0, 2.0) for name in ("a", "b")},
+            faults=FaultPlan(events=(
+                IngressSpike(at_s=0.5, duration_s=0.25, extra_delay_s=0.25),
+            )),
+        ).run()
+        assert seen == [
+            (0.25, "a", 0.25), (0.25, "b", 0.25),
+            (0.75, "a", 0.5), (0.75, "a", 0.75), (0.75, "b", 0.5),
+            (1.0, "b", 1.0), (1.25, "a", 1.25),
+        ]
