@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
 
+from repro.baselines.common import UniformScalingPlatform
 from repro.core.engine import INFlessEngine
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance
@@ -41,7 +42,6 @@ class CapacityResult:
     config_counts: Dict[tuple, int] = field(default_factory=dict)
     #: (batch, cpu, gpu) -> summed r_up (Fig. 13 throughput shares).
     config_capacity: Dict[tuple, float] = field(default_factory=dict)
-    scheduling_overhead_s: float = 0.0
 
     @property
     def max_app_rps(self) -> float:
@@ -136,24 +136,23 @@ def stress_fill_infless(
             engine.deploy(function)
 
     def place_one(function: FunctionSpec) -> Optional[Instance]:
-        outcome = engine.scheduler.schedule(
+        placed = engine.scheduler.schedule(
             function, STRESS_RPS, max_instances=1
-        )
-        result.scheduling_overhead_s += outcome.overhead_s
-        return outcome.instances[0] if outcome.instances else None
+        ).instances
+        return placed[0] if placed else None
 
     _balanced_fill(result, functions, place_one)
     return _finish(result, engine.cluster)
 
 
 def stress_fill_uniform(
-    platform,
+    platform: UniformScalingPlatform,
     functions: Sequence[FunctionSpec],
     shares: Optional[Dict[str, float]] = None,
 ) -> CapacityResult:
     """Fill the cluster with a uniform-scaling platform's instances."""
     result = CapacityResult(
-        platform=getattr(platform, "name", "uniform"),
+        platform=platform.name,
         per_function_rps={fn.name: 0.0 for fn in functions},
         shares=_normalised_shares(functions, shares),
     )

@@ -11,14 +11,13 @@ concrete baselines override configuration selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster, Placement
 from repro.cluster.resources import ResourceVector
-from repro.core.autoscaler import InstanceRegistry, WarmPoolEntry
+from repro.core.autoscaler import ControlOutcome, InstanceRegistry, WarmPoolEntry
 from repro.core.batching import RateBounds
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance, InstanceState
@@ -27,17 +26,6 @@ from repro.profiling.configspace import InstanceConfig
 from repro.profiling.predictor import LatencyPredictor
 from repro.telemetry import spans as ev
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-
-
-@dataclass
-class BaselineAction:
-    """Control-step result (mirrors ScalingAction's useful fields)."""
-
-    launched: int = 0
-    reclaimed: int = 0
-    released: int = 0
-    target: int = 0
-    scheduling_overhead_s: float = 0.0
 
 
 class UniformScalingPlatform(InstanceRegistry):
@@ -223,12 +211,12 @@ class UniformScalingPlatform(InstanceRegistry):
     # ------------------------------------------------------------------
     # the control step
     # ------------------------------------------------------------------
-    def control(self, name: str, rps: float, now: float) -> BaselineAction:
+    def control(self, name: str, rps: float, now: float) -> ControlOutcome:
         self.version += 1
         self.expire_warm_pool(now)
         function = self._functions[name]
         active = self._active[name]
-        action = BaselineAction()
+        outcome = ControlOutcome()
 
         config = self.select_config(function, rps)
         required = rps / self.headroom
@@ -244,13 +232,13 @@ class UniformScalingPlatform(InstanceRegistry):
             instance = self._reclaim_warm(name, config, now)
             if instance is not None:
                 self.stats.warm_reuses += 1
-                action.reclaimed += 1
+                outcome.reclaimed.append(instance)
             else:
                 instance = self._make_instance(function, config, now)
                 if instance is None:
                     break  # cluster full
                 self.stats.cold_starts += 1
-                action.launched += 1
+                outcome.launched.append(instance)
                 if self.tracer.enabled:
                     self.tracer.emit(
                         ev.COLD_START, now, function=name,
@@ -260,25 +248,24 @@ class UniformScalingPlatform(InstanceRegistry):
                     )
             self.stats.launches += 1
             active.append(instance)
-        if self.tracer.enabled and (action.launched or action.reclaimed):
+        if self.tracer.enabled and (outcome.launched or outcome.reclaimed):
             self.tracer.emit(
-                ev.SCALE_UP, now, function=name, launched=action.launched,
-                reclaimed=action.reclaimed, residual_rps=shortfall_rps,
+                ev.SCALE_UP, now, function=name,
+                launched=len(outcome.launched),
+                reclaimed=len(outcome.reclaimed), residual_rps=shortfall_rps,
             )
 
         # Scale in while the remaining fleet still covers the load.
+        released = 0
         while len(active) > (1 if rps > 0 else 0):
             victim = self._pick_victim(active)
             if victim is None or capacity() - victim.r_up < required:
                 break
             active.remove(victim)
             self._retire(name, victim, now)
-            action.released += 1
-        if self.tracer.enabled and action.released:
-            self.tracer.emit(
-                ev.SCALE_DOWN, now, function=name, released=action.released
-            )
-        action.target = len(active)
+            released += 1
+        if self.tracer.enabled and released:
+            self.tracer.emit(ev.SCALE_DOWN, now, function=name, released=released)
 
         share = rps / len(active) if active else 0.0
         for instance in active:
@@ -288,7 +275,7 @@ class UniformScalingPlatform(InstanceRegistry):
                 and now >= instance.ready_at
             ):
                 instance.state = InstanceState.ACTIVE
-        return action
+        return outcome
 
     def _pick_victim(self, active: List[Instance]) -> Optional[Instance]:
         """The least throughput-dense idle instance retires first."""

@@ -97,9 +97,7 @@ def execute_run(
 
     Rebuilds the experiment from pure data (registry platform name +
     kwargs), runs it under the optional time limit and returns the
-    storable result payload.  ``scheduling_overhead_s`` -- the one
-    wall-clock-dependent report field -- is stripped so stored results
-    and aggregates are byte-deterministic.
+    storable result payload.
     """
     from repro.api import Experiment
 
@@ -113,8 +111,6 @@ def execute_run(
 
     with _time_limit(timeout_s):
         bench = measure(f"campaign:{run.spec_hash()}", _run)
-    report = dict(report_holder["report"])
-    report.pop("scheduling_overhead_s", None)
     return {
         "schema": STORE_SCHEMA,
         "campaign": run.campaign,
@@ -122,7 +118,7 @@ def execute_run(
         "replicate": run.replicate,
         "seed": run.seed,
         "spec_hash": run.spec_hash(),
-        "report": report,
+        "report": report_holder["report"],
         # Timing rides along for the manifest but is excluded from
         # report.json aggregation inputs (it is machine-dependent).
         "wall_s": bench.wall_s,

@@ -140,15 +140,11 @@ def _run_function(
         control_interval_s=config.control_interval_s,
         seed=seed,
     ).run()
-    payload = report.to_dict()
-    # The one wall-clock-dependent field; stored shard results must be
-    # byte-deterministic.
-    payload.pop("scheduling_overhead_s", None)
     return {
         "schema": SHARD_SCHEMA,
         "function": name,
         "seed": seed,
-        "report": payload,
+        "report": report.to_dict(),
     }
 
 

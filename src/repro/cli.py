@@ -93,7 +93,11 @@ def _cmd_list_models(_args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     predictor = build_default_predictor()
     executor = GroundTruthExecutor()
-    predicted = predictor.predict(args.model, args.batch, args.cpu, args.gpu)
+    try:
+        predicted = predictor.predict(args.model, args.batch, args.cpu, args.gpu)
+    except KeyError as exc:  # no profile at that configuration
+        print(f"cannot predict: {exc.args[0]}", file=sys.stderr)
+        return 1
     actual = executor.mean_execution_time(
         __import__("repro.models", fromlist=["get_model"]).get_model(args.model),
         args.batch, args.cpu, args.gpu,
@@ -108,6 +112,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
+    if args.servers < 1:
+        print("--servers must be at least 1", file=sys.stderr)
+        return 1
     predictor = build_default_predictor()
     app = {"osvt": build_osvt, "qa": build_qa_robot}[args.app]()
     rows = []
@@ -401,9 +408,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     """SLO feasibility & sizing table for one function."""
     from repro.analysis import SLOPlanner
 
-    predictor = build_default_predictor()
-    planner = SLOPlanner(predictor)
-    function = FunctionSpec.for_model(args.model, slo_s=args.slo_ms / 1e3)
+    if args.rps < 0:
+        print("--rps must be non-negative", file=sys.stderr)
+        return 1
+    try:
+        function = FunctionSpec.for_model(args.model, slo_s=args.slo_ms / 1e3)
+    except ValueError as exc:
+        print(f"cannot plan: {exc}", file=sys.stderr)
+        return 1
+    planner = SLOPlanner(build_default_predictor())
     if not planner.is_feasible(function):
         tightest = planner.tightest_feasible_slo(function)
         floor = f"{tightest * 1e3:.0f} ms" if tightest else "unknown"
@@ -688,12 +701,16 @@ def _cmd_fluid_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_coldstart(args: argparse.Namespace) -> int:
-    fleet = coldstart_fleet_invocations(duration_s=args.days * 86400.0)
-    policies = [
-        FixedKeepAlive(600.0),
-        HybridHistogramPolicy(),
-        build_coldstart_policy("lsth", gamma=args.gamma),
-    ]
+    try:
+        fleet = coldstart_fleet_invocations(duration_s=args.days * 86400.0)
+        policies = [
+            FixedKeepAlive(600.0),
+            HybridHistogramPolicy(),
+            build_coldstart_policy("lsth", gamma=args.gamma),
+        ]
+    except ValueError as exc:
+        print(f"cannot run: {exc}", file=sys.stderr)
+        return 1
     rows = [
         [ev.policy, f"{ev.cold_start_rate:.2%}",
          f"{ev.wasted_loaded_s / 3600:,.0f}h"]

@@ -41,7 +41,7 @@ from repro.core.coldstart import (
     IDLE_SWAP,
     KeepAlivePolicy,
 )
-from repro.core.dispatcher import ALPHA_DEFAULT, DispatchPlan, plan_dispatch
+from repro.core.dispatcher import ALPHA_DEFAULT, plan_dispatch
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance, InstanceState
 from repro.core.scheduler import GreedyScheduler
@@ -92,14 +92,17 @@ class ScalingStats:
 
 
 @dataclass
-class ScalingAction:
-    """What one control step did for one function."""
+class ControlOutcome:
+    """What one control step did for one function, on any platform.
 
-    plan: DispatchPlan
+    ``dispatch_case`` is the section-3.2 case INFless's dispatcher
+    applied (``"i"``, ``"ii"``, ``"ii-under"`` or ``"iii"``); platforms
+    without a dispatcher leave it empty.
+    """
+
     launched: List[Instance] = field(default_factory=list)
     reclaimed: List[Instance] = field(default_factory=list)
-    leftover_rps: float = 0.0
-    scheduling_overhead_s: float = 0.0
+    dispatch_case: str = ""
 
 
 class InstanceRegistry:
@@ -499,13 +502,13 @@ class AutoScaler(InstanceRegistry):
     # ------------------------------------------------------------------
     def observe(
         self, function: FunctionSpec, rps: float, now: float
-    ) -> ScalingAction:
+    ) -> ControlOutcome:
         """One control step for one function at time ``now``.
 
         Runs the dispatcher over the function's active instances,
         reclaims warm instances and/or schedules new ones for overflow
         load, retires surplus instances per case (iii), and returns the
-        resulting action (with per-instance rates applied in place).
+        resulting outcome (with per-instance rates applied in place).
         """
         self.version += 1
         self.expire_warm_pool(now)
@@ -528,18 +531,13 @@ class AutoScaler(InstanceRegistry):
 
         launched: List[Instance] = []
         reclaimed: List[Instance] = []
-        leftover = 0.0
-        overhead = 0.0
         if plan.residual_rps > 0:
             reclaimed = self._reclaim(function, plan.residual_rps, now)
             residual = plan.residual_rps - sum(inst.r_up for inst in reclaimed)
             if residual > 1e-9:
                 residual -= self._vertical_scale(function, active, residual, now)
             if residual > 1e-9:
-                outcome = self.scheduler.schedule(function, residual)
-                launched = outcome.instances
-                leftover = outcome.leftover_rps
-                overhead = outcome.overhead_s
+                launched = self.scheduler.schedule(function, residual).instances
                 for instance in launched:
                     instance.ready_at = now + function.model.cold_start_s
                     self.stats.cold_starts += 1
@@ -571,13 +569,7 @@ class AutoScaler(InstanceRegistry):
             ):
                 instance.state = InstanceState.ACTIVE
 
-        return ScalingAction(
-            plan=plan,
-            launched=launched,
-            reclaimed=reclaimed,
-            leftover_rps=leftover,
-            scheduling_overhead_s=overhead,
-        )
+        return ControlOutcome(launched, reclaimed, dispatch_case=plan.case)
 
 
 class HybridAutoScaler(AutoScaler):

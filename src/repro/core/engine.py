@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.core.autoscaler import AutoScaler, HybridAutoScaler, ScalingAction
+from repro.core.autoscaler import AutoScaler, ControlOutcome, HybridAutoScaler
 from repro.core.coldstart import KeepAlivePolicy, build_coldstart_policy
 from repro.core.dispatcher import ALPHA_DEFAULT
 from repro.core.function import FunctionSpec
@@ -121,7 +121,7 @@ class INFlessEngine:
     # ------------------------------------------------------------------
     # control plane
     # ------------------------------------------------------------------
-    def control(self, name: str, rps: float, now: float) -> ScalingAction:
+    def control(self, name: str, rps: float, now: float) -> ControlOutcome:
         """One auto-scaling control step for a function."""
         return self.autoscaler.observe(self.function(name), rps, now)
 

@@ -30,7 +30,6 @@ generations: its one index serves every row.
 from __future__ import annotations
 
 import bisect
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -56,8 +55,6 @@ class SchedulingOutcome:
 
     instances: List[Instance] = field(default_factory=list)
     leftover_rps: float = 0.0
-    #: wall-clock seconds spent inside Schedule() (Fig. 17a metric).
-    overhead_s: float = 0.0
 
     @property
     def placed_capacity(self) -> float:
@@ -358,7 +355,6 @@ class GreedyScheduler:
         """
         if residual_rps < 0:
             raise ValueError("residual_rps must be non-negative")
-        started = time.perf_counter()
         outcome = SchedulingOutcome()
         remaining = residual_rps
         batches = [
@@ -383,7 +379,6 @@ class GreedyScheduler:
             remaining = max(0.0, remaining - placed.r_up)
 
         outcome.leftover_rps = remaining
-        outcome.overhead_s = time.perf_counter() - started
         return outcome
 
     def _schedule_one(

@@ -80,7 +80,6 @@ def report_from_merged(merged: Dict[str, object]) -> SimulationReport:
         per_function_violation=dict(merged["per_function_violation"]),
         normalized_throughput=float(merged["normalized_throughput"]),
         achieved_rps=float(merged["achieved_rps"]),
-        scheduling_overhead_s=0.0,
         reserved_idle_resource_s=float(merged["reserved_idle_resource_s"]),
         cpu_core_seconds=float(merged["cpu_core_seconds"]),
         gpu_seconds=float(merged["gpu_seconds"]),
@@ -268,8 +267,7 @@ class FluidSimulation:
     def _function_report(self, fluid: FunctionFluid) -> Dict[str, object]:
         """One function's state -> a sketch-mode report payload dict.
 
-        The payload matches what a sharded micro-simulation stores
-        (minus ``scheduling_overhead_s``), so
+        The payload matches what a sharded micro-simulation stores, so
         :func:`~repro.campaign.shards.merge_function_results` folds
         fluid and discrete payloads interchangeably.
         """

@@ -130,11 +130,7 @@ class HybridSimulation:
             rate_mode=self.rate_mode,
             seed=function_seed(self.seed, name),
         ).run()
-        payload = report.to_dict()
-        # Wall-clock noise must not leak into the merged report; the
-        # sharded replays pop this field for the same reason.
-        payload.pop("scheduling_overhead_s", None)
-        return {"function": name, "report": payload}
+        return {"function": name, "report": report.to_dict()}
 
     def run(self) -> SimulationReport:
         """Run both sides, merge, return the standard report."""

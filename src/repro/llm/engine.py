@@ -30,6 +30,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import ResourceVector
 from repro.cluster.server import AllocationError, GpuDevice
+from repro.core.autoscaler import ControlOutcome
 from repro.core.function import FunctionSpec
 from repro.models.llm import LLMSpec
 from repro.llm.sequence import Sequence, SequenceState
@@ -404,15 +405,19 @@ class ContinuousBatchingLLM:
         """Count one arrival against ``name`` (protocol bookkeeping)."""
         self._invocations[name] = self._invocations.get(name, 0) + 1
 
-    def control(self, name: str, rps: float, now: float) -> None:
-        """Per-tick control: heal replica deficits after recoveries."""
+    def control(self, name: str, rps: float, now: float) -> ControlOutcome:
+        """Per-tick control: heal replica deficits after recoveries.
+
+        Workers are not :class:`~repro.core.instance.Instance` objects,
+        so the outcome is always empty.
+        """
         function = self.functions.get(name)
-        if function is None:
-            return
-        deficit = self.replicas - len(self._by_function[name])
-        for _missing in range(deficit):
-            if self._place_worker(function) is None:
-                break
+        if function is not None:
+            deficit = self.replicas - len(self._by_function[name])
+            for _missing in range(deficit):
+                if self._place_worker(function) is None:
+                    break
+        return ControlOutcome()
 
     def route(self, function_name: str) -> Optional[LLMWorker]:
         """Least-loaded worker for ``function_name`` (id tie-break)."""

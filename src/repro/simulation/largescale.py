@@ -18,6 +18,7 @@ from repro.cluster.cluster import Cluster, build_testbed_cluster
 from repro.core.engine import INFlessEngine
 from repro.core.function import FunctionSpec
 from repro.models.zoo import MODEL_ZOO
+from repro.simulation.platform import ServingPlatform
 
 #: the paper's large-scale cluster size.
 LARGE_CLUSTER_SERVERS = 2000
@@ -136,7 +137,6 @@ class ProvisioningResult:
     weighted_resources_used: float
     fragment_ratio: float
     instances: int
-    scheduling_overhead_s: float = 0.0
 
     @property
     def total_rps(self) -> float:
@@ -166,8 +166,8 @@ def function_loads(
 
 
 def _resolve_factory(
-    factory: "Callable[[Cluster], object] | str",
-) -> Callable[[Cluster], object]:
+    factory: "Callable[[Cluster], ServingPlatform] | str",
+) -> Callable[[Cluster], ServingPlatform]:
     """Accept a ``cluster -> platform`` callable or a registry name."""
     if isinstance(factory, str):
         from repro.api import make_platform
@@ -178,7 +178,7 @@ def _resolve_factory(
 
 
 def largescale_capacity(
-    platform_factory: "Callable[[Cluster], object] | str",
+    platform_factory: "Callable[[Cluster], ServingPlatform] | str",
     num_functions: int,
     num_servers: int = LARGE_CLUSTER_SERVERS,
     slos: Sequence[float] = FLEET_SLOS,
@@ -189,25 +189,22 @@ def largescale_capacity(
     platform = _resolve_factory(platform_factory)(cluster)
     functions = make_function_fleet(num_functions, slos=slos)
     loads = function_loads(functions, base_rps=base_rps)
-    overhead = 0.0
     count = 0
     for function in functions:
         platform.deploy(function)
-        action = platform.control(function.name, loads[function.name], now=0.0)
-        overhead += getattr(action, "scheduling_overhead_s", 0.0)
+        platform.control(function.name, loads[function.name], now=0.0)
         count += len(platform.instances(function.name))
     return ProvisioningResult(
-        platform=getattr(platform, "name", type(platform).__name__.lower()),
+        platform=platform.name,
         loads=loads,
         weighted_resources_used=cluster.weighted_used(),
         fragment_ratio=cluster.fragment_ratio(),
         instances=count,
-        scheduling_overhead_s=overhead,
     )
 
 
 def throughput_vs_functions(
-    platform_factories: "Dict[str, Callable[[Cluster], object] | str]",
+    platform_factories: "Dict[str, Callable[[Cluster], ServingPlatform] | str]",
     function_counts: Sequence[int] = (10, 20, 30, 40),
     num_servers: int = LARGE_CLUSTER_SERVERS,
     base_rps: float = 400.0,
@@ -230,7 +227,7 @@ def throughput_vs_functions(
 
 
 def throughput_vs_slo(
-    platform_factories: "Dict[str, Callable[[Cluster], object] | str]",
+    platform_factories: "Dict[str, Callable[[Cluster], ServingPlatform] | str]",
     slos: Sequence[float] = (0.15, 0.2, 0.25, 0.3),
     num_functions: int = 20,
     num_servers: int = LARGE_CLUSTER_SERVERS,

@@ -107,7 +107,6 @@ class SimulationReport:
     #: completed requests / weighted resource-seconds (Fig. 12 metric).
     normalized_throughput: float
     achieved_rps: float
-    scheduling_overhead_s: float
     reserved_idle_resource_s: float
     #: CPU/GPU core-seconds for the Table 4 cost model.
     cpu_core_seconds: float
@@ -228,7 +227,6 @@ class MetricsCollector:
         self.records: List[RequestRecord] = []
         self._arrival_times: List[float] = []
         self._drops: List[Tuple[float, str]] = []  # (time, reason)
-        self.scheduling_overhead_s = 0.0
         self._usage_samples: List[Tuple[float, float]] = []  # (time, weighted)
         self._cpu_samples: List[Tuple[float, float]] = []
         self._gpu_samples: List[Tuple[float, float]] = []
@@ -390,9 +388,6 @@ class MetricsCollector:
         """Snapshot the platform's *cumulative* scaling counters."""
         self._scaling_samples.append((now, cold_starts, launches, warm_reuses))
 
-    def record_scheduling_overhead(self, seconds: float) -> None:
-        self.scheduling_overhead_s += seconds
-
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
@@ -546,7 +541,6 @@ class MetricsCollector:
             per_function_violation=per_fn,
             normalized_throughput=normalized,
             achieved_rps=completed / duration_s if duration_s > 0 else 0.0,
-            scheduling_overhead_s=self.scheduling_overhead_s,
             reserved_idle_resource_s=reserved_idle_resource_s,
             cpu_core_seconds=self._integrate(cpu_integration),
             gpu_seconds=self._integrate(gpu_integration) / 100.0,
@@ -643,7 +637,6 @@ class MetricsCollector:
             per_function_violation=per_fn,
             normalized_throughput=normalized,
             achieved_rps=completed / duration_s if duration_s > 0 else 0.0,
-            scheduling_overhead_s=self.scheduling_overhead_s,
             reserved_idle_resource_s=reserved_idle_resource_s,
             cpu_core_seconds=self._cpu_integral,
             gpu_seconds=self._gpu_integral / 100.0,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Protocol, runtime_checkable
 
 from repro.cluster.cluster import Cluster
-from repro.core.autoscaler import InstanceRegistry
+from repro.core.autoscaler import ControlOutcome, InstanceRegistry
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance
 
@@ -67,11 +67,14 @@ class ServingPlatform(Protocol):
     def function(self, name: str) -> FunctionSpec:
         """Look up a deployed function."""
 
-    def control(self, name: str, rps: float, now: float) -> object:
-        """One auto-scaling step; returns a platform-specific action.
+    def control(self, name: str, rps: float, now: float) -> ControlOutcome:
+        """One auto-scaling step for ``name`` at measured rate ``rps``.
 
-        If the returned object exposes ``scheduling_overhead_s``, the
-        runtime accumulates it for the Fig. 17(a) analysis.
+        Returns what the step did: the instances it launched and
+        reclaimed, and INFless's dispatch case (empty elsewhere). The
+        outcome carries no wall-clock reading, so reports stay
+        deterministic; Fig. 17(a) times the scheduler itself
+        (:func:`~repro.simulation.largescale.scheduling_overhead_curve`).
         """
 
     def record_invocation(self, name: str, now: float) -> None:

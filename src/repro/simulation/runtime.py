@@ -42,6 +42,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.cluster.fleet import profile_map
+from repro.core.autoscaler import ControlOutcome
 from repro.core.instance import Instance, InstanceState
 from repro.faults import (
     ColdStartStraggler,
@@ -1099,13 +1100,10 @@ class ServingSimulation(RuntimeCore):
 
     def _control(self, name: str, now: float) -> None:
         rate = self._estimate_rate(name)
-        action = self.platform.control(name, rate, now)
-        overhead = getattr(action, "scheduling_overhead_s", 0.0)
-        if overhead:
-            self.metrics.record_scheduling_overhead(overhead)
+        outcome = self.platform.control(name, rate, now)
         self._drain_pending(name)
         if self.timeline is not None:
-            self._sample_timeline(name, rate, action, now)
+            self._sample_timeline(name, rate, outcome, now)
 
     def _after_control(self, now: float) -> None:
         if self._straggler_windows:
@@ -1138,7 +1136,7 @@ class ServingSimulation(RuntimeCore):
             self._enqueue(instance, pending.popleft())
 
     def _sample_timeline(
-        self, name: str, rate: float, action: object, now: float
+        self, name: str, rate: float, outcome: ControlOutcome, now: float
     ) -> None:
         """One timeline row for one function at one control tick."""
         instances = self.platform.instances(name)
@@ -1161,9 +1159,7 @@ class ServingSimulation(RuntimeCore):
             launching_instances=launching,
             warm_pool=len(self._registry.warm_pool(name)),
             weighted_usage=self.platform.cluster.weighted_used(),
-            dispatch_case=getattr(
-                getattr(action, "plan", None), "case", ""
-            ),
+            dispatch_case=outcome.dispatch_case,
         )
 
     # ------------------------------------------------------------------

@@ -30,10 +30,16 @@ from repro.workloads.trace import Trace
 DAY_S = 24 * 3600.0
 
 
+def _check_duration(duration_s: float) -> None:
+    if not duration_s > 0:
+        raise ValueError("duration_s must be positive")
+
+
 def constant_trace(rps: float, duration_s: float, step_s: float = 1.0) -> Trace:
     """A flat trace (the paper's stress-testing load)."""
     if rps < 0:
         raise ValueError("rps must be non-negative")
+    _check_duration(duration_s)
     cells = max(1, int(round(duration_s / step_s)))
     return Trace(name="constant", step_s=step_s, rps=np.full(cells, float(rps)))
 
@@ -48,6 +54,7 @@ def periodic_trace(
     seed: SeedLike = 1,
 ) -> Trace:
     """Diurnal sinusoid: the LTP-only pattern."""
+    _check_duration(duration_s)
     rng = np.random.default_rng(derive_streams(seed, (0,))[0])
     t = np.arange(0.0, duration_s, step_s)
     base = 1.0 + relative_amplitude * np.sin(2.0 * np.pi * t / period_s)
@@ -73,6 +80,7 @@ def bursty_trace(
     ``burst_duration_s``; a ``dip_fraction`` of the events are sudden
     decreases instead (the paper notes both kinds of sudden change).
     """
+    _check_duration(duration_s)
     base_stream, burst_stream = derive_streams(seed, (0, 1000))
     base = periodic_trace(
         mean_rps, duration_s, step_s, period_s, relative_amplitude=0.4,
@@ -114,6 +122,7 @@ def sporadic_trace(
     """
     if not 0.0 < active_fraction <= 1.0:
         raise ValueError("active_fraction must lie in (0, 1]")
+    _check_duration(duration_s)
     rng = np.random.default_rng(derive_streams(seed, (0,))[0])
     cells = max(1, int(round(duration_s / step_s)))
     rps = np.zeros(cells)

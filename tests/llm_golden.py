@@ -49,11 +49,7 @@ def scenario_llm_continuous() -> Dict:
         invariants="off",
         seed=11,
     )
-    report = simulation.run().to_dict()
-    # The one wall-clock (non-deterministic) field, as in the
-    # single-shot goldens.
-    report.pop("scheduling_overhead_s", None)
-    return report
+    return simulation.run().to_dict()
 
 
 def main() -> None:

@@ -14,9 +14,7 @@ from repro.workloads import constant_trace
 
 
 def _report_dict(report):
-    payload = report.to_dict()
-    payload.pop("scheduling_overhead_s", None)
-    return json.loads(json.dumps(payload, sort_keys=True))
+    return json.loads(json.dumps(report.to_dict(), sort_keys=True))
 
 
 class TestMakePlatform:

@@ -34,8 +34,8 @@ class TestOpenFaaSPlus:
     def test_scaling_targets_load(self, predictor, resnet_fn):
         platform = OpenFaaSPlus(build_testbed_cluster(), predictor)
         platform.deploy(resnet_fn)
-        action = platform.control(resnet_fn.name, rps=200.0, now=0.0)
-        assert action.target >= 1
+        outcome = platform.control(resnet_fn.name, rps=200.0, now=0.0)
+        assert outcome.launched
         capacity = sum(i.r_up for i in platform.instances(resnet_fn.name))
         assert capacity >= 200.0 * platform.headroom
 

@@ -267,14 +267,36 @@ def test_malformed_json_inputs_exit_without_traceback(tmp_path, flag, content):
                 "--dir", str(tmp_path / "store")]
     else:
         argv = ["simulate", flag, str(path), "--duration", "2"]
+    done = _run_cli(argv)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("cannot ")
+
+
+def _run_cli(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
     )
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "repro.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert done.returncode == 1, done.stderr
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("cannot ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--model", "resnet-50", "--batch", "-3"],
+    ["predict", "--model", "resnet-50", "--gpu", "500"],
+    ["plan", "--model", "resnet-50", "--slo-ms", "-5"],
+    ["plan", "--model", "resnet-50", "--rps", "-1"],
+    ["coldstart", "--days", "0"],
+    ["coldstart", "--gamma", "-1"],
+    ["capacity", "--servers", "0"],
+    ["capacity", "--servers", "-2"],
+    ["simulate", "--model", "mnist", "--duration", "-5"],
+], ids=" ".join)
+def test_bad_numeric_arguments_exit_without_traceback(argv):
+    done = _run_cli(argv)
+    assert done.returncode != 0
+    assert "Traceback" not in done.stdout + done.stderr
+    assert len(done.stderr.strip().splitlines()) == 1, done.stderr

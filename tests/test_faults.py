@@ -269,10 +269,7 @@ class TestChaosDeterminism:
                 faults=plan,
                 resilience=ResiliencePolicy(),
             ).run()
-            payload = report.to_dict()
-            # The one nondeterministic field: wall-clock scheduling cost.
-            payload.pop("scheduling_overhead_s", None)
-            return json.loads(json.dumps(payload, sort_keys=True))
+            return json.loads(json.dumps(report.to_dict(), sort_keys=True))
 
         assert run() == run()
 

@@ -31,9 +31,7 @@ def _fig12_style_experiment(metrics_mode="exact", seed=9, **overrides):
 
 
 def _clean(report):
-    payload = report.to_dict()
-    payload.pop("scheduling_overhead_s", None)
-    return payload
+    return report.to_dict()
 
 
 class TestSketchVsExact:

@@ -51,13 +51,6 @@ class TestLargescaleProvisioning:
         assert result.instances >= 6
         assert result.weighted_resources_used > 0
 
-    def test_records_scheduling_overhead_for_infless(self, predictor):
-        result = largescale_capacity(
-            lambda c: INFlessEngine(c, predictor=predictor),
-            num_functions=4, num_servers=20,
-        )
-        assert result.scheduling_overhead_s > 0
-
     def test_platform_name_propagates(self, predictor):
         result = largescale_capacity(
             lambda c: BatchOTP(c, predictor), num_functions=4, num_servers=20

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import Experiment
@@ -29,7 +30,7 @@ from repro.telemetry import (
 )
 from repro.telemetry import spans as ev
 from repro.telemetry.timeline import TIMELINE_COLUMNS
-from repro.workloads import constant_trace
+from repro.workloads import Trace, constant_trace
 
 
 def run_sim(predictor, executor, platform=None, tracer=None, timeline=None,
@@ -202,6 +203,32 @@ class TestTraceRecording:
         kinds = {event.kind for event in tracer.events}
         assert {"request_complete", "scale_up", "cold_start"} <= kinds
 
+    def test_baseline_scaling_events_carry_integer_counts(
+        self, predictor, executor
+    ):
+        tracer = InMemoryTracer()
+        platform = OpenFaaSPlus(build_testbed_cluster(), predictor)
+        fn = FunctionSpec.for_model("resnet-50", slo_s=0.2)
+        platform.deploy(fn)
+        # A load step down so the fleet both grows and shrinks.
+        rps = np.concatenate([np.full(20, 300.0), np.full(20, 20.0)])
+        ServingSimulation(
+            platform=platform,
+            executor=executor,
+            workload={fn.name: Trace(name="step", step_s=1.0, rps=rps)},
+            tracer=tracer,
+            seed=7,
+        ).run()
+        scaling = [
+            e for e in tracer.events if e.kind in (ev.SCALE_UP, ev.SCALE_DOWN)
+        ]
+        assert {e.kind for e in scaling} == {ev.SCALE_UP, ev.SCALE_DOWN}
+        counts = [
+            value for e in scaling for key, value in e.args.items()
+            if key in ("launched", "reclaimed", "released")
+        ]
+        assert all(type(value) is int for value in counts)
+
 
 class TestDeterminism:
     def test_identical_seeds_yield_identical_jsonl(self, predictor, executor):
@@ -232,6 +259,20 @@ class TestTimeline:
         assert timeline.series("fn-mnist", "t") == [float(t) for t in range(31)]
         live = timeline.series("fn-mnist", "live_instances")
         assert max(live) >= 1
+
+    def test_dispatch_case_column(self, predictor, executor):
+        """INFless rows carry Algorithm 2's case; baselines leave it empty."""
+        cases = {}
+        for label, platform in (
+            ("infless", None),
+            ("openfaas+", OpenFaaSPlus(build_testbed_cluster(), predictor)),
+        ):
+            timeline = TimelineRecorder()
+            run_sim(predictor, executor, platform=platform, timeline=timeline)
+            cases[label] = {row["dispatch_case"] for row in timeline.rows}
+        assert cases["infless"]
+        assert cases["infless"] <= {"i", "ii", "ii-under", "iii"}
+        assert cases["openfaas+"] == {""}
 
     def test_unknown_column_rejected(self):
         with pytest.raises(ValueError):

@@ -64,7 +64,7 @@ def diamond_workflow() -> WorkflowSpec:
 
 def diamond_report():
     """The seeded diamond scenario the workflow golden pins."""
-    report = Experiment(
+    return Experiment(
         platform="infless",
         workflow=diamond_workflow(),
         workload={"d-ssd": constant_trace(120.0, 60.0)},
@@ -72,8 +72,6 @@ def diamond_report():
         invariants="strict",
         seed=12,
     ).run().to_dict()
-    report.pop("scheduling_overhead_s", None)
-    return report
 
 
 class TestWorkflowSpec:

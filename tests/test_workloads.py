@@ -145,6 +145,16 @@ class TestGenerators:
         )
         assert len(spiky) > len(quiet)
 
+    @pytest.mark.parametrize(
+        "generator",
+        [constant_trace, periodic_trace, bursty_trace, sporadic_trace],
+        ids=lambda g: g.__name__,
+    )
+    @pytest.mark.parametrize("duration_s", [0.0, -5.0])
+    def test_rejects_non_positive_duration(self, generator, duration_s):
+        with pytest.raises(ValueError, match="duration_s must be positive"):
+            generator(10.0, duration_s)
+
     def test_timer_rejects_bad_period(self):
         with pytest.raises(ValueError):
             timer_invocations(0.0)
