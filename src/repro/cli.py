@@ -27,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis import stress_capacity
 from repro.analysis.reporting import format_table
@@ -578,10 +578,36 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _out_of_range(
+    counts: Sequence[Tuple[str, Optional[int]]] = (),
+    amounts: Sequence[Tuple[str, float]] = (),
+) -> Optional[str]:
+    """The first flag outside its range, as a message (None if all fit).
+
+    ``counts`` must be at least 1 (``None`` means "use the default");
+    ``amounts`` must be positive.
+    """
+    for flag, value in counts:
+        if value is not None and value < 1:
+            return f"{flag} must be at least 1, got {value}"
+    for flag, value in amounts:
+        if not value > 0:
+            return f"{flag} must be positive, got {value:g}"
+    return None
+
+
 def _cmd_campaign_shard_trace(args: argparse.Namespace) -> int:
     from repro.campaign import TraceShardConfig, run_trace_shards
     from repro.workloads import iter_azure_csv
 
+    problem = _out_of_range(
+        [("--workers", args.workers), ("--shards", args.shards),
+         ("--servers", args.servers)],
+        [("--slo-ms", args.slo_ms), ("--arrival-window", args.arrival_window)],
+    )
+    if problem:
+        print(f"cannot shard trace: {problem}", file=sys.stderr)
+        return 1
     try:
         traces = dict(iter_azure_csv(args.csv, limit=args.limit))
     except (OSError, ValueError) as exc:
@@ -659,6 +685,12 @@ def _cmd_fluid_validate(args: argparse.Namespace) -> int:
             return 1
     else:
         points = FIG12_VALIDATION_RPS
+    problem = _out_of_range(amounts=[("--duration", args.duration)] + [
+        ("--points", point) for point in points
+    ])
+    if problem:
+        print(f"cannot validate: {problem}", file=sys.stderr)
+        return 1
     duration = args.duration
     if args.quick:
         duration = min(duration, 60.0)

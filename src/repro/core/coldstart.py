@@ -17,7 +17,7 @@ An idle gap ``IT`` therefore hits a *warm* image iff
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
 
 from repro.core.histogram import IdleTimeHistogram
 from repro.telemetry import spans as ev
@@ -210,7 +210,10 @@ class WindowedKeepAlive(_DefaultColdStartHooks):
     """Shared machinery for histogram-driven policies (HHP, LSTH).
 
     Tracks per-function last-invocation times and feeds idle gaps into
-    per-function histograms created by :meth:`_new_histograms`.
+    per-function histograms created by :meth:`_new_histograms`.  Gaps
+    wait in a per-function pending list and reach the histograms when
+    :meth:`_histograms_for` reads them (or when the list holds
+    ``max_observations`` gaps), so an invocation costs one append.
     """
 
     #: decision used until a function has enough history.
@@ -236,6 +239,8 @@ class WindowedKeepAlive(_DefaultColdStartHooks):
         self.tail_q = tail_q
         self._last_invocation: dict = {}
         self._histograms: dict = {}
+        #: function -> (flush threshold, idle gaps not yet recorded).
+        self._pending: Dict[str, Tuple[int, List[Tuple[float, float]]]] = {}
         self._decision_cache: dict = {}
         #: telemetry hooks; recomputed window decisions are traced.
         self.tracer = NULL_TRACER
@@ -244,19 +249,33 @@ class WindowedKeepAlive(_DefaultColdStartHooks):
         raise NotImplementedError
 
     def _histograms_for(self, function_name: str):
+        """The function's histograms, with every pending gap recorded."""
         if function_name not in self._histograms:
             self._histograms[function_name] = self._new_histograms()
-        return self._histograms[function_name]
+        histograms = self._histograms[function_name]
+        _limit, gaps = self._pending.get(function_name, (0, None))
+        if gaps:
+            for histogram in histograms:
+                histogram.record_many(gaps)
+            gaps.clear()
+        return histograms
 
     def record_invocation(self, function_name: str, now: float) -> None:
-        """Feed the idle gap since the last invocation to the histograms."""
+        """Queue the idle gap since the last invocation for the histograms."""
         last = self._last_invocation.get(function_name)
         self._last_invocation[function_name] = now
         if last is None:
             return
-        idle = max(0.0, now - last)
-        for histogram in self._histograms_for(function_name):
-            histogram.record(now, idle)
+        pending = self._pending.get(function_name)
+        if pending is None:
+            histograms = self._histograms_for(function_name)
+            pending = self._pending[function_name] = (
+                min(h.max_observations for h in histograms), []
+            )
+        limit, gaps = pending
+        gaps.append((now, max(0.0, now - last)))
+        if len(gaps) >= limit:
+            self._histograms_for(function_name)  # flushes the gaps
 
     def windows(self, function_name: str, now: float) -> ColdStartDecision:
         """Current decision, refreshed at most every DECISION_REFRESH_S."""

@@ -49,6 +49,17 @@ class IdleTimeHistogram:
         while len(self._observations) > self.max_observations:
             self._observations.popleft()
 
+    def record_many(self, observations: List[Tuple[float, float]]) -> None:
+        """Record ``(now, idle_time_s)`` observations, oldest first.
+
+        Leaves the histogram as one :meth:`record` call per observation
+        would (the same ``max_observations`` trimming).
+        """
+        self._observations.extend(observations)
+        excess = len(self._observations) - self.max_observations
+        for _ in range(excess):
+            self._observations.popleft()
+
     def _evict(self, now: float) -> None:
         horizon = now - self.duration_s
         while self._observations and self._observations[0][0] < horizon:

@@ -42,6 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Union
 
+import numpy as np
+
 from repro.core.batching import cached_rate_bounds
 
 MODES = ("off", "collect", "strict")
@@ -367,40 +369,42 @@ class InvariantChecker:
         self, sim: object, now: float, chained: bool
     ) -> None:
         """Wait + exec parts tile each latency (``chained``: bound it)."""
-        for record in sim.metrics.records:
-            latency = record.completion - record.arrival
-            parts = record.cold_wait_s + record.queue_wait_s + record.exec_s
-            if (
-                record.cold_wait_s < -TOL
-                or record.queue_wait_s < -TOL
-                or record.exec_s <= 0
-                or latency < -TOL
-            ):
+        ledger = sim.metrics.completion_columns()
+        latency = ledger.completion - ledger.arrival
+        parts = ledger.cold_wait_s + ledger.queue_wait_s + ledger.exec_s
+        negative = (
+            (ledger.cold_wait_s < -TOL)
+            | (ledger.queue_wait_s < -TOL)
+            | (ledger.exec_s <= 0)
+            | (latency < -TOL)
+        )
+        tol = TOL * np.maximum(1.0, latency)
+        if chained:
+            untiled = parts > latency + tol
+        else:
+            untiled = np.abs(parts - latency) > tol
+        for row in np.flatnonzero(negative | untiled).tolist():
+            function = ledger.function[row]
+            if negative[row]:
                 self._flag(
                     "latency_tiling",
                     now,
-                    f"{record.function}: negative latency component"
-                    f" (cold={record.cold_wait_s:.6f},"
-                    f" queue={record.queue_wait_s:.6f},"
-                    f" exec={record.exec_s:.6f})",
-                    function=record.function,
+                    f"{function}: negative latency component"
+                    f" (cold={ledger.cold_wait_s[row]:.6f},"
+                    f" queue={ledger.queue_wait_s[row]:.6f},"
+                    f" exec={ledger.exec_s[row]:.6f})",
+                    function=function,
                 )
                 continue
-            tol = TOL * max(1.0, latency)
-            if chained:
-                bad = parts > latency + tol
-            else:
-                bad = abs(parts - latency) > tol
-            if bad:
-                self._flag(
-                    "latency_tiling",
-                    now,
-                    f"{record.function}: cold+queue+exec={parts:.6f}s does"
-                    f" not tile arrival->completion={latency:.6f}s",
-                    function=record.function,
-                    arrival=record.arrival,
-                    completion=record.completion,
-                )
+            self._flag(
+                "latency_tiling",
+                now,
+                f"{function}: cold+queue+exec={parts[row]:.6f}s does"
+                f" not tile arrival->completion={latency[row]:.6f}s",
+                function=function,
+                arrival=float(ledger.arrival[row]),
+                completion=float(ledger.completion[row]),
+            )
 
     def check_telemetry_agreement(self, sim: object, now: float) -> None:
         if not sim.tracer.enabled:
@@ -593,7 +597,7 @@ class InvariantChecker:
 
     def check_llm_records(self, sim: object, now: float) -> None:
         """Per-token metrics are physically sensible."""
-        for record in sim.metrics.records:
+        for record in sim._llm_records:
             if record.ttft_s < -TOL or record.tpot_s < -TOL:
                 self._flag(
                     "llm_latency",

@@ -90,6 +90,9 @@ class LLMSimulation(RuntimeCore):
             timeline, invariants, faults, "exact", seed,
         )
         self._request_ids = itertools.count()
+        #: full token records: the report's ``llm`` block and the
+        #: per-token audit read these (the metrics ledger keeps the
+        #: single-shot columns only).
         self._llm_records: List[LLMRequestRecord] = []
         #: worker_id -> the plan its in-flight DECODE_STEP will finish;
         #: faults mark these lost so stale events become no-ops.

@@ -3,22 +3,29 @@
 Captures per-request latency decompositions (``l = t_cold + t_batch +
 t_exec``), batch/configuration usage, resource-time integrals and
 cold-start counters -- everything sections 5.2 and 5.3 report.
+
+Requests complete as members of a batch (section 3.2), so exact mode
+keeps a columnar completion ledger: four flat per-request columns and
+six per-batch ones, appended once per batch and reduced with numpy
+when the report is read.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.simulation.sketches import DEFAULT_SUBBUCKETS, QuantileSketch
 
-#: how the collector keeps latency statistics: ``"exact"`` stores every
-#: request record (full-fidelity percentiles, O(N) memory); ``"sketch"``
-#: streams them through a mergeable quantile sketch (O(1) memory at any
-#: request count, percentiles within the sketch's error bound).
+#: how the collector keeps latency statistics: ``"exact"`` keeps every
+#: completion in the columnar ledger (full-fidelity percentiles, O(N)
+#: memory); ``"sketch"`` streams them through a mergeable quantile
+#: sketch (O(1) memory at any request count, percentiles within the
+#: sketch's error bound).
 METRICS_MODES = ("exact", "sketch")
 
 
@@ -72,6 +79,38 @@ class LLMRequestRecord(RequestRecord):
             self.ttft_s > self.slo_s + 1e-9
             or self.tpot_s > self.tpot_slo_s + 1e-9
         )
+
+
+class CompletionColumns(NamedTuple):
+    """The completion ledger read back as one numpy array per field.
+
+    One entry per completed request, in record order; the per-batch
+    columns are expanded to every row of their batch.  Fields follow
+    :class:`RequestRecord`: ``arrival`` is the SLO clock start (a
+    workflow request's origin), ``function`` holds names and
+    ``config`` ``(b, c, g)`` tuples (object arrays).
+    """
+
+    function: np.ndarray
+    arrival: np.ndarray
+    completion: np.ndarray
+    cold_wait_s: np.ndarray
+    queue_wait_s: np.ndarray
+    exec_s: np.ndarray
+    batch_size: np.ndarray
+    config: np.ndarray
+    slo_s: np.ndarray
+
+
+def _first_seen_totals(keys: np.ndarray, weights: np.ndarray) -> Dict:
+    """Sum ``weights`` per key, keys in first-seen order (as a Counter)."""
+    unique, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    totals = np.zeros(len(unique), dtype=np.int64)
+    np.add.at(totals, inverse, weights)
+    order = np.argsort(first)
+    return dict(zip(unique[order].tolist(), totals[order].tolist()))
 
 
 @dataclass
@@ -199,8 +238,9 @@ class MetricsCollector:
     """Accumulates simulation observations.
 
     Args:
-        metrics_mode: ``"exact"`` (default) keeps every request record
-            and usage sample -- the full-fidelity path all goldens pin.
+        metrics_mode: ``"exact"`` (default) keeps every completion in
+            the columnar ledger and every usage sample -- the
+            full-fidelity path all goldens pin.
             ``"sketch"`` streams everything: latencies feed a mergeable
             :class:`QuantileSketch`, usage feeds running sample-and-hold
             integrators, and per-request memory is O(1).
@@ -224,7 +264,26 @@ class MetricsCollector:
             )
         self.metrics_mode = metrics_mode
         self._warmup_s = float(warmup_s)
-        self.records: List[RequestRecord] = []
+        # -- completion ledger (exact mode) -----------------------------
+        # Per row (one completed request): SLO clock start, waits, SLO.
+        self._origin = array("d")
+        self._cold_wait = array("d")
+        self._queue_wait = array("d")
+        self._slo = array("d")
+        # Per batch: rows recorded, executed batch size (a workflow
+        # sink may record fewer rows than it executed), timing, and
+        # indexes into the interned function and config tables.
+        self._batch_rows = array("q")
+        self._batch_size = array("q")
+        self._completion = array("d")
+        self._exec = array("d")
+        self._function = array("q")
+        self._config = array("q")
+        self._function_index: Dict[str, int] = {}
+        self._config_index: Dict[Tuple[int, int, int], int] = {}
+        #: row -> SLO verdict, kept only for records judged by another
+        #: rule than ``latency > slo`` (LLM records judge TTFT/TPOT).
+        self._verdicts: Dict[int, bool] = {}
         self._arrival_times: List[float] = []
         self._drops: List[Tuple[float, str]] = []  # (time, reason)
         self._usage_samples: List[Tuple[float, float]] = []  # (time, weighted)
@@ -301,18 +360,19 @@ class MetricsCollector:
         """All completions, warmup included (the conservation ledger).
 
         Mode-agnostic: invariant checks must use this, not
-        ``len(records)`` -- sketch mode keeps no record list.
+        ``len(records)`` -- sketch mode keeps no ledger.
         """
         if self.metrics_mode == "sketch":
             return self._completed_all
-        return len(self.records)
+        return len(self._origin)
 
     @property
     def latency_total_s(self) -> float:
         """Sum of end-to-end latencies over all completions."""
         if self.metrics_mode == "sketch":
             return self._latency_total_all
-        return sum(r.latency_s for r in self.records)
+        latency = np.array(self._completion)[self._row_batches()]
+        return sum((latency - np.array(self._origin)).tolist())
 
     @property
     def drop_reasons(self) -> Dict[str, int]:
@@ -320,28 +380,187 @@ class MetricsCollector:
             return dict(self._drop_reasons_all)
         return dict(Counter(reason for _t, reason in self._drops))
 
-    def record_completion(self, record: RequestRecord) -> None:
-        if self.metrics_mode == "sketch":
-            latency = record.latency_s
-            self._completed_all += 1
-            self._latency_total_all += latency
-            if record.arrival < self._warmup_s:
-                return
-            violated = record.violated_slo
-            self._kept_completed += 1
-            self._kept_violations += int(violated)
-            self._latency_sketch.add(latency)
-            self._latency_sum += latency
-            self._cold_sum += record.cold_wait_s
-            self._queue_sum += record.queue_wait_s
-            self._exec_sum += record.exec_s
-            self._batch_hist[record.batch_size] += 1
-            self._config_hist[record.config] += 1
-            tally = self._per_fn_tallies.setdefault(record.function, [0, 0])
-            tally[0] += 1
-            tally[1] += int(violated)
+    def record_batch(
+        self,
+        function: str,
+        requests: Sequence,
+        start: float,
+        completion: float,
+        ready_at: float,
+        exec_s: float,
+        config: Tuple[int, int, int],
+        batch_size: int,
+    ) -> None:
+        """Record the completed members of one executed batch.
+
+        Each request contributes its ``arrival`` (at this stage),
+        ``origin`` (the SLO clock start) and ``slo_s``.  Its wait
+        ``start - arrival`` splits into the cold wait -- the part before
+        the instance was ready -- and the queue wait.  ``batch_size`` is
+        the executed batch's size: a workflow sink records fewer rows
+        when some roots already failed.  No reference to the requests
+        is kept.
+        """
+        if not requests:
             return
-        self.records.append(record)
+        sketch = self.metrics_mode == "sketch"
+        if not sketch:
+            self._append_batch(
+                function, len(requests), batch_size, completion, exec_s,
+                config,
+            )
+        origin = self._origin.append
+        cold = self._cold_wait.append
+        queue = self._queue_wait.append
+        slo = self._slo.append
+        for request in requests:
+            # min(max(0.0, ready_at - arrival), total_wait), then
+            # max(0.0, total_wait - cold_wait): the same comparisons as
+            # the builtins, without their call cost on the hot path.
+            arrival = request.arrival
+            total_wait = start - arrival
+            cold_wait = ready_at - arrival
+            cold_wait = cold_wait if cold_wait > 0.0 else 0.0
+            cold_wait = total_wait if total_wait < cold_wait else cold_wait
+            queue_wait = total_wait - cold_wait
+            queue_wait = queue_wait if queue_wait > 0.0 else 0.0
+            if sketch:
+                latency = completion - request.origin
+                self._fold(
+                    function, request.origin, latency, cold_wait,
+                    queue_wait, exec_s, batch_size, config,
+                    latency > request.slo_s + 1e-9,
+                )
+                continue
+            origin(request.origin)
+            cold(cold_wait)
+            queue(queue_wait)
+            slo(request.slo_s)
+
+    def record_completion(self, record: RequestRecord) -> None:
+        """Record one completion: a batch of one in the ledger."""
+        if self.metrics_mode == "sketch":
+            self._fold(
+                record.function, record.arrival, record.latency_s,
+                record.cold_wait_s, record.queue_wait_s, record.exec_s,
+                record.batch_size, record.config, record.violated_slo,
+            )
+            return
+        row = len(self._origin)
+        self._append_batch(
+            record.function, 1, record.batch_size, record.completion,
+            record.exec_s, record.config,
+        )
+        self._origin.append(record.arrival)
+        self._cold_wait.append(record.cold_wait_s)
+        self._queue_wait.append(record.queue_wait_s)
+        self._slo.append(record.slo_s)
+        verdict = record.violated_slo
+        if verdict != (record.latency_s > record.slo_s + 1e-9):
+            self._verdicts[row] = verdict
+
+    def _append_batch(
+        self,
+        function: str,
+        rows: int,
+        batch_size: int,
+        completion: float,
+        exec_s: float,
+        config: Tuple[int, int, int],
+    ) -> None:
+        function_id = self._function_index.get(function)
+        if function_id is None:
+            function_id = self._function_index[function] = len(
+                self._function_index
+            )
+        config_id = self._config_index.get(config)
+        if config_id is None:
+            config_id = self._config_index[config] = len(self._config_index)
+        self._batch_rows.append(rows)
+        self._batch_size.append(batch_size)
+        self._completion.append(completion)
+        self._exec.append(exec_s)
+        self._function.append(function_id)
+        self._config.append(config_id)
+
+    def _fold(
+        self,
+        function: str,
+        origin: float,
+        latency: float,
+        cold_wait_s: float,
+        queue_wait_s: float,
+        exec_s: float,
+        batch_size: int,
+        config: Tuple[int, int, int],
+        violated: bool,
+    ) -> None:
+        """Fold one completion into the streaming state (sketch mode)."""
+        self._completed_all += 1
+        self._latency_total_all += latency
+        if origin < self._warmup_s:
+            return
+        self._kept_completed += 1
+        self._kept_violations += int(violated)
+        self._latency_sketch.add(latency)
+        self._latency_sum += latency
+        self._cold_sum += cold_wait_s
+        self._queue_sum += queue_wait_s
+        self._exec_sum += exec_s
+        self._batch_hist[batch_size] += 1
+        self._config_hist[config] += 1
+        tally = self._per_fn_tallies.setdefault(function, [0, 0])
+        tally[0] += 1
+        tally[1] += int(violated)
+
+    # ------------------------------------------------------------------
+    # ledger views
+    # ------------------------------------------------------------------
+    def _row_batches(self) -> np.ndarray:
+        """Each row's batch index: per-batch columns expand through it."""
+        return np.repeat(
+            np.arange(len(self._batch_rows)), np.array(self._batch_rows)
+        )
+
+    def _violated(self, latency: np.ndarray) -> np.ndarray:
+        """Each row's SLO verdict (``latency > slo``, or its override)."""
+        violated = latency > np.array(self._slo) + 1e-9
+        if self._verdicts:
+            violated[list(self._verdicts)] = list(self._verdicts.values())
+        return violated
+
+    def completion_columns(self) -> CompletionColumns:
+        """Every completion as per-field arrays (empty in sketch mode)."""
+        batches = self._row_batches()
+        names = np.array(list(self._function_index), dtype=object)
+        configs = np.fromiter(
+            self._config_index, dtype=object, count=len(self._config_index)
+        )
+        return CompletionColumns(
+            function=names[np.array(self._function)][batches],
+            arrival=np.array(self._origin),
+            completion=np.array(self._completion)[batches],
+            cold_wait_s=np.array(self._cold_wait),
+            queue_wait_s=np.array(self._queue_wait),
+            exec_s=np.array(self._exec)[batches],
+            batch_size=np.array(self._batch_size)[batches],
+            config=configs[np.array(self._config)][batches],
+            slo_s=np.array(self._slo),
+        )
+
+    @property
+    def records(self) -> List[RequestRecord]:
+        """One :class:`RequestRecord` per completion, built on read.
+
+        O(N) per call; for tests and audits, not the run path.  LLM
+        completions come back as plain records too (the LLM runtime
+        keeps its own token records).
+        """
+        columns = self.completion_columns()
+        return [
+            RequestRecord(*row)
+            for row in zip(*(column.tolist() for column in columns))
+        ]
 
     def record_usage(
         self,
@@ -459,7 +678,6 @@ class MetricsCollector:
                 reserved_idle_resource_s=reserved_idle_resource_s,
                 warmup_s=warmup_s,
             )
-        records = [r for r in self.records if r.arrival >= warmup_s]
         arrived = sum(1 for t in self._arrival_times if t >= warmup_s)
         kept_drops = [(t, reason) for t, reason in self._drops if t >= warmup_s]
         dropped = len(kept_drops)
@@ -484,21 +702,38 @@ class MetricsCollector:
             warmup_s, cold_starts, launches, warm_reuses
         )
         duration_s = max(1e-9, duration_s - warmup_s)
-        latencies = np.array([r.latency_s for r in records])
-        completed = len(records)
-        violations = sum(1 for r in records if r.violated_slo)
-        batch_hist = Counter(r.batch_size for r in records)
-        config_hist = Counter(r.config for r in records)
-        # One pass over the records; the old per-function rescan was
-        # O(functions * records).
-        per_fn_tallies: Dict[str, List[int]] = {}
-        for record in records:
-            tally = per_fn_tallies.setdefault(record.function, [0, 0])
-            tally[0] += 1
-            tally[1] += int(record.violated_slo)
+        # Reduce the ledger: per-batch columns expand through each
+        # row's batch index, and per-batch kept-row counts give the
+        # histograms and tallies in first-seen (record) order.
+        batches = self._row_batches()
+        origin = np.array(self._origin)
+        latency = np.array(self._completion)[batches] - origin
+        kept = origin >= warmup_s
+        violated = self._violated(latency)[kept]
+        kept_batches = batches[kept]
+        latencies = latency[kept]
+        completed = len(latencies)
+        violations = int(np.count_nonzero(violated))
+        kept_rows = np.bincount(kept_batches, minlength=len(self._batch_rows))
+        kept_violations = np.bincount(
+            kept_batches[violated], minlength=len(self._batch_rows)
+        )
+        served = np.flatnonzero(kept_rows)
+        rows = kept_rows[served]
+        batch_hist = _first_seen_totals(np.array(self._batch_size)[served], rows)
+        configs = list(self._config_index)
+        config_hist = {
+            configs[config]: count
+            for config, count in _first_seen_totals(
+                np.array(self._config)[served], rows
+            ).items()
+        }
+        names = list(self._function_index)
+        functions = np.array(self._function)[served]
+        fn_violations = _first_seen_totals(functions, kept_violations[served])
         per_fn = {
-            fn: violated / count
-            for fn, (count, violated) in per_fn_tallies.items()
+            names[fn]: fn_violations[fn] / count
+            for fn, count in _first_seen_totals(functions, rows).items()
         }
         resource_time = self._integrate(usage_integration)
         weighted_values = [v for _t, v in usage_samples]
@@ -516,15 +751,15 @@ class MetricsCollector:
             latency_p95_s=float(np.percentile(latencies, 95)) if completed else 0.0,
             latency_p99_s=float(np.percentile(latencies, 99)) if completed else 0.0,
             mean_cold_wait_s=(
-                float(np.mean([r.cold_wait_s for r in records]))
+                float(np.mean(np.array(self._cold_wait)[kept]))
                 if completed else 0.0
             ),
             mean_queue_wait_s=(
-                float(np.mean([r.queue_wait_s for r in records]))
+                float(np.mean(np.array(self._queue_wait)[kept]))
                 if completed else 0.0
             ),
             mean_exec_s=(
-                float(np.mean([r.exec_s for r in records]))
+                float(np.mean(np.array(self._exec)[kept_batches]))
                 if completed else 0.0
             ),
             batch_histogram=dict(batch_hist),

@@ -58,7 +58,6 @@ from repro.simulation.engine import EventLoop
 from repro.simulation.events import Event, EventKind
 from repro.simulation.metrics import (
     MetricsCollector,
-    RequestRecord,
     SimulationReport,
     sample_usage,
 )
@@ -802,7 +801,6 @@ class ServingSimulation(RuntimeCore):
         if self._track_inflight:
             self._inflight.pop(instance.instance_id, None)
         self._executing -= len(batch.requests)
-        config = instance.config
         if (
             instance.state == InstanceState.TERMINATED
             and instance.placement is None
@@ -812,65 +810,12 @@ class ServingSimulation(RuntimeCore):
                 self._drop(request, DROP_SERVER_FAILURE)
             instance.busy = False
             return
-        for request in batch.requests:
-            successors = self._successors.get(request.function)
-            if successors:
+        successors = self._successors.get(instance.function.name)
+        if successors:
+            for request in batch.requests:
                 self._complete_stage(request, successors, now)
-                continue
-            if self._wf_tracking and request.function in self._stage_latencies:
-                # Sink stage: judge the per-workflow deadline here.
-                if request.root in self._wf_failed:
-                    self._wf_retired += 1
-                    continue
-                if request.origin >= self.warmup_s:
-                    self._stage_latencies[request.function].append(
-                        now - request.arrival
-                    )
-                    latency = now - request.origin
-                    self._wf_latencies.append(latency)
-                    self._wf_completed += 1
-                    if latency > self.workflow.end_to_end_slo_s:
-                        self._wf_violations += 1
-                if self._trace:
-                    self.tracer.emit(
-                        ev.WORKFLOW_COMPLETE, now, workflow_id=request.root,
-                        workflow=self.workflow.name, origin=request.origin,
-                        latency_s=now - request.origin,
-                        slo_s=self.workflow.end_to_end_slo_s,
-                    )
-            if request.attempt:
-                self._retry_completions += 1
-            total_wait = batch.start - request.arrival
-            cold_wait = min(
-                max(0.0, instance.ready_at - request.arrival), total_wait
-            )
-            record = RequestRecord(
-                function=request.function,
-                arrival=request.origin,
-                completion=now,
-                cold_wait_s=cold_wait,
-                queue_wait_s=max(0.0, total_wait - cold_wait),
-                exec_s=batch.exec_s,
-                batch_size=len(batch.requests),
-                config=(config.batch, config.cpu, config.gpu),
-                slo_s=request.slo_s,
-            )
-            self.metrics.record_completion(record)
-            if self._trace:
-                # batch_wait_s spans every upstream stage of a workflow;
-                # the record's queue_wait_s is this stage's.
-                self.tracer.emit(
-                    ev.REQUEST_COMPLETE, now, request=request.request_id,
-                    function=request.function, instance=instance.instance_id,
-                    batch=batch.batch_id, arrival=record.arrival,
-                    cold_wait_s=cold_wait,
-                    batch_wait_s=max(
-                        0.0, now - request.origin - cold_wait - batch.exec_s
-                    ),
-                    exec_s=batch.exec_s, latency_s=record.latency_s,
-                    batch_size=record.batch_size, config=list(record.config),
-                    slo_s=record.slo_s, violated=record.violated_slo,
-                )
+        else:
+            self._complete_batch(batch, now)
         if self._outage_start:
             # First completed batch of the function after an instance
             # loss closes the outage (the MTTR sample).
@@ -883,6 +828,87 @@ class ServingSimulation(RuntimeCore):
         if instance.queue.is_empty:
             instance.idle_since = now
         self._maybe_start(instance)
+
+    def _complete_batch(self, batch: _BatchInFlight, now: float) -> None:
+        """Record a batch that leaves the system: one ledger entry.
+
+        Per-request work is only what needs a request: the workflow
+        sink's end-to-end judgement, tracer emits and retry counting.
+        """
+        instance = batch.instance
+        requests = batch.requests
+        sink = (
+            self._wf_tracking
+            and instance.function.name in self._stage_latencies
+        )
+        if sink or self._trace or self.resilience is not None:
+            completed = []
+            for request in requests:
+                if sink and not self._complete_workflow(request, now):
+                    continue
+                if request.attempt:
+                    self._retry_completions += 1
+                completed.append(request)
+                if self._trace:
+                    self._trace_completion(batch, request, now)
+        else:
+            completed = requests
+        config = instance.config
+        self.metrics.record_batch(
+            instance.function.name, completed, batch.start, now,
+            instance.ready_at, batch.exec_s,
+            (config.batch, config.cpu, config.gpu), len(requests),
+        )
+
+    def _complete_workflow(self, request: Request, now: float) -> bool:
+        """Judge a sink token's end-to-end deadline; False if absorbed."""
+        if request.root in self._wf_failed:
+            self._wf_retired += 1
+            return False
+        if request.origin >= self.warmup_s:
+            self._stage_latencies[request.function].append(
+                now - request.arrival
+            )
+            latency = now - request.origin
+            self._wf_latencies.append(latency)
+            self._wf_completed += 1
+            if latency > self.workflow.end_to_end_slo_s:
+                self._wf_violations += 1
+        if self._trace:
+            self.tracer.emit(
+                ev.WORKFLOW_COMPLETE, now, workflow_id=request.root,
+                workflow=self.workflow.name, origin=request.origin,
+                latency_s=now - request.origin,
+                slo_s=self.workflow.end_to_end_slo_s,
+            )
+        return True
+
+    def _trace_completion(
+        self, batch: _BatchInFlight, request: Request, now: float
+    ) -> None:
+        """Emit one batch member's REQUEST_COMPLETE span."""
+        instance = batch.instance
+        config = instance.config
+        cold_wait = min(
+            max(0.0, instance.ready_at - request.arrival),
+            batch.start - request.arrival,
+        )
+        latency = now - request.origin
+        # batch_wait_s spans every upstream stage of a workflow; the
+        # ledger's queue wait is this stage's.
+        self.tracer.emit(
+            ev.REQUEST_COMPLETE, now, request=request.request_id,
+            function=request.function, instance=instance.instance_id,
+            batch=batch.batch_id, arrival=request.origin,
+            cold_wait_s=cold_wait,
+            batch_wait_s=max(
+                0.0, now - request.origin - cold_wait - batch.exec_s
+            ),
+            exec_s=batch.exec_s, latency_s=latency,
+            batch_size=len(batch.requests),
+            config=[config.batch, config.cpu, config.gpu],
+            slo_s=request.slo_s, violated=latency > request.slo_s + 1e-9,
+        )
 
     # ------------------------------------------------------------------
     # fault injection

@@ -300,3 +300,29 @@ def test_bad_numeric_arguments_exit_without_traceback(argv):
     assert done.returncode != 0
     assert "Traceback" not in done.stdout + done.stderr
     assert len(done.stderr.strip().splitlines()) == 1, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["fluid-validate", "--out", "-", "--duration", "0"],
+    ["fluid-validate", "--out", "-", "--duration", "-3"],
+    ["fluid-validate", "--out", "-", "--points", "-5"],
+    ["campaign", "shard-trace", "CSV", "--workers", "0"],
+    ["campaign", "shard-trace", "CSV", "--shards", "-1"],
+    ["campaign", "shard-trace", "CSV", "--shards", "0"],
+    ["campaign", "shard-trace", "CSV", "--servers", "0"],
+    ["campaign", "shard-trace", "CSV", "--slo-ms", "-5"],
+    ["campaign", "shard-trace", "CSV", "--arrival-window", "0"],
+], ids=" ".join)
+def test_bad_numbers_to_validate_and_shard_exit_with_one_line(tmp_path, argv):
+    from repro.workloads import constant_trace
+    from repro.workloads.azure import write_azure_csv
+
+    csv = tmp_path / "mini.csv"
+    write_azure_csv(
+        csv, {"app/f0": constant_trace(2.0, 120.0, step_s=60.0)}
+    )
+    done = _run_cli([str(csv) if arg == "CSV" else arg for arg in argv])
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+    assert done.stderr.startswith("cannot ")
+    assert len(done.stderr.strip().splitlines()) == 1, done.stderr

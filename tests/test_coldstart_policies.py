@@ -227,3 +227,94 @@ class TestLongShortTermHistogram:
 
     def test_name_includes_gamma(self):
         assert lsth(gamma=0.7).name == "lsth-g0.7"
+
+
+#: a small cap, so long streams exercise trimming and the pending
+#: list's flush at ``max_observations``.
+_SMALL_CAP = 7
+
+
+def _capped(policy_class):
+    """``policy_class`` whose histograms keep at most _SMALL_CAP gaps."""
+
+    class Capped(policy_class):
+        def _new_histograms(self):
+            histograms = super()._new_histograms()
+            for histogram in histograms:
+                histogram.max_observations = _SMALL_CAP
+            return histograms
+
+    return Capped
+
+
+def _eager(policy_class):
+    """The reference: every gap goes straight to ``record``."""
+
+    class Eager(policy_class):
+        def record_invocation(self, function_name, now):
+            last = self._last_invocation.get(function_name)
+            self._last_invocation[function_name] = now
+            if last is None:
+                return
+            for histogram in self._histograms_for(function_name):
+                histogram.record(now, max(0.0, now - last))
+
+    return Eager
+
+
+#: policy -> (class, short windows so the stream's gaps age out).
+_POLICIES = {
+    "lsth": (
+        LongShortTermHistogram,
+        {"short_duration_s": 60.0, "long_duration_s": 240.0},
+    ),
+    "hhp": (HybridHistogramPolicy, {"duration_s": 120.0}),
+}
+
+
+class TestDeferredIdleGaps:
+    """Queued idle gaps decide exactly as gaps recorded one by one."""
+
+    @pytest.mark.parametrize(
+        "capped", [False, True], ids=["default-cap", "small-cap"]
+    )
+    @pytest.mark.parametrize("name", sorted(_POLICIES))
+    @given(stream=st.lists(
+        st.tuples(
+            st.sampled_from(["invoke", "query"]),
+            st.sampled_from(["a", "b"]),
+            st.floats(0.0, 30.0, allow_nan=False),
+        ),
+        max_size=80,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_match_eager_recording(self, name, capped, stream):
+        policy_class, windows = _POLICIES[name]
+        if capped:
+            policy_class = _capped(policy_class)
+        deferred = policy_class(**windows)
+        eager = _eager(policy_class)(**windows)
+        now = 0.0
+        for action, function, step in stream:
+            now += step
+            if action == "invoke":
+                deferred.record_invocation(function, now)
+                eager.record_invocation(function, now)
+            else:
+                assert deferred.windows(function, now) == eager.windows(
+                    function, now
+                )
+        for function in ("a", "b"):
+            assert [
+                h.window_values(now) for h in deferred._histograms_for(function)
+            ] == [
+                h.window_values(now) for h in eager._histograms_for(function)
+            ]
+
+    def test_pending_gaps_flush_at_the_cap(self):
+        policy = _capped(HybridHistogramPolicy)()
+        for i in range(3 * _SMALL_CAP):
+            policy.record_invocation("fn", float(i))
+        limit, pending = policy._pending["fn"]
+        assert limit == _SMALL_CAP
+        assert len(pending) < _SMALL_CAP
