@@ -71,9 +71,6 @@ COMPATIBILITY: Tuple[Row, ...] = (
     Row("fleet", {"des": _ALL}, _HOMOGENEOUS),
     Row("coldstart policy", {"des": _ALL}, _HOMOGENEOUS),
     Row("hybrid autoscaler", {"des": _ALL}, _HOMOGENEOUS),
-    Row("workflow + faults", {}, "workflows do not take fault plans yet"),
-    Row("workflow + resilience", {},
-        "workflows do not take resilience policies yet"),
 )
 
 
@@ -111,8 +108,6 @@ def requested_features(
         "fleet": fleet is not None,
         "coldstart policy": coldstart is not None,
         "hybrid autoscaler": autoscaler != "horizontal",
-        "workflow + faults": workflow is not None and faults,
-        "workflow + resilience": workflow is not None and resilience,
     }
     return frozenset(name for name, on in asked.items() if on)
 

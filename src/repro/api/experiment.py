@@ -285,6 +285,8 @@ class Experiment:
         self._platform_class = _platform_class(platform)
         check(self.engine, self._platform_class, self._features)
         self.platform = None
+        #: the scheduler's co-placement hint; its stats end ``workflows``.
+        self._coplacement: Optional[CoPlacementHint] = None
         self.simulation: Union[None, ServingSimulation, LLMSimulation] = None
         self.report: Optional[SimulationReport] = None
 
@@ -356,7 +358,8 @@ class Experiment:
             if self.workflow_policy == "decomposed" and hasattr(
                 scheduler, "coplacement"
             ):
-                scheduler.coplacement = CoPlacementHint(self.workflow)
+                self._coplacement = CoPlacementHint(self.workflow)
+                scheduler.coplacement = self._coplacement
         self.simulation = ServingSimulation(
             executor=self.executor or GroundTruthExecutor(),
             rate_mode=self.rate_mode,
@@ -418,6 +421,9 @@ class Experiment:
     def run(self) -> SimulationReport:
         """Build if needed, replay the workload, return the report."""
         self.report = self.build().run()
+        if self.workflow is not None:
+            hint = self._coplacement
+            self.report.workflows["coplacement"] = hint and hint.stats()
         return self.report
 
     # ------------------------------------------------------------------

@@ -268,6 +268,8 @@ class CampaignSpec:
                 f"unsupported campaign schema {schema!r}"
                 f" (this build reads schema {CAMPAIGN_SCHEMA})"
             )
+        if "name" not in payload:
+            raise ValueError("a campaign spec needs a 'name'")
         return cls(
             name=payload["name"],
             axes={k: list(v) for k, v in payload.get("axes", {}).items()},

@@ -375,14 +375,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_trace_summary(args: argparse.Namespace) -> int:
     """Latency-decomposition breakdown of an exported JSONL trace."""
     try:
-        events = read_jsonl(args.trace)
+        summaries = summarize_events(read_jsonl(args.trace))
     except OSError as exc:
         print(f"cannot read trace {args.trace}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
-        print(f"{args.trace} is not JSONL: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"cannot summarize {args.trace}: {exc}", file=sys.stderr)
         return 1
-    summaries = summarize_events(events)
     if not summaries:
         print(f"no completion or drop events in {args.trace}")
         return 1
@@ -529,13 +528,17 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignSpec, CampaignStore
 
     store = CampaignStore(args.dir)
-    spec_payload = store.read_json("spec.json")
-    if spec_payload is None:
-        print(f"{args.dir} is not a campaign directory (no spec.json)",
-              file=sys.stderr)
+    try:
+        spec_payload = store.read_json("spec.json")
+        if spec_payload is None:
+            print(f"{args.dir} is not a campaign directory (no spec.json)",
+                  file=sys.stderr)
+            return 1
+        spec = CampaignSpec.from_dict(spec_payload)
+        hashes = [run.spec_hash() for run in spec.expand()]
+    except ValueError as exc:
+        print(f"cannot read campaign {args.dir}: {exc}", file=sys.stderr)
         return 1
-    spec = CampaignSpec.from_dict(spec_payload)
-    hashes = [run.spec_hash() for run in spec.expand()]
     done = set(store.completed_hashes())
     manifest = store.read_manifest() or {}
     failed = manifest.get("failed", [])

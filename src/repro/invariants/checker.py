@@ -142,6 +142,7 @@ class InvariantChecker:
             for inst in sim.platform.registry.all_active_instances()
             if inst.queue is not None
         )
+        ledger = sim.workflow_ledger
         return {
             "arrived": sim.metrics.arrived,
             # completed_count, not len(records): sketch-mode collectors
@@ -155,9 +156,9 @@ class InvariantChecker:
             # DAG-workflow terms (all zero outside workflow mode):
             # fan-out spawns extra tokens, joins/failed-root absorption
             # retire them, and tokens may wait at fan-in barriers.
-            "spawned": sim._wf_spawned,
-            "retired": sim._wf_retired,
-            "joining": sum(len(w) for w in sim._join_barriers.values()),
+            "spawned": 0 if ledger is None else ledger.spawned,
+            "retired": 0 if ledger is None else ledger.retired,
+            "joining": 0 if ledger is None else ledger.joining,
         }
 
     def check_request_conservation(self, sim: object, now: float) -> None:
@@ -743,13 +744,12 @@ class InvariantChecker:
         full or failed-root barrier is an orphan the forwarding logic
         should have resolved.
         """
-        workflow = sim.workflow
-        if workflow is None:
+        ledger = sim.workflow_ledger
+        if ledger is None:
             return
-        fan_in = workflow.fan_in()
-        barriers = sim._join_barriers
+        fan_in = ledger.spec.fan_in()
         waiting: Dict[str, int] = {}
-        for (stage, root), waiters in barriers.items():
+        for (stage, root), waiters in ledger.barriers.items():
             waiting[stage] = waiting.get(stage, 0) + len(waiters)
             if not 1 <= len(waiters) <= fan_in[stage] - 1:
                 self._flag(
@@ -760,7 +760,7 @@ class InvariantChecker:
                     stage=stage,
                     root=root,
                 )
-            if root in sim._wf_failed:
+            if root in ledger.failed:
                 self._flag(
                     "workflow_barriers",
                     now,
@@ -769,20 +769,19 @@ class InvariantChecker:
                     stage=stage,
                     root=root,
                 )
-        predecessors = workflow.predecessors()
-        for stage, preds in predecessors.items():
+        for stage, preds in ledger.spec.predecessors().items():
             if not preds:
                 continue  # entry stage: fed by the trace, not by edges
             inflow = sum(
-                sim._edge_forwards[(src, stage)] for src in preds
+                ledger.edge_forwards[(src, stage)] for src in preds
             )
             if fan_in[stage] == 1:
-                outflow = sim._stage_injected[stage]
+                outflow = ledger.injected[stage]
             else:
                 outflow = (
-                    fan_in[stage] * sim._join_fired[stage]
+                    fan_in[stage] * ledger.join_fired[stage]
                     + waiting.get(stage, 0)
-                    + sim._join_purged[stage]
+                    + ledger.join_purged[stage]
                 )
             if inflow != outflow:
                 self._flag(
@@ -822,7 +821,8 @@ class InvariantChecker:
         # Earlier workflow stages, crashed attempts and retry backoff
         # are latency no wait bucket sees: the parts only bound it.
         self.check_latency_tiling(
-            sim, now, chained=sim.workflow is not None or sim._retries > 0
+            sim, now,
+            chained=sim.workflow_ledger is not None or sim._retries > 0,
         )
         self.check_telemetry_agreement(sim, now)
         self.check_workflow_tick(sim, now)

@@ -77,7 +77,7 @@ from repro.telemetry import (
 from repro.telemetry import spans as ev
 from repro.workloads.arrivals import sample_arrivals, sample_arrivals_window
 from repro.workloads.trace import Trace
-from repro.workflows.spec import WorkflowSpec
+from repro.workflows import WorkflowLedger, WorkflowSpec
 
 _request_ids = itertools.count()
 
@@ -426,14 +426,10 @@ class ServingSimulation(RuntimeCore):
         self.ewma = ewma
         self.pending_cap = pending_cap
         self.cold_queue_batches = cold_queue_batches
-        #: the DAG workflow under test (None for plain runs); drives
-        #: fan-out/fan-in forwarding, the end-to-end deadline at the
-        #: sink and the report's ``workflows`` block.
+        #: the DAG workflow under test and its token ledger (both None
+        #: for plain runs).
         self.workflow = workflow
-        self._wf_tracking = workflow is not None
-        #: stage -> downstream stages (only stages with successors).
-        self._successors: Dict[str, tuple] = {}
-        self._fan_in: Dict[str, int] = {}
+        self.workflow_ledger: Optional[WorkflowLedger] = None
         if workflow is not None:
             stage_names = set(workflow.stage_names())
             entry = workflow.entry
@@ -447,10 +443,9 @@ class ServingSimulation(RuntimeCore):
                 raise ValueError(
                     f"workflow entry stage {entry!r} needs a workload trace"
                 )
-            self._successors = {
-                s.name: s.downstream for s in workflow.stages if s.downstream
-            }
-            self._fan_in = workflow.fan_in()
+            self.workflow_ledger = WorkflowLedger(workflow, warmup_s)
+            # Read only by benchmarks/e2e/tracing.py:316.
+            self._join_fired = self.workflow_ledger.join_fired
             # The control loop also manages the DAG's interior stages,
             # in topological order (upstream rates settle before
             # downstream ones read their forwarded arrivals).
@@ -459,28 +454,6 @@ class ServingSimulation(RuntimeCore):
             ]
             self._managed += interior
             self._arrivals_since_tick.update(dict.fromkeys(interior, 0))
-        # -- workflow bookkeeping (all zero outside workflow mode) ------
-        #: (stage, root) -> tokens waiting at a fan-in join barrier.
-        self._join_barriers: Dict[tuple, List[Request]] = {}
-        #: extra tokens created by fan-out / tokens merged away or
-        #: silently absorbed -- the conservation ledger's new terms.
-        self._wf_spawned = 0
-        self._wf_retired = 0
-        #: roots that already recorded their one drop.
-        self._wf_failed: set = set()
-        self._wf_started = 0
-        self._wf_completed = 0
-        self._wf_violations = 0
-        self._wf_dropped = 0
-        self._wf_latencies: List[float] = []
-        self._stage_latencies: Dict[str, List[float]] = {
-            name: [] for name in (workflow.stage_names() if workflow else ())
-        }
-        #: per-edge / per-stage flow counters for check_workflow_tick.
-        self._edge_forwards: Counter = Counter()
-        self._stage_injected: Counter = Counter()
-        self._join_fired: Counter = Counter()
-        self._join_purged: Counter = Counter()
         #: server_id -> non-default GPU generation; empty on the
         #: homogeneous baseline fleet, keeping the default execution
         #: path (argument lists, cache keys) bit-identical.
@@ -515,11 +488,8 @@ class ServingSimulation(RuntimeCore):
         self._retries = 0
         self._retry_completions = 0
         self._redispatched = 0
-        #: instance_id -> executing batch, kept only on chaos runs so
-        #: crashes can recover stranded requests at fault time.
-        self._track_inflight = (
-            self.faults is not None or self.resilience is not None
-        )
+        #: instance_id -> executing batch, kept only under a resilience
+        #: policy so crashes can retry stranded requests at fault time.
         self._inflight: Dict[int, _BatchInFlight] = {}
         #: per-function open outage start / closed outage durations,
         #: feeding the MTTR metric (outage = instance loss until the
@@ -575,7 +545,7 @@ class ServingSimulation(RuntimeCore):
         ])
 
     def _arrival_slo(self, name: str) -> float:
-        if self._successors:
+        if self.workflow_ledger is not None and self.workflow_ledger.successors:
             return self.workflow.end_to_end_slo_s
         return self.platform.function(name).slo_s
 
@@ -621,8 +591,8 @@ class ServingSimulation(RuntimeCore):
     # arrival path
     # ------------------------------------------------------------------
     def _admit(self, request: Request) -> None:
-        if self._wf_tracking and request.arrival >= self.warmup_s:
-            self._wf_started += 1
+        if self.workflow_ledger is not None:
+            self.workflow_ledger.admit(request)
         if self._shed and self.platform.should_shed(
             request.function, self.loop.now, len(self._pending[request.function])
         ):
@@ -631,23 +601,16 @@ class ServingSimulation(RuntimeCore):
         self._dispatch(request)
 
     def _drop(self, request: Request, reason: str) -> None:
-        if self._wf_tracking:
-            root = request.root
-            if root in self._wf_failed:
-                # A sibling token of this root already recorded the
-                # workflow's one drop; absorb this copy silently so the
-                # conservation ledger counts each root at most once.
-                self._wf_retired += 1
-                return
-            self._wf_failed.add(root)
-            self._purge_barriers(root)
-            if request.origin >= self.warmup_s:
-                self._wf_dropped += 1
-        # Workflow drops are attributed to their origin cohort (as
-        # completions are): a root admitted during warmup whose token
-        # dies seconds later must not count against the kept window,
-        # or completed+dropped could exceed arrived in the report.
-        drop_time = request.origin if self._wf_tracking else self.loop.now
+        ledger = self.workflow_ledger
+        if ledger is None:
+            drop_time = self.loop.now
+        elif ledger.absorb_drop(request):
+            return
+        else:
+            # Attributed to the origin cohort, as completions are, or a
+            # root admitted in warmup that drops later could make
+            # completed+dropped exceed arrived in the kept window.
+            drop_time = request.origin
         self.metrics.record_drop(drop_time, reason)
         if self._trace:
             self.tracer.emit(
@@ -753,25 +716,10 @@ class ServingSimulation(RuntimeCore):
         gpu_profile = None
         if self._gpu_profiles and instance.placement is not None:
             gpu_profile = self._gpu_profiles.get(instance.placement.server_id)
-        if gpu_profile is None:
-            # Homogeneous path: call exactly as before so duck-typed
-            # executors without the kwarg keep working.
-            exec_s = self.executor.execution_time(
-                model,
-                len(requests),
-                instance.config.cpu,
-                instance.config.gpu,
-                rng=self._rng,
-            )
-        else:
-            exec_s = self.executor.execution_time(
-                model,
-                len(requests),
-                instance.config.cpu,
-                instance.config.gpu,
-                rng=self._rng,
-                gpu_profile=gpu_profile,
-            )
+        exec_s = self.executor.execution_time(
+            model, len(requests), instance.config.cpu, instance.config.gpu,
+            rng=self._rng, gpu_profile=gpu_profile,
+        )
         batch_id = 0
         if self._trace:
             config = instance.config
@@ -786,7 +734,7 @@ class ServingSimulation(RuntimeCore):
             instance=instance, requests=requests, start=now, exec_s=exec_s,
             batch_id=batch_id,
         )
-        if self._track_inflight:
+        if self.resilience is not None:
             self._inflight[instance.instance_id] = batch
         self.loop.schedule(now + exec_s, EventKind.BATCH_COMPLETE, batch)
 
@@ -798,7 +746,7 @@ class ServingSimulation(RuntimeCore):
             return
         instance = batch.instance
         now = self.loop.now
-        if self._track_inflight:
+        if self.resilience is not None:
             self._inflight.pop(instance.instance_id, None)
         self._executing -= len(batch.requests)
         if (
@@ -810,10 +758,10 @@ class ServingSimulation(RuntimeCore):
                 self._drop(request, DROP_SERVER_FAILURE)
             instance.busy = False
             return
-        successors = self._successors.get(instance.function.name)
+        ledger = self.workflow_ledger
+        successors = ledger and ledger.successors.get(instance.function.name)
         if successors:
-            for request in batch.requests:
-                self._complete_stage(request, successors, now)
+            ledger.fan_out(batch.requests, successors, now, self._inject)
         else:
             self._complete_batch(batch, now)
         if self._outage_start:
@@ -837,15 +785,23 @@ class ServingSimulation(RuntimeCore):
         """
         instance = batch.instance
         requests = batch.requests
+        ledger = self.workflow_ledger
         sink = (
-            self._wf_tracking
-            and instance.function.name in self._stage_latencies
+            ledger is not None
+            and instance.function.name in ledger.stage_latencies
         )
         if sink or self._trace or self.resilience is not None:
             completed = []
             for request in requests:
-                if sink and not self._complete_workflow(request, now):
+                if sink and not ledger.complete(request, now):
                     continue
+                if sink and self._trace:
+                    self.tracer.emit(
+                        ev.WORKFLOW_COMPLETE, now, workflow_id=request.root,
+                        workflow=self.workflow.name, origin=request.origin,
+                        latency_s=now - request.origin,
+                        slo_s=self.workflow.end_to_end_slo_s,
+                    )
                 if request.attempt:
                     self._retry_completions += 1
                 completed.append(request)
@@ -859,29 +815,6 @@ class ServingSimulation(RuntimeCore):
             instance.ready_at, batch.exec_s,
             (config.batch, config.cpu, config.gpu), len(requests),
         )
-
-    def _complete_workflow(self, request: Request, now: float) -> bool:
-        """Judge a sink token's end-to-end deadline; False if absorbed."""
-        if request.root in self._wf_failed:
-            self._wf_retired += 1
-            return False
-        if request.origin >= self.warmup_s:
-            self._stage_latencies[request.function].append(
-                now - request.arrival
-            )
-            latency = now - request.origin
-            self._wf_latencies.append(latency)
-            self._wf_completed += 1
-            if latency > self.workflow.end_to_end_slo_s:
-                self._wf_violations += 1
-        if self._trace:
-            self.tracer.emit(
-                ev.WORKFLOW_COMPLETE, now, workflow_id=request.root,
-                workflow=self.workflow.name, origin=request.origin,
-                latency_s=now - request.origin,
-                slo_s=self.workflow.end_to_end_slo_s,
-            )
-        return True
 
     def _trace_completion(
         self, batch: _BatchInFlight, request: Request, now: float
@@ -1002,107 +935,31 @@ class ServingSimulation(RuntimeCore):
         request.arrival = self.loop.now
         self._dispatch(request)
 
-    def _forward(self, request: Request, next_stage: str, root: int) -> None:
-        """Hand a completed stage's request to the next stage."""
+    def _inject(
+        self, stage: str, root: int, slo_s: float, origin: float
+    ) -> None:
+        """The workflow ledger's callback: dispatch a token to ``stage``."""
         now = self.loop.now
-        follow_on = Request(
-            function=next_stage,
-            arrival=now,
-            slo_s=request.slo_s,
-            origin_arrival=request.origin,
-            root_id=root,
-        )
-        self._stage_injected[next_stage] += 1
+        token = Request(stage, now, slo_s, origin_arrival=origin, root_id=root)
         if self._trace:
             self.tracer.emit(
                 ev.WORKFLOW_STAGE, now, workflow_id=root,
-                request=follow_on.request_id, function=next_stage,
-            )
-        self._arrivals_since_tick[next_stage] += 1
-        self.platform.record_invocation(next_stage, now)
-        self._dispatch(follow_on)
-
-    # ------------------------------------------------------------------
-    # workflow forwarding: fan-out, join barriers, failure absorption
-    # ------------------------------------------------------------------
-    def _complete_stage(
-        self, request: Request, successors: tuple, now: float
-    ) -> None:
-        """Route one completed stage token along its outgoing edges.
-
-        The token fans out to every downstream stage, waits at fan-in
-        join barriers until all sibling copies arrive, and is silently
-        absorbed when its root already failed.
-        """
-        root = request.root
-        stage = request.function
-        if request.origin >= self.warmup_s:
-            self._stage_latencies[stage].append(now - request.arrival)
-        if root in self._wf_failed:
-            self._wf_retired += 1
-            return
-        if len(successors) > 1:
-            self._wf_spawned += len(successors) - 1
-        for index, nxt in enumerate(successors):
-            if root in self._wf_failed:
-                # A sibling token died inside this very fan-out (its
-                # edge's dispatch dropped synchronously): the remaining
-                # edges' tokens are retired unminted, or a later join
-                # barrier would wait forever for a failed root.
-                self._wf_retired += len(successors) - index
-                break
-            self._edge_forwards[(stage, nxt)] += 1
-            if self._fan_in[nxt] > 1:
-                self._join_token(request, nxt, root, now)
-            else:
-                self._forward(request, nxt, root)
-
-    def _join_token(
-        self, request: Request, stage: str, root: int, now: float
-    ) -> None:
-        """Park a token at ``stage``'s join barrier; fire when full."""
-        key = (stage, root)
-        waiters = self._join_barriers.setdefault(key, [])
-        waiters.append(request)
-        if len(waiters) < self._fan_in[stage]:
-            return
-        del self._join_barriers[key]
-        self._join_fired[stage] += 1
-        self._wf_retired += len(waiters) - 1
-        merged = Request(
-            function=stage,
-            arrival=now,
-            slo_s=request.slo_s,
-            origin_arrival=waiters[0].origin,
-            root_id=root,
-        )
-        self._stage_injected[stage] += 1
-        if self._trace:
-            self.tracer.emit(
-                ev.WORKFLOW_STAGE, now, workflow_id=root,
-                request=merged.request_id, function=stage,
+                request=token.request_id, function=stage,
             )
         self._arrivals_since_tick[stage] += 1
         self.platform.record_invocation(stage, now)
-        self._dispatch(merged)
-
-    def _purge_barriers(self, root: int) -> None:
-        """Retire every token of a failed root waiting at a barrier."""
-        if not self._join_barriers:
-            return
-        stale = [key for key in self._join_barriers if key[1] == root]
-        for key in stale:
-            waiters = self._join_barriers.pop(key)
-            self._join_purged[key[0]] += len(waiters)
-            self._wf_retired += len(waiters)
+        self._dispatch(token)
 
     # ------------------------------------------------------------------
     # control loop
     # ------------------------------------------------------------------
     def _estimate_rate(self, name: str) -> float:
-        if self.rate_mode == "oracle" and name in self.workload:
+        oracle = self.rate_mode == "oracle"
+        if oracle and name in self.workload:
             return self.workload[name].rps_at(self.loop.now)
-        if self.rate_mode == "oracle" and name not in self.workload:
+        measured = self._arrivals_since_tick[name] / self.control_interval_s
+        self._arrivals_since_tick[name] = 0
+        if oracle:
             # Downstream stages have no trace to read.  Their true
             # arrival rate is the upstream completion throughput on
             # their inbound edges (fan-out already multiplies the
@@ -1110,17 +967,12 @@ class ServingSimulation(RuntimeCore):
             # the tick instead of EWMA-smoothing from a cold start --
             # the oracle promises no estimation lag for entry stages,
             # and interior stages deserve the same fidelity.
-            measured = (
-                self._arrivals_since_tick[name] / self.control_interval_s
+            estimate = measured
+        else:
+            estimate = (
+                self.ewma * measured
+                + (1.0 - self.ewma) * self._rate_estimate[name]
             )
-            self._arrivals_since_tick[name] = 0
-            self._rate_estimate[name] = measured
-            return measured
-        measured = self._arrivals_since_tick[name] / self.control_interval_s
-        self._arrivals_since_tick[name] = 0
-        estimate = (
-            self.ewma * measured + (1.0 - self.ewma) * self._rate_estimate[name]
-        )
         self._rate_estimate[name] = estimate
         return estimate
 
@@ -1206,65 +1058,9 @@ class ServingSimulation(RuntimeCore):
         )
         if self.faults is not None or self.resilience is not None:
             report.resilience = self._resilience_summary(report)
-        if self._wf_tracking:
-            report.workflows = self._workflow_summary()
+        if self.workflow_ledger is not None:
+            report.workflows = self.workflow_ledger.summary(self._horizon)
         return report
-
-    def _workflow_summary(self) -> Dict[str, object]:
-        """The workflow metrics block attached to the report.
-
-        Goodput counts workflows that completed at the sink within the
-        end-to-end budget, over the post-warmup window; the per-stage
-        decomposition shows where the pipeline's latency lives; the
-        co-placement stats come from the scheduler's hint when one is
-        attached.
-        """
-        workflow = self.workflow
-        elapsed = max(self._horizon - self.warmup_s, 1e-9)
-        goodput = max(self._wf_completed - self._wf_violations, 0) / elapsed
-        latencies = (
-            np.asarray(self._wf_latencies) if self._wf_latencies else None
-        )
-        per_stage: Dict[str, object] = {}
-        for name in workflow.stage_names():
-            values = self._stage_latencies.get(name) or ()
-            if values:
-                arr = np.asarray(values)
-                per_stage[name] = {
-                    "count": len(values),
-                    "mean_s": float(arr.mean()),
-                    "p50_s": float(np.percentile(arr, 50)),
-                    "p99_s": float(np.percentile(arr, 99)),
-                }
-            else:
-                per_stage[name] = {
-                    "count": 0, "mean_s": None, "p50_s": None, "p99_s": None,
-                }
-        hint = getattr(
-            getattr(self.platform, "scheduler", None), "coplacement", None
-        )
-        return {
-            "workflow": workflow.name,
-            "end_to_end_slo_s": workflow.end_to_end_slo_s,
-            "started": self._wf_started,
-            "completed": self._wf_completed,
-            "violations": self._wf_violations,
-            "failed": self._wf_dropped,
-            "goodput_rps": goodput,
-            "latency_mean_s": (
-                float(latencies.mean()) if latencies is not None else None
-            ),
-            "latency_p50_s": (
-                float(np.percentile(latencies, 50))
-                if latencies is not None else None
-            ),
-            "latency_p99_s": (
-                float(np.percentile(latencies, 99))
-                if latencies is not None else None
-            ),
-            "per_stage": per_stage,
-            "coplacement": hint.stats() if hint is not None else None,
-        }
 
     def _resilience_summary(self, report: SimulationReport) -> Dict[str, object]:
         """The chaos-run metrics block attached to the report."""

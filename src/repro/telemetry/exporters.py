@@ -57,13 +57,15 @@ def write_jsonl(events: Iterable[Any], path: str) -> int:
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load a JSONL trace back into flat event dicts."""
+    """Load a JSONL trace back into flat event dicts (else ValueError)."""
     events = []
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
+        for number, line in enumerate(handle, 1):
+            if line.strip():
+                event = json.loads(line)
+                if not isinstance(event, dict):
+                    raise ValueError(f"line {number} is not a JSON object")
+                events.append(event)
     return events
 
 

@@ -62,7 +62,10 @@ class FunctionSummary:
 
 
 def summarize_events(events: Iterable[Any]) -> Dict[str, FunctionSummary]:
-    """Aggregate completion/drop events per function, name-sorted."""
+    """Aggregate completion/drop events per function, name-sorted.
+
+    Raises ``ValueError`` for a completion or drop event it cannot read.
+    """
     summaries: Dict[str, FunctionSummary] = {}
 
     def summary_for(name: str) -> FunctionSummary:
@@ -73,17 +76,20 @@ def summarize_events(events: Iterable[Any]) -> Dict[str, FunctionSummary]:
     for raw in events:
         event = raw if isinstance(raw, dict) else raw.to_dict()
         kind = event.get("kind")
-        if kind == ev.REQUEST_COMPLETE:
-            summary = summary_for(event["function"])
-            summary.completed += 1
-            summary.violations += bool(event.get("violated"))
-            summary.cold_wait_s.append(float(event["cold_wait_s"]))
-            summary.batch_wait_s.append(float(event["batch_wait_s"]))
-            summary.exec_s.append(float(event["exec_s"]))
-            summary.latency_s.append(float(event["latency_s"]))
-        elif kind == ev.REQUEST_DROP:
-            summary = summary_for(event["function"])
-            summary.drops[event.get("reason", "unspecified")] += 1
+        try:
+            if kind == ev.REQUEST_COMPLETE:
+                summary = summary_for(event["function"])
+                summary.completed += 1
+                summary.violations += bool(event.get("violated"))
+                summary.cold_wait_s.append(float(event["cold_wait_s"]))
+                summary.batch_wait_s.append(float(event["batch_wait_s"]))
+                summary.exec_s.append(float(event["exec_s"]))
+                summary.latency_s.append(float(event["latency_s"]))
+            elif kind == ev.REQUEST_DROP:
+                summary = summary_for(event["function"])
+                summary.drops[event.get("reason", "unspecified")] += 1
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed {kind} event: {exc!r}") from None
 
     return dict(sorted(summaries.items()))
 

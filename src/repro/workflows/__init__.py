@@ -3,8 +3,9 @@
 The pipeline-conscious layer over the INFless core: declarative
 :class:`WorkflowSpec` DAGs (fan-out/fan-in over zoo models), ESG-style
 decomposition of the end-to-end SLO into per-stage budgets feeding
-Eq. 1, and the :class:`CoPlacementHint` that keeps adjacent stages on
-the same shareable GPU.  See ``docs/workflows.md``.
+Eq. 1, the :class:`CoPlacementHint` that keeps adjacent stages on
+the same shareable GPU, and the :class:`WorkflowLedger` that follows a
+run's tokens through the DAG.  See ``docs/workflows.md``.
 """
 
 from repro.workflows.coplace import DEFAULT_TOLERANCE, CoPlacementHint
@@ -13,6 +14,7 @@ from repro.workflows.decompose import (
     decompose_slo,
     predicted_stage_times,
 )
+from repro.workflows.ledger import WorkflowLedger
 from repro.workflows.spec import (
     WORKFLOW_PRESETS,
     WorkflowSpec,
@@ -26,6 +28,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "WORKFLOW_POLICIES",
     "WORKFLOW_PRESETS",
+    "WorkflowLedger",
     "WorkflowSpec",
     "WorkflowStage",
     "build_preset_workflow",

@@ -195,7 +195,6 @@ class TestScaleOutFlags:
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-CHAOS_PLAN = str(REPO_ROOT / "examples" / "chaos_plan.json")
 _SMALL_RUN = ["simulate", "--model", "mnist", "--rps", "50",
               "--duration", "10", "--servers", "2", "--output", "json"]
 
@@ -209,10 +208,10 @@ class TestSeedsShareTheSingleRunBuilder:
         assert seeds["metrics"]["goodput (rps)"]["values"] == [single]
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--workflow", "osvt", "--faults", CHAOS_PLAN],
+        ["simulate", "--workflow", "osvt", "--engine", "fluid"],
         ["simulate", "--platform", "llm", "--model", "llm-1b",
          "--metrics-mode", "sketch"],
-    ], ids=["workflow-faults", "llm-sketch"])
+    ], ids=["workflow-fluid", "llm-sketch"])
     def test_seeds_reject_incompatible_specs_before_running(
         self, capsys, monkeypatch, argv
     ):
@@ -322,6 +321,33 @@ def test_bad_numbers_to_validate_and_shard_exit_with_one_line(tmp_path, argv):
         csv, {"app/f0": constant_trace(2.0, 120.0, step_s=60.0)}
     )
     done = _run_cli([str(csv) if arg == "CSV" else arg for arg in argv])
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stdout + done.stderr
+    assert done.stderr.startswith("cannot ")
+    assert len(done.stderr.strip().splitlines()) == 1, done.stderr
+
+
+@pytest.mark.parametrize("command, name, content", [
+    ("trace-summary", "run.jsonl", "[1, 2]\n"),
+    ("trace-summary", "run.jsonl", '{"kind": "request_complete"}\n'),
+    ("trace-summary", "run.jsonl",
+     '{"kind": "request_drop", "function": ["f"]}\n'),
+    ("trace-summary", "run.jsonl", '{"kind": "request_drop"\n'),
+    ("campaign status", "spec.json", '{"axes": {}}'),
+    ("campaign status", "spec.json", "[1, 2]"),
+    ("campaign status", "spec.json", '{"name": '),
+], ids=[
+    "summary-non-object", "summary-no-function", "summary-bad-type",
+    "summary-truncated", "status-no-name", "status-non-object",
+    "status-truncated",
+])
+def test_bad_trace_and_campaign_files_exit_with_one_line(
+    tmp_path, command, name, content
+):
+    path = tmp_path / name
+    path.write_text(content)
+    target = path if command == "trace-summary" else tmp_path
+    done = _run_cli(command.split() + [str(target)])
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stdout + done.stderr
     assert done.stderr.startswith("cannot ")

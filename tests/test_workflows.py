@@ -4,9 +4,10 @@ co-placement and workflow execution.
 A linear pipeline is a path-shaped workflow, so two goldens under
 ``tests/data/`` pin the forwarding path byte for byte:
 
-- ``golden_traces.json`` scenario ``osvt_workflow`` (checked by
-  ``tests/test_trace_golden.py``): linear stage-to-stage forwarding
-  on the OSVT pipeline, down to every trace event.
+- ``golden_traces.json`` scenarios ``osvt_workflow`` and
+  ``osvt_workflow_crash`` (checked by ``tests/test_trace_golden.py``):
+  linear stage-to-stage forwarding on the OSVT pipeline, without and
+  with faults and retries, down to every trace event.
 - ``golden_workflow_report.json``: the diamond fan-out/fan-in
   scenario.  Regenerate (deliberate behaviour changes only) with::
 
@@ -24,6 +25,14 @@ from hypothesis import given, settings, strategies as st
 from repro.api import Experiment
 from repro.cluster import FleetSpec, ServerGroup, build_testbed_cluster
 from repro.core import FunctionSpec, INFlessEngine
+from repro.faults import (
+    ColdStartStraggler,
+    FaultPlan,
+    IngressSpike,
+    InstanceKill,
+    ServerCrash,
+    ServerRecovery,
+)
 from repro.profiling import GroundTruthExecutor
 from repro.simulation import ServingSimulation
 from repro.workflows import (
@@ -248,8 +257,8 @@ class TestWorkflowExecution:
         )
         report = experiment.run()
         sim = experiment.simulation
-        assert sim._join_fired["d-sink"] > 0
-        assert not sim._join_barriers, "orphaned join barriers at drain"
+        assert sim.workflow_ledger.join_fired["d-sink"] > 0
+        assert not sim.workflow_ledger.barriers, "orphaned join barriers at drain"
         wf = report.workflows
         # Every post-warmup sink completion is exactly one finished
         # workflow: the join barrier collapsed both branches first.
@@ -269,6 +278,71 @@ class TestWorkflowExecution:
         kinds = {event.kind for event in experiment.tracer.events}
         assert "workflow_stage" in kinds
         assert "workflow_complete" in kinds
+
+
+def _chaos_plan(kind: str, interior: str, sink: str) -> FaultPlan:
+    """One of three fault plans for a 30 s workflow run."""
+    if kind == "crash-recovery":
+        events = (
+            ServerCrash(at_s=14.0, server_id=0),
+            ServerRecovery(at_s=20.0, server_id=0),
+        )
+    elif kind == "instance-kills":
+        events = (
+            InstanceKill(at_s=12.0, function=interior),
+            InstanceKill(at_s=16.0, function=sink),
+        )
+    else:
+        events = (
+            IngressSpike(at_s=11.0, duration_s=2.0, extra_delay_s=0.05),
+            ServerCrash(at_s=14.0, server_id=0),
+            ColdStartStraggler(at_s=14.0, duration_s=4.0, factor=3.0),
+        )
+    return FaultPlan(events=events)
+
+
+class TestWorkflowsUnderChaos:
+    """Workflows compose with fault plans and resilience policies."""
+
+    WORKFLOWS = {
+        "osvt": ("osvt-mobilenet", "osvt-resnet-50"),
+        "diamond": ("d-mnet", "d-sink"),
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("resilience", [False, True],
+                             ids=["no-resilience", "resilience"])
+    @pytest.mark.parametrize("plan", [
+        "crash-recovery", "instance-kills", "crash-straggler-spike",
+    ])
+    @pytest.mark.parametrize("name", ["osvt", "diamond"])
+    def test_each_root_drops_once_and_no_barrier_survives(
+        self, name, plan, resilience, seed
+    ):
+        workflow = (
+            build_preset_workflow("osvt") if name == "osvt"
+            else diamond_workflow()
+        )
+        faults = _chaos_plan(plan, *self.WORKFLOWS[name])
+        experiment = Experiment(
+            platform="infless",
+            servers=4,
+            workflow=workflow,
+            workload={workflow.entry: constant_trace(80.0, 30.0)},
+            faults=faults,
+            resilience=resilience,
+            warmup_s=0.0,
+            invariants="strict",
+            seed=seed,
+        )
+        report = experiment.run()
+        assert report.invariant_violations == []
+        assert report.resilience["faults_injected"] == len(faults.events)
+        # With no warmup every root is counted: each one that fails
+        # records exactly one drop, however many tokens it had.
+        assert report.dropped == report.workflows["failed"]
+        assert report.completed + report.dropped == report.arrived
+        assert not experiment.simulation.workflow_ledger.barriers
 
 
 class TestOracleRateRegression:
@@ -340,17 +414,6 @@ class TestWorkflowRejections:
     def test_llm_platform_rejects_workflow(self):
         with pytest.raises(ValueError, match="autoregressive"):
             Experiment(**self._kwargs(platform="llm")).build()
-
-    def test_faults_reject_workflow(self):
-        faults = {"name": "chaos", "events": [
-            {"kind": "server_crash", "at_s": 5.0, "server_id": 0},
-        ]}
-        with pytest.raises(ValueError, match="faults"):
-            Experiment(**self._kwargs(faults=faults))
-
-    def test_resilience_rejects_workflow(self):
-        with pytest.raises(ValueError, match="resilience"):
-            Experiment(**self._kwargs(resilience=True))
 
     def test_workflow_and_functions_mutually_exclusive(self):
         function = FunctionSpec.for_model("mnist", 0.1)
@@ -528,8 +591,7 @@ class TestWorkflowConservationProperty:
             seed=11,
         )
         report = experiment.run()
-        sim = experiment.simulation
-        assert not sim._join_barriers
+        assert not experiment.simulation.workflow_ledger.barriers
         counts = report.workflows
         assert counts["started"] >= counts["completed"]
 

@@ -1,7 +1,7 @@
 """Seeded traced runs pinning the tracer's exact output bytes.
 
 Companion to ``tests/golden_scenarios.py`` for the telemetry layer:
-three small traced runs whose exports are pinned -- event count, JSONL
+four small traced runs whose exports are pinned -- event count, JSONL
 sha256 and Chrome-trace sha256 -- in ``tests/data/golden_traces.json``
 and compared by ``tests/test_trace_golden.py``.  Between them the runs
 emit every event kind of :data:`repro.telemetry.spans.EVENT_SCHEMA`:
@@ -11,6 +11,8 @@ emit every event kind of :data:`repro.telemetry.spans.EVENT_SCHEMA`:
   vertical-then-horizontal auto-scaler;
 * ``osvt_workflow`` -- the OSVT DAG under decomposed SLO budgets; the
   load steps down to zero so instances retire;
+* ``osvt_workflow_crash`` -- the same DAG with resilience retries under
+  a server crash, an instance kill and a recovery;
 * ``llm_swap_crash`` -- continuous batching with swap preemption under
   a tight KV cap, plus a server crash.
 
@@ -87,6 +89,33 @@ def scenario_osvt_workflow(predictor) -> List:
     return experiment.tracer.events
 
 
+def scenario_osvt_workflow_crash(predictor) -> List:
+    """The OSVT DAG under a crash, an instance kill and a recovery."""
+    from repro import Experiment
+    from repro.faults import FaultPlan, InstanceKill, ServerCrash, ServerRecovery
+
+    plan = FaultPlan(events=(
+        ServerCrash(at_s=8.0, server_id=0),
+        InstanceKill(at_s=9.0, function="osvt-mobilenet"),
+        ServerRecovery(at_s=11.0, server_id=0),
+    ))
+    experiment = Experiment(
+        platform="infless",
+        workflow="osvt",
+        workflow_policy="decomposed",
+        workload={"osvt-ssd": _step_trace((150, 12), (0, 4))},
+        servers=4,
+        predictor=predictor,
+        faults=plan,
+        resilience=True,
+        telemetry=True,
+        invariants="strict",
+        seed=5,
+    )
+    experiment.run()
+    return experiment.tracer.events
+
+
 def scenario_llm_swap_crash(predictor) -> List:
     """Continuous batching, swap preemption, one server crash."""
     from repro import Experiment
@@ -116,6 +145,7 @@ def scenario_llm_swap_crash(predictor) -> List:
 SCENARIOS: Dict[str, Callable] = {
     "infless_faults": scenario_infless_faults,
     "osvt_workflow": scenario_osvt_workflow,
+    "osvt_workflow_crash": scenario_osvt_workflow_crash,
     "llm_swap_crash": scenario_llm_swap_crash,
 }
 
