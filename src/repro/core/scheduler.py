@@ -95,7 +95,7 @@ class GreedyScheduler:
         #: the RS-ablation of Fig. 11 ("selecting only the resource
         #: configuration with the maximum throughput").
         self.selection = selection
-        #: (model, slo, batch[, generation]) -> feasible (config,
+        #: (model, slo, batch[, generation rate]) -> feasible (config,
         #: t_exec, bounds) rows independent of the residual-load
         #: filter; predictions do not change between scheduling calls,
         #: so this is safe to cache.  The rows depend on the model and
@@ -132,9 +132,13 @@ class GreedyScheduler:
         #: deterministic candidate enumeration; the leading ``None``
         #: stands for the calibration baseline and also supplies the
         #: generation-independent CPU-only rows.
-        profiles: Dict[str, GpuProfile] = {
-            p.name: p for p in self._gpu_profiles.values()
-        }
+        profiles: Dict[str, GpuProfile] = {}
+        for profile in self._gpu_profiles.values():
+            if profiles.setdefault(profile.name, profile) != profile:
+                # The free-capacity index buckets servers by name.
+                raise ValueError(
+                    f"two different GPU generations are named {profile.name!r}"
+                )
         self._profile_order: List[Optional[GpuProfile]] = [None] + [
             profiles[name] for name in sorted(profiles)
         ]
@@ -194,8 +198,10 @@ class GreedyScheduler:
         if gpu_profile is None:
             cache_key = (function.model.name, function.slo_s, batch)
         else:
+            # Rows are priced by the generation's rate, not its name.
             cache_key = (
-                function.model.name, function.slo_s, batch, gpu_profile.name,
+                function.model.name, function.slo_s, batch,
+                gpu_profile.total_gflops,
             )
         rows = self._config_cache.get(cache_key)
         if rows is None:

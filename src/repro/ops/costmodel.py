@@ -75,35 +75,14 @@ class CostModel:
         self.hardware = hardware
 
     # ------------------------------------------------------------------
-    # throughput building blocks
-    # ------------------------------------------------------------------
-    def _cpu_rate_gflops(self, spec: OperatorSpec, cpu: float, batch: int) -> float:
-        kind = get_operator_kind(spec.kind_name)
-        cores = float(cpu)
-        if kind.memory_bound:
-            cores = min(cores, float(self.hardware.membound_cpu_cap))
-        # CPUs see a moderate batching benefit from better cache/vector
-        # utilisation; saturates quicker than GPUs.
-        util = batch / (batch + 0.6)
-        return cores * self.hardware.cpu_core_gflops * kind.cpu_efficiency * util
-
-    def _gpu_rate_gflops(self, spec: OperatorSpec, gpu: float, batch: int) -> float:
-        if gpu <= 0:
-            return 0.0
-        kind = get_operator_kind(spec.kind_name)
-        share = float(gpu)
-        if kind.memory_bound:
-            share = min(share, float(self.hardware.membound_gpu_cap))
-        util = batch / (batch + kind.gpu_saturation_batch)
-        return (share / 100.0) * self.hardware.gpu_total_gflops * kind.gpu_efficiency * util
-
-    # ------------------------------------------------------------------
     # operator time
     # ------------------------------------------------------------------
-    def operator_time(
-        self, spec: OperatorSpec, batch: int, cpu: float, gpu: float
-    ) -> float:
+    def operator_time(self, spec: OperatorSpec, batch, cpu, gpu):
         """Noise-free execution time of one operator node for a batch.
+
+        A roofline: the CPU and GPU shares each sustain a rate (GFLOPs
+        per second) and the batch's work runs at their sum, after a
+        per-call dispatch overhead.
 
         Args:
             spec: the operator occurrence (kind, per-item GFLOPs, calls).
@@ -112,17 +91,45 @@ class CostModel:
                 baseline).
             gpu: GPU SM percentage in ``[0, 100]``.
 
+        ``batch``, ``cpu`` and ``gpu`` may also be numpy arrays, which
+        broadcast together (the profiler prices a whole configuration
+        grid in one call).  Scalars and arrays run the same arithmetic,
+        so each array element has the bits of the scalar call.
+
         Returns:
             Seconds to execute all ``spec.calls`` invocations of the
-            operator on a batch of ``batch`` items.
+            operator on a batch of ``batch`` items: a float for scalar
+            arguments, an array otherwise.
         """
-        if batch < 1:
+        if (
+            isinstance(batch, np.ndarray)
+            or isinstance(cpu, np.ndarray)
+            or isinstance(gpu, np.ndarray)
+        ):
+            minimum, maximum, any_ = np.minimum, np.maximum, np.any
+        else:
+            minimum, maximum, any_ = min, max, bool
+        if any_(batch < 1):
             raise ValueError("batch must be >= 1")
-        if cpu <= 0 and gpu <= 0:
+        if any_((cpu <= 0) & (gpu <= 0)):
             raise ValueError("an instance needs CPU and/or GPU resources")
         kind = get_operator_kind(spec.kind_name)
-        rate = self._cpu_rate_gflops(spec, cpu, batch) + self._gpu_rate_gflops(
-            spec, gpu, batch
+        hardware = self.hardware
+        cores = cpu
+        # A CPU-only instance (gpu == 0) has a GPU rate of exactly 0.0.
+        share = maximum(gpu, 0.0)
+        if kind.memory_bound:
+            # Memory-bound operators stop speeding up past the caps.
+            cores = minimum(cores, float(hardware.membound_cpu_cap))
+            share = minimum(share, float(hardware.membound_gpu_cap))
+        # CPUs see a moderate batching benefit from better cache/vector
+        # utilisation; saturates quicker than GPUs.
+        cpu_util = batch / (batch + 0.6)
+        gpu_util = batch / (batch + kind.gpu_saturation_batch)
+        rate = (
+            cores * hardware.cpu_core_gflops * kind.cpu_efficiency * cpu_util
+            + (share / 100.0) * hardware.gpu_total_gflops
+            * kind.gpu_efficiency * gpu_util
         )
         work_gflops = spec.total_gflops_per_item * batch
         dispatch = kind.dispatch_overhead_s * spec.calls
@@ -135,17 +142,21 @@ class CostModel:
     # ------------------------------------------------------------------
     # noisy measurement
     # ------------------------------------------------------------------
-    def sample_time(self, mean_time: float, rng: np.random.Generator) -> float:
+    def sample_time(self, mean_time, rng: np.random.Generator):
         """Draw one noisy 'measured' duration around a model-time mean.
 
         Uses a log-normal multiplicative factor with unit mean so that
-        repeated profiling converges to the analytic curve.
+        repeated profiling converges to the analytic curve.  An array
+        of means draws one factor per element, in C order, from the
+        same stream the scalar calls would consume one by one.
         """
         sigma = self.hardware.noise_sigma
         if sigma <= 0:
             return mean_time
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2) == 1 for this mu.
         mu = -0.5 * sigma * sigma
+        if isinstance(mean_time, np.ndarray):
+            return mean_time * rng.lognormal(mu, sigma, size=mean_time.shape)
         return mean_time * float(rng.lognormal(mean=mu, sigma=sigma))
 
     def throughput_items_per_s(

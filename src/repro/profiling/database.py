@@ -13,7 +13,7 @@ import bisect
 import json
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ops.operator import OperatorProfile
 
@@ -38,14 +38,35 @@ class ProfileDatabase:
     # population
     # ------------------------------------------------------------------
     def insert(self, profile: OperatorProfile) -> None:
-        key = (profile.batch, profile.cpu, profile.gpu)
-        series = self._store[profile.operator][key]
-        bisect.insort(series, (profile.input_size, profile.time_s))
-        self._count += 1
+        self.insert_series(
+            profile.operator,
+            (profile.batch, profile.cpu, profile.gpu),
+            [profile.input_size],
+            [profile.time_s],
+        )
 
-    def insert_many(self, profiles: List[OperatorProfile]) -> None:
-        for profile in profiles:
-            self.insert(profile)
+    def insert_series(
+        self,
+        operator: str,
+        key: ConfigKey,
+        input_sizes: Sequence[float],
+        times: Sequence[float],
+    ) -> None:
+        """Add ``(input size, time)`` points to one ``(b, c, g)`` series.
+
+        Stores exactly what inserting the points one by one in sorted
+        position would (duplicated or out-of-order sizes included).
+        """
+        if len(input_sizes) != len(times):
+            raise ValueError("input_sizes and times differ in length")
+        if key[0] < 1:
+            raise ValueError("batch must be >= 1")
+        if times and min(times) <= 0:
+            raise ValueError("profiled time must be positive")
+        series = self._store[operator][key]
+        series.extend(zip(input_sizes, times))
+        series.sort()
+        self._count += len(times)
 
     def __len__(self) -> int:
         return self._count
@@ -105,17 +126,12 @@ class ProfileDatabase:
         for operator, configs in payload.items():
             for key_str, series in configs.items():
                 batch, cpu, gpu = (int(part) for part in key_str.split(","))
-                for input_size, time_s in series:
-                    db.insert(
-                        OperatorProfile(
-                            operator=operator,
-                            input_size=float(input_size),
-                            batch=batch,
-                            cpu=cpu,
-                            gpu=gpu,
-                            time_s=float(time_s),
-                        )
-                    )
+                db.insert_series(
+                    operator,
+                    (batch, cpu, gpu),
+                    [float(input_size) for input_size, _ in series],
+                    [float(time_s) for _, time_s in series],
+                )
         return db
 
 

@@ -50,22 +50,25 @@ class GroundTruthExecutor:
         self.hardware = hardware
         self.cost_model = CostModel(hardware)
         self._rng = np.random.default_rng(seed)
-        # (model name, batch, cpu, gpu[, profile]) -> noise-free batch
-        # duration.  The mean is a pure function of the configuration
-        # (the graph walk and quirk draw are deterministic), and the
-        # serving path re-asks it for every executed batch.
+        # (model name, batch, cpu, gpu[, generation name, rate]) ->
+        # noise-free batch duration.  The mean is a pure function of the
+        # configuration (the graph walk and quirk draw are
+        # deterministic), and the serving path re-asks it for every
+        # executed batch.  A generation's cost depends on its rate and
+        # its quirk on its name, so the key holds both.
         self._mean_cache: dict = {}
-        # GPU generation name -> cost model at that generation's rate
+        # GPU generation rate (total GFLOPs) -> cost model at that rate
         # (heterogeneous fleets only; empty on the default path).
         self._profile_models: dict = {}
 
     def _profile_cost_model(self, gpu_profile: "GpuProfile") -> CostModel:
-        model = self._profile_models.get(gpu_profile.name)
+        rate = gpu_profile.total_gflops
+        model = self._profile_models.get(rate)
         if model is None:
             from repro.cluster.fleet import hardware_for_profile
 
             model = CostModel(hardware_for_profile(gpu_profile))
-            self._profile_models[gpu_profile.name] = model
+            self._profile_models[rate] = model
         return model
 
     def _effective_profile(
@@ -120,7 +123,10 @@ class GroundTruthExecutor:
             cost_model = self.cost_model
             profile_name = ""
         else:
-            key = (model.name, batch, cpu, gpu, gpu_profile.name)
+            key = (
+                model.name, batch, cpu, gpu,
+                gpu_profile.name, gpu_profile.total_gflops,
+            )
             cost_model = self._profile_cost_model(gpu_profile)
             profile_name = gpu_profile.name
         cached = self._mean_cache.get(key)

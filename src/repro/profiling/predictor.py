@@ -45,9 +45,10 @@ class LatencyPredictor:
         # (RPC + serialisation); operator profiles do not contain it.
         self._serving = CostModel(hardware)
         self._cache: Dict[Tuple[str, int, int, int], float] = {}
-        # GPU generation name -> predictor profiled at that generation's
-        # rate: COP keys its profiles by (model, config, gpu_profile).
-        self._profile_predictors: Dict[str, "LatencyPredictor"] = {}
+        # GPU generation rate (total GFLOPs) -> predictor profiled at
+        # that rate: COP keys its profiles by (model, config, gpu_profile),
+        # and a generation's profiles depend on its rate alone.
+        self._profile_predictors: Dict[float, "LatencyPredictor"] = {}
 
     # ------------------------------------------------------------------
     # prediction
@@ -77,7 +78,8 @@ class LatencyPredictor:
         self, gpu_profile: "GpuProfile"
     ) -> "LatencyPredictor":
         """The predictor profiled at one GPU generation's rate (cached)."""
-        sub = self._profile_predictors.get(gpu_profile.name)
+        rate = gpu_profile.total_gflops
+        sub = self._profile_predictors.get(rate)
         if sub is None:
             from repro.cluster.fleet import hardware_for_profile
 
@@ -85,7 +87,7 @@ class LatencyPredictor:
                 hardware=hardware_for_profile(gpu_profile),
                 safety_offset=self.safety_offset,
             )
-            self._profile_predictors[gpu_profile.name] = sub
+            self._profile_predictors[rate] = sub
         return sub
 
     def predict(
@@ -148,9 +150,10 @@ def build_default_predictor(
 ) -> LatencyPredictor:
     """Profile the full operator catalog once and build a predictor.
 
-    Cached because profiling the whole catalog over the configuration
-    grid is the expensive offline step; tests and benchmarks share it
-    (one entry per GPU generation on heterogeneous fleets).
+    Cached so that a process profiles each hardware once: tests,
+    benchmarks and every platform of a run share the result (one entry
+    per GPU rate on heterogeneous fleets).  One build is one vectorised
+    sweep per operator, tens of milliseconds for the whole catalog.
     """
     profiler = OperatorProfiler(
         hardware=hardware, config_space=config_space or ConfigSpace(), seed=seed

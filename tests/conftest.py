@@ -1,8 +1,8 @@
 """Shared fixtures.
 
 The COP predictor profiles the whole operator catalog over the
-configuration grid, which takes ~1s; it is deterministic, so tests
-share one session-scoped instance.
+configuration grid; it is deterministic, so tests share one
+session-scoped instance.
 """
 
 import pytest

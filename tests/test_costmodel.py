@@ -85,6 +85,47 @@ class TestOperatorTime:
         assert model.operator_time(MATMUL, batch, cpu, gpu) > 0
 
 
+class TestArrayOperatorTime:
+    """The profiler prices whole grids in one call: arrays in, arrays out."""
+
+    BATCH = np.array([1, 1, 4, 8, 32, 2])
+    CPU = np.array([1, 8, 2, 1, 4, 0])
+    GPU = np.array([0, 0, 20, 100, 50, 30])
+
+    @pytest.mark.parametrize("spec", [MATMUL, RELU], ids=["compute", "membound"])
+    def test_elements_equal_scalar_calls_bit_for_bit(self, model, spec):
+        times = model.operator_time(spec, self.BATCH, self.CPU, self.GPU)
+        assert isinstance(times, np.ndarray)
+        scalar = [
+            model.operator_time(spec, int(b), int(c), int(g))
+            for b, c, g in zip(self.BATCH, self.CPU, self.GPU)
+        ]
+        assert all(type(value) is float for value in scalar)
+        assert times.tolist() == scalar
+
+    def test_scalar_and_array_arguments_broadcast(self, model):
+        times = model.operator_time(MATMUL, 4, self.CPU[:4], 20)
+        assert times.tolist() == [
+            model.operator_time(MATMUL, 4, int(c), 20) for c in self.CPU[:4]
+        ]
+
+    def test_rejects_any_bad_batch(self, model):
+        with pytest.raises(ValueError, match="batch"):
+            model.operator_time(MATMUL, np.array([1, 0]), 1, 0)
+
+    def test_rejects_any_resourceless_point(self, model):
+        with pytest.raises(ValueError, match="CPU and/or GPU"):
+            model.operator_time(MATMUL, 1, np.array([1, 0]), np.array([0, 0]))
+
+    def test_array_noise_matches_scalar_draws(self, model):
+        means = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        drawn = model.sample_time(means, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        assert drawn.tolist() == [
+            [model.sample_time(float(m), rng) for m in row] for row in means
+        ]
+
+
 class TestServingOverhead:
     def test_grows_linearly_with_batch(self, model):
         base = model.serving_overhead(1)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Experiment
 from repro.campaign import CampaignSpec, run_campaign
-from repro.cluster import ResourceVector, build_testbed_cluster
+from repro.cluster import Cluster, ResourceVector, build_testbed_cluster
 from repro.cluster.fleet import (
     A100,
     DEFAULT_GPU_PROFILE,
@@ -29,9 +29,12 @@ from repro.cluster.fleet import (
     resolve_gpu_profile,
     server_gpu_profile,
 )
+from repro.cluster.resources import GPU_UNIT_GFLOPS
 from repro.cluster.server import AllocationError, Server
 from repro.core import FunctionSpec
+from repro.core.scheduler import GreedyScheduler
 from repro.models import get_model
+from repro.profiling import GroundTruthExecutor, LatencyPredictor
 from repro.workloads import constant_trace
 from repro.workloads.trace import Trace
 
@@ -115,6 +118,10 @@ class TestFleetSpec:
         path.write_text(json.dumps(self.MIXED.to_dict()))
         assert FleetSpec.coerce(str(path)) == self.MIXED
 
+    def test_mixed_example_names_every_preset(self):
+        spec = FleetSpec.coerce("examples/fleet_mixed.json")
+        assert sorted(g.gpu_profile for g in spec.groups) == sorted(GPU_PROFILES)
+
     def test_coerce_rejects_other_types(self):
         with pytest.raises(TypeError):
             FleetSpec.coerce(42)
@@ -190,6 +197,70 @@ class TestGenerationAwareLatency:
         assert predictor.predict(
             RESNET, gpu_profile=RTX_2080TI, **self.CONFIG
         ) == predictor.predict(RESNET, **self.CONFIG)
+
+
+class TestSameNamedGenerations:
+    """Two generations that share a name but not a rate are two generations.
+
+    Campaign workers share one process-wide predictor, so a fleet axis
+    that sweeps a custom generation's rate under one name must not reuse
+    the first cell's profiles or execution costs.
+    """
+
+    FAST = GpuProfile(name="custom", gflops_per_unit=2.0 * GPU_UNIT_GFLOPS)
+    SLOW = GpuProfile(name="custom", gflops_per_unit=0.5 * GPU_UNIT_GFLOPS)
+    CONFIG = dict(batch=8, cpu=2, gpu=50)
+
+    def test_predictor_profiles_each_rate(self, predictor):
+        shared = LatencyPredictor(predictor.database)
+        fast = shared.predict(RESNET, gpu_profile=self.FAST, **self.CONFIG)
+        slow = shared.predict(RESNET, gpu_profile=self.SLOW, **self.CONFIG)
+        fresh = LatencyPredictor(predictor.database).predict(
+            RESNET, gpu_profile=self.SLOW, **self.CONFIG
+        )
+        assert slow == fresh
+        assert fast < slow
+
+    def test_executor_prices_each_rate(self):
+        model = get_model(RESNET)
+        shared = GroundTruthExecutor()
+        fast = shared.mean_execution_time(
+            model, gpu_profile=self.FAST, **self.CONFIG
+        )
+        slow = shared.mean_execution_time(
+            model, gpu_profile=self.SLOW, **self.CONFIG
+        )
+        assert slow == GroundTruthExecutor().mean_execution_time(
+            model, gpu_profile=self.SLOW, **self.CONFIG
+        )
+        assert fast < slow
+
+    def test_scheduler_rows_priced_per_rate(self, predictor):
+        fn = FunctionSpec.for_model(RESNET, slo_s=0.5)
+
+        def rows(scheduler, profile):
+            return [
+                (config, t_exec)
+                for config, t_exec, _bounds in scheduler.available_configs(
+                    fn, 4, 1e6, gpu_profile=profile
+                )
+            ]
+
+        shared = GreedyScheduler(build_testbed_cluster(), predictor)
+        fast = rows(shared, self.FAST)
+        slow = rows(shared, self.SLOW)
+        assert slow == rows(
+            GreedyScheduler(build_testbed_cluster(), predictor), self.SLOW
+        )
+        assert fast != slow
+
+    def test_one_cluster_cannot_mix_them(self, predictor):
+        servers = [
+            Server(server_id=0, gpu_profile=self.FAST),
+            Server(server_id=1, gpu_profile=self.SLOW),
+        ]
+        with pytest.raises(ValueError, match="named 'custom'"):
+            GreedyScheduler(Cluster(servers=servers), predictor)
 
 
 class TestMixedFleetServing:
