@@ -121,22 +121,15 @@ def bench_batch_queue(quick: bool = False) -> int:
     return ops
 
 
-def bench_llm_decode(quick: bool = False) -> int:
-    """Continuous-batching decode churn: the ``repro.llm`` hot path.
-
-    Replays a steady autoregressive workload against one worker so the
-    engine spends nearly all its time in the per-iteration decode loop
-    (one KV-ledger charge per iteration for the whole batch, step
-    planning, completion bookkeeping); returns the discrete events
-    processed.
-    """
+def llm_decode_experiment(quick: bool = False):
+    """The steady one-worker autoregressive workload ``llm_decode`` runs."""
     from repro.api import Experiment
     from repro.core import FunctionSpec
     from repro.workloads import constant_trace
 
     duration_s = 30.0 if quick else 120.0
     function = FunctionSpec.for_model("llm-125m", slo_s=0.5)
-    experiment = Experiment(
+    return Experiment(
         platform="llm",
         servers=1,
         functions=[function],
@@ -145,8 +138,20 @@ def bench_llm_decode(quick: bool = False) -> int:
         invariants="off",
         seed=13,
     )
-    experiment.run()
-    return experiment.simulation.loop.processed
+
+
+def bench_llm_decode(quick: bool = False) -> int:
+    """Continuous-batching decode churn: the ``repro.llm`` hot path.
+
+    Replays a steady autoregressive workload against one worker so the
+    engine spends nearly all its time in the per-iteration decode loop
+    (one KV-ledger charge per iteration for the whole batch, step
+    planning, completion bookkeeping); returns the iterations run
+    (prefill + decode).  One event can cover a run of decode
+    iterations, so the event count would understate the work.
+    """
+    llm = llm_decode_experiment(quick).run().llm
+    return llm["prefill_steps"] + llm["decode_steps"]
 
 
 def bench_sketch_metrics(quick: bool = False) -> int:

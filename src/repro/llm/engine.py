@@ -57,9 +57,14 @@ Lost = Tuple["LLMWorker", List[Sequence], List[Sequence]]
 
 
 class StepPlan:
-    """One planned iteration: what runs, for how long."""
+    """One planned iteration, or a run of identical decode iterations.
 
-    __slots__ = ("kind", "seqs", "batch_tokens", "duration_s", "lost")
+    ``duration_s`` is the first iteration's length; ``end_s`` is when
+    the last planned iteration ends, the time its ``DECODE_STEP``
+    event fires.
+    """
+
+    __slots__ = ("kind", "seqs", "batch_tokens", "duration_s", "end_s", "lost")
 
     def __init__(
         self,
@@ -67,11 +72,13 @@ class StepPlan:
         seqs: Tuple[Sequence, ...],
         batch_tokens: int,
         duration_s: float,
+        start_s: float,
     ) -> None:
         self.kind = kind  # "prefill" | "decode"
         self.seqs = seqs
         self.batch_tokens = batch_tokens
         self.duration_s = duration_s
+        self.end_s = start_s + duration_s
         #: set when the serving machine died with the step in flight.
         self.lost = False
 
@@ -221,10 +228,6 @@ class LLMWorker:
         """Monotonic admission ticket (FCFS tie-break for scheduling)."""
         self._admit_counter += 1
         return self._admit_counter
-
-    def sequences(self) -> List[Sequence]:
-        """Every sequence the worker currently owns, any state."""
-        return list(self.running) + list(self.swapped) + list(self.waiting)
 
 
 class ContinuousBatchingLLM:
@@ -419,13 +422,6 @@ class ContinuousBatchingLLM:
                     break
         return ControlOutcome()
 
-    def route(self, function_name: str) -> Optional[LLMWorker]:
-        """Least-loaded worker for ``function_name`` (id tie-break)."""
-        workers = self._by_function.get(function_name)
-        if not workers:
-            return None
-        return min(workers, key=lambda w: (w.load, w.worker_id))
-
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
@@ -468,7 +464,7 @@ class ContinuousBatchingLLM:
     # iteration planning (the continuous-batching core)
     # ------------------------------------------------------------------
     def begin_step(
-        self, worker: LLMWorker, now: float
+        self, worker: LLMWorker, now: float, until: Optional[float] = None
     ) -> Optional[StepPlan]:
         """Plan the worker's next iteration, or None when idle.
 
@@ -476,6 +472,11 @@ class ContinuousBatchingLLM:
         into a prefill iteration under the token budget; otherwise the
         running batch decodes one token each, preempting victims when
         the KV cache cannot grow by one token per sequence.
+
+        ``until`` is the earliest time anything outside the worker may
+        look at it.  A decode iteration then also covers the identical
+        decode iterations after it that start before ``until`` (see
+        :meth:`_extend_decode`); ``None`` plans one iteration.
         """
         spec = worker.spec
         swap_cost = self._admit_swapped(worker, now)
@@ -492,9 +493,11 @@ class ContinuousBatchingLLM:
                 tuple(prefill),
                 batch_tokens,
                 spec.prefill_time_s(batch_tokens) + swap_cost,
+                now,
             )
         elif worker.running:
-            swap_cost += self._ensure_kv(worker, len(worker.running), now)
+            running = len(worker.running)
+            swap_cost += self._ensure_kv(worker, running, now)
             batch_tokens = len(worker.running)
             worker.kv_acquire(1, batch_tokens)
             for seq in worker.running:
@@ -505,12 +508,21 @@ class ContinuousBatchingLLM:
                 tuple(worker.running),
                 batch_tokens,
                 spec.decode_time_s(batch_tokens) + swap_cost,
+                now,
             )
+            if (
+                until is not None
+                and plan.end_s < until
+                and batch_tokens == running  # nothing was evicted
+                and not self.tracer.enabled
+                and not self._shares_device(worker)
+            ):
+                self._extend_decode(worker, plan, until)
         if plan is None:
             return None
         worker.batch_token_sum += plan.batch_tokens
         worker.busy = True
-        worker.busy_until = now + plan.duration_s
+        worker.busy_until = plan.end_s
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.LLM_STEP, now, instance=worker.worker_id, step=plan.kind,
@@ -518,6 +530,55 @@ class ContinuousBatchingLLM:
                 duration_s=plan.duration_s,
             )
         return plan
+
+    def _shares_device(self, worker: LLMWorker) -> bool:
+        """True when another live worker holds KV on ``worker``'s GPU."""
+        device = worker.device
+        return any(
+            other.device is device and other is not worker
+            for other in self.workers
+        )
+
+    def _extend_decode(
+        self, worker: LLMWorker, plan: StepPlan, until: float
+    ) -> None:
+        """Fold the decode iterations nothing can tell apart into ``plan``.
+
+        Runs after the plan's first decode iteration began.  While the
+        next iteration would start before ``until``, finish no
+        sequence early, and fit the KV cache without an eviction, the
+        iteration is applied now: its KV charge (one
+        :meth:`LLMWorker.kv_acquire` per iteration, so the device's MB
+        ledger books in the same order as iteration by iteration), its
+        counters, and the tokens of the iteration before it.  The
+        plan's ``end_s`` grows one iteration at a time, as successive
+        events would have summed it, and :meth:`finish_step` runs only
+        the last iteration.  Admission cannot change at these
+        boundaries: free KV only shrinks along the run, so whatever the
+        first iteration left swapped or waiting stays so.
+        """
+        batch = plan.batch_tokens
+        # k iterations in all, each adding one token to every sequence.
+        limit = min(seq.remaining_tokens for seq in plan.seqs)
+        step = worker.spec.decode_time_s(batch)
+        end = plan.end_s
+        extra = 0
+        while (
+            extra + 1 < limit and end < until
+            and batch <= worker.kv_free_tokens
+        ):
+            worker.kv_acquire(1, batch)
+            end += step
+            extra += 1
+        if not extra:
+            return
+        for seq in plan.seqs:
+            seq.kv_tokens += extra
+            seq.generated += extra
+        worker.decode_steps += extra
+        worker.batch_token_sum += extra * batch
+        worker.tokens_generated += extra * batch
+        plan.end_s = end
 
     def _admit_swapped(self, worker: LLMWorker, now: float) -> float:
         """Swap eligible parked sequences back in; returns copy cost."""

@@ -4,9 +4,14 @@ Shares :class:`~repro.simulation.runtime.RuntimeCore` with the
 single-shot :class:`~repro.simulation.runtime.ServingSimulation` (the
 event loop, tracer, audit, fault dispatch, control-tick skeleton and
 report path) but advances per *iteration* instead of per batch: each
-busy worker has exactly one ``DECODE_STEP`` event in flight -- the
-completion of its current prefill or decode iteration -- and the next
-iteration is planned the moment the previous one finishes.
+busy worker has exactly one ``DECODE_STEP`` event in flight, and the
+next iteration is planned the moment it fires.  The event ends a
+prefill iteration, or a *run* of decode iterations that nothing
+outside the worker can observe: the same batch decoding, no sequence
+finishing early, no eviction, before the function's next arrival, the
+next control tick or the next fault (see
+:meth:`~repro.llm.engine.ContinuousBatchingLLM.begin_step`).  A traced
+run plans one iteration per event, and its report is the same.
 Per-request output lengths are sampled up front, in arrival order,
 from the same seeded stream as the arrival times, so a run is a pure
 function of ``(workload, platform options, seed)``.
@@ -15,6 +20,7 @@ function of ``(workload, platform options, seed)``.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -94,9 +100,14 @@ class LLMSimulation(RuntimeCore):
         #: per-token audit read these (the metrics ledger keeps the
         #: single-shot columns only).
         self._llm_records: List[LLMRequestRecord] = []
-        #: worker_id -> the plan its in-flight DECODE_STEP will finish;
-        #: faults mark these lost so stale events become no-ops.
+        #: worker_id -> the plan (one iteration or a decode run) its
+        #: in-flight DECODE_STEP will finish; faults mark these lost so
+        #: stale events become no-ops.
         self._inflight: Dict[int, StepPlan] = {}
+        #: function -> its arrival times in order, then ``inf``, and
+        #: how many of them have been processed.
+        self._arrival_times: Dict[str, List[float]] = {}
+        self._arrivals_seen: Dict[str, int] = dict.fromkeys(workload, 0)
         self.loop.on(EventKind.DECODE_STEP, self._on_step)
 
     # ------------------------------------------------------------------
@@ -110,6 +121,7 @@ class LLMSimulation(RuntimeCore):
             spec = function.model
             times = sample_arrivals(trace, self._rng)
             arrivals.append(times)
+            self._arrival_times[name] = sorted(times.tolist()) + [math.inf]
             # Token lengths draw from the same stream, in arrival
             # order, immediately after the times: the full request
             # stream is one deterministic read of the seeded rng.
@@ -130,6 +142,10 @@ class LLMSimulation(RuntimeCore):
     # ------------------------------------------------------------------
     # arrival path
     # ------------------------------------------------------------------
+    def _on_arrival(self, event: Event) -> None:
+        self._arrivals_seen[event.payload.function] += 1
+        super()._on_arrival(event)
+
     def _admit(self, seq: Sequence) -> None:
         worker, reason = self.platform.admit(seq, self.loop.now)
         if reason is not None:
@@ -153,15 +169,20 @@ class LLMSimulation(RuntimeCore):
         """Plan the worker's next iteration unless one is in flight."""
         if worker.busy:
             return
-        plan = self.platform.begin_step(worker, self.loop.now)
+        name = worker.function.name
+        # The earliest event that may look at the worker: its
+        # function's next arrival, or the next tick or fault (both
+        # still at ``now`` while their own handler runs).
+        until = min(
+            self._arrival_times[name][self._arrivals_seen[name]],
+            self._next_tick_s,
+            self._faults_due[-1] if self._faults_due else math.inf,
+        )
+        plan = self.platform.begin_step(worker, self.loop.now, until)
         if plan is None:
             return
         self._inflight[worker.worker_id] = plan
-        self.loop.schedule(
-            self.loop.now + plan.duration_s,
-            EventKind.DECODE_STEP,
-            (worker, plan),
-        )
+        self.loop.schedule(plan.end_s, EventKind.DECODE_STEP, (worker, plan))
 
     def _on_step(self, event: Event) -> None:
         worker, plan = event.payload

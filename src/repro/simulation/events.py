@@ -24,8 +24,9 @@ class EventKind(enum.Enum):
     FAULT = "fault"
     #: a backed-off retry of a stranded request re-enters dispatch.
     RETRY = "retry"
-    #: an LLM worker's in-flight prefill/decode iteration completes
-    #: (continuous batching advances at these token boundaries).
+    #: an LLM worker's in-flight prefill iteration, or run of decode
+    #: iterations, completes (continuous batching advances at these
+    #: token boundaries).
     DECODE_STEP = "decode_step"
 
 

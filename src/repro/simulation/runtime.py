@@ -35,6 +35,7 @@ loop, metrics, tracer, audit, fault dispatch, control-tick skeleton and
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 from dataclasses import asdict
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
@@ -231,6 +232,11 @@ class RuntimeCore:
             self._managed, 0
         )
         self._horizon = max(trace.duration_s for trace in workload.values())
+        #: when the queued control tick fires, and the times of the
+        #: queued faults, latest first; each is updated once its
+        #: handler has run.
+        self._next_tick_s = 0.0
+        self._faults_due: List[float] = []
         self.loop.on(EventKind.ARRIVAL, self._on_arrival)
         self.loop.on(EventKind.CONTROL_TICK, self._on_control_tick)
         self.loop.on(EventKind.FAULT, self._on_fault)
@@ -271,6 +277,7 @@ class RuntimeCore:
         handler = self._fault_handlers.get(fault.kind)
         if handler is not None:
             handler(fault, now)
+        self._faults_due.pop()
 
     def _crash_server(self, fault: ServerCrash, now: float) -> None:
         """Kill one machine through the platform's failure hook."""
@@ -314,6 +321,9 @@ class RuntimeCore:
         next_tick = now + self.control_interval_s
         if next_tick <= self._horizon:
             self.loop.schedule(next_tick, EventKind.CONTROL_TICK)
+        else:
+            next_tick = math.inf
+        self._next_tick_s = next_tick
 
     # ------------------------------------------------------------------
     # entry point
@@ -323,8 +333,10 @@ class RuntimeCore:
         self._schedule_arrivals()
         if self.faults is not None:
             num_servers = len(self.platform.cluster.servers)
-            for fault in self.faults.materialize(self._horizon, num_servers):
-                self.loop.schedule(fault.at_s, EventKind.FAULT, fault)
+            self._faults_due = sorted((
+                self.loop.schedule(fault.at_s, EventKind.FAULT, fault).time
+                for fault in self.faults.materialize(self._horizon, num_servers)
+            ), reverse=True)
         self.loop.schedule(0.0, EventKind.CONTROL_TICK)
         self.loop.run()
         sample_usage(self.metrics, self.platform.cluster, self.loop.now)

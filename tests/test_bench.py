@@ -32,12 +32,14 @@ EVENT_QUEUE_FLOOR_EV_PER_CAL = 2_000.0
 #: calibration loop length (~12 ms on an idle 2.0 GHz x86-64 core).
 CALIBRATION_ITERATIONS = 20_000
 
-#: events per calibration loop the continuous-batching decode
-#: micro-benchmark must reach, gated like the event queue's.  With one
-#: KV-ledger charge per decode iteration it does ~2,000 (Python 3.11,
-#: x86-64; ~1,750 with one charge per sequence); the floor is a third
-#: of that, so it catches a collapse of the per-iteration hot path.
-LLM_DECODE_FLOOR_EV_PER_CAL = 650.0
+#: iterations (prefill + decode) per calibration loop the continuous-
+#: batching decode micro-benchmark must reach, gated like the event
+#: queue's.  With one event per iteration it did ~2,000 (Python 3.11,
+#: x86-64; ~1,750 with one KV charge per sequence); the floor is a
+#: third of that, so it catches a collapse of the per-iteration hot
+#: path.  It counts iterations, not events, because one event covers
+#: a run of decode iterations.
+LLM_DECODE_FLOOR_ITER_PER_CAL = 650.0
 
 
 # ----------------------------------------------------------------------
@@ -209,16 +211,17 @@ def test_llm_decode_throughput_floor():
     Guards the ``repro.llm`` iteration-level scheduler: the benchmark
     replays a steady decode-dominated workload, so a collapse here
     means per-token bookkeeping (KV ledger updates, step planning)
-    regressed to something pathological.  Gated in events per
-    calibration loop, like :func:`test_event_queue_throughput_floor`.
+    regressed to something pathological.  Gated in iterations per
+    calibration loop (the benchmark's count), timed like
+    :func:`test_event_queue_throughput_floor`.
     """
     paces = [calibration_s() for _ in range(3)]
     (result,) = run_suite(quick=True, names=["llm_decode"])
     paces += [calibration_s() for _ in range(3)]
     assert result.events > 0
     per_cal = result.events_per_s * statistics.median(paces)
-    assert per_cal >= LLM_DECODE_FLOOR_EV_PER_CAL, (
-        f"llm_decode throughput {per_cal:,.0f} events per calibration"
-        f" loop fell below the {LLM_DECODE_FLOOR_EV_PER_CAL:,.0f}"
+    assert per_cal >= LLM_DECODE_FLOOR_ITER_PER_CAL, (
+        f"llm_decode throughput {per_cal:,.0f} iterations per calibration"
+        f" loop fell below the {LLM_DECODE_FLOOR_ITER_PER_CAL:,.0f}"
         " regression floor"
     )
