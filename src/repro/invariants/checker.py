@@ -412,15 +412,15 @@ class InvariantChecker:
             return
         from repro.telemetry import spans as ev
 
-        events = sim.tracer.events
-        completions = [e for e in events if e.kind == ev.REQUEST_COMPLETE]
-        drops = sum(1 for e in events if e.kind == ev.REQUEST_DROP)
-        arrivals = sum(1 for e in events if e.kind == ev.REQUEST_ARRIVAL)
-        if len(completions) != sim.metrics.completed_count:
+        tracer = sim.tracer
+        latencies = tracer.column(ev.REQUEST_COMPLETE, "latency_s")
+        drops = tracer.count(ev.REQUEST_DROP)
+        arrivals = tracer.count(ev.REQUEST_ARRIVAL)
+        if len(latencies) != sim.metrics.completed_count:
             self._flag(
                 "telemetry_agreement",
                 now,
-                f"tracer saw {len(completions)} completions, metrics"
+                f"tracer saw {len(latencies)} completions, metrics"
                 f" recorded {sim.metrics.completed_count}",
             )
         if drops != sim.metrics.dropped:
@@ -437,7 +437,7 @@ class InvariantChecker:
                 f"tracer saw {arrivals} arrivals, metrics recorded"
                 f" {sim.metrics.arrived}",
             )
-        span_total = sum(e.args["latency_s"] for e in completions)
+        span_total = sum(latencies)
         record_total = sim.metrics.latency_total_s
         if abs(span_total - record_total) > TOL * max(1.0, record_total):
             self._flag(

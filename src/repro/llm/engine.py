@@ -294,6 +294,9 @@ class ContinuousBatchingLLM:
         self.max_queue = max_queue
         self.max_kv_tokens = max_kv_tokens
         self.swap_mbps = swap_mbps
+        # The emit sites here stay on the keyword ``tracer.emit``, not
+        # bound recorders: ``attach_tracer`` swaps this tracer after
+        # construction, which would strand a recorder bound now.
         self.tracer = NULL_TRACER
         self.functions: Dict[str, FunctionSpec] = {}
         self.workers: List[LLMWorker] = []

@@ -33,7 +33,6 @@ from repro.simulation.events import Event, EventKind
 from repro.simulation.metrics import LLMRequestRecord, SimulationReport
 from repro.simulation.runtime import RuntimeCore
 from repro.telemetry import DROP_SERVER_FAILURE, TimelineRecorder, Tracer
-from repro.telemetry import spans as ev
 from repro.workloads.arrivals import sample_arrivals
 from repro.workloads.trace import Trace
 
@@ -157,9 +156,8 @@ class LLMSimulation(RuntimeCore):
     def _drop(self, seq: Sequence, reason: str) -> None:
         self.metrics.record_drop(self.loop.now, reason)
         if self._trace:
-            self.tracer.emit(
-                ev.REQUEST_DROP, self.loop.now, request=seq.request_id,
-                function=seq.function, reason=reason,
+            self._record_drop(
+                self.loop.now, seq.request_id, seq.function, reason
             )
 
     # ------------------------------------------------------------------
@@ -226,14 +224,11 @@ class LLMSimulation(RuntimeCore):
         self._llm_records.append(record)
         if self._trace:
             # Judged on TTFT and TPOT, as the report judges it.
-            self.tracer.emit(
-                ev.REQUEST_COMPLETE, now, request=seq.request_id,
-                function=seq.function, instance=worker.worker_id, batch=0,
-                arrival=record.arrival, cold_wait_s=0.0,
-                batch_wait_s=queue_wait, exec_s=record.exec_s,
-                latency_s=record.latency_s, batch_size=1,
-                config=list(record.config), slo_s=record.slo_s,
-                violated=record.violated_slo,
+            self._record_complete(
+                now, seq.request_id, seq.function, worker.worker_id, 0,
+                record.arrival, 0.0, queue_wait, record.exec_s,
+                record.latency_s, 1, list(record.config), record.slo_s,
+                record.violated_slo,
             )
 
     # ------------------------------------------------------------------

@@ -212,6 +212,7 @@ class RuntimeCore:
         self._trace: bool = self.tracer.enabled
         if self._trace:
             attach_tracer(platform, self.tracer)
+            self._bind_recorders()
         self.timeline = timeline
         self.invariants = resolve_checker(invariants)
         self._rng = np.random.default_rng(seed)
@@ -241,6 +242,45 @@ class RuntimeCore:
         self.loop.on(EventKind.CONTROL_TICK, self._on_control_tick)
         self.loop.on(EventKind.FAULT, self._on_fault)
 
+    def _bind_recorders(self) -> None:
+        """Bind the per-request and per-batch emit sites, once.
+
+        Each bound call records its values in the row's field order,
+        unchecked; rare control-plane sites keep the keyword
+        ``tracer.emit``.  Only a traced runtime binds: every call site
+        is behind ``_trace``, and an untraced ``LLMSimulation`` stays
+        within the 30 instance attributes CPython stores inline.
+        """
+        recorder = self.tracer.recorder
+        self._record_arrival = recorder(
+            ev.REQUEST_ARRIVAL, "request", "function"
+        )
+        self._record_drop = recorder(
+            ev.REQUEST_DROP, "request", "function", "reason"
+        )
+        self._record_parked = recorder(
+            ev.REQUEST_PARKED, "request", "function"
+        )
+        self._record_enqueued = recorder(
+            ev.REQUEST_ENQUEUED, "request", "function", "instance", "cold"
+        )
+        self._record_batch_start = recorder(
+            ev.BATCH_START, "instance", "function", "requests", "batch_size",
+            "exec_s", "config",
+        )
+        self._record_complete = recorder(
+            ev.REQUEST_COMPLETE, "request", "function", "instance", "batch",
+            "arrival", "cold_wait_s", "batch_wait_s", "exec_s", "latency_s",
+            "batch_size", "config", "slo_s", "violated",
+        )
+        self._record_workflow_stage = recorder(
+            ev.WORKFLOW_STAGE, "workflow_id", "request", "function"
+        )
+        self._record_workflow_complete = recorder(
+            ev.WORKFLOW_COMPLETE, "workflow_id", "workflow", "origin",
+            "latency_s", "slo_s",
+        )
+
     # ------------------------------------------------------------------
     # arrival path
     # ------------------------------------------------------------------
@@ -249,10 +289,7 @@ class RuntimeCore:
         now = self.loop.now
         self.metrics.record_arrival(now)
         if self._trace:
-            self.tracer.emit(
-                ev.REQUEST_ARRIVAL, now, request=request.request_id,
-                function=request.function,
-            )
+            self._record_arrival(now, request.request_id, request.function)
         self._arrivals_since_tick[request.function] += 1
         self.platform.record_invocation(request.function, now)
         self._admit(request)
@@ -625,9 +662,8 @@ class ServingSimulation(RuntimeCore):
             drop_time = request.origin
         self.metrics.record_drop(drop_time, reason)
         if self._trace:
-            self.tracer.emit(
-                ev.REQUEST_DROP, self.loop.now, request=request.request_id,
-                function=request.function, reason=reason,
+            self._record_drop(
+                self.loop.now, request.request_id, request.function, reason
             )
 
     def _dispatch(self, request: Request) -> None:
@@ -644,9 +680,8 @@ class ServingSimulation(RuntimeCore):
                 return
             pending.append(request)
             if self._trace:
-                self.tracer.emit(
-                    ev.REQUEST_PARKED, self.loop.now,
-                    request=request.request_id, function=request.function,
+                self._record_parked(
+                    self.loop.now, request.request_id, request.function
                 )
             return
         self._enqueue(instance, request)
@@ -678,10 +713,9 @@ class ServingSimulation(RuntimeCore):
                 return
         queue.enqueue(request, now)
         if self._trace:
-            self.tracer.emit(
-                ev.REQUEST_ENQUEUED, now, request=request.request_id,
-                function=request.function, instance=instance.instance_id,
-                cold=not ready,
+            self._record_enqueued(
+                now, request.request_id, request.function,
+                instance.instance_id, not ready,
             )
         self._maybe_start(instance)
 
@@ -735,12 +769,10 @@ class ServingSimulation(RuntimeCore):
         batch_id = 0
         if self._trace:
             config = instance.config
-            batch_id = self.tracer.emit(
-                ev.BATCH_START, now, instance=instance.instance_id,
-                function=instance.function.name,
-                requests=[r.request_id for r in requests],
-                batch_size=len(requests), exec_s=exec_s,
-                config=[config.batch, config.cpu, config.gpu],
+            batch_id = self._record_batch_start(
+                now, instance.instance_id, instance.function.name,
+                [r.request_id for r in requests], len(requests), exec_s,
+                [config.batch, config.cpu, config.gpu],
             )
         batch = _BatchInFlight(
             instance=instance, requests=requests, start=now, exec_s=exec_s,
@@ -808,11 +840,10 @@ class ServingSimulation(RuntimeCore):
                 if sink and not ledger.complete(request, now):
                     continue
                 if sink and self._trace:
-                    self.tracer.emit(
-                        ev.WORKFLOW_COMPLETE, now, workflow_id=request.root,
-                        workflow=self.workflow.name, origin=request.origin,
-                        latency_s=now - request.origin,
-                        slo_s=self.workflow.end_to_end_slo_s,
+                    self._record_workflow_complete(
+                        now, request.root, self.workflow.name,
+                        request.origin, now - request.origin,
+                        self.workflow.end_to_end_slo_s,
                     )
                 if request.attempt:
                     self._retry_completions += 1
@@ -841,18 +872,13 @@ class ServingSimulation(RuntimeCore):
         latency = now - request.origin
         # batch_wait_s spans every upstream stage of a workflow; the
         # ledger's queue wait is this stage's.
-        self.tracer.emit(
-            ev.REQUEST_COMPLETE, now, request=request.request_id,
-            function=request.function, instance=instance.instance_id,
-            batch=batch.batch_id, arrival=request.origin,
-            cold_wait_s=cold_wait,
-            batch_wait_s=max(
-                0.0, now - request.origin - cold_wait - batch.exec_s
-            ),
-            exec_s=batch.exec_s, latency_s=latency,
-            batch_size=len(batch.requests),
-            config=[config.batch, config.cpu, config.gpu],
-            slo_s=request.slo_s, violated=latency > request.slo_s + 1e-9,
+        self._record_complete(
+            now, request.request_id, request.function, instance.instance_id,
+            batch.batch_id, request.origin, cold_wait,
+            max(0.0, now - request.origin - cold_wait - batch.exec_s),
+            batch.exec_s, latency, len(batch.requests),
+            [config.batch, config.cpu, config.gpu], request.slo_s,
+            latency > request.slo_s + 1e-9,
         )
 
     # ------------------------------------------------------------------
@@ -954,10 +980,7 @@ class ServingSimulation(RuntimeCore):
         now = self.loop.now
         token = Request(stage, now, slo_s, origin_arrival=origin, root_id=root)
         if self._trace:
-            self.tracer.emit(
-                ev.WORKFLOW_STAGE, now, workflow_id=root,
-                request=token.request_id, function=stage,
-            )
+            self._record_workflow_stage(now, root, token.request_id, stage)
         self._arrivals_since_tick[stage] += 1
         self.platform.record_invocation(stage, now)
         self._dispatch(token)

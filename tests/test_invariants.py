@@ -14,6 +14,7 @@ Two halves:
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import Experiment
 from repro.baselines import BatchOTP, BatchRS, OpenFaaSPlus
 from repro.cluster import build_testbed_cluster
 from repro.cluster.resources import ResourceVector
@@ -30,6 +31,8 @@ from repro.invariants import (
 from repro.profiling.configspace import InstanceConfig
 from repro.simulation import ServingSimulation
 from repro.simulation.metrics import RequestRecord
+from repro.telemetry import InMemoryTracer
+from repro.telemetry import spans as ev
 from repro.workflows import WorkflowSpec
 from repro.workloads import constant_trace
 
@@ -256,6 +259,48 @@ class TestReportConsistency:
         report.batch_histogram[1] = report.batch_histogram.get(1, 0) + 1
         with pytest.raises(InvariantViolation):
             sim.invariants.check_report(sim, report)
+
+
+class _SkipsOneCompletion(InMemoryTracer):
+    """Loses the first ``request_complete`` row the runtime records."""
+
+    def recorder(self, kind, *names):
+        record = super().recorder(kind, *names)
+        if kind != ev.REQUEST_COMPLETE:
+            return record
+        skipped = []
+
+        def record_all_but_first(ts, *values):
+            if not skipped:
+                skipped.append(ts)
+                return 0
+            return record(ts, *values)
+
+        return record_all_but_first
+
+
+class TestTelemetryAgreement:
+    def _run(self, predictor, tracer):
+        return Experiment(
+            platform="infless",
+            workflow="qa",
+            workload={"qa-textcnn-69": constant_trace(60.0, 10.0)},
+            predictor=predictor,
+            telemetry=tracer,
+            invariants="strict",
+            seed=4,
+        ).run()
+
+    def test_recorded_run_agrees(self, predictor):
+        tracer = InMemoryTracer()
+        report = self._run(predictor, tracer)
+        assert report.completed > 0
+        assert report.invariant_violations == []
+        assert tracer.count(ev.REQUEST_COMPLETE) == report.completed
+
+    def test_lost_completion_detected(self, predictor):
+        with pytest.raises(InvariantViolation, match=r"\[telemetry_agreement\]"):
+            self._run(predictor, _SkipsOneCompletion())
 
 
 class TestCollectMode:
