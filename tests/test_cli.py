@@ -301,6 +301,17 @@ def test_bad_numeric_arguments_exit_without_traceback(argv):
     assert len(done.stderr.strip().splitlines()) == 1, done.stderr
 
 
+def test_predict_at_unprofiled_config_exits_with_one_line(capsys, predictor):
+    # 3 cores is not on the profiled CPU grid (1, 2, 4, 8).
+    assert main(["predict", "--model", "mnist", "--cpu", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "cannot predict: operator 'Conv2D' has no profile at"
+        " (b=8, c=3, g=20)\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["fluid-validate", "--out", "-", "--duration", "0"],
     ["fluid-validate", "--out", "-", "--duration", "-3"],

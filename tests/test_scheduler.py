@@ -242,3 +242,42 @@ class TestDynamicBeta:
     def test_static_beta_option(self, cluster, predictor):
         scheduler = GreedyScheduler(cluster, predictor, dynamic_beta=False)
         assert scheduler._efficiency_beta() == cluster.beta
+
+
+class TestPinnedRows:
+    """Algorithm 1's candidate rows, pinned byte for byte.
+
+    Every ``(b, c, g, t_exec, r_low, r_up)`` row ``available_configs``
+    yields for each (model, SLO) pair of the 120-function fleet, each
+    batch up to the model's maximum and each GPU generation.
+    """
+
+    def test_rows_digest(self, predictor):
+        import hashlib
+
+        from repro.cluster.fleet import A100, T4
+        from repro.simulation.largescale import make_function_fleet
+
+        scheduler = GreedyScheduler(build_testbed_cluster(), predictor)
+        pairs = {}
+        for function in make_function_fleet(120):
+            pairs.setdefault((function.model.name, function.slo_s), function)
+        rows = []
+        for key in sorted(pairs):
+            function = pairs[key]
+            for batch in scheduler.config_space.batches():
+                if batch > function.model.max_batch:
+                    continue
+                for profile in (None, T4, A100):
+                    rows.extend(
+                        (config.batch, config.cpu, config.gpu, t_exec,
+                         bounds.r_low, bounds.r_up)
+                        for config, t_exec, bounds in scheduler.available_configs(
+                            function, batch, 1e9, gpu_profile=profile
+                        )
+                    )
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert (len(rows), digest) == (
+            29838,
+            "7b9c38fb5857a94c45afec7fbbabb5aa59b6245f45e7d147d94017f9dcf23ae7",
+        )
