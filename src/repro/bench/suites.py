@@ -227,8 +227,10 @@ def bench_workflow_sched(quick: bool = False) -> int:
     Schedules the OSVT and Q&A pipelines' stage functions against
     fresh testbed clusters with a co-placement hint attached for the
     OSVT DAG, exercising the inlined Eq. 10 scoring plus the
-    preferred-server pass; the config cache is pre-warmed (COP
-    profiling is offline work).  Returns instances placed.
+    preferred-server pass.  Each round's fresh scheduler builds its
+    ``AvailableConfig`` rows from the shared predictor's priced grids,
+    which a warm-up round fills first (COP profiling and pricing are
+    offline work).  Returns instances placed.
     """
     from repro.cluster import build_testbed_cluster
     from repro.core.function import FunctionSpec
@@ -259,13 +261,10 @@ def bench_workflow_sched(quick: bool = False) -> int:
             placed += len(outcome.instances)
         return placed
 
-    warm = GreedyScheduler(build_testbed_cluster(), predictor)
-    one_round(warm)
-    cache = warm._config_cache
+    one_round(GreedyScheduler(build_testbed_cluster(), predictor))
     placed = 0
     for _round in range(rounds):
         scheduler = GreedyScheduler(build_testbed_cluster(), predictor)
-        scheduler._config_cache = cache
         scheduler.coplacement = CoPlacementHint(workflow)
         placed += one_round(scheduler)
     return placed

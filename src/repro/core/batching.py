@@ -105,9 +105,10 @@ def cached_rate_bounds(
     """Memoized :func:`rate_bounds`, with ``None`` marking infeasibility.
 
     Eq. 1 is a pure function of its arguments, but hot consumers -- the
-    BATCH baseline's per-tick profile search and the audit layer's
-    per-instance soundness check -- recompute it with a handful of
-    distinct argument triples thousands of times per run.  Infeasible
+    scheduler's ``AvailableConfig`` rows (rebuilt by every fresh
+    scheduler), the BATCH baseline's per-tick profile search and the
+    audit layer's per-instance soundness check -- recompute it with
+    the same argument triples thousands of times per run.  Infeasible
     combinations return ``None`` instead of raising so the negative
     result is cached too (``lru_cache`` does not cache exceptions).
     Invalid arguments (non-positive ``t_exec``, ``batch < 1``) still

@@ -37,7 +37,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.fleet import GpuProfile, profile_map
 from repro.cluster.resources import ResourceVector
 from repro.core import efficiency as _efficiency
-from repro.core.batching import InfeasibleBatchError, RateBounds, rate_bounds
+from repro.core.batching import RateBounds, cached_rate_bounds
 from repro.core.efficiency import rps_per_resource
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance, InstanceState
@@ -103,6 +103,9 @@ class GreedyScheduler:
         #: sharing both share one row list (a 120-function fleet needs
         #: about half as many).
         self._config_cache: Dict[Tuple, List[Tuple]] = {}
+        #: batch -> one InstanceConfig per (cpu, gpu) pair, in
+        #: ``resource_pairs`` order, shared by every row of that batch.
+        self._batch_configs: Dict[int, List[InstanceConfig]] = {}
         #: (model, b, c, g) -> ResourceVector; the memory footprint of
         #: a configuration is a pure function of its key.
         self._resources_cache: Dict[Tuple, ResourceVector] = {}
@@ -193,7 +196,9 @@ class GreedyScheduler:
         residual load (``R_k >= r_low``).  With ``gpu_profile`` set the
         rows are priced for that GPU generation (and CPU-only pairs are
         skipped -- they are generation-independent and already covered
-        by the profile-free rows).
+        by the profile-free rows).  A cache miss reads every pair's
+        ``t_exec`` from the predictor's priced grid in one call and
+        Eq. 1 from the shared :func:`cached_rate_bounds` memo.
         """
         if gpu_profile is None:
             cache_key = (function.model.name, function.slo_s, batch)
@@ -205,26 +210,24 @@ class GreedyScheduler:
             )
         rows = self._config_cache.get(cache_key)
         if rows is None:
-            rows = []
+            configs = self._batch_configs.get(batch)
+            if configs is None:
+                configs = [
+                    InstanceConfig(batch=batch, cpu=cpu, gpu=gpu)
+                    for cpu, gpu in self.config_space.resource_pairs()
+                ]
+                self._batch_configs[batch] = configs
+            if gpu_profile is not None:
+                configs = [config for config in configs if config.gpu]
             t_slo = function.slo_s
-            for cpu, gpu in self.config_space.resource_pairs():
-                config = InstanceConfig(batch=batch, cpu=cpu, gpu=gpu)
-                if gpu_profile is None:
-                    t_exec = self.predictor.predict(
-                        function.model, batch, cpu, gpu
-                    )
-                else:
-                    if gpu == 0:
-                        continue
-                    t_exec = self.predictor.predict(
-                        function.model, batch, cpu, gpu,
-                        gpu_profile=gpu_profile,
-                    )
-                try:
-                    bounds = rate_bounds(t_exec, t_slo, batch)
-                except InfeasibleBatchError:
-                    continue
-                rows.append((config, t_exec, bounds))
+            rows = []
+            times = self.predictor.predict_configs(
+                function.model, configs, gpu_profile
+            )
+            for config, t_exec in zip(configs, times):
+                bounds = cached_rate_bounds(t_exec, t_slo, batch)
+                if bounds is not None:
+                    rows.append((config, t_exec, bounds))
             self._config_cache[cache_key] = rows
         return [
             row

@@ -5,15 +5,19 @@ answers the predictor's lookups, interpolating linearly across the
 input-size grid (exact configurations in ``b``/``c``/``g`` are always
 profiled; input sizes vary continuously across models, hence the
 interpolation).
+
+The store is columnar: each operator kind is one block of 2-D arrays,
+one row per ``(b, c, g)`` series, so :meth:`ProfileDatabase.lookup_all`
+answers a lookup for every configuration of a kind in one numpy pass.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
-from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.ops.operator import OperatorProfile
 
@@ -24,14 +28,65 @@ class ProfileLookupError(KeyError):
     """Raised when the database cannot answer a lookup."""
 
 
+class _Block:
+    """One operator kind's profiles: row ``i`` is the series of ``keys[i]``.
+
+    ``sizes[i, :lengths[i]]`` and ``times[i, :lengths[i]]`` hold the
+    series' points sorted by size, then time (the order sorting the
+    ``(size, time)`` tuples gives).  A row shorter than the arrays is
+    padded with ``inf`` sizes, which no bisection counts as smaller
+    than a query.
+    """
+
+    __slots__ = ("keys", "rows", "sizes", "times", "lengths")
+
+    def __init__(
+        self,
+        keys: Tuple[ConfigKey, ...],
+        sizes: np.ndarray,
+        times: np.ndarray,
+        lengths: np.ndarray,
+    ) -> None:
+        self.keys = keys
+        self.rows: Dict[ConfigKey, int] = {key: row for row, key in enumerate(keys)}
+        self.sizes = sizes
+        self.times = times
+        self.lengths = lengths
+
+    def points(self, row: int) -> List[Tuple[float, float]]:
+        length = self.lengths[row]
+        return list(
+            zip(self.sizes[row, :length].tolist(), self.times[row, :length].tolist())
+        )
+
+    def add(self, key: ConfigKey, points: List[Tuple[float, float]]) -> None:
+        """Merge ``points`` into ``key``'s series (appending a new row)."""
+        row = self.rows.get(key)
+        if row is None:
+            row = len(self.keys)
+            self.keys += (key,)
+            self.rows[key] = row
+            self.sizes = np.vstack([self.sizes, np.full(self.sizes.shape[1], np.inf)])
+            self.times = np.vstack([self.times, np.zeros(self.times.shape[1])])
+            self.lengths = np.append(self.lengths, 0)
+        else:
+            points = self.points(row) + points
+        points.sort()
+        width = len(points)
+        if width > self.sizes.shape[1]:
+            pad = width - self.sizes.shape[1]
+            self.sizes = np.pad(self.sizes, ((0, 0), (0, pad)), constant_values=np.inf)
+            self.times = np.pad(self.times, ((0, 0), (0, pad)))
+        self.sizes[row, :width], self.times[row, :width] = zip(*points)
+        self.lengths[row] = width
+
+
 class ProfileDatabase:
-    """In-memory profile store with input-size interpolation."""
+    """In-memory columnar profile store with input-size interpolation."""
 
     def __init__(self) -> None:
-        # operator -> (b, c, g) -> sorted list of (input_size, time)
-        self._store: Dict[str, Dict[ConfigKey, List[Tuple[float, float]]]] = (
-            defaultdict(lambda: defaultdict(list))
-        )
+        # operator -> its block, both in insertion order
+        self._blocks: Dict[str, _Block] = {}
         self._count = 0
 
     # ------------------------------------------------------------------
@@ -55,30 +110,81 @@ class ProfileDatabase:
         """Add ``(input size, time)`` points to one ``(b, c, g)`` series.
 
         Stores exactly what inserting the points one by one in sorted
-        position would (duplicated or out-of-order sizes included).
+        position would (duplicated or out-of-order sizes included).  An
+        empty series adds nothing.
         """
         if len(input_sizes) != len(times):
             raise ValueError("input_sizes and times differ in length")
         if key[0] < 1:
             raise ValueError("batch must be >= 1")
-        if times and min(times) <= 0:
+        if len(times) and min(times) <= 0:
             raise ValueError("profiled time must be positive")
-        series = self._store[operator][key]
-        series.extend(zip(input_sizes, times))
-        series.sort()
+        if not len(times):
+            return
+        block = self._blocks.get(operator)
+        if block is None:
+            empty = np.empty((0, 0))
+            block = _Block((), empty, empty, np.empty(0, dtype=int))
+            self._blocks[operator] = block
+        block.add(key, list(zip(map(float, input_sizes), map(float, times))))
         self._count += len(times)
+
+    def insert_block(
+        self,
+        operator: str,
+        keys: Sequence[ConfigKey],
+        input_sizes: Sequence[float],
+        times: np.ndarray,
+    ) -> None:
+        """Add one series per key, all over the same input sizes.
+
+        ``times[i, j]`` is ``keys[i]``'s time at ``input_sizes[j]``.
+        Stores what :meth:`insert_series` row by row would; a new
+        operator with distinct keys takes the arrays whole, sorting
+        its rows only when ``input_sizes`` is not strictly increasing.
+        """
+        times = np.asarray(times, dtype=float)
+        sizes = np.asarray(input_sizes, dtype=float)
+        if times.shape != (len(keys), len(sizes)):
+            raise ValueError("times must be a (keys x input_sizes) array")
+        if any(key[0] < 1 for key in keys):
+            raise ValueError("batch must be >= 1")
+        if times.size and times.min() <= 0:
+            raise ValueError("profiled time must be positive")
+        if (
+            operator in self._blocks
+            or len(set(keys)) != len(keys)
+            or not times.size
+        ):
+            for key, row in zip(keys, times.tolist()):
+                self.insert_series(operator, key, input_sizes, row)
+            return
+        sizes = np.broadcast_to(sizes, times.shape)
+        if (np.diff(sizes[0]) > 0).all():
+            sizes = sizes.copy()
+        else:
+            order = np.lexsort((times, sizes), axis=1)
+            sizes = np.take_along_axis(sizes, order, axis=1)
+            times = np.take_along_axis(times, order, axis=1)
+        lengths = np.full(len(keys), times.shape[1])
+        self._blocks[operator] = _Block(tuple(keys), sizes, times, lengths)
+        self._count += times.size
 
     def __len__(self) -> int:
         return self._count
 
     @property
     def operators(self) -> List[str]:
-        return sorted(self._store)
+        return sorted(self._blocks)
+
+    def _block(self, operator: str) -> _Block:
+        block = self._blocks.get(operator)
+        if block is None:
+            raise ProfileLookupError(f"no profiles for operator {operator!r}")
+        return block
 
     def configs_for(self, operator: str) -> List[ConfigKey]:
-        if operator not in self._store:
-            raise ProfileLookupError(f"no profiles for operator {operator!r}")
-        return sorted(self._store[operator])
+        return sorted(self._block(operator).keys)
 
     # ------------------------------------------------------------------
     # lookup
@@ -92,18 +198,43 @@ class ProfileDatabase:
         never profiled for this operator -- the scheduler only explores
         profiled configurations, so this signals a programming error.
         """
-        if operator not in self._store:
-            raise ProfileLookupError(f"no profiles for operator {operator!r}")
-        key = (batch, cpu, gpu)
-        series = self._store[operator].get(key)
-        if not series:
-            raise ProfileLookupError(
-                f"operator {operator!r} has no profile at (b={batch}, c={cpu}, g={gpu})"
-            )
-        return _interpolate(series, input_size)
+        block = self._block(operator)
+        row = block.rows.get((batch, cpu, gpu))
+        if row is None:
+            raise self.lookup_error(operator, (batch, cpu, gpu))
+        rows = slice(row, row + 1)
+        return float(
+            _interpolate(
+                block.sizes[rows], block.times[rows], block.lengths[rows], input_size
+            )[0]
+        )
+
+    def lookup_all(
+        self, operator: str, input_size: float
+    ) -> Tuple[Tuple[ConfigKey, ...], np.ndarray]:
+        """:meth:`lookup` of every configuration of one kind at once.
+
+        Returns the kind's ``(b, c, g)`` keys in insertion order and
+        their per-call times at ``input_size``, by the same
+        interpolation rule as :meth:`lookup`.
+        """
+        block = self._block(operator)
+        return block.keys, _interpolate(
+            block.sizes, block.times, block.lengths, input_size
+        )
 
     def has_config(self, operator: str, batch: int, cpu: int, gpu: int) -> bool:
-        return (batch, cpu, gpu) in self._store.get(operator, {})
+        block = self._blocks.get(operator)
+        return block is not None and (batch, cpu, gpu) in block.rows
+
+    def lookup_error(self, operator: str, key: ConfigKey) -> ProfileLookupError:
+        """The error :meth:`lookup` raises for a configuration it lacks."""
+        if operator not in self._blocks:
+            return ProfileLookupError(f"no profiles for operator {operator!r}")
+        batch, cpu, gpu = key
+        return ProfileLookupError(
+            f"operator {operator!r} has no profile at (b={batch}, c={cpu}, g={gpu})"
+        )
 
     # ------------------------------------------------------------------
     # persistence
@@ -112,10 +243,10 @@ class ProfileDatabase:
         """Serialise the database (e.g. to ship pre-profiled operators)."""
         payload = {
             operator: {
-                ",".join(map(str, key)): series
-                for key, series in configs.items()
+                ",".join(map(str, key)): block.points(row)
+                for row, key in enumerate(block.keys)
             }
-            for operator, configs in self._store.items()
+            for operator, block in self._blocks.items()
         }
         Path(path).write_text(json.dumps(payload))
 
@@ -135,26 +266,34 @@ class ProfileDatabase:
         return db
 
 
-def _interpolate(series: List[Tuple[float, float]], input_size: float) -> float:
-    """Piecewise-linear interpolation of time over input size.
+def _interpolate(
+    sizes: np.ndarray, times: np.ndarray, lengths: np.ndarray, input_size: float
+) -> np.ndarray:
+    """Piecewise-linear interpolation of each row's time at ``input_size``.
 
     Extrapolates linearly beyond the measured range (operator time is
     linear in work for a fixed configuration, so this is well-behaved),
-    clamping at a small positive floor.
+    clamping at a small positive floor.  A single-point row scales its
+    time through the origin; two equal sizes bracketing the query give
+    the lower point's time.
     """
-    sizes = [point[0] for point in series]
-    if len(series) == 1:
-        # Single sample: scale proportionally through the origin offset.
-        size0, time0 = series[0]
-        return max(1e-9, time0 * input_size / size0) if size0 > 0 else time0
-    index = bisect.bisect_left(sizes, input_size)
-    if index == 0:
-        (x0, y0), (x1, y1) = series[0], series[1]
-    elif index >= len(series):
-        (x0, y0), (x1, y1) = series[-2], series[-1]
-    else:
-        (x0, y0), (x1, y1) = series[index - 1], series[index]
-    if x1 == x0:
-        return y0
-    slope = (y1 - y0) / (x1 - x0)
-    return max(1e-9, y0 + slope * (input_size - x0))
+    rows = np.arange(len(lengths))
+    # bisect_left over each row: padding sizes are inf and never count.
+    index = np.count_nonzero(sizes < input_size, axis=1)
+    # The bracketing pair; single-point rows are overwritten below.
+    upper = np.minimum(np.maximum(index, 1), lengths - 1)
+    lower = np.maximum(upper - 1, 0)
+    x0, x1 = sizes[rows, lower], sizes[rows, upper]
+    y0, y1 = times[rows, lower], times[rows, upper]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (y1 - y0) / (x1 - x0)
+        result = np.where(
+            x1 == x0, y0, np.maximum(1e-9, y0 + slope * (input_size - x0))
+        )
+        single = lengths == 1
+        if single.any():
+            size0, time0 = sizes[single, 0], times[single, 0]
+            result[single] = np.where(
+                size0 > 0, np.maximum(1e-9, time0 * input_size / size0), time0
+            )
+    return result

@@ -10,7 +10,8 @@ One operator's whole grid is measured in one vectorised sweep: the cost
 model prices every ``(config, input size)`` point in array arithmetic
 and all measurement noise comes from one draw, in the order a per-point
 loop would consume it, so the stored profiles equal that loop's bit for
-bit.
+bit.  The database takes the resulting ``(configs x input sizes)``
+array as one block.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ class OperatorProfiler:
     ) -> ProfileDatabase:
         """Profile the given operators (default: the whole catalog)."""
         database = ProfileDatabase()
-        configs = self._config_grid()
+        # One keys tuple shared by every operator's block.
+        configs = tuple(self._config_grid())
         for operator in operators or sorted(OPERATOR_CATALOG):
             times = self._sweep(operator, configs, self.input_sizes)
-            for key, row in zip(configs, times.tolist()):
-                database.insert_series(operator, key, self.input_sizes, row)
+            database.insert_block(operator, configs, self.input_sizes, times)
         return database
