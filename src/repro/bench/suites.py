@@ -93,6 +93,56 @@ def bench_scheduler_search(quick: bool = False) -> int:
     return placed
 
 
+class _Routable:
+    """The one instance field the router weighs: its assigned rate."""
+
+    __slots__ = ("assigned_rate",)
+
+    def __init__(self, assigned_rate: float) -> None:
+        self.assigned_rate = assigned_rate
+
+
+class _FixedPool:
+    """An autoscaler as the router sees it: a version and a fixed pool."""
+
+    def __init__(self, candidates: List[_Routable]) -> None:
+        self.version = 0
+        self.candidates = candidates
+
+    def route_pool(self, function_name: str, now: float):
+        return self.candidates, float("inf")
+
+
+def bench_router(quick: bool = False) -> int:
+    """Weighted request routing (section 3.2): ``INFlessEngine.route``.
+
+    Routes N requests over a fixed pool of eight instances with
+    unequal assigned rates.  Every 1,000 requests the pool's version
+    is bumped, as a control step does, so the router rebuilds its
+    CDF.  Returns the picks made.
+    """
+    from repro.cluster import build_testbed_cluster
+    from repro.core import INFlessEngine
+    from repro.profiling import build_default_predictor
+
+    n = 200_000 if quick else 1_000_000
+    engine = INFlessEngine(
+        build_testbed_cluster(num_servers=1), build_default_predictor()
+    )
+    pool = _FixedPool([_Routable(rate) for rate in (
+        40.0, 120.0, 25.0, 300.0, 80.0, 10.0, 160.0, 55.0,
+    )])
+    engine.autoscaler = pool
+    route = engine.route
+    picks = 0
+    for index in range(n):
+        if index % 1000 == 0:
+            pool.version += 1
+        if route("f", index * 1e-3) is not None:
+            picks += 1
+    return picks
+
+
 class _QueuedRequest:
     """Minimal batch-queue payload carrying only an arrival time."""
 
@@ -473,6 +523,7 @@ MICRO_BENCHMARKS: Dict[str, Callable[[bool], int]] = {
     "event_queue": bench_event_queue,
     "scheduler_search": bench_scheduler_search,
     "batch_queue": bench_batch_queue,
+    "router": bench_router,
     "sketch_metrics": bench_sketch_metrics,
     "llm_decode": bench_llm_decode,
     "fluid_step": bench_fluid_step,

@@ -1,6 +1,8 @@
 """Unit tests for the INFlessEngine facade."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import build_testbed_cluster
 from repro.core import FunctionSpec, INFlessEngine
@@ -102,3 +104,105 @@ class TestRouting:
         for inst in instances:
             if inst.assigned_rate > 1.0:
                 assert counts[inst.instance_id] > 0
+
+
+class _Candidate:
+    """The fields of an instance the router reads."""
+
+    def __init__(self, assigned_rate: float, ready_at: float) -> None:
+        self.assigned_rate = assigned_rate
+        self.ready_at = ready_at
+
+
+class _Pool:
+    """An autoscaler as the router sees it: a version and a route pool.
+
+    ``route_pool`` follows ``AutoScaler.route_pool``: ready candidates,
+    else cold-starting ones, else None; valid until the next pending
+    ``ready_at``.  ``replace`` is a control step: new pool, new version.
+    """
+
+    def __init__(self) -> None:
+        self.version = 0
+        self.candidates = []
+
+    def replace(self, candidates) -> None:
+        self.candidates = candidates
+        self.version += 1
+
+    def route_pool(self, name, now):
+        valid_until = min(
+            (c.ready_at for c in self.candidates if c.ready_at > now),
+            default=float("inf"),
+        )
+        if not self.candidates:
+            return None, valid_until
+        ready = [c for c in self.candidates if now >= c.ready_at]
+        return ready or self.candidates, valid_until
+
+
+def _scalar_pick(pool, name, now, rng):
+    """The reference router: a fresh CDF and one scalar draw per pick."""
+    candidates, _valid_until = pool.route_pool(name, now)
+    if candidates is None:
+        return None
+    weights = np.array([max(c.assigned_rate, 1e-9) for c in candidates])
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return candidates[int(cdf.searchsorted(rng.random(), side="right"))]
+
+
+_POOLS = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(1e-3, 500.0)),  # assigned rate
+        st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),  # cold-start delay
+    ),
+    max_size=8,
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("control"), _POOLS),
+        st.tuples(
+            st.just("route"), st.integers(1, 400), st.floats(0.0, 0.02)
+        ),
+    ),
+    max_size=12,
+)
+
+
+class TestRouterStream:
+    """``route`` picks exactly what one scalar draw per request picks.
+
+    The reference inverts ``Generator(seed).random()`` through a CDF
+    rebuilt on every pick, so the pin holds however the router caches
+    its CDF or buffers its uniforms.  Each run ends with more than
+    1024 routed requests, so any draw buffer of that size refills.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=_STEPS)
+    def test_picks_match_scalar_reference(self, predictor, seed, steps):
+        engine = INFlessEngine(
+            build_testbed_cluster(), predictor=predictor, seed=seed
+        )
+        pool = _Pool()
+        engine.autoscaler = pool
+        reference = np.random.default_rng(seed)
+        steps = steps + [
+            ("control", [(120.0, 0.0), (40.0, 0.5), (0.0, 0.0)]),
+            ("route", 1100, 0.001),
+        ]
+        now, draws = 0.0, 0
+        for step in steps:
+            if step[0] == "control":
+                pool.replace([
+                    _Candidate(rate, now + delay) for rate, delay in step[1]
+                ])
+                continue
+            _kind, count, gap = step
+            for _ in range(count):
+                expected = _scalar_pick(pool, "f", now, reference)
+                assert engine.route("f", now) is expected
+                draws += expected is not None
+                now += gap
+        assert draws > 1024

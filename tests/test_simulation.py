@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import pickle
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,13 @@ import pytest
 import repro.simulation.runtime as runtime
 from repro.cluster import build_testbed_cluster
 from repro.core import FunctionSpec, INFlessEngine
-from repro.faults import FaultPlan, IngressSpike
+from repro.faults import (
+    ColdStartStraggler,
+    FaultPlan,
+    IngressSpike,
+    InstanceKill,
+    ResiliencePolicy,
+)
 from repro.simulation import (
     EventBudgetExceeded,
     EventKind,
@@ -224,6 +232,36 @@ class TestEventLoop:
         loop.schedule_many([1.0], EventKind.ARRIVAL, ["a"])
         with pytest.raises(ValueError, match="lane"):
             loop.schedule_many([2.0], EventKind.RETRY, ["b"])
+
+
+class TestEventKind:
+    def test_every_kind_dispatches_through_on(self):
+        loop = EventLoop()
+        seen = []
+        for kind in EventKind:
+            loop.on(kind, lambda e, kind=kind: seen.append((kind, e.kind)))
+        for index, kind in enumerate(EventKind):
+            loop.schedule(float(index), kind)
+        loop.run()
+        assert seen == [(kind, kind) for kind in EventKind]
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_unregistered_kind_raises(self, kind):
+        loop = EventLoop()
+        for other in EventKind:
+            if other is not kind:
+                loop.on(other, lambda e: None)
+        loop.schedule(0.0, kind)
+        with pytest.raises(RuntimeError, match=re.escape(str(kind))):
+            loop.run()
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_pickled_member_is_the_same_key(self, kind):
+        restored = pickle.loads(pickle.dumps(kind))
+        assert restored is kind
+        table = {member: member.value for member in EventKind}
+        assert table[restored] == kind.value
+        assert restored in {kind} and hash(restored) == hash(kind)
 
 
 def record(arrival, completion, slo=0.2, fn="f", batch=4):
@@ -440,6 +478,81 @@ class TestServingSimulation:
         assert sim.run().completed > 0
         assert booked
         assert max(booked.values()) == 1
+
+
+class _WakeAudited(ServingSimulation):
+    """Checks the batch-wake booking after every enqueue.
+
+    A ready, idle instance holding a partial batch whose deadline has
+    not passed must have exactly that deadline booked as its wake;
+    otherwise the batch could wait past its deadline, or an arrival
+    could book a second wake for it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.instances_seen = {}
+        self.audits = 0
+
+    def _enqueue(self, instance, request):
+        super()._enqueue(instance, request)
+        self.instances_seen[instance.instance_id] = instance
+        now = self.loop.now
+        for seen in self.instances_seen.values():
+            queue = seen.queue
+            if (
+                now < seen.ready_at
+                or seen.busy
+                or queue.is_empty
+                or queue.should_flush(now)
+            ):
+                continue
+            assert self._wake_scheduled.get(seen.instance_id) == (
+                queue.deadline()
+            ), f"instance#{seen.instance_id} at t={now}"
+            self.audits += 1
+
+
+class TestWakeBooking:
+    def test_osvt_replay(self, predictor, executor):
+        app = build_osvt()
+        trace = bursty_trace(
+            300.0, 30.0, period_s=30.0, burst_rate_per_hour=30.0,
+            burst_duration_s=30.0, seed=22,
+        )
+        engine = INFlessEngine(
+            build_testbed_cluster(num_servers=8), predictor=predictor
+        )
+        for function in app.functions:
+            engine.deploy(function)
+        simulation = _WakeAudited(
+            platform=engine,
+            executor=executor,
+            workload={
+                name: trace.with_mean(rps)
+                for name, rps in app.rps_split(trace.mean_rps).items()
+            },
+            warmup_s=5.0,
+            seed=5,
+        )
+        assert simulation.run().completed > 0
+        assert simulation.audits > 1000
+
+    def test_straggler_and_instance_kill(self, predictor, executor):
+        engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
+        fn = FunctionSpec.for_model("resnet-50", slo_s=0.2)
+        engine.deploy(fn)
+        plan = FaultPlan(events=(
+            InstanceKill(at_s=30.0, function=fn.name),
+            ColdStartStraggler(at_s=30.0, duration_s=20.0, factor=3.0),
+        ))
+        simulation = _WakeAudited(
+            engine, executor, {fn.name: constant_trace(400.0, 60.0)},
+            faults=plan, resilience=ResiliencePolicy(), seed=16,
+        )
+        report = simulation.run()
+        assert report.resilience["fault_counts"]["instance_kill"] == 1
+        assert simulation.audits > 1000
 
 
 class TestReportSerialisation:
