@@ -9,6 +9,7 @@ this class only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -23,6 +24,9 @@ from repro.core.scheduler import GreedyScheduler
 from repro.faults.resilience import backlog_sheds
 from repro.profiling.configspace import ConfigSpace
 from repro.profiling.predictor import LatencyPredictor, build_default_predictor
+
+#: uniforms the router draws from its generator at a time.
+_ROUTE_DRAW_BLOCK = 1024
 
 
 class INFlessEngine:
@@ -86,11 +90,14 @@ class INFlessEngine:
         self.autoscaler = scaler_cls(self.scheduler, self.policy, alpha=alpha)
         self._functions: Dict[str, FunctionSpec] = {}
         self._rng = np.random.default_rng(seed)
+        # The router's next uniforms, last-drawn first: route() pops
+        # one per pick and refills _ROUTE_DRAW_BLOCK at a time.
+        self._uniforms: List[float] = []
         # name -> (autoscaler version, valid-until time, chosen
-        # candidate list, probability vector).  Candidate sets and
-        # rates only change at control steps (version bump) or when a
+        # candidate list, CDF list).  Candidate sets and rates only
+        # change at control steps (version bump) or when a
         # cold-starting instance's ready_at passes (valid-until), so
-        # between those moments route() reuses the same arrays.
+        # between those moments route() reuses the same CDF.
         self._route_cache: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -146,12 +153,17 @@ class INFlessEngine:
         between control steps: they depend only on the autoscaler's
         state and on which cold starts have finished, so the cache is
         keyed on the autoscaler version and invalidated when ``now``
-        crosses the next pending ``ready_at``.  The RNG draw itself is
-        never cached -- each request consumes exactly one uniform draw
-        from the same stream ``Generator.choice`` would (``choice``
+        crosses the next pending ``ready_at``.
+
+        Each routed request takes the next uniform of the router's
+        stream -- the one ``Generator.choice`` would draw (``choice``
         with a ``p`` vector computes ``cdf = p.cumsum(); cdf /=
-        cdf[-1]`` and inverts one ``random()`` sample through it; the
-        CDF is the part worth caching, the draw is not).
+        cdf[-1]`` and inverts one ``random()`` sample through it).  The
+        uniforms are drawn ``_ROUTE_DRAW_BLOCK`` at a time: a block of
+        ``random(n)`` is the same PCG64 stream as ``n`` scalar
+        ``random()`` calls, and ``bisect_right`` over the CDF's floats
+        is ``cdf.searchsorted(u, side="right")``.  A parked request
+        (``None``) takes no uniform.
         """
         version = self.autoscaler.version
         cached = self._route_cache.get(name)
@@ -171,9 +183,12 @@ class INFlessEngine:
             probabilities = weights / weights.sum()
             cdf = probabilities.cumsum()
             cdf /= cdf[-1]
+            cdf = cdf.tolist()
             self._route_cache[name] = (version, valid_until, candidates, cdf)
-        index = int(cdf.searchsorted(self._rng.random(), side="right"))
-        return candidates[index]
+        uniforms = self._uniforms
+        if not uniforms:
+            uniforms.extend(self._rng.random(_ROUTE_DRAW_BLOCK)[::-1].tolist())
+        return candidates[bisect_right(cdf, uniforms.pop())]
 
     def timeout_slack_s(self, function: FunctionSpec) -> float:
         """INFless spends the whole timeout budget on batching."""

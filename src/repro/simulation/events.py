@@ -7,7 +7,14 @@ from typing import Any
 
 
 class EventKind(enum.Enum):
-    """What a queued event means."""
+    """What a queued event means.
+
+    Members hash by identity: they are singletons (a pickle round trip
+    returns the same object), and the event loop looks every event's
+    handler up by kind, where ``Enum.__hash__`` would be a Python call.
+    """
+
+    __hash__ = object.__hash__
 
     #: a request arrives at the platform gateway.
     ARRIVAL = "arrival"
