@@ -24,7 +24,6 @@ from repro.profiling.configspace import ConfigSpace
 from repro.profiling.executor import GroundTruthExecutor
 from repro.profiling.predictor import LatencyPredictor, build_default_predictor
 from repro.simulation.metrics import SimulationReport
-from repro.simulation.sketches import DEFAULT_SUBBUCKETS
 from repro.workloads.trace import Trace
 
 #: keep-alive window matching the policy default the discrete runtime
@@ -138,7 +137,6 @@ class FluidSimulation:
         invariants: Union[None, str, object] = None,
         seed: int = 42,
         config_space: Optional[ConfigSpace] = None,
-        sketch_subbuckets: int = DEFAULT_SUBBUCKETS,
         rate_mode: str = "measured",
     ) -> None:
         if control_interval_s <= 0:
@@ -165,7 +163,6 @@ class FluidSimulation:
         self.rate_mode = rate_mode
         self.checker = resolve_checker(invariants)
         self._config_space = config_space
-        self._sketch_subbuckets = sketch_subbuckets
         self.steps = 0
         self.fluids: Dict[str, FunctionFluid] = {}
         self._payloads: Optional[List[Dict[str, object]]] = None
@@ -194,7 +191,6 @@ class FluidSimulation:
             pending_cap=self.pending_cap,
             warmup_s=self.warmup_s,
             noise_sigma=hardware.noise_sigma,
-            sketch_subbuckets=self._sketch_subbuckets,
             rate_mode=self.rate_mode,
         )
 

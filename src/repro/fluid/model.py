@@ -312,7 +312,6 @@ class FunctionFluid:
         pending_cap: int,
         warmup_s: float,
         noise_sigma: float,
-        sketch_subbuckets: int,
         rate_mode: str = "measured",
     ) -> None:
         if rate_mode not in ("measured", "oracle"):
@@ -356,7 +355,7 @@ class FunctionFluid:
         self.cold_starts = 0
         self.warm_reuses = 0
         self.batches_served = 0.0
-        self.sketch = QuantileSketch(sketch_subbuckets)
+        self.sketch = QuantileSketch()
         self._sketch_carry = 0.0
         # -- usage integrals (sample-and-hold over ticks) --------------
         self.resource_time_weighted = 0.0

@@ -189,34 +189,15 @@ class ProfileDatabase:
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------
-    def lookup(
-        self, operator: str, input_size: float, batch: int, cpu: int, gpu: int
-    ) -> float:
-        """Per-call execution time, interpolated over input size.
-
-        Raises ProfileLookupError when the (b, c, g) configuration was
-        never profiled for this operator -- the scheduler only explores
-        profiled configurations, so this signals a programming error.
-        """
-        block = self._block(operator)
-        row = block.rows.get((batch, cpu, gpu))
-        if row is None:
-            raise self.lookup_error(operator, (batch, cpu, gpu))
-        rows = slice(row, row + 1)
-        return float(
-            _interpolate(
-                block.sizes[rows], block.times[rows], block.lengths[rows], input_size
-            )[0]
-        )
-
     def lookup_all(
         self, operator: str, input_size: float
     ) -> Tuple[Tuple[ConfigKey, ...], np.ndarray]:
-        """:meth:`lookup` of every configuration of one kind at once.
+        """Per-call execution time of every configuration of one kind.
 
         Returns the kind's ``(b, c, g)`` keys in insertion order and
-        their per-call times at ``input_size``, by the same
-        interpolation rule as :meth:`lookup`.
+        their per-call times at ``input_size``, each interpolated over
+        its own profiled input sizes.  Raises ProfileLookupError when
+        the operator was never profiled.
         """
         block = self._block(operator)
         return block.keys, _interpolate(
@@ -228,7 +209,11 @@ class ProfileDatabase:
         return block is not None and (batch, cpu, gpu) in block.rows
 
     def lookup_error(self, operator: str, key: ConfigKey) -> ProfileLookupError:
-        """The error :meth:`lookup` raises for a configuration it lacks."""
+        """The error for a ``(b, c, g)`` configuration never profiled.
+
+        The scheduler only explores profiled configurations, so a
+        lookup that needs a missing one signals a programming error.
+        """
         if operator not in self._blocks:
             return ProfileLookupError(f"no profiles for operator {operator!r}")
         batch, cpu, gpu = key

@@ -4,14 +4,16 @@ Captures per-request latency decompositions (``l = t_cold + t_batch +
 t_exec``), batch/configuration usage, resource-time integrals and
 cold-start counters -- everything sections 5.2 and 5.3 report.
 
-Requests complete as members of a batch (section 3.2), so exact mode
-keeps a columnar completion ledger: four flat per-request columns and
-six per-batch ones, appended once per batch and reduced with numpy
-when the report is read.
+Requests complete as members of a batch (section 3.2), so the collector
+keeps a columnar ledger: arrivals, drops, four flat per-request columns
+and six per-batch ones, appended once per batch and reduced with numpy.
+Exact mode reduces it once, when the report is read; sketch mode folds
+it into running totals whenever it fills, so its memory stays bounded.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,13 +21,13 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulation.sketches import DEFAULT_SUBBUCKETS, QuantileSketch
+from repro.simulation.sketches import QuantileSketch
 
 #: how the collector keeps latency statistics: ``"exact"`` keeps every
 #: completion in the columnar ledger (full-fidelity percentiles, O(N)
-#: memory); ``"sketch"`` streams them through a mergeable quantile
-#: sketch (O(1) memory at any request count, percentiles within the
-#: sketch's error bound).
+#: memory); ``"sketch"`` folds a bounded ledger into running totals
+#: and a mergeable quantile sketch (O(1) memory at any request count,
+#: percentiles within the sketch's error bound).
 METRICS_MODES = ("exact", "sketch")
 
 
@@ -227,36 +229,75 @@ class SimulationReport:
             payload.pop("llm", None)
         if self.workflows is None:
             payload.pop("workflows", None)
-        if self.metrics_mode == "exact":
-            payload.pop("metrics_mode", None)
         if self.latency_sketch is None:
+            payload.pop("metrics_mode", None)
             payload.pop("latency_sketch", None)
         return payload
+
+
+#: rows a sketch-mode ledger holds before it folds them into running
+#: totals; an exact-mode ledger never folds before the report.
+_FOLD_ROWS = 4096
+
+#: the latency percentiles a report carries.
+_PERCENTILES = (50, 95, 99)
+
+
+@dataclass
+class _LedgerTotals:
+    """Ledger rows reduced so far.
+
+    The ``*_all`` terms count every row, warmup included (the
+    conservation ledger); the others count kept rows only.  Tallies
+    keep first-seen order; configs and functions are keyed by their
+    interned ids.
+    """
+
+    arrived_all: int = 0
+    arrived: int = 0
+    completed_all: int = 0
+    completed: int = 0
+    violations: int = 0
+    latency_total_all: float = 0.0
+    latency_sum: float = 0.0
+    cold_wait_sum: float = 0.0
+    queue_wait_sum: float = 0.0
+    exec_sum: float = 0.0
+    drop_reasons_all: Counter = field(default_factory=Counter)
+    drop_reasons: Counter = field(default_factory=Counter)
+    batches: Counter = field(default_factory=Counter)
+    configs: Counter = field(default_factory=Counter)
+    function_rows: Counter = field(default_factory=Counter)
+    function_violations: Counter = field(default_factory=Counter)
+
+
+def _mean(total: float, count: int) -> float:
+    return total / count if count else 0.0
 
 
 class MetricsCollector:
     """Accumulates simulation observations.
 
+    Every arrival, drop and completion is appended to one ledger, and
+    :meth:`finalize` reduces it with numpy.  A sketch-mode ledger is
+    bounded: every ``_FOLD_ROWS`` rows it is reduced by the same code
+    into running totals, then cleared.
+
     Args:
-        metrics_mode: ``"exact"`` (default) keeps every completion in
-            the columnar ledger and every usage sample -- the
-            full-fidelity path all goldens pin.
-            ``"sketch"`` streams everything: latencies feed a mergeable
-            :class:`QuantileSketch`, usage feeds running sample-and-hold
-            integrators, and per-request memory is O(1).
-        warmup_s: sketch mode must filter the warmup transient at
-            record time (there are no stored samples to re-filter at
-            finalize), so the boundary is fixed up front; it must match
-            the ``warmup_s`` later passed to :meth:`finalize`.
-        sketch_subbuckets: latency-sketch resolution (sketch mode).
+        metrics_mode: ``"exact"`` (default) keeps every row and every
+            usage sample until the report -- the full-fidelity path
+            all goldens pin.  ``"sketch"`` folds the ledger as it
+            fills: kept latencies feed a mergeable
+            :class:`QuantileSketch`, usage feeds running
+            sample-and-hold integrators, and memory is O(1) in the
+            request count.
+        warmup_s: sketch mode filters the warmup transient when it
+            folds (folded rows cannot be re-filtered), so the boundary
+            is fixed up front; it must match the ``warmup_s`` later
+            passed to :meth:`finalize`.
     """
 
-    def __init__(
-        self,
-        metrics_mode: str = "exact",
-        warmup_s: float = 0.0,
-        sketch_subbuckets: int = DEFAULT_SUBBUCKETS,
-    ) -> None:
+    def __init__(self, metrics_mode: str = "exact", warmup_s: float = 0.0) -> None:
         if metrics_mode not in METRICS_MODES:
             raise ValueError(
                 f"metrics_mode must be one of {METRICS_MODES},"
@@ -264,7 +305,12 @@ class MetricsCollector:
             )
         self.metrics_mode = metrics_mode
         self._warmup_s = float(warmup_s)
-        # -- completion ledger (exact mode) -----------------------------
+        self._fold_rows = (
+            _FOLD_ROWS if metrics_mode == "sketch" else sys.maxsize
+        )
+        # -- the ledger --------------------------------------------------
+        self._arrival_times: List[float] = []
+        self._drops: List[Tuple[float, str]] = []  # (time, reason)
         # Per row (one completed request): SLO clock start, waits, SLO.
         self._origin = array("d")
         self._cold_wait = array("d")
@@ -284,34 +330,15 @@ class MetricsCollector:
         #: row -> SLO verdict, kept only for records judged by another
         #: rule than ``latency > slo`` (LLM records judge TTFT/TPOT).
         self._verdicts: Dict[int, bool] = {}
-        self._arrival_times: List[float] = []
-        self._drops: List[Tuple[float, str]] = []  # (time, reason)
+        #: rows already folded (sketch mode) and their kept latencies.
+        self._totals = _LedgerTotals()
+        self._latency_sketch = QuantileSketch()
+        # -- usage samples (exact mode) ----------------------------------
         self._usage_samples: List[Tuple[float, float]] = []  # (time, weighted)
         self._cpu_samples: List[Tuple[float, float]] = []
         self._gpu_samples: List[Tuple[float, float]] = []
         self._fragment_samples: List[Tuple[float, float]] = []  # (time, ratio)
-        #: cumulative (time, cold_starts, launches, warm_reuses)
-        #: snapshots; lets finalize subtract the warmup baseline.  One
-        #: entry per control tick in both modes (O(duration), not O(N)).
-        self._scaling_samples: List[Tuple[float, int, int, int]] = []
-        # -- streaming state (sketch mode) ------------------------------
-        self._arrived_all = 0
-        self._arrived_kept = 0
-        self._dropped_all = 0
-        self._drop_reasons_all: Counter = Counter()
-        self._drop_reasons_kept: Counter = Counter()
-        self._completed_all = 0
-        self._latency_total_all = 0.0
-        self._kept_completed = 0
-        self._kept_violations = 0
-        self._latency_sketch = QuantileSketch(sketch_subbuckets)
-        self._latency_sum = 0.0
-        self._cold_sum = 0.0
-        self._queue_sum = 0.0
-        self._exec_sum = 0.0
-        self._batch_hist: Counter = Counter()
-        self._config_hist: Counter = Counter()
-        self._per_fn_tallies: Dict[str, List[int]] = {}
+        # -- sample-and-hold usage integrators (sketch mode) -------------
         self._prev_usage: Optional[Tuple[float, float, float, float]] = None
         self._usage_integral = 0.0
         self._cpu_integral = 0.0
@@ -321,64 +348,59 @@ class MetricsCollector:
         self._usage_peak = 0.0
         self._fragment_sum = 0.0
         self._fragment_count = 0
+        #: cumulative (time, cold_starts, launches, warm_reuses)
+        #: snapshots; lets finalize subtract the warmup baseline.  One
+        #: entry per control tick in both modes (O(duration), not O(N)).
+        self._scaling_samples: List[Tuple[float, int, int, int]] = []
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
     def record_arrival(self, now: float = 0.0) -> None:
-        if self.metrics_mode == "sketch":
-            self._arrived_all += 1
-            if now >= self._warmup_s:
-                self._arrived_kept += 1
-            return
-        self._arrival_times.append(now)
+        arrivals = self._arrival_times
+        arrivals.append(now)
+        if len(arrivals) >= self._fold_rows:
+            self._fold_ledger()
 
     def record_drop(self, now: float = 0.0, reason: str = "unspecified") -> None:
-        if self.metrics_mode == "sketch":
-            self._dropped_all += 1
-            self._drop_reasons_all[reason] += 1
-            if now >= self._warmup_s:
-                self._drop_reasons_kept[reason] += 1
-            return
-        self._drops.append((now, reason))
+        drops = self._drops
+        drops.append((now, reason))
+        if len(drops) >= self._fold_rows:
+            self._fold_ledger()
 
     @property
     def arrived(self) -> int:
         """All arrivals, warmup included (the conservation ledger)."""
-        if self.metrics_mode == "sketch":
-            return self._arrived_all
-        return len(self._arrival_times)
+        return self._totals.arrived_all + len(self._arrival_times)
 
     @property
     def dropped(self) -> int:
-        if self.metrics_mode == "sketch":
-            return self._dropped_all
-        return len(self._drops)
+        return sum(self._totals.drop_reasons_all.values()) + len(self._drops)
 
     @property
     def completed_count(self) -> int:
         """All completions, warmup included (the conservation ledger).
 
-        Mode-agnostic: invariant checks must use this, not
-        ``len(records)`` -- sketch mode keeps no ledger.
+        Invariant checks must use this, not ``len(records)`` -- a
+        sketch-mode ledger holds only the rows not yet folded.
         """
-        if self.metrics_mode == "sketch":
-            return self._completed_all
-        return len(self._origin)
+        return self._totals.completed_all + len(self._origin)
 
     @property
     def latency_total_s(self) -> float:
         """Sum of end-to-end latencies over all completions."""
-        if self.metrics_mode == "sketch":
-            return self._latency_total_all
         latency = np.array(self._completion)[self._row_batches()]
-        return sum((latency - np.array(self._origin)).tolist())
+        return sum(
+            (latency - np.array(self._origin)).tolist(),
+            self._totals.latency_total_all,
+        )
 
     @property
     def drop_reasons(self) -> Dict[str, int]:
-        if self.metrics_mode == "sketch":
-            return dict(self._drop_reasons_all)
-        return dict(Counter(reason for _t, reason in self._drops))
+        return dict(
+            self._totals.drop_reasons_all
+            + Counter(reason for _t, reason in self._drops)
+        )
 
     def record_batch(
         self,
@@ -403,12 +425,9 @@ class MetricsCollector:
         """
         if not requests:
             return
-        sketch = self.metrics_mode == "sketch"
-        if not sketch:
-            self._append_batch(
-                function, len(requests), batch_size, completion, exec_s,
-                config,
-            )
+        self._append_batch(
+            function, len(requests), batch_size, completion, exec_s, config
+        )
         origin = self._origin.append
         cold = self._cold_wait.append
         queue = self._queue_wait.append
@@ -424,28 +443,15 @@ class MetricsCollector:
             cold_wait = total_wait if total_wait < cold_wait else cold_wait
             queue_wait = total_wait - cold_wait
             queue_wait = queue_wait if queue_wait > 0.0 else 0.0
-            if sketch:
-                latency = completion - request.origin
-                self._fold(
-                    function, request.origin, latency, cold_wait,
-                    queue_wait, exec_s, batch_size, config,
-                    latency > request.slo_s + 1e-9,
-                )
-                continue
             origin(request.origin)
             cold(cold_wait)
             queue(queue_wait)
             slo(request.slo_s)
+        if len(self._origin) >= self._fold_rows:
+            self._fold_ledger()
 
     def record_completion(self, record: RequestRecord) -> None:
         """Record one completion: a batch of one in the ledger."""
-        if self.metrics_mode == "sketch":
-            self._fold(
-                record.function, record.arrival, record.latency_s,
-                record.cold_wait_s, record.queue_wait_s, record.exec_s,
-                record.batch_size, record.config, record.violated_slo,
-            )
-            return
         row = len(self._origin)
         self._append_batch(
             record.function, 1, record.batch_size, record.completion,
@@ -458,6 +464,8 @@ class MetricsCollector:
         verdict = record.violated_slo
         if verdict != (record.latency_s > record.slo_s + 1e-9):
             self._verdicts[row] = verdict
+        if row + 1 >= self._fold_rows:
+            self._fold_ledger()
 
     def _append_batch(
         self,
@@ -483,36 +491,6 @@ class MetricsCollector:
         self._function.append(function_id)
         self._config.append(config_id)
 
-    def _fold(
-        self,
-        function: str,
-        origin: float,
-        latency: float,
-        cold_wait_s: float,
-        queue_wait_s: float,
-        exec_s: float,
-        batch_size: int,
-        config: Tuple[int, int, int],
-        violated: bool,
-    ) -> None:
-        """Fold one completion into the streaming state (sketch mode)."""
-        self._completed_all += 1
-        self._latency_total_all += latency
-        if origin < self._warmup_s:
-            return
-        self._kept_completed += 1
-        self._kept_violations += int(violated)
-        self._latency_sketch.add(latency)
-        self._latency_sum += latency
-        self._cold_sum += cold_wait_s
-        self._queue_sum += queue_wait_s
-        self._exec_sum += exec_s
-        self._batch_hist[batch_size] += 1
-        self._config_hist[config] += 1
-        tally = self._per_fn_tallies.setdefault(function, [0, 0])
-        tally[0] += 1
-        tally[1] += int(violated)
-
     # ------------------------------------------------------------------
     # ledger views
     # ------------------------------------------------------------------
@@ -530,7 +508,11 @@ class MetricsCollector:
         return violated
 
     def completion_columns(self) -> CompletionColumns:
-        """Every completion as per-field arrays (empty in sketch mode)."""
+        """The unfolded tail as per-field arrays.
+
+        That is every completion in exact mode, and the rows not yet
+        folded in sketch mode.
+        """
         batches = self._row_batches()
         names = np.array(list(self._function_index), dtype=object)
         configs = np.fromiter(
@@ -550,7 +532,7 @@ class MetricsCollector:
 
     @property
     def records(self) -> List[RequestRecord]:
-        """One :class:`RequestRecord` per completion, built on read.
+        """One :class:`RequestRecord` per row of the unfolded tail.
 
         O(N) per call; for tests and audits, not the run path.  LLM
         completions come back as plain records too (the LLM runtime
@@ -562,6 +544,76 @@ class MetricsCollector:
             for row in zip(*(column.tolist() for column in columns))
         ]
 
+    # ------------------------------------------------------------------
+    # reduction
+    # ------------------------------------------------------------------
+    def _reduce(self, totals: _LedgerTotals, warmup_s: float) -> np.ndarray:
+        """Add the kept rows held to ``totals``; return their latencies.
+
+        A row is kept when it arrived (a completion: its SLO clock
+        started) at or after ``warmup_s``.  Per-batch columns expand
+        through each row's batch index, and per-batch kept-row counts
+        give the histograms and tallies in first-seen (record) order.
+        """
+        arrivals = np.array(self._arrival_times)
+        totals.arrived += int(np.count_nonzero(arrivals >= warmup_s))
+        totals.drop_reasons.update(
+            reason for now, reason in self._drops if now >= warmup_s
+        )
+        batches = self._row_batches()
+        origin = np.array(self._origin)
+        latency = np.array(self._completion)[batches] - origin
+        kept = origin >= warmup_s
+        violated = self._violated(latency)[kept]
+        kept_batches = batches[kept]
+        latencies = latency[kept]
+        totals.completed += len(latencies)
+        totals.violations += int(np.count_nonzero(violated))
+        totals.latency_sum += float(np.sum(latencies))
+        totals.cold_wait_sum += float(np.sum(np.array(self._cold_wait)[kept]))
+        totals.queue_wait_sum += float(np.sum(np.array(self._queue_wait)[kept]))
+        totals.exec_sum += float(np.sum(np.array(self._exec)[kept_batches]))
+        kept_rows = np.bincount(kept_batches, minlength=len(self._batch_rows))
+        kept_violations = np.bincount(
+            kept_batches[violated], minlength=len(self._batch_rows)
+        )
+        served = np.flatnonzero(kept_rows)
+        rows = kept_rows[served]
+        functions = np.array(self._function)[served]
+        totals.batches.update(
+            _first_seen_totals(np.array(self._batch_size)[served], rows)
+        )
+        totals.configs.update(
+            _first_seen_totals(np.array(self._config)[served], rows)
+        )
+        totals.function_rows.update(_first_seen_totals(functions, rows))
+        totals.function_violations.update(
+            _first_seen_totals(functions, kept_violations[served])
+        )
+        return latencies
+
+    def _fold_ledger(self) -> None:
+        """Reduce the rows held into the running totals; clear them."""
+        totals = self._totals
+        # The conservation terms are "folded + held"; fold the held.
+        totals.arrived_all = self.arrived
+        totals.completed_all = self.completed_count
+        totals.latency_total_all = self.latency_total_s
+        totals.drop_reasons_all = Counter(self.drop_reasons)
+        add = self._latency_sketch.add
+        for latency in self._reduce(totals, self._warmup_s).tolist():
+            add(latency)
+        for column in (
+            self._arrival_times, self._drops, self._origin, self._cold_wait,
+            self._queue_wait, self._slo, self._batch_rows, self._batch_size,
+            self._completion, self._exec, self._function, self._config,
+        ):
+            del column[:]
+        self._verdicts.clear()
+
+    # ------------------------------------------------------------------
+    # usage
+    # ------------------------------------------------------------------
     def record_usage(
         self,
         now: float,
@@ -607,9 +659,6 @@ class MetricsCollector:
         """Snapshot the platform's *cumulative* scaling counters."""
         self._scaling_samples.append((now, cold_starts, launches, warm_reuses))
 
-    # ------------------------------------------------------------------
-    # aggregation
-    # ------------------------------------------------------------------
     @staticmethod
     def _integrate(samples: List[Tuple[float, float]]) -> float:
         if len(samples) < 2:
@@ -645,6 +694,47 @@ class MetricsCollector:
             kept.insert(0, (warmup_s, carry[1]))
         return kept
 
+    def _sampled_usage(self, warmup_s: float) -> Dict[str, float]:
+        """The report's usage fields from the stored samples."""
+        # Integrals see the boundary-spanning segment too; the mean and
+        # peak stay strictly post-warmup (they describe levels, not
+        # time-weighted area).
+        weighted = [v for t, v in self._usage_samples if t >= warmup_s]
+        fragments = [v for t, v in self._fragment_samples if t >= warmup_s]
+        return {
+            "resource_time_weighted": self._integrate(
+                self._carry_warmup_boundary(self._usage_samples, warmup_s)
+            ),
+            "mean_weighted_usage": (
+                float(np.mean(weighted)) if weighted else 0.0
+            ),
+            "peak_weighted_usage": float(np.max(weighted)) if weighted else 0.0,
+            "mean_fragment_ratio": (
+                float(np.mean(fragments)) if fragments else 0.0
+            ),
+            "cpu_core_seconds": self._integrate(
+                self._carry_warmup_boundary(self._cpu_samples, warmup_s)
+            ),
+            "gpu_seconds": self._integrate(
+                self._carry_warmup_boundary(self._gpu_samples, warmup_s)
+            ) / 100.0,
+        }
+
+    def _integrated_usage(self) -> Dict[str, float]:
+        """The report's usage fields from the running integrators."""
+        return {
+            "resource_time_weighted": self._usage_integral,
+            "mean_weighted_usage": _mean(
+                self._usage_kept_sum, self._usage_kept_count
+            ),
+            "peak_weighted_usage": self._usage_peak,
+            "mean_fragment_ratio": _mean(
+                self._fragment_sum, self._fragment_count
+            ),
+            "cpu_core_seconds": self._cpu_integral,
+            "gpu_seconds": self._gpu_integral / 100.0,
+        }
+
     def usage_timeline(self) -> List[Tuple[float, float]]:
         """(time, weighted usage) samples for provisioning plots.
 
@@ -652,6 +742,9 @@ class MetricsCollector:
         """
         return list(self._usage_samples)
 
+    # ------------------------------------------------------------------
+    # aggregation
+    # ------------------------------------------------------------------
     def finalize(
         self,
         duration_s: float,
@@ -663,6 +756,10 @@ class MetricsCollector:
     ) -> SimulationReport:
         """Aggregate into a report.
 
+        Exact mode reduces the whole ledger once and leaves it in place
+        (``records`` stays readable); sketch mode folds the tail into
+        its running totals.
+
         Args:
             duration_s: workload horizon (seconds).
             warmup_s: requests arriving before this time are excluded
@@ -670,116 +767,70 @@ class MetricsCollector:
                 transient present in every freshly started platform).
         """
         if self.metrics_mode == "sketch":
-            return self._finalize_sketch(
-                duration_s=duration_s,
-                cold_starts=cold_starts,
-                launches=launches,
-                warm_reuses=warm_reuses,
-                reserved_idle_resource_s=reserved_idle_resource_s,
-                warmup_s=warmup_s,
-            )
-        arrived = sum(1 for t in self._arrival_times if t >= warmup_s)
-        kept_drops = [(t, reason) for t, reason in self._drops if t >= warmup_s]
-        dropped = len(kept_drops)
-        drop_reasons = Counter(reason for _t, reason in kept_drops)
-        usage_samples = [s for s in self._usage_samples if s[0] >= warmup_s]
-        # Integrals see the boundary-spanning segment too; the mean and
-        # peak stay strictly post-warmup (they describe levels, not
-        # time-weighted area).
-        usage_integration = self._carry_warmup_boundary(
-            self._usage_samples, warmup_s
-        )
-        cpu_integration = self._carry_warmup_boundary(
-            self._cpu_samples, warmup_s
-        )
-        gpu_integration = self._carry_warmup_boundary(
-            self._gpu_samples, warmup_s
-        )
-        fragment_values = [
-            v for t, v in self._fragment_samples if t >= warmup_s
-        ]
+            if abs(warmup_s - self._warmup_s) > 1e-12:
+                raise ValueError(
+                    f"sketch-mode collector was built with warmup_s="
+                    f"{self._warmup_s} but finalize got {warmup_s};"
+                    " folded statistics were already filtered at the"
+                    " construction-time boundary"
+                )
+            self._fold_ledger()
+            totals = self._totals
+            sketch = self._latency_sketch
+            percentiles = [sketch.quantile(q) for q in _PERCENTILES]
+            usage = self._integrated_usage()
+            mode = {"metrics_mode": "sketch", "latency_sketch": sketch.to_dict()}
+        else:
+            totals = _LedgerTotals()
+            latencies = self._reduce(totals, warmup_s)
+            percentiles = [
+                float(np.percentile(latencies, q)) if len(latencies) else 0.0
+                for q in _PERCENTILES
+            ]
+            usage = self._sampled_usage(warmup_s)
+            mode = {}
         cold_starts, launches, warm_reuses = self._warmup_scaling_baseline(
             warmup_s, cold_starts, launches, warm_reuses
         )
         duration_s = max(1e-9, duration_s - warmup_s)
-        # Reduce the ledger: per-batch columns expand through each
-        # row's batch index, and per-batch kept-row counts give the
-        # histograms and tallies in first-seen (record) order.
-        batches = self._row_batches()
-        origin = np.array(self._origin)
-        latency = np.array(self._completion)[batches] - origin
-        kept = origin >= warmup_s
-        violated = self._violated(latency)[kept]
-        kept_batches = batches[kept]
-        latencies = latency[kept]
-        completed = len(latencies)
-        violations = int(np.count_nonzero(violated))
-        kept_rows = np.bincount(kept_batches, minlength=len(self._batch_rows))
-        kept_violations = np.bincount(
-            kept_batches[violated], minlength=len(self._batch_rows)
-        )
-        served = np.flatnonzero(kept_rows)
-        rows = kept_rows[served]
-        batch_hist = _first_seen_totals(np.array(self._batch_size)[served], rows)
+        completed = totals.completed
+        resource_time = usage["resource_time_weighted"]
         configs = list(self._config_index)
-        config_hist = {
-            configs[config]: count
-            for config, count in _first_seen_totals(
-                np.array(self._config)[served], rows
-            ).items()
-        }
         names = list(self._function_index)
-        functions = np.array(self._function)[served]
-        fn_violations = _first_seen_totals(functions, kept_violations[served])
-        per_fn = {
-            names[fn]: fn_violations[fn] / count
-            for fn, count in _first_seen_totals(functions, rows).items()
-        }
-        resource_time = self._integrate(usage_integration)
-        weighted_values = [v for _t, v in usage_samples]
-        mean_usage = float(np.mean(weighted_values)) if weighted_values else 0.0
-        peak_usage = float(np.max(weighted_values)) if weighted_values else 0.0
-        normalized = completed / resource_time if resource_time > 0 else 0.0
+        p50, p95, p99 = percentiles
         return SimulationReport(
             duration_s=duration_s,
-            arrived=arrived,
+            arrived=totals.arrived,
             completed=completed,
-            dropped=dropped,
-            slo_violations=violations,
-            latency_mean_s=float(latencies.mean()) if completed else 0.0,
-            latency_p50_s=float(np.percentile(latencies, 50)) if completed else 0.0,
-            latency_p95_s=float(np.percentile(latencies, 95)) if completed else 0.0,
-            latency_p99_s=float(np.percentile(latencies, 99)) if completed else 0.0,
-            mean_cold_wait_s=(
-                float(np.mean(np.array(self._cold_wait)[kept]))
-                if completed else 0.0
-            ),
-            mean_queue_wait_s=(
-                float(np.mean(np.array(self._queue_wait)[kept]))
-                if completed else 0.0
-            ),
-            mean_exec_s=(
-                float(np.mean(np.array(self._exec)[kept_batches]))
-                if completed else 0.0
-            ),
-            batch_histogram=dict(batch_hist),
-            config_histogram=dict(config_hist),
-            resource_time_weighted=resource_time,
-            mean_weighted_usage=mean_usage,
-            peak_weighted_usage=peak_usage,
-            mean_fragment_ratio=(
-                float(np.mean(fragment_values)) if fragment_values else 0.0
-            ),
+            dropped=sum(totals.drop_reasons.values()),
+            slo_violations=totals.violations,
+            latency_mean_s=_mean(totals.latency_sum, completed),
+            latency_p50_s=p50,
+            latency_p95_s=p95,
+            latency_p99_s=p99,
+            mean_cold_wait_s=_mean(totals.cold_wait_sum, completed),
+            mean_queue_wait_s=_mean(totals.queue_wait_sum, completed),
+            mean_exec_s=_mean(totals.exec_sum, completed),
+            batch_histogram=dict(totals.batches),
+            config_histogram={
+                configs[config]: count
+                for config, count in totals.configs.items()
+            },
             cold_starts=cold_starts,
             launches=launches,
             warm_reuses=warm_reuses,
-            per_function_violation=per_fn,
-            normalized_throughput=normalized,
+            per_function_violation={
+                names[fn]: totals.function_violations[fn] / count
+                for fn, count in totals.function_rows.items()
+            },
+            normalized_throughput=(
+                completed / resource_time if resource_time > 0 else 0.0
+            ),
             achieved_rps=completed / duration_s if duration_s > 0 else 0.0,
             reserved_idle_resource_s=reserved_idle_resource_s,
-            cpu_core_seconds=self._integrate(cpu_integration),
-            gpu_seconds=self._integrate(gpu_integration) / 100.0,
-            drop_reasons=dict(drop_reasons),
+            drop_reasons=dict(totals.drop_reasons),
+            **usage,
+            **mode,
         )
 
     def _warmup_scaling_baseline(
@@ -805,80 +856,6 @@ class MetricsCollector:
             launches = max(0, launches - baseline[1])
             warm_reuses = max(0, warm_reuses - baseline[2])
         return cold_starts, launches, warm_reuses
-
-    def _finalize_sketch(
-        self,
-        duration_s: float,
-        cold_starts: int,
-        launches: int,
-        warm_reuses: int,
-        reserved_idle_resource_s: float,
-        warmup_s: float,
-    ) -> SimulationReport:
-        """Aggregate the streaming state into a sketch-mode report."""
-        if abs(warmup_s - self._warmup_s) > 1e-12:
-            raise ValueError(
-                f"sketch-mode collector was built with warmup_s="
-                f"{self._warmup_s} but finalize got {warmup_s};"
-                " streaming statistics were already filtered at the"
-                " construction-time boundary"
-            )
-        cold_starts, launches, warm_reuses = self._warmup_scaling_baseline(
-            warmup_s, cold_starts, launches, warm_reuses
-        )
-        duration_s = max(1e-9, duration_s - warmup_s)
-        completed = self._kept_completed
-        sketch = self._latency_sketch
-        resource_time = self._usage_integral
-        normalized = completed / resource_time if resource_time > 0 else 0.0
-        per_fn = {
-            fn: violated / count
-            for fn, (count, violated) in self._per_fn_tallies.items()
-        }
-        return SimulationReport(
-            duration_s=duration_s,
-            arrived=self._arrived_kept,
-            completed=completed,
-            dropped=sum(self._drop_reasons_kept.values()),
-            slo_violations=self._kept_violations,
-            latency_mean_s=(
-                self._latency_sum / completed if completed else 0.0
-            ),
-            latency_p50_s=sketch.quantile(50.0),
-            latency_p95_s=sketch.quantile(95.0),
-            latency_p99_s=sketch.quantile(99.0),
-            mean_cold_wait_s=self._cold_sum / completed if completed else 0.0,
-            mean_queue_wait_s=(
-                self._queue_sum / completed if completed else 0.0
-            ),
-            mean_exec_s=self._exec_sum / completed if completed else 0.0,
-            batch_histogram=dict(self._batch_hist),
-            config_histogram=dict(self._config_hist),
-            resource_time_weighted=resource_time,
-            mean_weighted_usage=(
-                self._usage_kept_sum / self._usage_kept_count
-                if self._usage_kept_count
-                else 0.0
-            ),
-            peak_weighted_usage=self._usage_peak,
-            mean_fragment_ratio=(
-                self._fragment_sum / self._fragment_count
-                if self._fragment_count
-                else 0.0
-            ),
-            cold_starts=cold_starts,
-            launches=launches,
-            warm_reuses=warm_reuses,
-            per_function_violation=per_fn,
-            normalized_throughput=normalized,
-            achieved_rps=completed / duration_s if duration_s > 0 else 0.0,
-            reserved_idle_resource_s=reserved_idle_resource_s,
-            cpu_core_seconds=self._cpu_integral,
-            gpu_seconds=self._gpu_integral / 100.0,
-            drop_reasons=dict(self._drop_reasons_kept),
-            metrics_mode="sketch",
-            latency_sketch=sketch.to_dict(),
-        )
 
 
 def sample_usage(metrics: MetricsCollector, cluster, now: float) -> None:

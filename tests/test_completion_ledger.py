@@ -3,7 +3,8 @@
 ``MetricsCollector.record_batch`` stores a batch once, in flat columns;
 ``record_completion`` stores one :class:`RequestRecord`.  Both must give
 the same report, the same ``records`` view and the same audit totals,
-in exact and in sketch mode.
+in exact and in sketch mode.  A sketch-mode ledger folds into running
+totals whenever it fills; where it folds must not move the report.
 """
 
 import json
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.simulation import metrics
 from repro.simulation.metrics import (
     LLMRequestRecord,
     MetricsCollector,
@@ -22,6 +24,7 @@ from repro.simulation.runtime import Request
 WARMUP_S = 10.0
 FUNCTIONS = ("f0", "f1", "f2")
 CONFIGS = ((1, 2, 10), (4, 2, 20), (8, 4, 40))
+REASONS = ("queue_full", "no_capacity", "server_failure")
 
 _time = st.floats(0.0, 2.0, allow_nan=False)
 
@@ -34,12 +37,20 @@ _member = st.tuples(
 )
 
 #: one executed batch: members that complete, members a workflow sink
-#: skips (rows < batch_size), and its timing.
+#: skips (rows < batch_size), drops recorded before it (time, reason)
+#: and its timing.
 _batch = st.fixed_dictionaries({
     "function": st.sampled_from(FUNCTIONS),
     "config": st.sampled_from(CONFIGS),
     "members": st.lists(_member, max_size=6),
     "skipped": st.integers(0, 3),
+    "drops": st.lists(
+        st.tuples(
+            st.floats(0.0, 2 * WARMUP_S, allow_nan=False),
+            st.sampled_from(REASONS),
+        ),
+        max_size=3,
+    ),
     "wait": _time,
     "ready_lead": st.floats(-1.0, 3.0, allow_nan=False),
     "exec_s": st.floats(0.001, 0.5, allow_nan=False),
@@ -82,22 +93,35 @@ def _reference_records(requests, batch):
     return records
 
 
+def _record(by_batch, by_record, batch):
+    """Record one batch's arrivals, drops and completions on both
+    collectors; return its reference records."""
+    requests = _requests(batch)
+    start, completion, ready_at = _timing(requests, batch)
+    for collector in (by_batch, by_record):
+        for request in requests:
+            collector.record_arrival(request.origin)
+        for now, reason in batch["drops"]:
+            collector.record_arrival(now)
+            collector.record_drop(now, reason)
+    by_batch.record_batch(
+        batch["function"], requests, start, completion, ready_at,
+        batch["exec_s"], batch["config"],
+        len(requests) + batch["skipped"],
+    )
+    records = _reference_records(requests, batch)
+    for record in records:
+        by_record.record_completion(record)
+    return records
+
+
 def _collectors(batches, mode):
     """(record_batch collector, record_completion collector, records)."""
     by_batch = MetricsCollector(metrics_mode=mode, warmup_s=WARMUP_S)
     by_record = MetricsCollector(metrics_mode=mode, warmup_s=WARMUP_S)
     records = []
     for batch in batches:
-        requests = _requests(batch)
-        start, completion, ready_at = _timing(requests, batch)
-        by_batch.record_batch(
-            batch["function"], requests, start, completion, ready_at,
-            batch["exec_s"], batch["config"],
-            len(requests) + batch["skipped"],
-        )
-        for record in _reference_records(requests, batch):
-            by_record.record_completion(record)
-            records.append(record)
+        records += _record(by_batch, by_record, batch)
     return by_batch, by_record, records
 
 
@@ -160,6 +184,54 @@ def test_exact_reduction_matches_a_per_record_scan(batches):
             assert list(value) == list(reference), field
 
 
+#: report fields a fold may move by float rounding: chunked sums.
+_MEANS = (
+    "latency_mean_s", "mean_cold_wait_s", "mean_queue_wait_s", "mean_exec_s",
+)
+
+
+def _ledger_counts(collector):
+    return (
+        collector.arrived, collector.dropped, collector.completed_count,
+        list(collector.drop_reasons.items()),
+    )
+
+
+@given(batches=st.lists(_batch, max_size=25))
+@settings(max_examples=60, deadline=None)
+def test_fold_boundaries_do_not_move_sketch_reports(batches):
+    """Folding every row, every 7 rows or never (at the default size)
+    gives the same counts mid-run and the same report at the end."""
+    half = len(batches) // 2
+    runs = []
+    for fold_rows in (metrics._FOLD_ROWS, 1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_FOLD_ROWS", fold_rows)
+            collectors = _collectors(batches[:half], "sketch")[:2]
+            mid_run = [_ledger_counts(c) for c in collectors]
+            for batch in batches[half:]:
+                _record(*collectors, batch)
+            end = [_ledger_counts(c) for c in collectors]
+        reports = [
+            c.finalize(duration_s=30.0, warmup_s=WARMUP_S).to_dict()
+            for c in collectors
+        ]
+        runs.append((mid_run, end, reports))
+    (mid_run, end, reports), others = runs[0], runs[1:]
+    assert mid_run[0] == mid_run[1] and end[0] == end[1]
+    for other_mid_run, other_end, other_reports in others:
+        assert other_mid_run == mid_run
+        assert other_end == end
+        for report, other in zip(reports, other_reports):
+            report, other = dict(report), dict(other)
+            for field in _MEANS:
+                assert other.pop(field) == pytest.approx(
+                    report.pop(field), rel=1e-12
+                ), field
+            # Serialised, so histogram and tally key order counts too.
+            assert json.dumps(other) == json.dumps(report)
+
+
 def test_empty_ledger_reports_zeros():
     report = MetricsCollector().finalize(duration_s=10.0)
     assert report.completed == 0
@@ -179,8 +251,12 @@ def test_records_view_keeps_record_values():
     assert collector.records == [record]
 
 
-def test_record_verdicts_survive_the_ledger():
-    """LLM records are judged on TTFT and TPOT, not end-to-end latency."""
+def test_record_verdicts_survive_the_ledger(monkeypatch):
+    """LLM records are judged on TTFT and TPOT, not end-to-end latency.
+
+    A sketch-mode ledger folding every row judges each chunk by its own
+    overrides: a stale one would flag the last, on-time record.
+    """
 
     def llm_record(ttft_s, tpot_s, completion):
         return LLMRequestRecord(
@@ -190,11 +266,15 @@ def test_record_verdicts_survive_the_ledger():
             tpot_s=tpot_s, tpot_slo_s=0.05, output_tokens=10,
         )
 
-    collector = MetricsCollector()
-    # Long stream, every token on time: latency > slo, no violation.
-    collector.record_completion(llm_record(0.1, 0.04, 5.0))
-    # Short stream with slow tokens: latency < slo, a violation.
-    collector.record_completion(llm_record(0.1, 0.06, 0.4))
-    report = collector.finalize(duration_s=10.0)
-    assert report.slo_violations == 1
-    assert report.per_function_violation == {"llm": 0.5}
+    monkeypatch.setattr(metrics, "_FOLD_ROWS", 1)
+    for mode in ("exact", "sketch"):
+        collector = MetricsCollector(metrics_mode=mode)
+        # Long stream, every token on time: latency > slo, no violation.
+        collector.record_completion(llm_record(0.1, 0.04, 5.0))
+        # Short stream with slow tokens: latency < slo, a violation.
+        collector.record_completion(llm_record(0.1, 0.06, 0.4))
+        # Short stream, every token on time: no override, no violation.
+        collector.record_completion(llm_record(0.1, 0.04, 0.4))
+        report = collector.finalize(duration_s=10.0)
+        assert report.slo_violations == 1, mode
+        assert report.per_function_violation == {"llm": 1 / 3}, mode

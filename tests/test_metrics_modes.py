@@ -52,8 +52,9 @@ class TestSketchVsExact:
         ):
             assert getattr(sketch, field) == getattr(exact, field), field
         for field in (
-            # Streaming accumulation vs the exact path's fsum: same
-            # segments, so agreement to float rounding (~1 ulp).
+            # Running integrals and per-fold numpy sums vs the exact
+            # path's one numpy reduction: same segments and rows, so
+            # agreement to float rounding.
             "resource_time_weighted", "cpu_core_seconds", "gpu_seconds",
             "latency_mean_s", "mean_cold_wait_s", "mean_queue_wait_s",
             "mean_exec_s", "mean_weighted_usage", "peak_weighted_usage",

@@ -48,6 +48,12 @@ def _reference_lookup(series, input_size):
     return max(1e-9, y0 + slope * (input_size - x0))
 
 
+def _lookup(db, input_size, key):
+    """One configuration's MatMul time, read from ``lookup_all``."""
+    keys, times = db.lookup_all("MatMul", input_size)
+    return float(times[keys.index(key)])
+
+
 class TestProfileDatabase:
     def _profile(self, p, t, batch=1, cpu=1, gpu=0):
         return OperatorProfile("MatMul", p, batch, cpu, gpu, t)
@@ -55,41 +61,44 @@ class TestProfileDatabase:
     def test_insert_and_exact_lookup(self):
         db = ProfileDatabase()
         db.insert(self._profile(1.0, 0.01))
-        assert db.lookup("MatMul", 1.0, 1, 1, 0) == pytest.approx(0.01)
+        assert _lookup(db, 1.0, (1, 1, 0)) == pytest.approx(0.01)
 
     def test_lookup_unknown_operator(self):
         db = ProfileDatabase()
         with pytest.raises(ProfileLookupError):
-            db.lookup("Conv2D", 1.0, 1, 1, 0)
+            db.lookup_all("Conv2D", 1.0)
 
     def test_lookup_unprofiled_config(self):
         db = ProfileDatabase()
         db.insert(self._profile(1.0, 0.01))
-        with pytest.raises(ProfileLookupError):
-            db.lookup("MatMul", 1.0, 8, 4, 50)
+        keys, _times = db.lookup_all("MatMul", 1.0)
+        assert (8, 4, 50) not in keys
+        error = db.lookup_error("MatMul", (8, 4, 50))
+        assert isinstance(error, ProfileLookupError)
+        assert "(b=8, c=4, g=50)" in str(error)
 
     def test_interpolates_between_sizes(self):
         db = ProfileDatabase()
         db.insert(self._profile(1.0, 0.010))
         db.insert(self._profile(2.0, 0.020))
-        assert db.lookup("MatMul", 1.5, 1, 1, 0) == pytest.approx(0.015)
+        assert _lookup(db, 1.5, (1, 1, 0)) == pytest.approx(0.015)
 
     def test_extrapolates_beyond_range(self):
         db = ProfileDatabase()
         db.insert(self._profile(1.0, 0.010))
         db.insert(self._profile(2.0, 0.020))
-        assert db.lookup("MatMul", 4.0, 1, 1, 0) == pytest.approx(0.040)
+        assert _lookup(db, 4.0, (1, 1, 0)) == pytest.approx(0.040)
 
     def test_extrapolation_clamped_positive(self):
         db = ProfileDatabase()
         db.insert(self._profile(1.0, 0.010))
         db.insert(self._profile(2.0, 0.020))
-        assert db.lookup("MatMul", 1e-9, 1, 1, 0) > 0
+        assert _lookup(db, 1e-9, (1, 1, 0)) > 0
 
     def test_single_sample_scales_proportionally(self):
         db = ProfileDatabase()
         db.insert(self._profile(2.0, 0.020))
-        assert db.lookup("MatMul", 1.0, 1, 1, 0) == pytest.approx(0.010)
+        assert _lookup(db, 1.0, (1, 1, 0)) == pytest.approx(0.010)
 
     def test_has_config(self):
         db = ProfileDatabase()
@@ -131,8 +140,8 @@ class TestProfileDatabase:
         path = tmp_path / "profiles.json"
         db.to_json(path)
         restored = ProfileDatabase.from_json(path)
-        assert restored.lookup("MatMul", 1.0, 1, 1, 0) == pytest.approx(0.01)
-        assert restored.lookup("MatMul", 2.0, 4, 2, 20) == pytest.approx(0.02)
+        assert _lookup(restored, 1.0, (1, 1, 0)) == pytest.approx(0.01)
+        assert _lookup(restored, 2.0, (4, 2, 20)) == pytest.approx(0.02)
 
     @given(
         sizes=st.lists(
@@ -144,7 +153,7 @@ class TestProfileDatabase:
     def test_interpolation_monotone_for_monotone_series(self, sizes, query):
         db = ProfileDatabase()
         db.insert_series("MatMul", (1, 1, 0), sizes, [s * 2.0 for s in sizes])
-        value = db.lookup("MatMul", query, 1, 1, 0)
+        value = _lookup(db, query, (1, 1, 0))
         assert value == pytest.approx(max(1e-9, query * 2.0), rel=1e-6)
 
     @given(
@@ -165,9 +174,10 @@ class TestProfileDatabase:
     )
     @settings(max_examples=100, deadline=None)
     def test_lookup_all_equals_lookup(self, series, query):
-        # Ragged series of single points, duplicate and unsorted sizes,
-        # partly added one point at a time; queries also fall below
-        # and above each series' range.
+        # Every configuration's time equals the scalar interpolation
+        # rule.  Ragged series of single points, duplicate and unsorted
+        # sizes, partly added one point at a time; queries also fall
+        # below and above each series' range.
         db = ProfileDatabase()
         for batch, points in enumerate(series, start=1):
             first, rest = points[:1], points[1:]
@@ -179,12 +189,8 @@ class TestProfileDatabase:
         keys, times = db.lookup_all("MatMul", query)
         assert list(keys) == [(b, 1, 0) for b in range(1, len(series) + 1)]
         assert times.tolist() == [
-            db.lookup("MatMul", query, *key) for key in keys
+            _reference_lookup(sorted(points), query) for points in series
         ]
-        for key, points in zip(keys, series):
-            assert db.lookup("MatMul", query, *key) == _reference_lookup(
-                sorted(points), query
-            )
 
     def test_insert_block_stores_what_insert_series_stores(self, tmp_path):
         keys = [(1, 1, 0), (2, 1, 0), (1, 2, 10)]
