@@ -881,9 +881,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--metrics-mode", choices=("exact", "sketch"), default="exact",
-        help="sketch streams latencies into a mergeable quantile sketch"
-             " (O(1) memory, <=0.2%% relative error on percentiles)"
-             " instead of keeping per-request records",
+        help="sketch bounds the per-request ledger, folding it into"
+             " running totals and a mergeable quantile sketch (O(1)"
+             " memory, <=0.2%% relative error on percentiles)",
     )
     simulate.add_argument(
         "--arrival-mode", choices=("eager", "windowed"), default="eager",

@@ -145,8 +145,8 @@ class InvariantChecker:
         ledger = sim.workflow_ledger
         return {
             "arrived": sim.metrics.arrived,
-            # completed_count, not len(records): sketch-mode collectors
-            # keep no record list, only the conservation counters.
+            # completed_count, not len(records): a sketch-mode ledger
+            # holds only the rows not yet folded.
             "completed": sim.metrics.completed_count,
             "dropped": sim.metrics.dropped,
             "parked": parked,
