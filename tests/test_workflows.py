@@ -16,6 +16,7 @@ A linear pipeline is a path-shaped workflow, so two goldens under
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -161,6 +162,34 @@ class TestSLODecomposition:
             decompose_slo(
                 build_preset_workflow("qa"), predictor, policy="nosuch"
             )
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (
+                lambda: build_preset_workflow("osvt"),
+                "2a8647c81c0d39253162bf83e1d22450ac4706886ceab4fba949b33038c73d31",
+            ),
+            (
+                lambda: build_preset_workflow("qa"),
+                "e1e3cabe3084474c2a754dc1d0099e384dcef5e83cfc3ee7dafd45938968e3d4",
+            ),
+            (
+                diamond_workflow,
+                "5862ba96f09506e8053e5b5b0302fb74466ce1e8388766259334e077de98c8ff",
+            ),
+        ],
+        ids=["osvt", "qa", "diamond"],
+    )
+    def test_decomposed_budgets_pinned(self, predictor, build, digest):
+        # The critical path's sums associate in a fixed order; an ulp
+        # there moves the budgets, so both are pinned byte for byte.
+        workflow = build()
+        critical = workflow.critical_path_time(
+            predicted_stage_times(workflow, predictor)
+        )
+        budgets = decompose_slo(workflow, predictor, policy="decomposed")
+        assert hashlib.sha256(repr((critical, budgets)).encode()).hexdigest() == digest
 
 
 class TestDiamondGolden:
