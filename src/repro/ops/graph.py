@@ -4,21 +4,47 @@ Section 3.3 estimates a model's latency from its task graph
 ``G = (O, E)``: a *sequence chain* contributes the sum of its operator
 times and *parallel branches* contribute the max across branches.  For
 series-parallel DAGs these two rules compose into exactly the longest
-(weighted) path, which is what :meth:`OperatorGraph.critical_path_time`
-computes; :meth:`OperatorGraph.total_time` is the all-operators sum that
-the ground-truth executor blends in (imperfect branch overlap is the
+(weighted) path.  :func:`longest_path` is the one fold that computes
+it, over scalars or elementwise over arrays: the executor's
+:meth:`OperatorGraph.critical_path_time`, the predictor's priced grid
+and a workflow's critical path all call it.
+:meth:`OperatorGraph.total_time` is the all-operators sum that the
+ground-truth executor blends in (imperfect branch overlap is the
 structural error source COP exhibits on branchy models, Fig. 8).
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.ops.operator import OperatorSpec
 
-TimeFn = Callable[[OperatorSpec], float]
+TimeFn = Callable[[OperatorSpec], Any]
+
+
+def longest_path(
+    order: Iterable[Hashable],
+    before: Mapping[Hashable, Sequence[Hashable]],
+    node_time: Callable[[Hashable], Any],
+) -> Dict[Hashable, Any]:
+    """Each node's finish time: its own time after the latest of ``before``.
+
+    ``order`` visits each node after all of ``before[node]``; a node
+    with none starts at 0.  Chains sum and branches take the max, so
+    the largest finish is the longest path.  ``node_time`` may return
+    floats or equal-shape arrays, folded elementwise in the same order.
+    """
+    finish: Dict[Hashable, Any] = {}
+    for node in order:
+        starts = [finish[prior] for prior in before[node]]
+        start = functools.reduce(np.maximum, starts) if starts else 0.0
+        finish[node] = start + node_time(node)
+    return finish
 
 
 class GraphStructureError(ValueError):
@@ -166,33 +192,29 @@ class OperatorGraph:
     # ------------------------------------------------------------------
     # timing combination (section 3.3)
     # ------------------------------------------------------------------
-    def critical_path_time(self, time_fn: TimeFn) -> float:
-        """Longest-path time: the chain-sum / branch-max combination."""
-        finish: Dict[str, float] = {}
-        for nid in self.topological_order():
-            own = time_fn(self._nodes[nid].spec)
-            preds = self._pred[nid]
-            start = max((finish[p] for p in preds), default=0.0)
-            finish[nid] = start + own
-        return max(finish.values())
+    def _finish_times(self, time_fn: TimeFn) -> Dict[str, Any]:
+        """Each node's longest-path finish time (:func:`longest_path`)."""
+        return longest_path(
+            self.topological_order(),
+            self._pred,
+            lambda node_id: time_fn(self._nodes[node_id].spec),
+        )
+
+    def critical_path_time(self, time_fn: TimeFn) -> Any:
+        """Longest-path time, the latest sink's finish (times are never
+        negative); elementwise for array times, and floats may come
+        back as a numpy float."""
+        finish = self._finish_times(time_fn)
+        return functools.reduce(np.maximum, [finish[sink] for sink in self.sinks()])
 
     def critical_path(self, time_fn: TimeFn) -> List[str]:
-        """The node ids along one longest path (useful for diagnostics)."""
-        finish: Dict[str, float] = {}
-        best_pred: Dict[str, str] = {}
-        for nid in self.topological_order():
-            own = time_fn(self._nodes[nid].spec)
-            start = 0.0
-            for pred in self._pred[nid]:
-                if finish[pred] > start:
-                    start = finish[pred]
-                    best_pred[nid] = pred
-            finish[nid] = start + own
-        tail = max(finish, key=lambda nid: finish[nid])
-        path = [tail]
-        while path[-1] in best_pred:
-            path.append(best_pred[path[-1]])
-        return list(reversed(path))
+        """The node ids along one longest path (useful for diagnostics);
+        ties go to the first node in topological or predecessor order."""
+        finish = self._finish_times(time_fn)
+        path = [max(finish, key=finish.__getitem__)]
+        while self._pred[path[-1]]:
+            path.append(max(self._pred[path[-1]], key=finish.__getitem__))
+        return path[::-1]
 
     def total_time(self, time_fn: TimeFn) -> float:
         """Sum of all operator times (no overlap at all)."""

@@ -9,17 +9,17 @@ interpolation).
 The store is columnar: each operator kind is one block of 2-D arrays,
 one row per ``(b, c, g)`` series, so :meth:`ProfileDatabase.lookup_all`
 answers a lookup for every configuration of a kind in one numpy pass.
+:meth:`ProfileDatabase.insert_block` is the one write path: a kind's
+block is written once, whole (a profiler sweep or a file's series).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
-
-from repro.ops.operator import OperatorProfile
 
 ConfigKey = Tuple[int, int, int]  # (batch, cpu, gpu)
 
@@ -59,27 +59,6 @@ class _Block:
             zip(self.sizes[row, :length].tolist(), self.times[row, :length].tolist())
         )
 
-    def add(self, key: ConfigKey, points: List[Tuple[float, float]]) -> None:
-        """Merge ``points`` into ``key``'s series (appending a new row)."""
-        row = self.rows.get(key)
-        if row is None:
-            row = len(self.keys)
-            self.keys += (key,)
-            self.rows[key] = row
-            self.sizes = np.vstack([self.sizes, np.full(self.sizes.shape[1], np.inf)])
-            self.times = np.vstack([self.times, np.zeros(self.times.shape[1])])
-            self.lengths = np.append(self.lengths, 0)
-        else:
-            points = self.points(row) + points
-        points.sort()
-        width = len(points)
-        if width > self.sizes.shape[1]:
-            pad = width - self.sizes.shape[1]
-            self.sizes = np.pad(self.sizes, ((0, 0), (0, pad)), constant_values=np.inf)
-            self.times = np.pad(self.times, ((0, 0), (0, pad)))
-        self.sizes[row, :width], self.times[row, :width] = zip(*points)
-        self.lengths[row] = width
-
 
 class ProfileDatabase:
     """In-memory columnar profile store with input-size interpolation."""
@@ -92,83 +71,54 @@ class ProfileDatabase:
     # ------------------------------------------------------------------
     # population
     # ------------------------------------------------------------------
-    def insert(self, profile: OperatorProfile) -> None:
-        self.insert_series(
-            profile.operator,
-            (profile.batch, profile.cpu, profile.gpu),
-            [profile.input_size],
-            [profile.time_s],
-        )
-
-    def insert_series(
-        self,
-        operator: str,
-        key: ConfigKey,
-        input_sizes: Sequence[float],
-        times: Sequence[float],
-    ) -> None:
-        """Add ``(input size, time)`` points to one ``(b, c, g)`` series.
-
-        Stores exactly what inserting the points one by one in sorted
-        position would (duplicated or out-of-order sizes included).  An
-        empty series adds nothing.
-        """
-        if len(input_sizes) != len(times):
-            raise ValueError("input_sizes and times differ in length")
-        if key[0] < 1:
-            raise ValueError("batch must be >= 1")
-        if len(times) and min(times) <= 0:
-            raise ValueError("profiled time must be positive")
-        if not len(times):
-            return
-        block = self._blocks.get(operator)
-        if block is None:
-            empty = np.empty((0, 0))
-            block = _Block((), empty, empty, np.empty(0, dtype=int))
-            self._blocks[operator] = block
-        block.add(key, list(zip(map(float, input_sizes), map(float, times))))
-        self._count += len(times)
-
     def insert_block(
         self,
         operator: str,
         keys: Sequence[ConfigKey],
-        input_sizes: Sequence[float],
+        input_sizes: Union[Sequence[float], np.ndarray],
         times: np.ndarray,
     ) -> None:
-        """Add one series per key, all over the same input sizes.
+        """Store ``operator``'s profiles, one series per key, in one write.
 
-        ``times[i, j]`` is ``keys[i]``'s time at ``input_sizes[j]``.
-        Stores what :meth:`insert_series` row by row would; a new
-        operator with distinct keys takes the arrays whole, sorting
-        its rows only when ``input_sizes`` is not strictly increasing.
+        ``times[i, j]`` is ``keys[i]``'s time at input size ``j``: at
+        ``input_sizes[j]`` when the sizes are one vector every key
+        shares, or at ``input_sizes[i, j]`` when they are a ``(keys x
+        n)`` array, a shorter series padded with ``inf`` sizes (whose
+        times are ignored).  Each series is stored sorted by size, then
+        time.  Raises ValueError when the operator already has
+        profiles, a key repeats, a series is empty, a batch is below 1
+        or a time is not positive.
         """
         times = np.asarray(times, dtype=float)
         sizes = np.asarray(input_sizes, dtype=float)
-        if times.shape != (len(keys), len(sizes)):
-            raise ValueError("times must be a (keys x input_sizes) array")
-        if any(key[0] < 1 for key in keys):
-            raise ValueError("batch must be >= 1")
-        if times.size and times.min() <= 0:
-            raise ValueError("profiled time must be positive")
-        if (
-            operator in self._blocks
-            or len(set(keys)) != len(keys)
-            or not times.size
-        ):
-            for key, row in zip(keys, times.tolist()):
-                self.insert_series(operator, key, input_sizes, row)
-            return
+        if operator in self._blocks:
+            raise ValueError(f"operator {operator!r} already has profiles")
+        if not len(keys) or times.shape != (len(keys), *sizes.shape[-1:]):
+            raise ValueError(
+                f"operator {operator!r}: times must be a non-empty (keys x input sizes) array"
+            )
         sizes = np.broadcast_to(sizes, times.shape)
-        if (np.diff(sizes[0]) > 0).all():
-            sizes = sizes.copy()
-        else:
+        measured = sizes < np.inf
+        lengths = np.count_nonzero(measured, axis=1)
+        positive = (times > 0).all(axis=1, where=measured).tolist()
+        seen = set()
+        for key, length, ok in zip(keys, lengths.tolist(), positive):
+            problem = (
+                "given twice" if key in seen
+                else "has batch < 1" if key[0] < 1
+                else "has no points" if not length
+                else "has a non-positive time" if not ok
+                else ""
+            )
+            if problem:
+                raise ValueError(f"operator {operator!r}: key {key} {problem}")
+            seen.add(key)
+        if not (sizes[:, 1:] > sizes[:, :-1]).all():  # padded rows never pass
             order = np.lexsort((times, sizes), axis=1)
             sizes = np.take_along_axis(sizes, order, axis=1)
             times = np.take_along_axis(times, order, axis=1)
-        lengths = np.full(len(keys), times.shape[1])
         self._blocks[operator] = _Block(tuple(keys), sizes, times, lengths)
-        self._count += times.size
+        self._count += int(lengths.sum())
 
     def __len__(self) -> int:
         return self._count
@@ -237,18 +187,42 @@ class ProfileDatabase:
 
     @classmethod
     def from_json(cls, path: Path) -> "ProfileDatabase":
+        """Read what :meth:`to_json` wrote, one block per operator.
+
+        Raises ValueError naming the operator and the key when the
+        file is not that shape.
+        """
         payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("a profile file maps operators to their series")
         db = cls()
         for operator, configs in payload.items():
-            for key_str, series in configs.items():
-                batch, cpu, gpu = (int(part) for part in key_str.split(","))
-                db.insert_series(
-                    operator,
-                    (batch, cpu, gpu),
-                    [float(input_size) for input_size, _ in series],
-                    [float(time_s) for _, time_s in series],
-                )
+            if not isinstance(configs, dict):
+                raise ValueError(f"operator {operator!r}: expected an object of series")
+            series = [
+                _read_series(operator, text, points) for text, points in configs.items()
+            ]
+            width = max((len(points) for _key, points in series), default=0)
+            sizes = np.full((len(series), width), np.inf)
+            times = np.ones((len(series), width))
+            for row, (_key, points) in enumerate(series):
+                sizes[row, :len(points)], times[row, :len(points)] = points.T
+            db.insert_block(operator, [key for key, _ in series], sizes, times)
         return db
+
+
+def _read_series(operator: str, text: str, points: Any) -> Tuple[ConfigKey, np.ndarray]:
+    """One ``"b,c,g": [[size, time], ...]`` entry of a profile file."""
+    try:
+        batch, cpu, gpu = map(int, text.split(","))
+        array = np.array(points, dtype=float)
+        if array.shape[1:] != (2,):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"operator {operator!r}: entry {text!r} is not \"b,c,g\": [[size, time], ...]"
+        ) from None
+    return (batch, cpu, gpu), array
 
 
 def _interpolate(

@@ -136,7 +136,7 @@ class GroundTruthExecutor:
         def op_time(spec: OperatorSpec) -> float:
             return cost_model.operator_time(spec, batch, cpu, gpu)
 
-        critical = model.graph.critical_path_time(op_time)
+        critical = float(model.graph.critical_path_time(op_time))
         total = model.graph.total_time(op_time)
         spill = self.hardware.branch_overlap_penalty * (total - critical)
         quirk = self._quirk_factor(model.name, batch, cpu, gpu, profile_name)

@@ -7,8 +7,9 @@ safety offset (the paper uses +10%) inflates predictions to absorb
 profile noise and un-modelled overheads.
 
 A model's whole profiled ``<b, c, g>`` grid is priced at once, on its
-first use: one vectorised database lookup per DAG node, combined
-elementwise.  Every prediction afterwards is a table read.
+first use: one vectorised database lookup per DAG node, combined by
+the one longest-path fold (:func:`repro.ops.graph.longest_path`) on
+arrays.  Every prediction afterwards is a table read.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro.models.zoo import ModelSpec, get_model
 from repro.ops.costmodel import CostModel, DEFAULT_HARDWARE, HardwareSpec
+from repro.ops.operator import OperatorSpec
 from repro.profiling.configspace import ConfigSpace, InstanceConfig
 from repro.profiling.database import ConfigKey, ProfileDatabase, ProfileLookupError
 from repro.profiling.profiler import OperatorProfiler
@@ -73,23 +75,19 @@ class LatencyPredictor:
         """Raw time of every profiled ``(b, c, g)``, in one DAG sweep.
 
         Each node's operator is looked up over all its configurations
-        at once; chains sum and parallel branches take the max, in
-        topological order and elementwise, exactly as the longest-path
-        combination does per configuration.  Configurations the first
+        at once, and the longest-path fold combines the arrays as it
+        does one configuration's floats.  Configurations the first
         node's operator lacks, or any later node's, are left out.
         """
-        graph = spec.graph
-        keys = None
-        present = None
-        finish: Dict[str, np.ndarray] = {}
-        for node_id in graph.topological_order():
-            op = graph.node(node_id).spec
-            try:
-                op_keys, per_call = self.database.lookup_all(
-                    op.kind_name, op.gflops_per_item * op.input_size
-                )
-            except ProfileLookupError:
-                return {}
+        keys: Optional[Tuple[ConfigKey, ...]] = None
+        present = np.ones(0, dtype=bool)
+
+        def node_time(op: OperatorSpec) -> np.ndarray:
+            # Every operator's times are aligned to the first one's keys.
+            nonlocal keys, present
+            op_keys, per_call = self.database.lookup_all(
+                op.kind_name, op.gflops_per_item * op.input_size
+            )
             if keys is None:
                 keys, present = op_keys, np.ones(len(op_keys), dtype=bool)
             elif op_keys is not keys and op_keys != keys:
@@ -97,14 +95,12 @@ class LatencyPredictor:
                 index = np.array([rows.get(key, -1) for key in keys])
                 present &= index >= 0
                 per_call = np.where(index >= 0, per_call[index], np.nan)
-            own = per_call * op.calls
-            preds = graph.predecessors(node_id)
-            start = (
-                functools.reduce(np.maximum, [finish[p] for p in preds])
-                if preds else 0.0
-            )
-            finish[node_id] = start + own
-        combined = functools.reduce(np.maximum, finish.values())
+            return per_call * op.calls
+
+        try:
+            combined = spec.graph.critical_path_time(node_time)
+        except ProfileLookupError:
+            return {}
         overhead = np.array(
             [self._serving.serving_overhead(batch) for batch, _c, _g in keys]
         )

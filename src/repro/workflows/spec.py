@@ -22,6 +22,8 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.ops.graph import longest_path
+
 #: application preset names resolved by :meth:`WorkflowSpec.coerce`.
 WORKFLOW_PRESETS: Tuple[str, ...] = ("osvt", "qa")
 
@@ -269,15 +271,12 @@ class WorkflowSpec:
         ]
 
     def critical_path_time(self, t_exec: Dict[str, float]) -> float:
-        """Longest entry->sink path weight under per-stage ``t_exec``."""
-        longest: Dict[str, float] = {}
-        for name in reversed(self.topological_order()):
-            downstream = self.successors()[name]
-            tail = max(
-                (longest[succ] for succ in downstream), default=0.0
-            )
-            longest[name] = t_exec[name] + tail
-        return longest[self.entry]
+        """Longest entry->sink path weight under per-stage ``t_exec``,
+        folded back from the sink (the sum order the budgets pin)."""
+        longest = longest_path(
+            reversed(self.topological_order()), self.successors(), t_exec.__getitem__
+        )
+        return float(longest[self.entry])
 
     # ------------------------------------------------------------------
     # constructors

@@ -59,11 +59,9 @@ class TestGraphComposition:
 
 class TestProfileDatabaseEdges:
     def test_operators_listing(self):
-        from repro.ops.operator import OperatorProfile
-
         db = ProfileDatabase()
-        db.insert(OperatorProfile("MatMul", 1.0, 1, 1, 0, 0.01))
-        db.insert(OperatorProfile("Conv2D", 1.0, 1, 1, 0, 0.02))
+        db.insert_block("MatMul", [(1, 1, 0)], [1.0], [[0.01]])
+        db.insert_block("Conv2D", [(1, 1, 0)], [1.0], [[0.02]])
         assert db.operators == ["Conv2D", "MatMul"]
         assert db.configs_for("MatMul") == [(1, 1, 0)]
 

@@ -1,9 +1,13 @@
 """Unit tests for operator DAGs and the chain/branch timing rules."""
 
+import functools
+import operator
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ops.graph import GraphStructureError, OperatorGraph
+from repro.ops.graph import GraphStructureError, OperatorGraph, longest_path
 from repro.ops.operator import OperatorSpec
 
 
@@ -109,6 +113,80 @@ class TestTiming:
         total = graph.total_time(unit_time)
         assert critical <= total + 1e-9
         assert critical == pytest.approx(1.0 + max(weights))
+
+
+#: node times with ties and zeros drawn often
+TIMES = st.sampled_from([0.0, 0.1, 1.0, 2.5]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def random_dags(draw):
+    """A DAG over ``n0..`` (edges only forward) with per-node time rows.
+
+    Each node's row holds ``columns`` times; column 0 is its scalar
+    weight in the graph (``gflops_per_item``).
+    """
+    n = draw(st.integers(1, 7))
+    columns = draw(st.integers(1, 4))
+    rows = [draw(st.lists(TIMES, min_size=columns, max_size=columns)) for _ in range(n)]
+    graph = OperatorGraph(name="random")
+    for i, row in enumerate(rows):
+        graph.add_node(f"n{i}", op(row[0], kind=f"k{i}"))
+    for j in range(1, n):
+        for i in draw(st.sets(st.integers(0, j - 1))):
+            graph.add_edge(f"n{i}", f"n{j}")
+    return graph, {f"n{i}": row for i, row in enumerate(rows)}
+
+
+def _paths(graph):
+    """Every source-to-sink path, as node-id lists."""
+    def extend(path):
+        successors = graph.successors(path[-1])
+        if not successors:
+            yield path
+        for succ in successors:
+            yield from extend(path + [succ])
+
+    for source in graph.sources():
+        yield from extend([source])
+
+
+def _path_time(graph, path):
+    """A path's ``unit_time``, summed from its source as the fold adds."""
+    times = (unit_time(graph.node(nid).spec) for nid in path)
+    return functools.reduce(operator.add, times, 0.0)
+
+
+class TestLongestPathFold:
+    @given(dag=random_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_fold_equals_brute_force(self, dag):
+        graph, _rows = dag
+        best = max(_path_time(graph, path) for path in _paths(graph))
+        assert float(graph.critical_path_time(unit_time)) == best
+
+    @given(dag=random_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_array_fold_equals_per_column_scalar_folds(self, dag):
+        graph, rows = dag
+        order = graph.topological_order()
+        before = {nid: graph.predecessors(nid) for nid in order}
+        arrays = longest_path(order, before, lambda nid: np.array(rows[nid]))
+        for column in range(len(rows["n0"])):
+            scalars = longest_path(order, before, lambda nid: rows[nid][column])
+            for nid in order:
+                assert float(arrays[nid][column]) == float(scalars[nid])
+
+    @given(dag=random_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_critical_path_nodes_sum_to_critical_path_time(self, dag):
+        graph, _rows = dag
+        path = graph.critical_path(unit_time)
+        # From a source along edges (with zero times the tail need not
+        # be a sink).
+        assert path[0] in graph.sources()
+        assert all(dst in graph.successors(src) for src, dst in zip(path, path[1:]))
+        assert _path_time(graph, path) == float(graph.critical_path_time(unit_time))
 
 
 class TestSummaries:
