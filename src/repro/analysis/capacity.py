@@ -65,13 +65,6 @@ class CapacityResult:
             return 0.0
         return self.max_app_rps / self.weighted_resources_used
 
-    @property
-    def throughput_per_active_capacity(self) -> float:
-        """App RPS per weighted unit of *active servers* (Eq. 2's view)."""
-        if self.weighted_active_capacity <= 0:
-            return 0.0
-        return self.max_app_rps / self.weighted_active_capacity
-
 
 def _record_instance(result: CapacityResult, instance: Instance) -> None:
     key = (instance.config.batch, instance.config.cpu, instance.config.gpu)

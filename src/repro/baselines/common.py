@@ -10,7 +10,6 @@ concrete baselines override configuration selection.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.core.autoscaler import ControlOutcome, InstanceRegistry, WarmPoolEntr
 from repro.core.batching import RateBounds
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance, InstanceState
-from repro.faults.resilience import backlog_sheds
 from repro.profiling.configspace import InstanceConfig
 from repro.profiling.predictor import LatencyPredictor
 from repro.telemetry import spans as ev
@@ -53,8 +51,6 @@ class UniformScalingPlatform(InstanceRegistry):
     ingress_delay_s = 0.0
     #: bounded per-instance batch-queue depth (OpenFaaS+ overrides).
     waiting_batches = 2
-    #: shed threshold in units of ``capacity_rps * slo_s``.
-    shed_slo_factor = 2.0
 
     def __init__(
         self,
@@ -154,11 +150,6 @@ class UniformScalingPlatform(InstanceRegistry):
         r_up = config.batch / t_exec
         bounds = RateBounds(r_low=0.0, r_up=float(r_up))
         return t_exec, bounds
-
-    def _target_count(self, rps: float, r_up: float) -> int:
-        if rps <= 0:
-            return 0
-        return max(1, math.ceil(rps / (r_up * self.headroom)))
 
     # ------------------------------------------------------------------
     # placement
@@ -301,19 +292,6 @@ class UniformScalingPlatform(InstanceRegistry):
             for placement in self.cluster.fail_server(server_id)
         }
         return self.evict_lost(lost_ids, now, failed_server_ids={server_id})
-
-    def should_shed(self, name: str, now: float, pending: int) -> bool:
-        """Shed when the backlog exceeds the ready fleet's SLO budget."""
-        function = self._functions.get(name)
-        if function is None:
-            return False
-        return backlog_sheds(
-            self._active.get(name, []),
-            pending,
-            now,
-            function.slo_s,
-            self.shed_slo_factor,
-        )
 
     def _retire(self, name: str, instance: Instance, now: float) -> None:
         instance.state = InstanceState.WARM_IDLE

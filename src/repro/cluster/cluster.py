@@ -319,9 +319,6 @@ class Cluster:
         self._sync_server_free(server)
         self.version += 1
 
-    def healthy_servers(self) -> List[Server]:
-        return [server for server in self.servers if server.healthy]
-
 
 def build_testbed_cluster(
     num_servers: int = 8,

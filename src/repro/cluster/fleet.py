@@ -229,11 +229,6 @@ class FleetSpec:
             gpus=gpus, gpu_profile=gpu_profile,
         ),))
 
-    @property
-    def total_servers(self) -> int:
-        """Number of servers across all groups."""
-        return sum(group.count for group in self.groups)
-
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form for JSON specs and campaign axes."""
         return {"groups": [group.to_dict() for group in self.groups]}

@@ -151,11 +151,6 @@ class BatchQueue:
         """True when no requests are waiting."""
         return not self._pending
 
-    @property
-    def oldest_arrival(self) -> Optional[float]:
-        """Arrival time of the current batch's first request, if any."""
-        return self._oldest_arrival
-
     def deadline(self) -> Optional[float]:
         """Absolute time at which the current batch must be flushed."""
         if self._oldest_arrival is None:

@@ -21,7 +21,6 @@ from repro.core.dispatcher import ALPHA_DEFAULT
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance
 from repro.core.scheduler import GreedyScheduler
-from repro.faults.resilience import backlog_sheds
 from repro.profiling.configspace import ConfigSpace
 from repro.profiling.predictor import LatencyPredictor, build_default_predictor
 
@@ -59,8 +58,6 @@ class INFlessEngine:
     #: the paper's two-waiting-batches queue bound.
     ingress_delay_s = 0.0
     waiting_batches = 2
-    #: shed threshold in units of ``capacity_rps * slo_s``.
-    shed_slo_factor = 2.0
 
     def __init__(
         self,
@@ -208,19 +205,6 @@ class INFlessEngine:
         ids = {placement.placement_id for placement in lost_placements}
         return self.autoscaler.evict_lost(
             ids, now, failed_server_ids={server_id}
-        )
-
-    def should_shed(self, name: str, now: float, pending: int) -> bool:
-        """Shed when the backlog exceeds the ready fleet's SLO budget."""
-        function = self._functions.get(name)
-        if function is None:
-            return False
-        return backlog_sheds(
-            self.autoscaler.active_instances(name),
-            pending,
-            now,
-            function.slo_s,
-            self.shed_slo_factor,
         )
 
     def kill_instance(self, name: str, now: float) -> Optional[Instance]:

@@ -8,8 +8,9 @@ per-request deadlines derived from SLOs, retry with exponential
 backoff and jitter, re-dispatch of requests stranded in lost in-flight
 batches, and overload load-shedding.  Both are executed by
 :class:`~repro.simulation.runtime.ServingSimulation` as ordinary
-simulation events, so chaos runs stay fully deterministic: the same
-seed and the same plan reproduce the same report bit for bit.
+simulation events, with the run's retry, outage and straggler state in
+one :class:`ResilienceLedger`, so chaos runs stay fully deterministic:
+the same seed and the same plan reproduce the same report bit for bit.
 
 See ``docs/faults.md`` for the plan schema and the semantics of every
 fault kind.
@@ -30,6 +31,7 @@ from repro.faults.resilience import (
     ResiliencePolicy,
     backlog_sheds,
 )
+from repro.faults.ledger import ResilienceLedger
 
 __all__ = [
     "FAULT_KINDS",
@@ -41,6 +43,7 @@ __all__ = [
     "ServerCrash",
     "ServerRecovery",
     "StochasticCrashes",
+    "ResilienceLedger",
     "ResiliencePolicy",
     "backlog_sheds",
 ]

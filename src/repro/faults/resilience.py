@@ -1,7 +1,8 @@
 """Resilience mechanics: deadlines, retry backoff and load shedding.
 
-The policy is pure data + pure math; the serving runtime owns the RNG
-stream that feeds :meth:`ResiliencePolicy.backoff_s` so retry jitter
+The policy is pure data + pure math; the run's
+:class:`~repro.faults.ledger.ResilienceLedger` owns the RNG stream that
+feeds :meth:`ResiliencePolicy.backoff_s` so retry jitter
 never perturbs the main simulation stream (arrivals, routing,
 execution noise) -- the zero-fault replay stays bit-identical whether
 or not a policy object exists.
@@ -34,7 +35,8 @@ class ResiliencePolicy:
             (see :func:`backlog_sheds`).
         shed_slo_factor: backlog threshold in units of
             ``capacity_rps * slo_s``.
-        seed: the runtime's dedicated retry-jitter RNG stream.
+        seed: the resilience ledger's dedicated retry-jitter RNG
+            stream.
     """
 
     max_retries: int = 2
@@ -93,7 +95,7 @@ def backlog_sheds(
     slo_s: float,
     shed_slo_factor: float,
 ) -> bool:
-    """The shared shed rule platforms implement ``should_shed`` with.
+    """The shed rule the resilience ledger applies to each arrival.
 
     Shed when the queued + parked backlog exceeds what the *ready*
     fleet can clear within ``shed_slo_factor`` SLO windows.  With zero

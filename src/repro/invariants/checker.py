@@ -143,6 +143,7 @@ class InvariantChecker:
             if inst.queue is not None
         )
         ledger = sim.workflow_ledger
+        resilience = sim.resilience_ledger
         return {
             "arrived": sim.metrics.arrived,
             # completed_count, not len(records): a sketch-mode ledger
@@ -152,7 +153,7 @@ class InvariantChecker:
             "parked": parked,
             "queued": queued,
             "executing": sim._executing,
-            "retrying": sim._retry_pending,
+            "retrying": 0 if resilience is None else resilience.retry_pending,
             # DAG-workflow terms (all zero outside workflow mode):
             # fan-out spawns extra tokens, joins/failed-root absorption
             # retire them, and tokens may wait at fan-in barriers.
@@ -820,9 +821,11 @@ class InvariantChecker:
         self.check_scheduler_soundness(sim, now)
         # Earlier workflow stages, crashed attempts and retry backoff
         # are latency no wait bucket sees: the parts only bound it.
+        resilience = sim.resilience_ledger
         self.check_latency_tiling(
             sim, now,
-            chained=sim.workflow_ledger is not None or sim._retries > 0,
+            chained=sim.workflow_ledger is not None
+            or (resilience is not None and resilience.retries > 0),
         )
         self.check_telemetry_agreement(sim, now)
         self.check_workflow_tick(sim, now)

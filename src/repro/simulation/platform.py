@@ -23,7 +23,7 @@ class ServingPlatform(Protocol):
     Everything the runtime and the invariant audit consume is declared
     here: the ingress/queueing knobs (``ingress_delay_s``,
     ``waiting_batches``, ``timeout_slack_s``), the fault hooks
-    (``on_server_failure``, ``should_shed``, ``kill_instance``), the
+    (``on_server_failure``, ``kill_instance``), the
     audit's Eq. 1 check level and the instance ledger (``registry``).
     Both read these attributes directly; a platform missing one fails
     loudly instead of silently skipping a check.
@@ -92,9 +92,6 @@ class ServingPlatform(Protocol):
     # -- fault hooks -----------------------------------------------------
     def on_server_failure(self, server_id: int, now: float) -> List[Instance]:
         """A machine died: evict its placements, return lost instances."""
-
-    def should_shed(self, name: str, now: float, pending: int) -> bool:
-        """Whether a new arrival should be load-shed given the backlog."""
 
     def kill_instance(self, name: str, now: float) -> Optional[Instance]:
         """Terminate one instance of ``name`` (container-crash fault)."""

@@ -23,8 +23,10 @@ Fault injection (``repro.faults``): a seeded :class:`FaultPlan` is
 materialized into ordinary heap events, and a
 :class:`~repro.faults.ResiliencePolicy` adds per-request deadlines,
 exponential-backoff retries of requests stranded in lost batches, and
-gateway load-shedding.  With neither configured the zero-fault replay
-is bit-identical to a runtime without this machinery.
+gateway load-shedding.  Their state lives in one
+:class:`~repro.faults.ResilienceLedger`; with neither configured there
+is none, and the zero-fault replay is bit-identical to a runtime
+without this machinery.
 
 :class:`RuntimeCore` is the part this runtime shares with the
 token-boundary :class:`~repro.llm.simulation.LLMSimulation`: the event
@@ -49,6 +51,7 @@ from repro.faults import (
     ColdStartStraggler,
     FaultPlan,
     InstanceKill,
+    ResilienceLedger,
     ResiliencePolicy,
     ServerCrash,
     ServerRecovery,
@@ -426,12 +429,10 @@ class ServingSimulation(RuntimeCore):
             :class:`~repro.faults.FaultPlan`, its dict form, or a path
             to a plan JSON file; materialized into simulation events at
             :meth:`run`.
-        resilience: optional
-            :class:`~repro.faults.ResiliencePolicy` (or ``True`` for
-            the defaults) enabling deadlines, retries of requests
-            stranded in lost batches, and gateway load-shedding.  Retry
-            jitter draws from its own seeded stream so the main
-            arrival/routing/execution stream is untouched.
+        resilience: optional :class:`~repro.faults.ResiliencePolicy`
+            (or ``True`` for the defaults) enabling deadlines, retries
+            of requests stranded in lost batches, and load-shedding;
+            :attr:`resilience_ledger` runs it.
         seed: randomness for arrival sampling, routing noise and
             execution-time noise.
     """
@@ -517,36 +518,18 @@ class ServingSimulation(RuntimeCore):
         #: requests currently inside an executing batch; the audit
         #: layer's request-conservation ledger needs the exact count.
         self._executing = 0
-        # -- fault injection and resilience ----------------------------
-        self._fault_handlers[ColdStartStraggler.kind] = self._start_straggler
-        if resilience is True:
-            resilience = ResiliencePolicy()
-        elif resilience is False:
-            resilience = None
-        self.resilience: Optional[ResiliencePolicy] = resilience
-        #: dedicated jitter stream: retries must not perturb the main
-        #: arrival/routing/execution stream.
-        self._retry_rng = (
-            np.random.default_rng(resilience.seed)
-            if resilience is not None
-            else None
-        )
-        self._shed = resilience is not None and resilience.shed_enabled
-        #: requests waiting out a retry backoff (conservation ledger).
-        self._retry_pending = 0
-        self._retries = 0
-        self._retry_completions = 0
-        self._redispatched = 0
-        #: instance_id -> executing batch, kept only under a resilience
-        #: policy so crashes can retry stranded requests at fault time.
-        self._inflight: Dict[int, _BatchInFlight] = {}
-        #: per-function open outage start / closed outage durations,
-        #: feeding the MTTR metric (outage = instance loss until the
-        #: next completed batch of that function).
-        self._outage_start: Dict[str, float] = {}
-        self._outage_durations: Dict[str, List[float]] = {}
-        self._straggler_windows: List[ColdStartStraggler] = []
-        self._stretched: set = set()
+        policy = ResiliencePolicy() if resilience is True else resilience or None
+        ledger = None
+        if self.faults is not None or policy is not None:
+            ledger = ResilienceLedger(
+                policy, platform, self.tracer, self._dispatch, self._drop,
+                lambda time, request: self.loop.schedule(time, EventKind.RETRY, request),
+            )
+            self._fault_handlers[ColdStartStraggler.kind] = ledger.start_straggler
+            self.loop.on(EventKind.RETRY, ledger.on_retry)
+        #: retries, outages and stragglers (None without a fault plan
+        #: or a policy).
+        self.resilience_ledger: Optional[ResilienceLedger] = ledger
         # Protocol knobs read once: the platform declares them
         # (ServingPlatform), so the runtime never type-sniffs.
         self._ingress_delay_s = platform.ingress_delay_s
@@ -562,7 +545,6 @@ class ServingSimulation(RuntimeCore):
         self.loop.on(EventKind.ARRIVAL_REFILL, self._on_arrival_refill)
         self.loop.on(EventKind.BATCH_TIMEOUT, self._on_wake)
         self.loop.on(EventKind.BATCH_COMPLETE, self._on_batch_complete)
-        self.loop.on(EventKind.RETRY, self._on_retry)
 
     # ------------------------------------------------------------------
     # setup
@@ -642,7 +624,8 @@ class ServingSimulation(RuntimeCore):
     def _admit(self, request: Request) -> None:
         if self.workflow_ledger is not None:
             self.workflow_ledger.admit(request)
-        if self._shed and self.platform.should_shed(
+        resilience = self.resilience_ledger
+        if resilience is not None and resilience.sheds(
             request.function, self.loop.now, len(self._pending[request.function])
         ):
             self._drop(request, DROP_SHED)
@@ -667,9 +650,8 @@ class ServingSimulation(RuntimeCore):
             )
 
     def _dispatch(self, request: Request) -> None:
-        if self.resilience is not None and self.resilience.expired(
-            self.loop.now, request.origin, request.slo_s
-        ):
+        resilience = self.resilience_ledger
+        if resilience is not None and resilience.expired(request, self.loop.now):
             self._drop(request, DROP_DEADLINE)
             return
         instance = self.platform.route(request.function, self.loop.now)
@@ -789,8 +771,8 @@ class ServingSimulation(RuntimeCore):
             instance=instance, requests=requests, start=now, exec_s=exec_s,
             batch_id=batch_id,
         )
-        if self.resilience is not None:
-            self._inflight[instance.instance_id] = batch
+        if self.resilience_ledger is not None:
+            self.resilience_ledger.inflight[instance.instance_id] = batch
         self.loop.schedule(now + exec_s, EventKind.BATCH_COMPLETE, batch)
 
     def _on_batch_complete(self, event: Event) -> None:
@@ -801,8 +783,6 @@ class ServingSimulation(RuntimeCore):
             return
         instance = batch.instance
         now = self.loop.now
-        if self.resilience is not None:
-            self._inflight.pop(instance.instance_id, None)
         self._executing -= len(batch.requests)
         if (
             instance.state == InstanceState.TERMINATED
@@ -819,14 +799,8 @@ class ServingSimulation(RuntimeCore):
             ledger.fan_out(batch.requests, successors, now, self._inject)
         else:
             self._complete_batch(batch, now)
-        if self._outage_start:
-            # First completed batch of the function after an instance
-            # loss closes the outage (the MTTR sample).
-            started = self._outage_start.pop(instance.function.name, None)
-            if started is not None:
-                self._outage_durations.setdefault(
-                    instance.function.name, []
-                ).append(now - started)
+        if self.resilience_ledger is not None:
+            self.resilience_ledger.settle(instance, now)
         instance.busy = False
         if instance.queue.is_empty:
             instance.idle_since = now
@@ -845,7 +819,8 @@ class ServingSimulation(RuntimeCore):
             ledger is not None
             and instance.function.name in ledger.stage_latencies
         )
-        if sink or self._trace or self.resilience is not None:
+        resilience = self.resilience_ledger
+        if sink or self._trace or resilience is not None:
             completed = []
             for request in requests:
                 if sink and not ledger.complete(request, now):
@@ -857,7 +832,7 @@ class ServingSimulation(RuntimeCore):
                         self.workflow.end_to_end_slo_s,
                     )
                 if request.attempt:
-                    self._retry_completions += 1
+                    resilience.retry_completions += 1
                 completed.append(request)
                 if self._trace:
                     self._trace_completion(batch, request, now)
@@ -896,93 +871,11 @@ class ServingSimulation(RuntimeCore):
     # fault injection
     # ------------------------------------------------------------------
     def _handle_lost(self, lost: List[Instance]) -> None:
-        """Re-account every request stranded on dead instances.
-
-        Queued (not yet executing) requests survived in the gateway and
-        are re-dispatched to the remaining fleet.  Requests inside an
-        executing batch died with the machine: under a resilience
-        policy they are retried with backoff (or dropped once the
-        policy's budget is spent); without one the legacy path lets the
-        scheduled BATCH_COMPLETE event drop them, exactly as before the
-        resilience layer existed.
-        """
-        now = self.loop.now
+        """Re-account the requests stranded on dead instances."""
         for instance in lost:
-            if self.resilience is not None:
-                batch = self._inflight.pop(instance.instance_id, None)
-                if batch is not None:
-                    batch.lost = True
-                    self._executing -= len(batch.requests)
-                    instance.busy = False
-                    for request in batch.requests:
-                        self._retry_or_drop(request, DROP_SERVER_FAILURE)
-            if self.faults is not None:
-                self._outage_start.setdefault(instance.function.name, now)
-            while instance.queue is not None and not instance.queue.is_empty:
-                for request in instance.queue.drain(now):
-                    self._redispatched += 1
-                    self._dispatch(request)
-
-    def _start_straggler(self, fault: ColdStartStraggler, now: float) -> None:
-        self._straggler_windows.append(fault)
-        self._apply_stragglers(now)
-
-    def _apply_stragglers(self, now: float) -> None:
-        """Stretch pending cold starts covered by a straggler window."""
-        self._straggler_windows = [
-            w for w in self._straggler_windows
-            if now < w.at_s + w.duration_s
-        ]
-        windows = [w for w in self._straggler_windows if w.at_s <= now]
-        if not windows:
-            return
-        factor = max(w.factor for w in windows)
-        for name in self._managed:
-            for instance in self.platform.instances(name):
-                if (
-                    instance.state == InstanceState.COLD_STARTING
-                    and instance.ready_at > now
-                    and instance.instance_id not in self._stretched
-                ):
-                    instance.ready_at = (
-                        now + (instance.ready_at - now) * factor
-                    )
-                    self._stretched.add(instance.instance_id)
-
-    # ------------------------------------------------------------------
-    # retries
-    # ------------------------------------------------------------------
-    def _retry_or_drop(self, request: Request, reason: str) -> None:
-        """Schedule a backed-off retry, or drop when the budget is out."""
-        policy = self.resilience
-        now = self.loop.now
-        attempt = request.attempt + 1
-        if attempt > policy.max_retries:
-            self._drop(request, reason)
-            return
-        delay = policy.backoff_s(attempt, float(self._retry_rng.random()))
-        if now + delay > policy.deadline_s(request.origin, request.slo_s):
-            self._drop(request, DROP_DEADLINE)
-            return
-        request.attempt = attempt
-        self._retry_pending += 1
-        self._retries += 1
-        if self._trace:
-            self.tracer.emit(
-                ev.REQUEST_RETRY, now, request=request.request_id,
-                function=request.function, attempt=attempt, delay_s=delay,
+            self._executing -= self.resilience_ledger.lose(
+                instance, self.loop.now
             )
-        self.loop.schedule(now + delay, EventKind.RETRY, request)
-
-    def _on_retry(self, event: Event) -> None:
-        request: Request = event.payload
-        self._retry_pending -= 1
-        # The retry re-enters the current stage: its batch deadline
-        # restarts here while the origin keeps driving the SLO/deadline.
-        if request.origin_arrival is None:
-            request.origin_arrival = request.arrival
-        request.arrival = self.loop.now
-        self._dispatch(request)
 
     def _inject(
         self, stage: str, root: int, slo_s: float, origin: float
@@ -1030,10 +923,10 @@ class ServingSimulation(RuntimeCore):
             self._sample_timeline(name, rate, outcome, now)
 
     def _after_control(self, now: float) -> None:
-        if self._straggler_windows:
+        if self.resilience_ledger is not None:
             # Cold starts launched by this control step inside an active
             # straggler window are stretched too.
-            self._apply_stragglers(now)
+            self.resilience_ledger.stretch_cold_starts(now)
         stats = self._registry.stats
         self.metrics.record_scaling_state(
             now,
@@ -1047,10 +940,10 @@ class ServingSimulation(RuntimeCore):
 
     def _drain_pending(self, name: str) -> None:
         pending = self._pending[name]
-        policy = self.resilience
+        resilience = self.resilience_ledger
         while pending:
-            if policy is not None and policy.expired(
-                self.loop.now, pending[0].origin, pending[0].slo_s
+            if resilience is not None and resilience.expired(
+                pending[0], self.loop.now
             ):
                 self._drop(pending.popleft(), DROP_DEADLINE)
                 continue
@@ -1102,37 +995,10 @@ class ServingSimulation(RuntimeCore):
             warm_reuses=stats.warm_reuses,
             reserved_idle_resource_s=stats.reserved_idle_resource_s,
         )
-        if self.faults is not None or self.resilience is not None:
-            report.resilience = self._resilience_summary(report)
+        if self.resilience_ledger is not None:
+            report.resilience = self.resilience_ledger.summary(
+                report.availability, self._fault_counts, self.loop.now
+            )
         if self.workflow_ledger is not None:
             report.workflows = self.workflow_ledger.summary(self._horizon)
         return report
-
-    def _resilience_summary(self, report: SimulationReport) -> Dict[str, object]:
-        """The chaos-run metrics block attached to the report."""
-        now = self.loop.now
-        durations = {
-            name: list(values)
-            for name, values in self._outage_durations.items()
-        }
-        # An outage still open at the end of the run never recovered;
-        # count the full remaining window so MTTR cannot hide it.
-        for name, started in self._outage_start.items():
-            durations.setdefault(name, []).append(now - started)
-        mttr = {
-            name: float(np.mean(values))
-            for name, values in sorted(durations.items())
-            if values
-        }
-        return {
-            "availability": report.availability,
-            "faults_injected": int(sum(self._fault_counts.values())),
-            "fault_counts": dict(self._fault_counts),
-            "retries": self._retries,
-            "retry_completions": self._retry_completions,
-            "redispatched": self._redispatched,
-            "mttr_s": mttr,
-            "policy": (
-                None if self.resilience is None else asdict(self.resilience)
-            ),
-        }

@@ -103,9 +103,9 @@ class TestRequestConservation:
 
     def test_missing_ledger_fails_loudly(self, predictor, executor):
         """A renamed runtime ledger breaks the audit, not silences it."""
-        sim, _fn = make_sim(predictor, executor)
-        del sim._retry_pending
-        with pytest.raises(AttributeError, match="_retry_pending"):
+        sim, _fn = make_sim(predictor, executor, resilience=True)
+        del sim.resilience_ledger.retry_pending
+        with pytest.raises(AttributeError, match="retry_pending"):
             sim.invariants.check_tick(sim, 0.0)
 
     def test_stuck_executing_counter_detected(self, predictor, executor):
