@@ -119,6 +119,46 @@ class TestBatchOTP:
             assert instance.timeout_slack_s == platform.ingress_delay_s
 
 
+    def test_selections_digest(self, predictor):
+        """``select_config`` over the zoo at four SLOs and the OSVT and
+        Q&A stage budgets, across load buckets, pinned byte for byte
+        (``None`` where no configuration meets the SLO)."""
+        import hashlib
+
+        from repro.models import MODEL_ZOO
+        from repro.workflows.decompose import decompose_slo
+        from repro.workflows.spec import build_preset_workflow
+
+        functions = [
+            FunctionSpec.for_model(model, slo_s=slo_s)
+            for model in sorted(MODEL_ZOO)
+            for slo_s in (0.05, 0.1, 0.2, 0.4)
+        ]
+        for preset in ("osvt", "qa"):
+            workflow = build_preset_workflow(preset)
+            budgets = decompose_slo(workflow, predictor, policy="decomposed")
+            functions.extend(
+                FunctionSpec.for_model(
+                    stage.model, slo_s=budgets[stage.name], name=stage.name
+                )
+                for stage in workflow.stages
+            )
+        platform = BatchOTP(build_testbed_cluster(), predictor)
+        rows = []
+        for fn in functions:
+            for rps in (0.0, 1.0, 10.0, 100.0, 1000.0, 10000.0):
+                try:
+                    config = platform.select_config(fn, rps)
+                except RuntimeError:
+                    rows.append((fn.name, rps, None))
+                    continue
+                rows.append((fn.name, rps, config.batch, config.cpu, config.gpu))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert (len(rows), digest) == (
+            300,
+            "f7baf6cf318e153c60b5a6ee90bd39b90b8021b09e800bd438b1ebe97b490b1f",
+        )
+
 class TestBatchRS:
     def test_best_fit_reduces_fragments_vs_first_fit(self, predictor):
         functions = [

@@ -367,6 +367,35 @@ class TestHybridAutoscaler:
             assert event.args["r_up"] > 0
 
 
+    #: the CI mixed fleet (resizes land on 2080ti servers) and an
+    #: A100 + T4 fleet (every resize is priced for a non-default
+    #: generation).
+    PINS = {
+        "examples/fleet_mixed.json": (
+            "b8bce39ace453e9de731eafe99e5ee98578f914843ac7c7e2335e3446bf4b3f4"
+        ),
+        "a100+t4": (
+            "43a6ff5d9f686594a79b457f956516d455922924e3d103b080570b410e268620"
+        ),
+    }
+
+    @pytest.mark.parametrize("fleet", sorted(PINS))
+    def test_ramp_report_digest(self, fleet):
+        """The hybrid scaler's vertical resizes, byte for byte."""
+        import hashlib
+
+        spec = fleet if fleet.endswith(".json") else {"groups": [
+            {"count": 1, "gpu_profile": "a100"},
+            {"count": 1, "gpu_profile": "t4"},
+        ]}
+        fn = FunctionSpec.for_model(RESNET, slo_s=0.2)
+        exp, report = run_experiment(
+            fn, ramp_trace(), fleet=spec, autoscaler="hybrid"
+        )
+        assert exp.platform.autoscaler.stats.vertical_resizes > 0
+        encoded = json.dumps(report.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest() == self.PINS[fleet]
+
 class TestSwapKeepAlive:
     def test_swap_reuse_beats_default_on_dip(self):
         fn = FunctionSpec.for_model(RESNET, slo_s=0.2)

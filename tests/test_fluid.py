@@ -1,5 +1,6 @@
 """Tests for the continuous-time fluid engine and the hybrid split."""
 
+import hashlib
 import json
 
 import pytest
@@ -191,6 +192,36 @@ class TestValidationEnvelope:
         assert fluid.goodput_rps == pytest.approx(
             des.goodput_rps, rel=rtol
         )
+
+
+class TestPinnedReports:
+    """The sha256 of the fluid and hybrid (``hot_k=1``) reports on the
+    Fig. 12 config in both rate modes: the capacity ladder's rows and
+    the DES side's Algorithm 1 rows, byte for byte."""
+
+    PINS = {
+        ("fluid", "measured"): (
+            "3861ccb3f4e3bdf899437ec17c0ada40e256df024734b5fd7637388ad1e96a0a"
+        ),
+        ("fluid", "oracle"): (
+            "315e895e6dae3bb9e9af2bc4b27871a813de477f027e965672fbda8226aae8bd"
+        ),
+        ("hybrid", "measured"): (
+            "9369013c3b41582dfbf8a992f9d5dae163e8e20bafc3e497a3348f534d6a52b9"
+        ),
+        ("hybrid", "oracle"): (
+            "592f0df58c57d7edbed44f79adbc91b3932f51d0b7fc011d378ba49db625717b"
+        ),
+    }
+
+    @pytest.mark.parametrize("engine, rate_mode", sorted(PINS))
+    def test_report_digest(self, engine, rate_mode):
+        report = fig12_experiment(
+            300.0, 60.0, engine=engine, hot_k=1, warmup_s=5.0,
+            rate_mode=rate_mode,
+        ).run()
+        digest = hashlib.sha256(_report_bytes(report).encode()).hexdigest()
+        assert digest == self.PINS[(engine, rate_mode)]
 
 
 class TestBenchIntegration:

@@ -91,3 +91,35 @@ class TestCheapestPlan:
         assert plan is not None
         for entry in plan:
             assert entry.config.batch == 1 or entry.r_low <= 10.0
+
+
+class TestPinnedPlans:
+    """``feasible_configs`` and ``cheapest_plan`` over the zoo, pinned
+    byte for byte: every feasible row ``(b, c, g, t_exec, r_low,
+    r_up)`` in the planner's order, and every plan's configs."""
+
+    def test_plans_digest(self, planner):
+        import hashlib
+
+        from repro.models import MODEL_ZOO
+
+        rows = []
+        for model in sorted(MODEL_ZOO):
+            for slo_ms in (50, 100, 200, 400):
+                fn = FunctionSpec.for_model(model, slo_s=slo_ms / 1000)
+                rows.append(tuple(
+                    (e.config.batch, e.config.cpu, e.config.gpu,
+                     e.t_exec_s, e.r_low, e.r_up)
+                    for e in planner.feasible_configs(fn)
+                ))
+                for rps in (10.0, 800.0):
+                    plan = planner.cheapest_plan(fn, rps)
+                    rows.append(None if plan is None else tuple(
+                        (e.config.batch, e.config.cpu, e.config.gpu)
+                        for e in plan
+                    ))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert (len(rows), digest) == (
+            132,
+            "58fbb570b28526600f299f2ebd1a2d569cdd3d47adb09851abe250b8b1a71a40",
+        )
