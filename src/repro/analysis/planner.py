@@ -10,12 +10,13 @@ cheapest way to serve a given load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cluster.resources import BETA
-from repro.core.batching import InfeasibleBatchError, rate_bounds
 from repro.core.function import FunctionSpec
+from repro.core.scheduler import feasible_rows
 from repro.profiling.configspace import ConfigSpace, InstanceConfig
 from repro.profiling.predictor import LatencyPredictor
 
@@ -50,26 +51,17 @@ class SLOPlanner:
     # ------------------------------------------------------------------
     def feasible_configs(self, function: FunctionSpec) -> List[PlanEntry]:
         """All configurations meeting the function's SLO, densest first."""
-        entries = []
-        for batch in self.config_space.batches():
-            if batch > function.model.max_batch:
-                continue
-            for cpu, gpu in self.config_space.resource_pairs():
-                t_exec = self.predictor.predict(
-                    function.model, batch, cpu, gpu
-                )
-                try:
-                    bounds = rate_bounds(t_exec, function.slo_s, batch)
-                except InfeasibleBatchError:
-                    continue
-                entries.append(
-                    PlanEntry(
-                        config=InstanceConfig(batch=batch, cpu=cpu, gpu=gpu),
-                        t_exec_s=t_exec,
-                        r_low=bounds.r_low,
-                        r_up=bounds.r_up,
-                    )
-                )
+        configs = [
+            config
+            for batch in self.config_space.batches()
+            if batch <= function.model.max_batch
+            for config in self.config_space.configs_for_batch(batch)
+        ]
+        rows = feasible_rows(self.predictor, function.model, function.slo_s, configs)
+        entries = [
+            PlanEntry(config, t_exec, bounds.r_low, bounds.r_up)
+            for config, t_exec, bounds in rows
+        ]
         return sorted(entries, key=lambda e: -e.density(self.beta))
 
     def is_feasible(self, function: FunctionSpec) -> bool:
@@ -81,27 +73,27 @@ class SLOPlanner:
     ) -> Optional[float]:
         """The smallest SLO (to ``resolution_s``) any config satisfies.
 
-        Binary-searches over the batch-1 execution times, since batch-1
+        The fastest batch-1 execution time rounded up, since batch-1
         needs only ``t_exec <= t_slo``.
         """
-        best = None
-        for cpu, gpu in self.config_space.resource_pairs():
-            t_exec = self.predictor.predict(function.model, 1, cpu, gpu)
-            best = t_exec if best is None else min(best, t_exec)
-        if best is None:
+        times = self.predictor.predict_configs(
+            function.model, list(self.config_space.configs_for_batch(1))
+        )
+        if not times:
             return None
-        import math
-
-        return math.ceil(best / resolution_s) * resolution_s
+        return math.ceil(min(times) / resolution_s) * resolution_s
 
     def cheapest_plan(
         self, function: FunctionSpec, rps: float
     ) -> Optional[List[PlanEntry]]:
         """A minimal-cost instance mix covering ``rps``.
 
-        Greedy over density (the scheduler's own logic without the
-        placement dimension): repeatedly take the densest configuration
-        whose ``r_low`` the residual still saturates.
+        Greedy over density, without the placement dimension:
+        repeatedly take the configuration with the highest
+        ``min(r_up, residual)`` per weighted resource unit among those
+        whose ``r_low`` the residual still saturates.  Unlike the
+        scheduler, which tries the largest batch first, it ranks every
+        batch together.
         """
         if rps <= 0:
             return []

@@ -354,10 +354,8 @@ class Experiment:
         if self.workflow is not None:
             for function in self._stage_functions():
                 self.platform.deploy(function)
-            scheduler = getattr(self.platform, "scheduler", None)
-            if self.workflow_policy == "decomposed" and hasattr(
-                scheduler, "coplacement"
-            ):
+            scheduler = self.platform.scheduler
+            if self.workflow_policy == "decomposed" and scheduler is not None:
                 self._coplacement = CoPlacementHint(self.workflow)
                 scheduler.coplacement = self._coplacement
         self.simulation = ServingSimulation(

@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.common import UniformScalingPlatform
 from repro.cluster.cluster import Cluster
-from repro.core.batching import cached_rate_bounds
 from repro.core.function import FunctionSpec
+from repro.core.scheduler import SchedulingError, feasible_rows
 from repro.profiling.configspace import ConfigSpace, InstanceConfig
 from repro.profiling.predictor import LatencyPredictor
 
@@ -84,21 +84,21 @@ class BatchOTP(UniformScalingPlatform):
         self, function: FunctionSpec, rps: float
     ) -> List[Tuple[InstanceConfig, float, float]]:
         """(config, t_exec, r_up) choices meeting the OTP-adjusted SLO."""
+        configs = [
+            InstanceConfig(batch=batch, cpu=cpu, gpu=gpu)
+            for batch in self.config_space.batches()
+            if batch <= function.model.max_batch
+            for cpu, gpu in OTP_RESOURCE_TIERS
+        ]
         slo_eff = function.slo_s - self.ingress_delay_s
-        feasible = []
-        for batch in self.config_space.batches():
-            if batch > function.model.max_batch:
-                continue
-            for cpu, gpu in OTP_RESOURCE_TIERS:
-                t_exec = self.predictor.predict(function.model, batch, cpu, gpu)
-                bounds = cached_rate_bounds(t_exec, slo_eff, batch)
-                if bounds is None:
-                    continue
-                if batch > 1 and rps > 0 and rps < bounds.r_low:
-                    continue  # batch cannot saturate at this load
-                config = InstanceConfig(batch=batch, cpu=cpu, gpu=gpu)
-                feasible.append((config, t_exec, bounds.r_up))
-        return feasible
+        return [
+            (config, t_exec, bounds.r_up)
+            for config, t_exec, bounds in feasible_rows(
+                self.predictor, function.model, slo_eff, configs
+            )
+            # A batch must be saturable by the load (any, at rps 0).
+            if config.batch == 1 or rps <= 0 or rps >= bounds.r_low
+        ]
 
     def select_config(self, function: FunctionSpec, rps: float) -> InstanceConfig:
         """Most cost-efficient uniform configuration for the load level.
@@ -108,7 +108,8 @@ class BatchOTP(UniformScalingPlatform):
         batch that the load saturates (Fig. 13b).  The load level is
         bucketed so the choice only changes on real load shifts (the
         original re-optimises on its profiling granularity, not every
-        second).
+        second).  Raises :class:`SchedulingError` when no tier meets
+        the SLO even at batch 1.
         """
         bucket = 0 if rps <= 0 else max(0, int(rps).bit_length())
         key = (function.name, function.model.name, function.slo_s, bucket)
@@ -122,7 +123,7 @@ class BatchOTP(UniformScalingPlatform):
             feasible = self._feasible_configs(function, 0.0)
             feasible = [item for item in feasible if item[0].batch == 1]
         if not feasible:
-            raise RuntimeError(
+            raise SchedulingError(
                 f"{function.name}: no configuration can meet the SLO under BATCH"
             )
         beta = self.cluster.beta

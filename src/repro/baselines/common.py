@@ -51,6 +51,8 @@ class UniformScalingPlatform(InstanceRegistry):
     ingress_delay_s = 0.0
     #: bounded per-instance batch-queue depth (OpenFaaS+ overrides).
     waiting_batches = 2
+    #: no Algorithm 1 scheduler: instances are sized uniformly.
+    scheduler = None
 
     def __init__(
         self,

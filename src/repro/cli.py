@@ -37,6 +37,7 @@ from repro.core import (
     FixedKeepAlive,
     FunctionSpec,
     HybridHistogramPolicy,
+    SchedulingError,
     build_coldstart_policy,
 )
 from repro.faults import ResiliencePolicy
@@ -250,12 +251,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # with the reason, before any run starts.
         print(f"cannot run: {exc}", file=sys.stderr)
         return 1
-    if args.seeds:
-        return _simulate_seeds(args, experiments)
     experiment = experiments[0]
     try:
+        if args.seeds:
+            return _simulate_seeds(args, experiments)
         report = experiment.run()
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SchedulingError) as exc:
+        # SchedulingError: no SLO-feasible config (BATCH on Q&A stages).
         print(f"cannot run: {exc}", file=sys.stderr)
         return 1
     tracer, timeline = experiment.tracer, experiment.timeline

@@ -33,18 +33,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.core.batching import InfeasibleBatchError, rate_bounds
 from repro.core.coldstart import (
     IDLE_DROP,
-    IDLE_PREFETCH,
     IDLE_RESERVE,
     IDLE_SWAP,
     KeepAlivePolicy,
+    idle_mode,
 )
 from repro.core.dispatcher import ALPHA_DEFAULT, plan_dispatch
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance, InstanceState
-from repro.core.scheduler import GreedyScheduler
+from repro.core.scheduler import GreedyScheduler, feasible_rows
 from repro.core.swap import swap_weights_mb
 from repro.profiling.configspace import InstanceConfig
 from repro.telemetry import spans as ev
@@ -333,11 +332,8 @@ class AutoScaler(InstanceRegistry):
                     instance.placement.server_id
                 )
             return on_idle(function.name, instance, server, now)
-        # Windows-only policy (pre-ColdStartPolicy protocol): derive the
-        # mode from the decision exactly as the scaler historically did.
-        if decision.keepalive_s <= 0:
-            return IDLE_DROP
-        return IDLE_RESERVE if decision.prewarm_s <= 0 else IDLE_PREFETCH
+        # Windows-only policy (pre-ColdStartPolicy protocol).
+        return idle_mode(decision)
 
     def _retire(self, function: FunctionSpec, instance: Instance, now: float) -> None:
         decision = self.policy.windows(function.name, now)
@@ -637,37 +633,29 @@ class HybridAutoScaler(AutoScaler):
         )
         if not choices:
             return 0.0
-        predictor = self.scheduler.predictor
-        profile = self.scheduler.gpu_profile_for(placement.server_id)
+        rows = feasible_rows(
+            self.scheduler.predictor, function.model, function.slo_s,
+            [
+                InstanceConfig(batch=config.batch, cpu=config.cpu, gpu=gpu)
+                for gpu in choices
+            ],
+            self.scheduler.gpu_profile_for(placement.server_id),
+        )
         old_r_up = instance.r_up
-        best = None  # (gain, gpu, t_exec, bounds)
-        for gpu in choices:
-            if profile is None:
-                t_exec = predictor.predict(
-                    function.model, config.batch, config.cpu, gpu
-                )
-            else:
-                t_exec = predictor.predict(
-                    function.model, config.batch, config.cpu, gpu,
-                    gpu_profile=profile,
-                )
-            try:
-                bounds = rate_bounds(t_exec, function.slo_s, config.batch)
-            except InfeasibleBatchError:
-                continue
+        best = None  # (gain, config, t_exec, bounds)
+        for new_config, t_exec, bounds in rows:
             gain = bounds.r_up - old_r_up
             if gain <= 1e-9:
                 continue
             if best is None or gain > best[0]:
-                best = (gain, gpu, t_exec, bounds)
+                best = (gain, new_config, t_exec, bounds)
             if gain >= need_rps - 1e-9:
                 # Smallest upgrade that covers the need wins.
-                best = (gain, gpu, t_exec, bounds)
+                best = (gain, new_config, t_exec, bounds)
                 break
         if best is None:
             return 0.0
-        gain, gpu, t_exec, bounds = best
-        new_config = InstanceConfig(batch=config.batch, cpu=config.cpu, gpu=gpu)
+        gain, new_config, t_exec, bounds = best
         new_resources = new_config.resources(
             memory_mb=placement.resources.memory_mb
         )
@@ -682,6 +670,6 @@ class HybridAutoScaler(AutoScaler):
             self.tracer.emit(
                 ev.VERTICAL_RESIZE, now, function=function.name,
                 instance=instance.instance_id, old_gpu=config.gpu,
-                new_gpu=gpu, r_up=bounds.r_up,
+                new_gpu=new_config.gpu, r_up=bounds.r_up,
             )
         return gain

@@ -104,10 +104,10 @@ def cached_rate_bounds(
 ) -> Optional[RateBounds]:
     """Memoized :func:`rate_bounds`, with ``None`` marking infeasibility.
 
-    Eq. 1 is a pure function of its arguments, but hot consumers -- the
-    scheduler's ``AvailableConfig`` rows (rebuilt by every fresh
-    scheduler), the BATCH baseline's per-tick profile search and the
-    audit layer's per-instance soundness check -- recompute it with
+    Eq. 1 is a pure function of its arguments, but hot consumers --
+    :func:`~repro.core.scheduler.feasible_rows` (every ``AvailableConfig``
+    row, rebuilt by each fresh scheduler and BATCH's load buckets) and
+    the audit layer's per-instance soundness check -- recompute it with
     the same argument triples thousands of times per run.  Infeasible
     combinations return ``None`` instead of raising so the negative
     result is cached too (``lru_cache`` does not cache exceptions).

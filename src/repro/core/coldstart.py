@@ -82,6 +82,15 @@ IDLE_SWAP = "swap"  #: release quota, park weights in host RAM (Torpor)
 IDLE_DROP = "drop"  #: unload immediately
 
 
+def idle_mode(decision: ColdStartDecision) -> str:
+    """The warm-pool mode the windows imply for a retiring instance:
+    drop with no keep-alive, keep the quota reserved with no pre-warm
+    wait, else release it and prefetch the image later."""
+    if decision.keepalive_s <= 0:
+        return IDLE_DROP
+    return IDLE_RESERVE if decision.prewarm_s <= 0 else IDLE_PREFETCH
+
+
 class ColdStartPolicy(KeepAlivePolicy, Protocol):
     """Full cold-start policy: windows plus idle/reuse transitions.
 
@@ -91,11 +100,6 @@ class ColdStartPolicy(KeepAlivePolicy, Protocol):
     can express "evict weights to host RAM, pay a PCIe swap-in on
     reuse" without the auto-scaler hard-coding any one policy.
     """
-
-    def keep_alive_window(
-        self, function_name: str, now: float
-    ) -> ColdStartDecision:
-        """Alias of :meth:`KeepAlivePolicy.windows` (protocol surface)."""
 
     def on_idle(
         self,
@@ -120,16 +124,11 @@ class ColdStartPolicy(KeepAlivePolicy, Protocol):
 class _DefaultColdStartHooks:
     """Default idle/reuse transitions shared by windows-only policies.
 
-    Derives :meth:`on_idle` from the policy's own windows exactly the
-    way the auto-scaler historically did, so mixing this in changes
-    nothing for LSTH/HHP/fixed keep-alive.
+    Derives :meth:`on_idle` from the policy's own windows through
+    :func:`idle_mode`, the rule the auto-scaler applies to windows-only
+    policies, so mixing this in changes nothing for LSTH/HHP/fixed
+    keep-alive.
     """
-
-    def keep_alive_window(
-        self, function_name: str, now: float
-    ) -> ColdStartDecision:
-        """Windows applied at retirement (same as :meth:`windows`)."""
-        return self.windows(function_name, now)
 
     def on_idle(
         self,
@@ -139,10 +138,7 @@ class _DefaultColdStartHooks:
         now: float,
     ) -> str:
         """Idle transition: drop, reserve or prefetch by the windows."""
-        decision = self.windows(function_name, now)
-        if decision.keepalive_s <= 0:
-            return IDLE_DROP
-        return IDLE_RESERVE if decision.prewarm_s <= 0 else IDLE_PREFETCH
+        return idle_mode(self.windows(function_name, now))
 
     def on_reuse(
         self,

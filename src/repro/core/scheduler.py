@@ -9,7 +9,8 @@ is covered:
 2. ``AvailableConfig`` keeps only configurations whose predicted
    ``t_exec`` satisfies the SLO (``t_exec <= t_slo`` for ``b = 1``,
    ``t_exec <= t_slo/2`` *and* ``R_k >= r_low`` otherwise, so batches
-   saturate before the waiting deadline);
+   saturate before the waiting deadline); :func:`feasible_rows` is
+   its SLO half, shared by every caller that needs Eq. 1 rows;
 3. score every (configuration, server) pair with Eq. 10's e_ij and
    place the argmax;
 4. subtract the instance's ``r_up`` from the residual and repeat.
@@ -41,7 +42,8 @@ from repro.core.batching import RateBounds, cached_rate_bounds
 from repro.core.efficiency import rps_per_resource
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance, InstanceState
-from repro.profiling.configspace import ConfigSpace, InstanceConfig, batch_choices
+from repro.models.zoo import ModelSpec
+from repro.profiling.configspace import ConfigSpace, InstanceConfig
 from repro.profiling.predictor import LatencyPredictor
 
 
@@ -64,6 +66,30 @@ class SchedulingOutcome:
 
 #: alias kept for the public API: a scheduled instance IS an Instance.
 ScheduledInstance = Instance
+
+
+def feasible_rows(
+    predictor: LatencyPredictor,
+    model: ModelSpec,
+    slo_s: float,
+    configs: Sequence[InstanceConfig],
+    gpu_profile: Optional[GpuProfile] = None,
+) -> List[Tuple[InstanceConfig, float, RateBounds]]:
+    """Algorithm 1's ``AvailableConfig`` rule over ``configs``.
+
+    Reads every config's ``t_exec`` from the predictor's priced grid in
+    one call (GPU configs at ``gpu_profile``'s generation) and keeps
+    the (config, t_exec, bounds) rows whose Eq. 1 window exists:
+    ``t_exec <= t_slo`` for ``b = 1``, ``t_exec <= t_slo/2`` otherwise.
+    The residual-load filter (``R_k >= r_low``) is the caller's.
+    """
+    rows = []
+    times = predictor.predict_configs(model, configs, gpu_profile)
+    for config, t_exec in zip(configs, times):
+        bounds = cached_rate_bounds(t_exec, slo_s, config.batch)
+        if bounds is not None:
+            rows.append((config, t_exec, bounds))
+    return rows
 
 
 class GreedyScheduler:
@@ -196,9 +222,8 @@ class GreedyScheduler:
         residual load (``R_k >= r_low``).  With ``gpu_profile`` set the
         rows are priced for that GPU generation (and CPU-only pairs are
         skipped -- they are generation-independent and already covered
-        by the profile-free rows).  A cache miss reads every pair's
-        ``t_exec`` from the predictor's priced grid in one call and
-        Eq. 1 from the shared :func:`cached_rate_bounds` memo.
+        by the profile-free rows).  A cache miss builds the rows with
+        :func:`feasible_rows`.
         """
         if gpu_profile is None:
             cache_key = (function.model.name, function.slo_s, batch)
@@ -212,22 +237,14 @@ class GreedyScheduler:
         if rows is None:
             configs = self._batch_configs.get(batch)
             if configs is None:
-                configs = [
-                    InstanceConfig(batch=batch, cpu=cpu, gpu=gpu)
-                    for cpu, gpu in self.config_space.resource_pairs()
-                ]
+                configs = list(self.config_space.configs_for_batch(batch))
                 self._batch_configs[batch] = configs
             if gpu_profile is not None:
                 configs = [config for config in configs if config.gpu]
-            t_slo = function.slo_s
-            rows = []
-            times = self.predictor.predict_configs(
-                function.model, configs, gpu_profile
+            rows = feasible_rows(
+                self.predictor, function.model, function.slo_s, configs,
+                gpu_profile,
             )
-            for config, t_exec in zip(configs, times):
-                bounds = cached_rate_bounds(t_exec, t_slo, batch)
-                if bounds is not None:
-                    rows.append((config, t_exec, bounds))
             self._config_cache[cache_key] = rows
         return [
             row
@@ -368,7 +385,7 @@ class GreedyScheduler:
         remaining = residual_rps
         batches = [
             b
-            for b in sorted(batch_choices(self.config_space.max_batch), reverse=True)
+            for b in self.config_space.batches_descending()
             if b <= function.model.max_batch
         ]
         self._sorted_free()

@@ -25,11 +25,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.batching import InfeasibleBatchError, rate_bounds
 from repro.core.dispatcher import ALPHA_DEFAULT
 from repro.core.efficiency import rps_per_resource
 from repro.core.function import FunctionSpec
-from repro.profiling.configspace import ConfigSpace, batch_choices
+from repro.core.scheduler import feasible_rows
+from repro.profiling.configspace import ConfigSpace
 from repro.profiling.executor import GroundTruthExecutor
 from repro.profiling.predictor import LatencyPredictor
 from repro.simulation.sketches import QuantileSketch
@@ -141,34 +141,29 @@ class CapacityLadder:
         self.beta = beta
         space = config_space or ConfigSpace()
         self._rows_by_batch: Dict[int, List[ConfigRow]] = {}
-        batches = [
-            b
-            for b in sorted(batch_choices(space.max_batch), reverse=True)
-            if b <= function.model.max_batch
+        self.batches = [
+            b for b in space.batches_descending() if b <= function.model.max_batch
         ]
-        self.batches = batches
-        for batch in batches:
-            rows: List[ConfigRow] = []
-            for cpu, gpu in space.resource_pairs():
-                t_pred = predictor.predict(function.model, batch, cpu, gpu)
-                try:
-                    bounds = rate_bounds(t_pred, function.slo_s, batch)
-                except InfeasibleBatchError:
-                    continue
-                t_actual = executor.mean_execution_time(
-                    function.model, batch, cpu, gpu
-                )
-                rows.append(ConfigRow(
+        for batch in self.batches:
+            rows = [
+                ConfigRow(
                     batch=batch,
-                    cpu=cpu,
-                    gpu=gpu,
+                    cpu=config.cpu,
+                    gpu=config.gpu,
                     t_exec_pred=t_pred,
-                    t_exec_actual=t_actual,
+                    t_exec_actual=executor.mean_execution_time(
+                        function.model, batch, config.cpu, config.gpu
+                    ),
                     r_low=bounds.r_low,
                     r_up=bounds.r_up,
-                    weighted_cost=beta * cpu + gpu,
+                    weighted_cost=beta * config.cpu + config.gpu,
                     timeout_s=max(0.0, function.slo_s - t_pred),
-                ))
+                )
+                for config, t_pred, bounds in feasible_rows(
+                    predictor, function.model, function.slo_s,
+                    list(space.configs_for_batch(batch)),
+                )
+            ]
             if rows:
                 self._rows_by_batch[batch] = rows
 

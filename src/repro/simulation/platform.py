@@ -14,6 +14,7 @@ from repro.cluster.cluster import Cluster
 from repro.core.autoscaler import ControlOutcome, InstanceRegistry
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance
+from repro.core.scheduler import GreedyScheduler
 
 
 @runtime_checkable
@@ -24,7 +25,8 @@ class ServingPlatform(Protocol):
     here: the ingress/queueing knobs (``ingress_delay_s``,
     ``waiting_batches``, ``timeout_slack_s``), the fault hooks
     (``on_server_failure``, ``kill_instance``), the
-    audit's Eq. 1 check level and the instance ledger (``registry``).
+    audit's Eq. 1 check level, the instance ledger (``registry``) and
+    the Algorithm 1 ``scheduler``, if any.
     Both read these attributes directly; a platform missing one fails
     loudly instead of silently skipping a check.
 
@@ -60,6 +62,10 @@ class ServingPlatform(Protocol):
     #: the live instances, warm pool and scaling counters: INFless's
     #: autoscaler, or the uniform baseline platform itself.
     registry: InstanceRegistry
+
+    #: INFless's Algorithm 1 scheduler, which workflow runs hand their
+    #: co-placement hint; None on uniform-scaling platforms.
+    scheduler: Optional[GreedyScheduler]
 
     def deploy(self, function: FunctionSpec) -> None:
         """Register a function before the simulation starts."""

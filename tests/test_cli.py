@@ -225,6 +225,19 @@ class TestSeedsShareTheSingleRunBuilder:
         assert "cannot run: compatibility row" in capsys.readouterr().err
 
 
+class TestInfeasiblePlatform:
+    """BATCH has no SLO-feasible configuration for a Q&A stage: the
+    run stops with a one-line reason, not a traceback."""
+
+    @pytest.mark.parametrize("extra", [[], ["--seeds", "1,2"]],
+                             ids=["single", "seeds"])
+    def test_batch_qa_workflow_exits_cleanly(self, capsys, extra):
+        argv = ["simulate", "--workflow", "qa", "--platform", "batch"]
+        assert main(argv + extra) == 1
+        err = capsys.readouterr().err
+        assert "cannot run: " in err
+        assert "no configuration can meet the SLO under BATCH" in err
+
 #: (flag, a valid-looking document missing a required key).
 _INPUT_FILES = {
     "--faults": {"events": [{"kind": "server_crash", "server_id": 0}]},
