@@ -11,17 +11,16 @@ engineering decisions whose effect should be measurable:
   elementwise dispatch overhead.
 """
 
-from _harness import emit, once
+from _harness import emit, once, split_trace
 
 from repro.analysis import stress_capacity
 from repro.analysis.reporting import format_table
+from repro.api import Experiment, make_platform
 from repro.cluster import build_testbed_cluster
-from repro.core import FunctionSpec, INFlessEngine
+from repro.core import INFlessEngine
 from repro.core.efficiency import FRAGMENTATION_FLOOR
 from repro.models import MODEL_ZOO
 from repro.ops.fusion import fusion_report
-from repro.profiling import GroundTruthExecutor
-from repro.simulation import ServingSimulation
 from repro.workloads import build_osvt, build_qa_robot
 from repro.workloads.generators import bursty_trace
 
@@ -67,11 +66,11 @@ def test_ablation_fragmentation_floor(benchmark, predictor):
             original = efficiency.FRAGMENTATION_FLOOR
             efficiency.FRAGMENTATION_FLOOR = floor
             try:
-                engine = INFlessEngine(
-                    build_testbed_cluster(), predictor=predictor
+                platform = make_platform(
+                    "infless", build_testbed_cluster(), predictor
                 )
                 results[label] = stress_capacity(
-                    engine, build_osvt().functions
+                    platform, build_osvt().functions
                 ).max_app_rps
             finally:
                 efficiency.FRAGMENTATION_FLOOR = original
@@ -98,26 +97,17 @@ def test_ablation_alpha_damping(benchmark, predictor):
             360.0, 360.0, period_s=360.0, burst_rate_per_hour=40.0,
             burst_duration_s=30.0, seed=51,
         )
-        workload = {
-            name: trace.with_mean(rps)
-            for name, rps in app.rps_split(trace.mean_rps).items()
-        }
+        workload = split_trace(app, trace)
         results = {}
         for alpha in (0.0, 0.8, 1.0):
-            engine = INFlessEngine(
-                build_testbed_cluster(), predictor=predictor, alpha=alpha
+            experiment = Experiment(
+                platform="infless", predictor=predictor,
+                platform_options={"alpha": alpha}, functions=app.functions,
+                workload=workload, warmup_s=45.0, seed=14,
             )
-            for function in app.functions:
-                engine.deploy(function)
-            report = ServingSimulation(
-                platform=engine,
-                executor=GroundTruthExecutor(),
-                workload=workload,
-                warmup_s=45.0,
-                seed=14,
-            ).run()
+            report = experiment.run()
             results[alpha] = (
-                engine.autoscaler.stats.releases,
+                experiment.platform.autoscaler.stats.releases,
                 report.violation_rate,
                 report.normalized_throughput,
             )

@@ -10,11 +10,9 @@ import numpy as np
 from _harness import emit, once
 
 from repro.analysis.reporting import format_table
-from repro.cluster import build_testbed_cluster
-from repro.core import FunctionSpec, INFlessEngine
+from repro.api import Experiment
+from repro.core import FunctionSpec
 from repro.faults import FaultPlan, ServerCrash
-from repro.profiling import GroundTruthExecutor
-from repro.simulation import ServingSimulation
 from repro.workloads import constant_trace
 
 FAIL_AT_S = 90.0
@@ -23,12 +21,9 @@ RPS = 500.0
 
 
 def _run(predictor, inject):
-    engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
     function = FunctionSpec.for_model("resnet-50", slo_s=0.2)
-    engine.deploy(function)
-    simulation = ServingSimulation(
-        platform=engine,
-        executor=GroundTruthExecutor(),
+    experiment = Experiment(
+        platform="infless", predictor=predictor, functions=[function],
         workload={function.name: constant_trace(RPS, DURATION_S)},
         warmup_s=30.0,
         faults=(
@@ -38,9 +33,9 @@ def _run(predictor, inject):
         ),
         seed=18,
     )
-    report = simulation.run()
-    timeline = simulation.metrics.usage_timeline()
-    return report, timeline, engine
+    report = experiment.run()
+    timeline = experiment.simulation.metrics.usage_timeline()
+    return report, timeline, experiment.platform
 
 
 def test_failure_recovery(benchmark, predictor):

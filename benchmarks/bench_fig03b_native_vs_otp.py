@@ -11,8 +11,9 @@ from _harness import emit, once
 from repro.analysis import stress_capacity
 from repro.analysis.reporting import format_table
 from repro.baselines import LambdaLike
+from repro.api import make_platform
 from repro.cluster import build_testbed_cluster
-from repro.core import FunctionSpec, INFlessEngine
+from repro.core import FunctionSpec
 from repro.models import get_model
 
 MEMORY_MB = 1792.0
@@ -30,9 +31,9 @@ def _throughputs(executor, predictor):
     lambda_rps = slots * (1.0 / single)
     batched = lam.invocation_time(model, MEMORY_MB, batch=4)
     otp_rps = slots * (4.0 / batched)
-    engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
     result = stress_capacity(
-        engine, [FunctionSpec.for_model("resnet-20", SLO_S)]
+        make_platform("infless", build_testbed_cluster(), predictor),
+        [FunctionSpec.for_model("resnet-20", SLO_S)],
     )
     return lambda_rps, otp_rps, result.max_app_rps
 

@@ -14,9 +14,8 @@ from repro.analysis import (
     throughput_drops,
 )
 from repro.analysis.reporting import format_table
-from repro.baselines import BatchOTP, OpenFaaSPlus
+from repro.api import make_platform
 from repro.cluster import build_testbed_cluster
-from repro.core import INFlessEngine
 from repro.workloads import build_osvt, build_qa_robot
 
 APPS = (("OSVT", build_osvt), ("QA-robot", build_qa_robot))
@@ -26,15 +25,13 @@ def _systems_comparison(predictor):
     rows = []
     ratios = {}
     for app_name, build in APPS:
-        results = {}
-        for label, factory in (
-            ("infless", lambda c: INFlessEngine(c, predictor=predictor)),
-            ("batch", lambda c: BatchOTP(c, predictor)),
-            ("openfaas+", lambda c: OpenFaaSPlus(c, predictor)),
-        ):
-            results[label] = stress_capacity(
-                factory(build_testbed_cluster()), build().functions
+        results = {
+            label: stress_capacity(
+                make_platform(label, build_testbed_cluster(), predictor),
+                build().functions,
             )
+            for label in ("infless", "batch", "openfaas+")
+        }
         infless = results["infless"].max_app_rps
         for label, result in results.items():
             rows.append(

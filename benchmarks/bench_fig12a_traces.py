@@ -6,14 +6,10 @@ per unit of occupied resource.  Paper: INFless gains 4.3x/3.4x/3.6x
 over OpenFaaS+ and 2.6x/1.8x/2.2x over BATCH on the three trace types.
 """
 
-from _harness import emit, once
+from _harness import emit, once, split_trace
 
 from repro.analysis.reporting import format_table
-from repro.baselines import BatchOTP, OpenFaaSPlus
-from repro.cluster import build_testbed_cluster
-from repro.core import INFlessEngine
-from repro.profiling import GroundTruthExecutor
-from repro.simulation import ServingSimulation
+from repro.api import Experiment
 from repro.workloads import build_osvt
 from repro.workloads.generators import (
     bursty_trace,
@@ -49,30 +45,15 @@ def _short_horizon_traces():
 
 
 def _run_all(predictor):
-    traces = _short_horizon_traces()
     table = {}
-    for trace_name, trace in traces.items():
+    for trace_name, trace in _short_horizon_traces().items():
         app = build_osvt()
-        per_function = app.rps_split(trace.mean_rps)
-        workload = {
-            name: trace.with_mean(rps) for name, rps in per_function.items()
-        }
-        for label, factory in (
-            ("infless", lambda c: INFlessEngine(c, predictor=predictor)),
-            ("batch", lambda c: BatchOTP(c, predictor)),
-            ("openfaas+", lambda c: OpenFaaSPlus(c, predictor)),
-        ):
-            platform = factory(build_testbed_cluster())
-            for function in app.functions:
-                platform.deploy(function)
-            simulation = ServingSimulation(
-                platform=platform,
-                executor=GroundTruthExecutor(),
-                workload=workload,
-                warmup_s=WARMUP_S,
-                seed=5,
-            )
-            table[(trace_name, label)] = simulation.run()
+        workload = split_trace(app, trace)
+        for label in ("infless", "batch", "openfaas+"):
+            table[(trace_name, label)] = Experiment(
+                platform=label, predictor=predictor, functions=app.functions,
+                workload=workload, warmup_s=WARMUP_S, seed=5,
+            ).run()
     return table
 
 

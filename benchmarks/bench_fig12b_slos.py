@@ -9,9 +9,8 @@ from _harness import emit, once
 
 from repro.analysis import stress_capacity
 from repro.analysis.reporting import format_table
-from repro.baselines import BatchOTP
+from repro.api import make_platform
 from repro.cluster import build_testbed_cluster
-from repro.core import INFlessEngine
 from repro.workloads import build_osvt
 
 SLOS = (0.15, 0.20, 0.25, 0.30, 0.35)
@@ -21,12 +20,10 @@ def _sweep(predictor):
     table = {}
     for slo in SLOS:
         app = build_osvt(slo_s=slo)
-        for label, factory in (
-            ("infless", lambda c: INFlessEngine(c, predictor=predictor)),
-            ("batch", lambda c: BatchOTP(c, predictor)),
-        ):
+        for label in ("infless", "batch"):
             table[(slo, label)] = stress_capacity(
-                factory(build_testbed_cluster()), app.functions
+                make_platform(label, build_testbed_cluster(), predictor),
+                app.functions,
             )
     return table
 

@@ -9,11 +9,10 @@ from collections import defaultdict
 
 from _harness import emit, once
 
-from repro.analysis import stress_capacity
 from repro.analysis.reporting import format_table
-from repro.baselines import BatchOTP
+from repro.api import make_platform
 from repro.cluster import build_testbed_cluster
-from repro.core import FunctionSpec, INFlessEngine
+from repro.core import FunctionSpec
 
 #: load levels (RPS) the autoscaler sees over a day of varying traffic.
 LOAD_LEVELS = (40.0, 150.0, 400.0, 1200.0, 4000.0, 12000.0)
@@ -22,14 +21,11 @@ SLO_S = 0.200
 
 def _distributions(predictor):
     table = {}
-    for label, factory in (
-        ("infless", lambda c: INFlessEngine(c, predictor=predictor)),
-        ("batch", lambda c: BatchOTP(c, predictor)),
-    ):
+    for label in ("infless", "batch"):
         batch_capacity = defaultdict(float)
         configs = defaultdict(int)
         for level in LOAD_LEVELS:
-            platform = factory(build_testbed_cluster())
+            platform = make_platform(label, build_testbed_cluster(), predictor)
             function = FunctionSpec.for_model("resnet-50", SLO_S)
             platform.deploy(function)
             platform.control(function.name, rps=level, now=0.0)

@@ -11,11 +11,8 @@ import numpy as np
 from _harness import emit, once
 
 from repro.analysis.reporting import format_table
-from repro.baselines import BatchOTP
-from repro.cluster import build_testbed_cluster
-from repro.core import FunctionSpec, INFlessEngine
-from repro.profiling import GroundTruthExecutor
-from repro.simulation import ServingSimulation
+from repro.api import Experiment
+from repro.core import FunctionSpec
 from repro.workloads import Trace
 
 DURATION_S = 600.0
@@ -31,22 +28,15 @@ def _rise_fall_trace() -> Trace:
 def _run(predictor):
     timelines = {}
     reports = {}
-    for label, factory in (
-        ("infless", lambda c: INFlessEngine(c, predictor=predictor)),
-        ("batch", lambda c: BatchOTP(c, predictor)),
-    ):
-        platform = factory(build_testbed_cluster())
+    for label in ("infless", "batch"):
         function = FunctionSpec.for_model("resnet-50", 0.2)
-        platform.deploy(function)
-        simulation = ServingSimulation(
-            platform=platform,
-            executor=GroundTruthExecutor(),
-            workload={function.name: _rise_fall_trace()},
-            warmup_s=30.0,
+        experiment = Experiment(
+            platform=label, predictor=predictor, functions=[function],
+            workload={function.name: _rise_fall_trace()}, warmup_s=30.0,
             seed=6,
         )
-        reports[label] = simulation.run()
-        timelines[label] = simulation.metrics.usage_timeline()
+        reports[label] = experiment.run()
+        timelines[label] = experiment.simulation.metrics.usage_timeline()
     return timelines, reports
 
 

@@ -6,14 +6,10 @@ breakdown at 150 ms and 350 ms SLOs shows queueing time regulated to
 roughly the same order as execution time.
 """
 
-from _harness import emit, once
+from _harness import emit, once, split_trace
 
 from repro.analysis.reporting import format_table
-from repro.baselines import BatchOTP, OpenFaaSPlus
-from repro.cluster import build_testbed_cluster
-from repro.core import INFlessEngine
-from repro.profiling import GroundTruthExecutor
-from repro.simulation import ServingSimulation
+from repro.api import Experiment
 from repro.workloads import build_osvt
 from repro.workloads.generators import bursty_trace, sporadic_trace
 
@@ -35,26 +31,12 @@ def _violations(predictor):
     table = {}
     for trace_name, trace in traces.items():
         app = build_osvt()
-        workload = {
-            name: trace.with_mean(rps)
-            for name, rps in app.rps_split(trace.mean_rps).items()
-        }
-        for label, factory in (
-            ("infless", lambda c: INFlessEngine(c, predictor=predictor)),
-            ("batch", lambda c: BatchOTP(c, predictor)),
-            ("openfaas+", lambda c: OpenFaaSPlus(c, predictor)),
-        ):
-            platform = factory(build_testbed_cluster())
-            for function in app.functions:
-                platform.deploy(function)
-            report = ServingSimulation(
-                platform=platform,
-                executor=GroundTruthExecutor(),
-                workload=workload,
-                warmup_s=60.0,
-                seed=7,
+        workload = split_trace(app, trace)
+        for label in ("infless", "batch", "openfaas+"):
+            table[(trace_name, label)] = Experiment(
+                platform=label, predictor=predictor, functions=app.functions,
+                workload=workload, warmup_s=60.0, seed=7,
             ).run()
-            table[(trace_name, label)] = report
     return table
 
 
@@ -83,19 +65,9 @@ def _breakdown(predictor, slo_s):
         MEAN_RPS, DURATION_S, period_s=DURATION_S,
         burst_rate_per_hour=30.0, burst_duration_s=40.0, seed=33,
     )
-    workload = {
-        name: trace.with_mean(rps)
-        for name, rps in app.rps_split(trace.mean_rps).items()
-    }
-    engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
-    for function in app.functions:
-        engine.deploy(function)
-    return ServingSimulation(
-        platform=engine,
-        executor=GroundTruthExecutor(),
-        workload=workload,
-        warmup_s=60.0,
-        seed=8,
+    return Experiment(
+        platform="infless", predictor=predictor, functions=app.functions,
+        workload=split_trace(app, trace), warmup_s=60.0, seed=8,
     ).run()
 
 

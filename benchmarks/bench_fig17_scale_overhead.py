@@ -11,8 +11,7 @@ from _harness import emit, once
 
 from repro.analysis import stress_capacity
 from repro.analysis.reporting import format_table
-from repro.baselines import BatchOTP, BatchRS, OpenFaaSPlus
-from repro.core import INFlessEngine
+from repro.api import make_platform
 from repro.simulation import (
     build_large_cluster,
     make_function_fleet,
@@ -56,16 +55,13 @@ def test_fig17a_scheduling_overhead(benchmark, predictor):
 
 def _fragments(predictor):
     functions = make_function_fleet(FRAGMENT_FUNCTIONS)
-    results = {}
-    for label, factory in (
-        ("infless", lambda c: INFlessEngine(c, predictor=predictor)),
-        ("batch", lambda c: BatchOTP(c, predictor)),
-        ("batch+rs", lambda c: BatchRS(c, predictor)),
-        ("openfaas+", lambda c: OpenFaaSPlus(c, predictor)),
-    ):
-        cluster = build_large_cluster(FRAGMENT_SERVERS)
-        results[label] = stress_capacity(factory(cluster), functions)
-    return results
+    return {
+        label: stress_capacity(
+            make_platform(label, build_large_cluster(FRAGMENT_SERVERS), predictor),
+            functions,
+        )
+        for label in ("infless", "batch", "batch+rs", "openfaas+")
+    }
 
 
 def test_fig17b_resource_fragments(benchmark, predictor):

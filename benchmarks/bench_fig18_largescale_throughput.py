@@ -6,11 +6,12 @@ delivered per weighted resource unit.  Paper: INFless sustains ~2.6x
 BATCH and ~4.2x OpenFaaS+, and benefits from relaxed SLOs.
 """
 
+from functools import partial
+
 from _harness import emit, once
 
 from repro.analysis.reporting import format_table
-from repro.baselines import BatchOTP, OpenFaaSPlus
-from repro.core import INFlessEngine
+from repro.api import make_platform
 from repro.simulation import throughput_vs_functions, throughput_vs_slo
 
 NUM_SERVERS = 400  # ample headroom for the fleet loads under test
@@ -18,9 +19,8 @@ NUM_SERVERS = 400  # ample headroom for the fleet loads under test
 
 def _factories(predictor):
     return {
-        "infless": lambda c: INFlessEngine(c, predictor=predictor),
-        "batch": lambda c: BatchOTP(c, predictor),
-        "openfaas+": lambda c: OpenFaaSPlus(c, predictor),
+        name: partial(make_platform, name, predictor=predictor)
+        for name in ("infless", "batch", "openfaas+")
     }
 
 

@@ -11,9 +11,8 @@ from _harness import emit, once
 
 from repro.analysis import CostModelTable4, stress_capacity
 from repro.analysis.reporting import format_table
-from repro.baselines import BatchOTP, OpenFaaSPlus
+from repro.api import make_platform
 from repro.cluster import build_testbed_cluster
-from repro.core import INFlessEngine
 from repro.workloads import build_osvt
 
 #: the paper's Table 4 rows for reference.
@@ -39,13 +38,9 @@ def _costs(predictor):
     app = build_osvt()
     loads = app.rps_split(SERVED_APP_RPS)
     reports = {}
-    for label, factory in (
-        ("infless", lambda c: INFlessEngine(c, predictor=predictor)),
-        ("batch", lambda c: BatchOTP(c, predictor)),
-        ("openfaas+", lambda c: OpenFaaSPlus(c, predictor)),
-    ):
+    for label in ("infless", "batch", "openfaas+"):
         cluster = build_testbed_cluster()
-        platform = factory(cluster)
+        platform = make_platform(label, cluster, predictor)
         for function in app.functions:
             platform.deploy(function)
             platform.control(function.name, loads[function.name], now=0.0)
@@ -59,9 +54,9 @@ def _costs(predictor):
     # An EC2-style statically provisioned fleet: whole servers sized
     # for the diurnal *peak* (2.5x the average load) with conventional
     # one-request-per-worker serving density, billed around the clock.
-    cluster = build_testbed_cluster()
     openfaas_capacity = stress_capacity(
-        OpenFaaSPlus(build_testbed_cluster(), predictor), app.functions
+        make_platform("openfaas+", build_testbed_cluster(), predictor),
+        app.functions,
     ).max_app_rps
     per_server = openfaas_capacity / 8.0
     peak_rps = 2.5 * SERVED_APP_RPS
