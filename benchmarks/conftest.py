@@ -10,9 +10,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from repro.invariants import set_default_mode
 from repro.profiling import GroundTruthExecutor, build_default_predictor
 
-# Every paper run is audited as tier-1 runs are: a violated invariant
-# raises and fails the benchmark that triggered it.
-set_default_mode("strict")
+
+@pytest.fixture(scope="session", autouse=True)
+def strict_invariants():
+    """Every paper run is audited as tier-1 runs are.
+
+    A violated invariant raises and fails the benchmark that
+    triggered it.
+    """
+    previous = set_default_mode("strict")
+    yield
+    set_default_mode(previous)
 
 
 @pytest.fixture(scope="session")
