@@ -15,7 +15,7 @@ from repro.analysis.ablation import (
 from repro.analysis.cost import CostModelTable4, CostReport
 from repro.analysis.planner import PlanEntry, SLOPlanner
 from repro.analysis.queueing import QueueEstimate, estimate, max_stable_rate, smallest_slo_batch
-from repro.analysis.reporting import format_table, format_series
+from repro.analysis.reporting import format_table
 
 __all__ = [
     "CapacityResult",
@@ -35,5 +35,4 @@ __all__ = [
     "max_stable_rate",
     "smallest_slo_batch",
     "format_table",
-    "format_series",
 ]

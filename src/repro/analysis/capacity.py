@@ -157,7 +157,7 @@ def stress_fill_uniform(
         configs[function.name] = platform.select_config(function, STRESS_RPS)
 
     def place_one(function: FunctionSpec) -> Optional[Instance]:
-        return platform._make_instance(function, configs[function.name], now=0.0)
+        return platform.make_instance(function, configs[function.name], now=0.0)
 
     _balanced_fill(result, functions, place_one)
     return _finish(result, platform.cluster)

@@ -6,7 +6,7 @@ these helpers so that EXPERIMENTS.md and the bench output line up.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Union
+from typing import Sequence, Union
 
 Number = Union[int, float]
 
@@ -32,12 +32,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     out = [line(headers), "-+-".join("-" * w for w in widths)]
     out.extend(line(r) for r in rendered)
     return "\n".join(out)
-
-
-def format_series(name: str, series: Dict) -> str:
-    """One labelled key->value series (a figure's data line)."""
-    items = ", ".join(f"{k}={_fmt(v)}" for k, v in series.items())
-    return f"{name}: {items}"
 
 
 def banner(title: str) -> str:

@@ -163,9 +163,10 @@ class UniformScalingPlatform(InstanceRegistry):
                 return self.cluster.allocate(server.server_id, resources)
         return None
 
-    def _make_instance(
+    def make_instance(
         self, function: FunctionSpec, config: InstanceConfig, now: float
     ) -> Optional[Instance]:
+        """Place one cold-starting ``config`` instance; None when full."""
         memory = int(round(function.model.memory_mb(config.batch)))
         placement = self._place(config.resources(memory_mb=memory))
         if placement is None:
@@ -227,7 +228,7 @@ class UniformScalingPlatform(InstanceRegistry):
                 self.stats.warm_reuses += 1
                 outcome.reclaimed.append(instance)
             else:
-                instance = self._make_instance(function, config, now)
+                instance = self.make_instance(function, config, now)
                 if instance is None:
                     break  # cluster full
                 self.stats.cold_starts += 1

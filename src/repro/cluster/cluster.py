@@ -193,12 +193,7 @@ class Cluster:
         if placement.gpu_device_id is None:
             raise AllocationError("cannot resize a CPU-only placement")
         server = self.server(placement.server_id)
-        device = server.gpus[placement.gpu_device_id]
-        if delta > 0:
-            device.allocate(delta)
-        else:
-            device.release(-delta)
-        server._refresh_gpu_totals()
+        server.resize_gpu(placement.gpu_device_id, delta)
         resized = Placement(
             placement_id=placement.placement_id,
             server_id=placement.server_id,

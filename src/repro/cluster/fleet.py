@@ -143,10 +143,10 @@ def profile_map(cluster: Cluster) -> Dict[int, GpuProfile]:
     their profile-free fast path bit-identical.
     """
     out: Dict[int, GpuProfile] = {}
-    for server in getattr(cluster, "servers", ()):
-        if getattr(server, "num_gpus", 0) <= 0:
+    for server in cluster.servers:
+        if server.num_gpus <= 0:
             continue
-        profile = getattr(server, "gpu_profile", None)
+        profile = server.gpu_profile
         if profile is not None and not is_default_profile(profile):
             out[server.server_id] = profile
     return out

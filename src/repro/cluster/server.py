@@ -183,13 +183,13 @@ class Server:
         # they must be O(1).  Device capacities never change.
         self._gpu_capacity = sum(gpu.capacity for gpu in self.gpus)
         self._gpu_free_total = sum(gpu.free for gpu in self.gpus)
-        self._gpu_free_max = max(
-            (gpu.free for gpu in self.gpus), default=0
-        )
+        #: Largest single-device free SM share (the MPS quota bound);
+        #: the scheduler's probe loop reads it directly.
+        self.gpu_free_max = max((gpu.free for gpu in self.gpus), default=0)
 
     def _refresh_gpu_totals(self) -> None:
         self._gpu_free_total = sum(gpu.free for gpu in self.gpus)
-        self._gpu_free_max = max((gpu.free for gpu in self.gpus), default=0)
+        self.gpu_free_max = max((gpu.free for gpu in self.gpus), default=0)
 
     # ------------------------------------------------------------------
     # capacity views
@@ -202,11 +202,6 @@ class Server:
     @property
     def gpu_free(self) -> int:
         return self._gpu_free_total
-
-    @property
-    def gpu_free_max(self) -> int:
-        """Largest single-device free SM share (the MPS quota bound)."""
-        return self._gpu_free_max
 
     @property
     def capacity(self) -> ResourceVector:
@@ -270,7 +265,7 @@ class Server:
             return False
         if request.gpu == 0:
             return True
-        return request.gpu <= 100 and request.gpu <= self._gpu_free_max
+        return request.gpu <= 100 and request.gpu <= self.gpu_free_max
 
     def _pick_gpu(self, gpu_percent: int) -> GpuDevice:
         # Best-fit: the feasible device with the least leftover, which
@@ -318,6 +313,15 @@ class Server:
         self.memory_free_mb += request.memory_mb
         if self.cpu_free > self.cpu_capacity or self.memory_free_mb > self.memory_capacity_mb:
             raise AllocationError(f"server {self.server_id}: release overflow")
+
+    def resize_gpu(self, device_id: int, delta: int) -> None:
+        """Grow (``delta > 0``) or shrink an SM share held on one device."""
+        device = self.gpus[device_id]
+        if delta > 0:
+            device.allocate(delta)
+        else:
+            device.release(-delta)
+        self._refresh_gpu_totals()
 
     # ------------------------------------------------------------------
     # host-memory swap ledger (Torpor-style weight eviction)

@@ -217,6 +217,3 @@ class INFlessEngine:
     def capacity_rps(self, name: str) -> float:
         """Sum of active instances' rate upper bounds."""
         return sum(inst.r_up for inst in self.autoscaler.active_instances(name))
-
-    def weighted_resources_in_use(self) -> float:
-        return self.cluster.weighted_used()

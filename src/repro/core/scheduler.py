@@ -315,7 +315,7 @@ class GreedyScheduler:
                 and memory <= server.memory_free_mb - server.swap_reserved_mb
                 and (
                     gpu == 0
-                    or (gpu_ok and gpu <= server._gpu_free_max)
+                    or (gpu_ok and gpu <= server.gpu_free_max)
                 )
                 and (allowed is None or server_id in allowed)
             ):

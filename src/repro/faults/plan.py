@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -290,20 +290,3 @@ class FaultPlan:
         raise ValueError(
             f"cannot build a FaultPlan from {type(value).__name__}"
         )
-
-
-def two_server_outage(
-    at_s: float,
-    server_ids: Sequence[int] = (0, 1),
-    recover_after_s: Optional[float] = None,
-) -> FaultPlan:
-    """The canonical chaos scenario: kill two servers mid-trace."""
-    events: List[FaultEvent] = [
-        ServerCrash(at_s=at_s, server_id=int(server)) for server in server_ids
-    ]
-    if recover_after_s is not None:
-        events.extend(
-            ServerRecovery(at_s=at_s + recover_after_s, server_id=int(server))
-            for server in server_ids
-        )
-    return FaultPlan(events=tuple(events))

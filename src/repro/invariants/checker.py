@@ -136,7 +136,7 @@ class InvariantChecker:
     # request conservation
     # ------------------------------------------------------------------
     def _request_counts(self, sim: object) -> Dict[str, int]:
-        parked = sum(len(queue) for queue in sim._pending.values())
+        parked = sum(len(queue) for queue in sim.parked.values())
         queued = sum(
             len(inst.queue)
             for inst in sim.platform.registry.all_active_instances()
@@ -152,7 +152,7 @@ class InvariantChecker:
             "dropped": sim.metrics.dropped,
             "parked": parked,
             "queued": queued,
-            "executing": sim._executing,
+            "executing": sim.executing,
             "retrying": 0 if resilience is None else resilience.retry_pending,
             # DAG-workflow terms (all zero outside workflow mode):
             # fan-out spawns extra tokens, joins/failed-root absorption
@@ -599,7 +599,7 @@ class InvariantChecker:
 
     def check_llm_records(self, sim: object, now: float) -> None:
         """Per-token metrics are physically sensible."""
-        for record in sim._llm_records:
+        for record in sim.llm_records:
             if record.ttft_s < -TOL or record.tpot_s < -TOL:
                 self._flag(
                     "llm_latency",
@@ -829,11 +829,11 @@ class InvariantChecker:
         )
         self.check_telemetry_agreement(sim, now)
         self.check_workflow_tick(sim, now)
-        if sim._executing != 0:
+        if sim.executing != 0:
             self._flag(
                 "request_conservation",
                 now,
-                f"{sim._executing} request(s) still marked executing after"
+                f"{sim.executing} request(s) still marked executing after"
                 " the event loop drained",
             )
 

@@ -98,7 +98,7 @@ class LLMSimulation(RuntimeCore):
         #: full token records: the report's ``llm`` block and the
         #: per-token audit read these (the metrics ledger keeps the
         #: single-shot columns only).
-        self._llm_records: List[LLMRequestRecord] = []
+        self.llm_records: List[LLMRequestRecord] = []
         #: worker_id -> the plan (one iteration or a decode run) its
         #: in-flight DECODE_STEP will finish; faults mark these lost so
         #: stale events become no-ops.
@@ -221,7 +221,7 @@ class LLMSimulation(RuntimeCore):
             restarts=seq.restarts,
         )
         self.metrics.record_completion(record)
-        self._llm_records.append(record)
+        self.llm_records.append(record)
         if self._trace:
             # Judged on TTFT and TPOT, as the report judges it.
             self._record_complete(
@@ -309,7 +309,7 @@ class LLMSimulation(RuntimeCore):
     def _llm_summary(self) -> Dict[str, object]:
         """The ``llm`` report block: per-token latency + engine tallies."""
         records = [
-            r for r in self._llm_records if r.arrival >= self.warmup_s
+            r for r in self.llm_records if r.arrival >= self.warmup_s
         ]
         counters = self.platform.llm_counters()
         ttfts = np.array([r.ttft_s for r in records])

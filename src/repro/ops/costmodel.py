@@ -159,12 +159,6 @@ class CostModel:
             return mean_time * rng.lognormal(mu, sigma, size=mean_time.shape)
         return mean_time * float(rng.lognormal(mean=mu, sigma=sigma))
 
-    def throughput_items_per_s(
-        self, spec: OperatorSpec, batch: int, cpu: float, gpu: float
-    ) -> float:
-        """Items/second this operator sustains under the configuration."""
-        return batch / self.operator_time(spec, batch, cpu, gpu)
-
 
 def proportional_cpu_quota(memory_mb: float, mb_per_vcpu: float = 1769.0) -> float:
     """AWS Lambda's proportional CPU-memory policy (Observation 3).

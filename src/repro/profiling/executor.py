@@ -156,16 +156,3 @@ class GroundTruthExecutor:
         """One noisy invocation duration (what a measurement would see)."""
         mean = self.mean_execution_time(model, batch, cpu, gpu, gpu_profile)
         return self.cost_model.sample_time(mean, rng or self._rng)
-
-    def throughput_rps(
-        self,
-        model: ModelSpec,
-        batch: int,
-        cpu: Union[int, float],
-        gpu: Union[int, float],
-        gpu_profile: Optional["GpuProfile"] = None,
-    ) -> float:
-        """Steady-state items/second when batches execute back-to-back."""
-        return batch / self.mean_execution_time(
-            model, batch, cpu, gpu, gpu_profile
-        )

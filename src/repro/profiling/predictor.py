@@ -218,24 +218,6 @@ class LatencyPredictor:
             times.append(owner.safety_offset * raw)
         return times
 
-    def prediction_error(
-        self,
-        model: Union[ModelSpec, str],
-        batch: int,
-        cpu: int,
-        gpu: int,
-        actual_time: float,
-    ) -> float:
-        """Relative error ``|P_hat - P| / P`` of the *raw* prediction.
-
-        Fig. 8 evaluates the prediction model itself, so the safety
-        offset is excluded here.
-        """
-        if actual_time <= 0:
-            raise ValueError("actual_time must be positive")
-        predicted = self.predict_raw(model, batch, cpu, gpu)
-        return abs(predicted - actual_time) / actual_time
-
 
 @functools.lru_cache(maxsize=8)
 def build_default_predictor(

@@ -22,7 +22,6 @@ from repro.simulation.coldstart_eval import (
     PolicyEvaluation,
     compare_policies,
     evaluate_policy,
-    invocations_from_traces,
 )
 from repro.simulation.largescale import (
     build_large_cluster,
@@ -49,7 +48,6 @@ __all__ = [
     "PolicyEvaluation",
     "compare_policies",
     "evaluate_policy",
-    "invocations_from_traces",
     "build_large_cluster",
     "make_function_fleet",
     "scheduling_overhead_curve",

@@ -122,13 +122,6 @@ class EventLoop:
         self._lane_times, self._lane_seqs, self._lane_payloads = lane
         self._lane_kind = kind
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next queued event, or ``None`` when empty."""
-        times = [self._heap[0][0]] if self._heap else []
-        if self._lane_times:
-            times.append(self._lane_times[-1])
-        return min(times, default=None)
-
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> None:
         """Drain the heap and the lane (optionally stopping at a horizon)."""
         heap = self._heap

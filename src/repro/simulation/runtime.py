@@ -517,7 +517,7 @@ class ServingSimulation(RuntimeCore):
         self._ingress_spikes: List[object] = []
         #: requests currently inside an executing batch; the audit
         #: layer's request-conservation ledger needs the exact count.
-        self._executing = 0
+        self.executing = 0
         policy = ResiliencePolicy() if resilience is True else resilience or None
         ledger = None
         if self.faults is not None or policy is not None:
@@ -535,7 +535,9 @@ class ServingSimulation(RuntimeCore):
         self._ingress_delay_s = platform.ingress_delay_s
         self._waiting_batches = platform.waiting_batches
         self._registry = platform.registry
-        self._pending: Dict[str, Deque[Request]] = {
+        #: function -> requests parked while it has no instance to take
+        #: them; the audit's request-conservation ledger counts them.
+        self.parked: Dict[str, Deque[Request]] = {
             name: deque() for name in self._managed
         }
         self._rate_estimate: Dict[str, float] = {
@@ -626,7 +628,7 @@ class ServingSimulation(RuntimeCore):
             self.workflow_ledger.admit(request)
         resilience = self.resilience_ledger
         if resilience is not None and resilience.sheds(
-            request.function, self.loop.now, len(self._pending[request.function])
+            request.function, self.loop.now, len(self.parked[request.function])
         ):
             self._drop(request, DROP_SHED)
             return
@@ -656,7 +658,7 @@ class ServingSimulation(RuntimeCore):
             return
         instance = self.platform.route(request.function, self.loop.now)
         if instance is None:
-            pending = self._pending[request.function]
+            pending = self.parked[request.function]
             if len(pending) >= self.pending_cap:
                 self._drop(request, DROP_NO_CAPACITY)
                 return
@@ -748,7 +750,7 @@ class ServingSimulation(RuntimeCore):
     def _start_batch(self, instance: Instance) -> None:
         now = self.loop.now
         requests = instance.queue.drain(now)
-        self._executing += len(requests)
+        self.executing += len(requests)
         instance.busy = True
         instance.idle_since = None
         model = instance.function.model
@@ -783,7 +785,7 @@ class ServingSimulation(RuntimeCore):
             return
         instance = batch.instance
         now = self.loop.now
-        self._executing -= len(batch.requests)
+        self.executing -= len(batch.requests)
         if (
             instance.state == InstanceState.TERMINATED
             and instance.placement is None
@@ -873,7 +875,7 @@ class ServingSimulation(RuntimeCore):
     def _handle_lost(self, lost: List[Instance]) -> None:
         """Re-account the requests stranded on dead instances."""
         for instance in lost:
-            self._executing -= self.resilience_ledger.lose(
+            self.executing -= self.resilience_ledger.lose(
                 instance, self.loop.now
             )
 
@@ -939,7 +941,7 @@ class ServingSimulation(RuntimeCore):
         self.invariants.check_tick(self, now)
 
     def _drain_pending(self, name: str) -> None:
-        pending = self._pending[name]
+        pending = self.parked[name]
         resilience = self.resilience_ledger
         while pending:
             if resilience is not None and resilience.expired(
@@ -970,7 +972,7 @@ class ServingSimulation(RuntimeCore):
             function=name,
             rate_estimate=rate,
             oracle_rps=oracle,
-            pending=len(self._pending[name]),
+            pending=len(self.parked[name]),
             queue_depth=queue_depth,
             live_instances=live,
             launching_instances=launching,

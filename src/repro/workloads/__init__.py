@@ -17,8 +17,6 @@ from repro.workloads.generators import (
     timer_invocations,
 )
 from repro.workloads.arrivals import (
-    iter_arrival_windows,
-    merge_arrival_streams,
     sample_arrivals,
     sample_arrivals_window,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "timer_invocations",
     "sample_arrivals",
     "sample_arrivals_window",
-    "iter_arrival_windows",
-    "merge_arrival_streams",
     "Application",
     "build_osvt",
     "build_qa_robot",

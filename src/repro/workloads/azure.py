@@ -15,6 +15,7 @@ workloads with tooling that expects the Azure layout.
 from __future__ import annotations
 
 import csv
+import itertools
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -51,14 +52,12 @@ def _parse_row(index: int, row: List[str]) -> Tuple[str, Trace]:
     return name, Trace(name=name, step_s=AZURE_STEP_S, rps=counts / AZURE_STEP_S)
 
 
-def parse_rows(rows: Iterable[List[str]]) -> Dict[str, Trace]:
-    """Parse Azure-layout rows into per-function traces.
+def _parsed(rows: Iterable[List[str]]) -> Iterator[Tuple[str, Trace]]:
+    """The row rules every reader shares: ``(name, trace)`` per data row.
 
-    Functions are keyed ``<app>/<function>``; counts become arrival
-    rates (count / 60 s).  A header row (non-numeric counts) is
-    skipped automatically.
+    Rejects short rows and repeated functions, and skips a header row.
     """
-    traces: Dict[str, Trace] = {}
+    seen = set()
     for index, row in enumerate(rows):
         if len(row) <= _META_COLUMNS:
             raise AzureTraceError(
@@ -67,10 +66,20 @@ def parse_rows(rows: Iterable[List[str]]) -> Dict[str, Trace]:
         if _is_header_row(row):
             continue
         name, trace = _parse_row(index, row)
-        if name in traces:
+        if name in seen:
             raise AzureTraceError(f"duplicate function {name!r}")
-        traces[name] = trace
-    return traces
+        seen.add(name)
+        yield name, trace
+
+
+def parse_rows(rows: Iterable[List[str]]) -> Dict[str, Trace]:
+    """Parse Azure-layout rows into per-function traces.
+
+    Functions are keyed ``<app>/<function>``; counts become arrival
+    rates (count / 60 s).  A header row (non-numeric counts) is
+    skipped automatically.
+    """
+    return dict(_parsed(rows))
 
 
 def iter_azure_csv(
@@ -84,24 +93,7 @@ def iter_azure_csv(
     ``limit`` counts *data* rows; a header row is skipped for free.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        seen = set()
-        yielded = 0
-        for index, row in enumerate(reader):
-            if limit is not None and yielded >= limit:
-                return
-            if len(row) <= _META_COLUMNS:
-                raise AzureTraceError(
-                    f"row {index}: expected metadata plus per-minute counts"
-                )
-            if _is_header_row(row):
-                continue
-            name, trace = _parse_row(index, row)
-            if name in seen:
-                raise AzureTraceError(f"duplicate function {name!r}")
-            seen.add(name)
-            yield name, trace
-            yielded += 1
+        yield from itertools.islice(_parsed(csv.reader(handle)), limit)
 
 
 def load_azure_csv(path: Path, limit: Optional[int] = None) -> Dict[str, Trace]:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     CostModelTable4,
-    format_series,
     format_table,
     stress_capacity,
 )
@@ -128,10 +127,6 @@ class TestReporting:
     def test_format_table_empty_rows(self):
         text = format_table(["a", "b"], [])
         assert "a" in text
-
-    def test_format_series(self):
-        text = format_series("fig", {"x": 1, "y": 2.5})
-        assert text == "fig: x=1, y=2.5"
 
     def test_banner(self):
         text = banner("Title")

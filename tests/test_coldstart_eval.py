@@ -67,7 +67,6 @@ class TestEvaluatePolicyCounting:
     def test_empty_function_rate_zero(self):
         ev = evaluate_policy(StubPolicy(), {})
         assert ev.cold_start_rate == 0.0
-        assert ev.waste_ratio == 0.0
 
 
 class TestFig16Regression:

@@ -41,8 +41,8 @@ class TestOperatorTime:
         )
 
     def test_bigger_batch_improves_throughput_on_gpu(self, model):
-        small = model.throughput_items_per_s(MATMUL, 1, 1, 20)
-        large = model.throughput_items_per_s(MATMUL, 16, 1, 20)
+        small = 1 / model.operator_time(MATMUL, 1, 1, 20)
+        large = 16 / model.operator_time(MATMUL, 16, 1, 20)
         assert large > small
 
     def test_memory_bound_op_caps_cpu_scaling(self, model):

@@ -58,9 +58,9 @@ class TestControlPlane:
 
     def test_weighted_resources_in_use(self, deployed):
         engine, fn = deployed
-        assert engine.weighted_resources_in_use() == 0.0
+        assert engine.cluster.weighted_used() == 0.0
         engine.control(fn.name, rps=400.0, now=0.0)
-        assert engine.weighted_resources_in_use() > 0.0
+        assert engine.cluster.weighted_used() > 0.0
 
 
 class TestRouting:

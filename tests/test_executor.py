@@ -97,8 +97,3 @@ class TestNoisyExecution:
         mean = executor.mean_execution_time(model, 1, 2, 0)
         samples = [executor.execution_time(model, 1, 2, 0, rng) for _ in range(2000)]
         assert np.mean(samples) == pytest.approx(mean, rel=0.01)
-
-    def test_throughput_is_batch_over_time(self, executor):
-        model = get_model("resnet-50")
-        t = executor.mean_execution_time(model, 8, 2, 20)
-        assert executor.throughput_rps(model, 8, 2, 20) == pytest.approx(8 / t)

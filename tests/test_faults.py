@@ -21,10 +21,15 @@ from repro.faults import (
     StochasticCrashes,
     backlog_sheds,
 )
-from repro.faults.plan import two_server_outage
 from repro.simulation import ServingSimulation
 from repro.workflows import WorkflowSpec
 from repro.workloads import constant_trace
+
+#: Two of the eight servers die mid-trace.
+TWO_SERVER_CRASH = FaultPlan(events=(
+    ServerCrash(at_s=45.0, server_id=0),
+    ServerCrash(at_s=45.0, server_id=1),
+))
 
 
 def make_sim(predictor, executor, *, platform=None, servers=8, rps=400.0,
@@ -66,7 +71,7 @@ class TestFaultPlan:
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
     def test_coerce_accepts_plan_dict_path_none(self, tmp_path):
-        plan = two_server_outage(45.0)
+        plan = TWO_SERVER_CRASH
         path = tmp_path / "plan.json"
         plan.save(str(path))
         assert FaultPlan.coerce(None) is None
@@ -148,9 +153,10 @@ class TestChaosRuns:
                 rps=3000.0,
                 duration=30.0,
                 warmup=0.0,
-                faults=two_server_outage(
-                    15.0, server_ids=(0,), recover_after_s=5.0
-                ),
+                faults=FaultPlan(events=(
+                    ServerCrash(at_s=15.0, server_id=0),
+                    ServerRecovery(at_s=20.0, server_id=0),
+                )),
                 resilience=resilience,
             )
 
@@ -172,7 +178,7 @@ class TestChaosRuns:
         chaotic = make_sim(
             predictor,
             executor,
-            faults=two_server_outage(45.0),
+            faults=TWO_SERVER_CRASH,
             resilience=ResiliencePolicy(),
         ).run()
         assert chaotic.resilience is not None
@@ -181,7 +187,10 @@ class TestChaosRuns:
         assert chaotic.resilience["mttr_s"]
 
     def test_recovery_restores_the_fleet(self, predictor, executor):
-        plan = two_server_outage(45.0, recover_after_s=20.0)
+        plan = FaultPlan(events=TWO_SERVER_CRASH.events + (
+            ServerRecovery(at_s=65.0, server_id=0),
+            ServerRecovery(at_s=65.0, server_id=1),
+        ))
         sim = make_sim(
             predictor, executor, faults=plan, resilience=ResiliencePolicy()
         )

@@ -120,10 +120,10 @@ class TestScaleUpScaleDownCycle:
         fn = FunctionSpec.for_model("resnet-50", slo_s=0.2)
         engine.deploy(fn)
         engine.control(fn.name, rps=3000.0, now=0.0)
-        peak = engine.weighted_resources_in_use()
+        peak = engine.cluster.weighted_used()
         # Load collapses; after the keep-alive horizon resources shrink.
         for step in range(1, 40):
             engine.control(fn.name, rps=30.0, now=step * 30.0)
-        settled = engine.weighted_resources_in_use()
+        settled = engine.cluster.weighted_used()
         assert settled < peak
         assert engine.capacity_rps(fn.name) >= 30.0

@@ -110,7 +110,7 @@ class TestRequestConservation:
 
     def test_stuck_executing_counter_detected(self, predictor, executor):
         sim, _fn = make_sim(predictor, executor)
-        sim._executing = 3
+        sim.executing = 3
         with pytest.raises(InvariantViolation):
             sim.invariants.check_final(sim, 1.0)
 

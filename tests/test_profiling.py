@@ -446,15 +446,6 @@ class TestLatencyPredictor:
         predictor.predict("mnist", 2, 1, 0)
         assert ("mnist", 2, 1, 0) in predictor._cache
 
-    def test_prediction_error_helper(self, predictor):
-        model = get_model("mnist")
-        raw = predictor.predict_raw(model, 1, 1, 0)
-        assert predictor.prediction_error(model, 1, 1, 0, raw) == pytest.approx(0.0)
-
-    def test_prediction_error_rejects_bad_actual(self, predictor):
-        with pytest.raises(ValueError):
-            predictor.prediction_error("mnist", 1, 1, 0, 0.0)
-
     def test_config_missing_for_one_operator_raises_naming_it(self):
         # mnist: Conv2D -> MaxPool -> Conv2D -> MaxPool -> Relu -> MatMul
         # -> Softmax.  Only MatMul lacks (b=2, c=4, g=30).

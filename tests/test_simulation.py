@@ -211,10 +211,9 @@ class TestEventLoop:
         loop.schedule_many([1.0, 2.0, 3.0], EventKind.ARRIVAL, "abc")
         loop.run(until=2.0)
         assert [p for _t, _s, p in seen] == ["a", "b"]
-        assert loop.peek_time() == 3.0
         loop.run()
         assert [p for _t, _s, p in seen] == ["a", "b", "c"]
-        assert loop.peek_time() is None
+        assert loop.now == 3.0
 
     def test_event_budget_counts_lane_events(self):
         loop, _seen = self._recording_loop()

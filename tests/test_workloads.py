@@ -12,7 +12,6 @@ from repro.workloads import (
     bursty_trace,
     coldstart_fleet_invocations,
     constant_trace,
-    merge_arrival_streams,
     periodic_trace,
     production_traces,
     sample_arrivals,
@@ -187,11 +186,6 @@ class TestArrivalSampling:
         trace = constant_trace(1e6, 100.0)
         with pytest.raises(ValueError):
             sample_arrivals(trace, np.random.default_rng(0), max_requests=1000)
-
-    def test_merge_streams_sorted(self):
-        merged = merge_arrival_streams({"a": np.array([3.0, 1.0]),
-                                        "b": np.array([2.0])})
-        assert merged == [(1.0, "a"), (2.0, "b"), (3.0, "a")]
 
     def test_thinning(self):
         rng = np.random.default_rng(0)
