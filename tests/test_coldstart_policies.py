@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.core.coldstart import ColdStartDecision
 from repro.core.histogram import IdleTimeHistogram
+from repro.core.swap import SwapKeepAlive
 
 
 def lsth(**kwargs):
@@ -248,18 +249,31 @@ def _capped(policy_class):
 
 
 def _eager(policy_class):
-    """The reference: every gap goes straight to ``record``."""
+    """The reference: every gap goes straight to ``record``, measured
+    from a last-invocation table the reference keeps itself."""
 
     class Eager(policy_class):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.previous = {}
+
         def record_invocation(self, function_name, now):
-            last = self._last_invocation.get(function_name)
-            self._last_invocation[function_name] = now
+            last = self.previous.get(function_name)
+            self.previous[function_name] = now
             if last is None:
                 return
             for histogram in self._histograms_for(function_name):
                 histogram.record(now, max(0.0, now - last))
 
     return Eager
+
+
+def _contents(policy, function):
+    """Every histogram's (time, idle) observations, oldest first."""
+    return [
+        list(histogram._observations)
+        for histogram in policy._histograms_for(function)
+    ]
 
 
 #: policy -> (class, short windows so the stream's gaps age out).
@@ -281,7 +295,7 @@ class TestDeferredIdleGaps:
     @pytest.mark.parametrize("name", sorted(_POLICIES))
     @given(stream=st.lists(
         st.tuples(
-            st.sampled_from(["invoke", "query"]),
+            st.sampled_from(["invoke", "query", "contents"]),
             st.sampled_from(["a", "b"]),
             st.floats(0.0, 30.0, allow_nan=False),
         ),
@@ -300,16 +314,43 @@ class TestDeferredIdleGaps:
             if action == "invoke":
                 deferred.record_invocation(function, now)
                 eager.record_invocation(function, now)
-            else:
+            elif action == "query":
                 assert deferred.windows(function, now) == eager.windows(
                     function, now
                 )
+            else:
+                assert _contents(deferred, function) == _contents(
+                    eager, function
+                )
         for function in ("a", "b"):
+            assert _contents(deferred, function) == _contents(eager, function)
             assert [
                 h.window_values(now) for h in deferred._histograms_for(function)
             ] == [
                 h.window_values(now) for h in eager._histograms_for(function)
             ]
+
+    @given(stream=st.lists(
+        st.tuples(
+            st.sampled_from(["invoke", "query"]),
+            st.sampled_from(["a", "b"]),
+            st.floats(0.0, 30.0, allow_nan=False),
+        ),
+        max_size=40,
+    ))
+    @settings(max_examples=30, deadline=None)
+    def test_swap_windows_ignore_invocations(self, stream):
+        told = SwapKeepAlive(keepalive_s=120.0)
+        untold = SwapKeepAlive(keepalive_s=120.0)
+        now = 0.0
+        for action, function, step in stream:
+            now += step
+            if action == "invoke":
+                told.record_invocation(function, now)
+            else:
+                assert told.windows(function, now) == untold.windows(
+                    function, now
+                )
 
     def test_pending_gaps_flush_at_the_cap(self):
         policy = _capped(HybridHistogramPolicy)()
