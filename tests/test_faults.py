@@ -216,6 +216,35 @@ class TestChaosRuns:
         assert report.resilience["faults_injected"] == 3
         assert report.resilience["fault_counts"]["instance_kill"] == 1
 
+    def test_kill_after_crashes_keeps_the_executing_count(
+        self, predictor, executor
+    ):
+        # Two crashes strand batches; the kill's re-dispatch may start a
+        # new batch while the lost one is still being subtracted.
+        sim = make_sim(
+            predictor,
+            executor,
+            platform=OpenFaaSPlus(
+                build_testbed_cluster(num_servers=8), predictor=predictor
+            ),
+            rps=300.0,
+            duration=60.0,
+            warmup=0.0,
+            seed=1,
+            invariants="strict",
+            faults=FaultPlan(events=(
+                ServerCrash(at_s=30.0, server_id=0),
+                ServerCrash(at_s=30.0, server_id=1),
+                InstanceKill(at_s=40.0, function="fn-resnet-50"),
+                ServerRecovery(at_s=50.0, server_id=0),
+            )),
+            resilience=True,
+        )
+        report = sim.run()
+        assert report.invariant_violations == []
+        assert report.resilience["fault_counts"]["instance_kill"] == 1
+        assert sim.executing == 0
+
     @pytest.mark.parametrize("platform_cls", [INFlessEngine, OpenFaaSPlus])
     def test_shed_follows_the_policy_factor(
         self, predictor, executor, platform_cls
