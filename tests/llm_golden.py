@@ -46,7 +46,7 @@ def scenario_llm_continuous() -> Dict:
     simulation = LLMSimulation(
         platform=platform,
         workload={function.name: constant_trace(15.0, 12.0)},
-        invariants="off",
+        invariants="strict",
         seed=11,
     )
     return simulation.run().to_dict()

@@ -11,6 +11,9 @@ Two halves:
   all satisfy the same conservation laws.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -83,6 +86,55 @@ class TestModes:
 
     def test_violation_is_typed_assertion(self):
         assert issubclass(InvariantViolation, AssertionError)
+
+
+#: the one test allowed to switch the audit off: it checks that off
+#: mode never flags.
+_OFF_ALLOWED = ("test_invariants.py", "test_off_mode_never_flags")
+
+
+def _audit_off_sites(path: Path):
+    """``(function, line)`` of each ``invariants="off"`` in a test file,
+    as a keyword argument or a ``{"invariants": "off"}`` entry."""
+
+    def is_off(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value == "off"
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.keyword):
+            if node.arg == "invariants" and is_off(node.value):
+                yield function, node.value.lineno
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if (
+                    isinstance(key, ast.Constant)
+                    and key.value == "invariants"
+                    and is_off(value)
+                ):
+                    yield function, value.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text()), None)
+
+
+class TestAuditCoverage:
+    def test_no_run_switches_the_audit_off(self):
+        # Goldens and pins compare bytes an audit has checked: every
+        # run in the suite keeps the strict default or asks for it.
+        offenders = [
+            f"{path.name}:{line} ({function})"
+            for path in sorted(Path(__file__).parent.rglob("*.py"))
+            for function, line in _audit_off_sites(path)
+            if (path.name, function) != _OFF_ALLOWED
+        ]
+        assert offenders == []
+        allowed = Path(__file__).parent / _OFF_ALLOWED[0]
+        assert [f for f, _line in _audit_off_sites(allowed)] == [
+            _OFF_ALLOWED[1]
+        ]
 
 
 class TestRequestConservation:

@@ -390,7 +390,7 @@ class TestOracleRateRegression:
             workload={"osvt-ssd": constant_trace(100.0, 10.0)},
             workflow=app.as_workflow(),
             rate_mode="oracle",
-            invariants="off",
+            invariants="strict",
             seed=1,
         )
 
