@@ -205,11 +205,14 @@ class FixedKeepAlive(_DefaultColdStartHooks):
 class WindowedKeepAlive(_DefaultColdStartHooks):
     """Shared machinery for histogram-driven policies (HHP, LSTH).
 
-    Tracks per-function last-invocation times and feeds idle gaps into
-    per-function histograms created by :meth:`_new_histograms`.  Gaps
-    wait in a per-function pending list and reach the histograms when
-    :meth:`_histograms_for` reads them (or when the list holds
-    ``max_observations`` gaps), so an invocation costs one append.
+    Feeds the idle gaps between a function's invocations into
+    per-function histograms created by :meth:`_new_histograms`.  An
+    invocation only appends its time to a per-function pending list;
+    :meth:`_histograms_for` turns the list into ``(time, gap)``
+    observations when it reads the histograms, or when the list holds
+    ``max_observations`` times.  ``record_many`` trims as one
+    ``record`` per gap would, so the histograms hold what per-invocation
+    recording would have put there.
     """
 
     #: decision used until a function has enough history.
@@ -233,10 +236,12 @@ class WindowedKeepAlive(_DefaultColdStartHooks):
     def __init__(self, head_q: float = 5.0, tail_q: float = 99.0) -> None:
         self.head_q = head_q
         self.tail_q = tail_q
-        self._last_invocation: dict = {}
+        #: function -> the invocation its next pending gap starts from.
+        self._gap_start: Dict[str, float] = {}
         self._histograms: dict = {}
-        #: function -> (flush threshold, idle gaps not yet recorded).
-        self._pending: Dict[str, Tuple[int, List[Tuple[float, float]]]] = {}
+        #: function -> (flush threshold, invocation times whose gaps
+        #: are not yet recorded).
+        self._pending: Dict[str, Tuple[int, List[float]]] = {}
         self._decision_cache: dict = {}
         #: telemetry hooks; recomputed window decisions are traced.
         self.tracer = NULL_TRACER
@@ -249,28 +254,32 @@ class WindowedKeepAlive(_DefaultColdStartHooks):
         if function_name not in self._histograms:
             self._histograms[function_name] = self._new_histograms()
         histograms = self._histograms[function_name]
-        _limit, gaps = self._pending.get(function_name, (0, None))
-        if gaps:
+        _limit, times = self._pending.get(function_name, (0, None))
+        if times:
+            starts = [self._gap_start[function_name], *times]
+            gaps = [
+                (now, max(0.0, now - last)) for last, now in zip(starts, times)
+            ]
             for histogram in histograms:
                 histogram.record_many(gaps)
-            gaps.clear()
+            self._gap_start[function_name] = times[-1]
+            times.clear()
         return histograms
 
     def record_invocation(self, function_name: str, now: float) -> None:
-        """Queue the idle gap since the last invocation for the histograms."""
-        last = self._last_invocation.get(function_name)
-        self._last_invocation[function_name] = now
-        if last is None:
-            return
+        """Queue the invocation; its idle gap is recorded at the flush."""
         pending = self._pending.get(function_name)
         if pending is None:
+            # The first invocation only starts the first gap.
             histograms = self._histograms_for(function_name)
-            pending = self._pending[function_name] = (
+            self._pending[function_name] = (
                 min(h.max_observations for h in histograms), []
             )
-        limit, gaps = pending
-        gaps.append((now, max(0.0, now - last)))
-        if len(gaps) >= limit:
+            self._gap_start[function_name] = now
+            return
+        limit, times = pending
+        times.append(now)
+        if len(times) >= limit:
             self._histograms_for(function_name)  # flushes the gaps
 
     def windows(self, function_name: str, now: float) -> ColdStartDecision:

@@ -130,8 +130,6 @@ class ResilienceLedger:
         self.retry_pending -= 1
         # The retry re-enters the current stage: its batch deadline
         # restarts here while the origin keeps driving the SLO/deadline.
-        if request.origin_arrival is None:
-            request.origin_arrival = request.arrival
         request.arrival = event.time
         self._dispatch(request)
 

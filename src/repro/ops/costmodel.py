@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -158,6 +159,45 @@ class CostModel:
         if isinstance(mean_time, np.ndarray):
             return mean_time * rng.lognormal(mu, sigma, size=mean_time.shape)
         return mean_time * float(rng.lognormal(mean=mu, sigma=sigma))
+
+
+#: log-normals a :class:`LognormalStream` draws from its generator at
+#: a time.
+LOGNORMAL_DRAW_BLOCK = 1024
+
+
+class LognormalStream:
+    """One generator's log-normal draws, handed out one at a time.
+
+    ``Generator.lognormal(mean, sigma, n)`` is the same stream as ``n``
+    scalar ``lognormal(mean, sigma)`` calls, so a caller drawing with
+    one ``(mean, sigma)`` can pass this where :meth:`CostModel.sample_time`
+    asks for a generator and get the scalar sequence, drawn
+    :data:`LOGNORMAL_DRAW_BLOCK` at a time.  Nothing is drawn before the
+    first call, and the parameters may change only between blocks.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._params: tuple = ()
+        #: the block's undrawn values, next one last.
+        self._draws: List[float] = []
+
+    def lognormal(self, mean: float, sigma: float) -> float:
+        """The stream's next ``lognormal(mean, sigma)`` draw."""
+        draws = self._draws
+        if not draws:
+            self._params = (mean, sigma)
+            draws.extend(
+                self._rng.lognormal(mean, sigma, LOGNORMAL_DRAW_BLOCK)[::-1]
+                .tolist()
+            )
+        elif (mean, sigma) != self._params:
+            raise ValueError(
+                f"lognormal{(mean, sigma)} inside a block drawn with"
+                f" {self._params}"
+            )
+        return draws.pop()
 
 
 def proportional_cpu_quota(memory_mb: float, mb_per_vcpu: float = 1769.0) -> float:

@@ -61,7 +61,7 @@ def _requests(batch):
     return [
         Request(
             batch["function"], origin + offset, slo,
-            origin_arrival=origin,
+            origin=origin,
         )
         for origin, offset, slo in batch["members"]
     ]

@@ -629,9 +629,10 @@ class TestArrivalOrder:
         seen = []
 
         class Recording(ServingSimulation):
-            def _admit(self, request):
+            def _on_arrival(self, event):
+                request = event.payload
                 seen.append((self.loop.now, request.function, request.arrival))
-                super()._admit(request)
+                super()._on_arrival(event)
 
         engine = INFlessEngine(build_testbed_cluster(), predictor=predictor)
         for name in ("a", "b"):
