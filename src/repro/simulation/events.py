@@ -38,13 +38,12 @@ class EventKind(enum.Enum):
 
 
 class Event:
-    """A timestamped event; ordering is (time, seq) for determinism.
+    """A timestamped event handed to its kind's handler.
 
     A ``__slots__`` class rather than a dataclass: millions of events
-    are created per run, and the event loop keeps bare ``(time, seq,
-    event)`` tuples on its heap so instances are never compared on the
-    hot path.  The rich comparisons below preserve the original
-    dataclass(order=True) semantics for any out-of-loop callers.
+    are created per run.  Events do not compare: the event loop orders
+    bare ``(time, seq, event)`` tuples, so ties in time break by
+    insertion ``seq`` and the event itself is never compared.
     """
 
     __slots__ = ("time", "seq", "kind", "payload")
@@ -60,40 +59,3 @@ class Event:
         self.seq = seq
         self.kind = kind
         self.payload = payload
-
-    def _key(self):
-        return (self.time, self.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __le__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() >= other._key()
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.seq))
-
-    def __repr__(self) -> str:
-        return (
-            f"Event(time={self.time!r}, seq={self.seq!r},"
-            f" kind={self.kind!r}, payload={self.payload!r})"
-        )
