@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ops.costmodel import (
+    LOGNORMAL_DRAW_BLOCK,
     CostModel,
     HardwareSpec,
+    LognormalStream,
     is_pow2,
     log2_int,
     max_batch_for_model,
@@ -149,6 +151,26 @@ class TestNoise:
         a = model.sample_time(1.0, np.random.default_rng(7))
         b = model.sample_time(1.0, np.random.default_rng(7))
         assert a == b
+
+    def test_stream_hands_out_the_scalar_sequence(self, model):
+        stream = LognormalStream(np.random.default_rng(5))
+        scalar = np.random.default_rng(5)
+        count = 2 * LOGNORMAL_DRAW_BLOCK + 3
+        assert [model.sample_time(0.5, stream) for _ in range(count)] == [
+            model.sample_time(0.5, scalar) for _ in range(count)
+        ]
+
+    def test_stream_draws_only_when_asked(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        LognormalStream(rng)
+        assert rng.bit_generator.state == before
+
+    def test_stream_refuses_new_parameters_inside_a_block(self):
+        stream = LognormalStream(np.random.default_rng(5))
+        stream.lognormal(0.0, 0.1)
+        with pytest.raises(ValueError, match="inside a block"):
+            stream.lognormal(0.0, 0.2)
 
 
 class TestLambdaQuota:
