@@ -68,7 +68,6 @@ from repro.workloads import (
     build_osvt,
     build_qa_robot,
     constant_trace,
-    production_traces,
 )
 from repro.simulation import ServingSimulation, SimulationReport
 from repro.baselines import BatchOTP, BatchRS, LambdaLike, OpenFaaSPlus
@@ -116,7 +115,6 @@ __all__ = [
     "build_osvt",
     "build_qa_robot",
     "constant_trace",
-    "production_traces",
     "ServingSimulation",
     "SimulationReport",
     "BatchOTP",

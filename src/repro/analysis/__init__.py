@@ -14,7 +14,7 @@ from repro.analysis.ablation import (
 )
 from repro.analysis.cost import CostModelTable4, CostReport
 from repro.analysis.planner import PlanEntry, SLOPlanner
-from repro.analysis.queueing import QueueEstimate, estimate, max_stable_rate, smallest_slo_batch
+from repro.analysis.queueing import QueueEstimate, estimate
 from repro.analysis.reporting import format_table
 
 __all__ = [
@@ -32,7 +32,5 @@ __all__ = [
     "SLOPlanner",
     "QueueEstimate",
     "estimate",
-    "max_stable_rate",
-    "smallest_slo_batch",
     "format_table",
 ]

@@ -54,11 +54,6 @@ class CapacityResult:
         )
 
     @property
-    def total_rps(self) -> float:
-        """Sum of per-function capacities (upper bound, not app rate)."""
-        return sum(self.per_function_rps.values())
-
-    @property
     def throughput_per_resource(self) -> float:
         """Servable app RPS per weighted resource unit occupied."""
         if self.weighted_resources_used <= 0:

@@ -88,47 +88,3 @@ def estimate(
         queue_wait_s=mean_queue_wait(lam, batch, tau),
         service_s=tau,
     )
-
-
-def max_stable_rate(batch: int, tau: float, target_utilisation: float = 1.0) -> float:
-    """The arrival rate at which the station reaches a utilisation.
-
-    ``target_utilisation = 1`` gives the theoretical ceiling ``b/tau``
-    (Eq. 1's ``r_up`` without the floor); operating targets below 1
-    keep the queue wait finite.
-    """
-    if not 0.0 < target_utilisation <= 1.0:
-        raise ValueError("target utilisation must lie in (0, 1]")
-    return target_utilisation * batch / tau
-
-
-def smallest_slo_batch(
-    lam: float,
-    exec_time_fn,
-    t_slo: float,
-    max_batch: int = 32,
-) -> int:
-    """The largest batch whose analytic latency still meets the SLO.
-
-    Args:
-        lam: offered request rate.
-        exec_time_fn: ``batch -> tau`` (e.g. a COP prediction curve).
-        t_slo: end-to-end latency budget, seconds.
-        max_batch: upper bound on the explored powers of two.
-
-    Returns:
-        The largest power-of-two batch (>= 1) whose estimated mean
-        latency fits the SLO; 1 when nothing larger fits.
-    """
-    if lam <= 0:
-        return 1
-    best = 1
-    batch = 1
-    while batch <= max_batch:
-        tau = exec_time_fn(batch)
-        timeout = max(0.0, t_slo - tau)
-        point = estimate(lam, batch, tau, timeout)
-        if point.stable and point.total_latency_s <= t_slo:
-            best = batch
-        batch *= 2
-    return best

@@ -128,10 +128,6 @@ class Cluster:
     def __len__(self) -> int:
         return len(self.servers)
 
-    def feasible_servers(self, request: ResourceVector) -> List[Server]:
-        """Servers where the request currently fits."""
-        return [server for server in self.servers if server.can_fit(request)]
-
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------

@@ -296,13 +296,3 @@ class FleetSpec:
             total_gpu = sum(s.gpu_capacity for s in servers)
             beta = total_gpu / total_cpu if total_gpu > 0 else 1.0
         return Cluster(servers, beta=beta)
-
-    def describe(self) -> str:
-        """One-line human summary, e.g. ``2x[16c/2x2080ti]``."""
-        parts = []
-        for group in self.groups:
-            gpu = (
-                f"{group.gpus}x{group.gpu_profile}" if group.gpus else "cpu"
-            )
-            parts.append(f"{group.count}x[{group.cpu}c/{gpu}]")
-        return " + ".join(parts)

@@ -98,14 +98,6 @@ class ResourceVector:
             memory_mb=self.memory_mb - other.memory_mb,
         )
 
-    def fits_within(self, capacity: "ResourceVector") -> bool:
-        """Return True if this request fits inside ``capacity``."""
-        return (
-            self.cpu <= capacity.cpu
-            and self.gpu <= capacity.gpu
-            and self.memory_mb <= capacity.memory_mb
-        )
-
     def is_zero(self) -> bool:
         return self.cpu == 0 and self.gpu == 0 and self.memory_mb == 0
 

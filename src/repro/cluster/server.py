@@ -11,7 +11,7 @@ per device and picks a device at allocation time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.cluster.resources import BETA, ResourceVector
 
@@ -361,37 +361,3 @@ class Server:
         resources"; inactive servers do not count as fragments.
         """
         return self.weighted_free(beta) / self.weighted_capacity(beta)
-
-    def snapshot(self) -> Dict[str, float]:
-        """A compact dict for logging and metrics collection."""
-        return {
-            "server_id": self.server_id,
-            "cpu_free": self.cpu_free,
-            "gpu_free": self.gpu_free,
-            "memory_free_mb": self.memory_free_mb,
-            "active": self.is_active(),
-        }
-
-
-def split_gpu_allocation(total_percent: int, num_gpus: int) -> List[Tuple[int, int]]:
-    """Decompose a multi-GPU percentage into per-device (device, share) pairs.
-
-    Utility for baselines that size aggregate GPU needs before placing
-    them; INFless itself always allocates single-device quotas.
-    """
-    if total_percent < 0:
-        raise ValueError("total_percent must be non-negative")
-    shares = []
-    remaining = total_percent
-    for device in range(num_gpus):
-        take = min(100, remaining)
-        if take > 0:
-            shares.append((device, take))
-        remaining -= take
-        if remaining <= 0:
-            break
-    if remaining > 0:
-        raise AllocationError(
-            f"{total_percent}% of GPU cannot fit on {num_gpus} devices"
-        )
-    return shares

@@ -50,10 +50,6 @@ class RateBounds:
         """Size of the admissible window, ``r_up - r_low``."""
         return self.r_up - self.r_low
 
-    def contains(self, rate: float) -> bool:
-        """Whether ``rate`` lies inside the (closed) window."""
-        return self.r_low <= rate <= self.r_up
-
 
 class InfeasibleBatchError(ValueError):
     """The (t_exec, t_slo, b) combination cannot guarantee the SLO."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.core.autoscaler import AutoScaler, ControlOutcome, HybridAutoScaler
-from repro.core.coldstart import KeepAlivePolicy, build_coldstart_policy
+from repro.core.coldstart import ColdStartPolicy, build_coldstart_policy
 from repro.core.dispatcher import ALPHA_DEFAULT
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance
@@ -66,7 +66,7 @@ class INFlessEngine:
         *,
         name: str = "infless",
         seed: int = 123,
-        policy: Optional[KeepAlivePolicy] = None,
+        policy: Optional[ColdStartPolicy] = None,
         coldstart: Optional[str] = None,
         autoscaler: str = "horizontal",
         config_space: Optional[ConfigSpace] = None,
@@ -186,10 +186,6 @@ class INFlessEngine:
         if not uniforms:
             uniforms.extend(self._rng.random(_ROUTE_DRAW_BLOCK)[::-1].tolist())
         return candidates[bisect_right(cdf, uniforms.pop())]
-
-    def timeout_slack_s(self, function: FunctionSpec) -> float:
-        """INFless spends the whole timeout budget on batching."""
-        return 0.0
 
     # ------------------------------------------------------------------
     # failures

@@ -137,11 +137,3 @@ class Instance:
 
     def is_dispatchable(self) -> bool:
         return self.state in (InstanceState.ACTIVE, InstanceState.COLD_STARTING)
-
-    def describe(self) -> str:
-        return (
-            f"instance#{self.instance_id} {self.function.name} {self.config}"
-            f" t_exec={self.t_exec_pred * 1e3:.1f}ms"
-            f" range=[{self.r_low:.0f}, {self.r_up:.0f}]rps"
-            f" state={self.state.value}"
-        )

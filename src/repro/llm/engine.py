@@ -402,11 +402,6 @@ class ContinuousBatchingLLM:
         """The live workers currently serving ``name``."""
         return list(self._by_function.get(name, []))
 
-    @property
-    def timeout_slack_s(self) -> float:
-        """Batch-timeout slack; zero -- admission is per arrival."""
-        return 0.0
-
     def record_invocation(self, name: str, now: float) -> None:
         """Count one arrival against ``name`` (protocol bookkeeping)."""
         self._invocations[name] = self._invocations.get(name, 0) + 1

@@ -89,11 +89,3 @@ class Sequence:
     def total_kv_need(self) -> int:
         """Worst-case resident footprint if run to completion."""
         return self.prompt_tokens + self.output_tokens
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Sequence(id={self.request_id}, fn={self.function!r},"
-            f" state={self.state.value}, prompt={self.prompt_tokens},"
-            f" out={self.generated}/{self.output_tokens},"
-            f" kv={self.kv_tokens})"
-        )

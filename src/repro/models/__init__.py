@@ -19,8 +19,6 @@ from repro.models.zoo import (
 from repro.models.llm import (
     LLM_ZOO,
     LLMSpec,
-    get_llm_model,
-    is_llm_model,
     list_llm_models,
 )
 
@@ -46,8 +44,6 @@ __all__ = [
     "list_models",
     "LLM_ZOO",
     "LLMSpec",
-    "get_llm_model",
-    "is_llm_model",
     "list_llm_models",
     "resolve_model",
 ]

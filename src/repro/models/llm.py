@@ -195,22 +195,6 @@ LLM_ZOO: Dict[str, LLMSpec] = {
 }
 
 
-def get_llm_model(name: str) -> LLMSpec:
-    """Fetch an autoregressive model by name."""
-    try:
-        return LLM_ZOO[name]
-    except KeyError:
-        known = ", ".join(sorted(LLM_ZOO))
-        raise KeyError(
-            f"unknown LLM model {name!r}; LLM zoo has: {known}"
-        ) from None
-
-
 def list_llm_models() -> List[LLMSpec]:
     """All LLM zoo models, largest first."""
     return sorted(LLM_ZOO.values(), key=lambda spec: -spec.params_millions)
-
-
-def is_llm_model(name: str) -> bool:
-    """Whether ``name`` names an autoregressive zoo model."""
-    return name in LLM_ZOO

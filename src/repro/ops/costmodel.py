@@ -22,7 +22,6 @@ real hardware.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List
 
@@ -226,22 +225,3 @@ def max_batch_for_model(gflops: float) -> int:
     if gflops >= 4.0:
         return 16
     return 32
-
-
-def round_up_pow2(value: int) -> int:
-    """Smallest power of two >= value (used by batch config spaces)."""
-    if value < 1:
-        raise ValueError("value must be >= 1")
-    return 1 << (value - 1).bit_length()
-
-
-def is_pow2(value: int) -> bool:
-    """Whether the value is a positive power of two."""
-    return value >= 1 and (value & (value - 1)) == 0
-
-
-def log2_int(value: int) -> int:
-    """Exact integer log2 for power-of-two batch sizes."""
-    if not is_pow2(value):
-        raise ValueError(f"{value} is not a power of two")
-    return int(math.log2(value))

@@ -207,15 +207,6 @@ class OperatorGraph:
         finish = self._finish_times(time_fn)
         return functools.reduce(np.maximum, [finish[sink] for sink in self.sinks()])
 
-    def critical_path(self, time_fn: TimeFn) -> List[str]:
-        """The node ids along one longest path (useful for diagnostics);
-        ties go to the first node in topological or predecessor order."""
-        finish = self._finish_times(time_fn)
-        path = [max(finish, key=finish.__getitem__)]
-        while self._pred[path[-1]]:
-            path.append(max(self._pred[path[-1]], key=finish.__getitem__))
-        return path[::-1]
-
     def total_time(self, time_fn: TimeFn) -> float:
         """Sum of all operator times (no overlap at all)."""
         return sum(time_fn(node.spec) for node in self._nodes.values())
@@ -250,7 +241,3 @@ class OperatorGraph:
                 times.get(node.spec.kind_name, 0.0) + time_fn(node.spec)
             )
         return times
-
-    def has_parallel_branches(self) -> bool:
-        """True when some node fans out (graph is not a pure chain)."""
-        return any(len(dsts) > 1 for dsts in self._succ.values())

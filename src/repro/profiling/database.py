@@ -133,9 +133,6 @@ class ProfileDatabase:
             raise ProfileLookupError(f"no profiles for operator {operator!r}")
         return block
 
-    def configs_for(self, operator: str) -> List[ConfigKey]:
-        return sorted(self._block(operator).keys)
-
     # ------------------------------------------------------------------
     # lookup
     # ------------------------------------------------------------------

@@ -113,16 +113,6 @@ class OperatorProfiler:
             time_s=float(time_s[0, 0]),
         )
 
-    def profile_operator(self, operator: str) -> List[OperatorProfile]:
-        """All grid points for one operator kind."""
-        configs = self._config_grid()
-        times = self._sweep(operator, configs, self.input_sizes)
-        return [
-            OperatorProfile(operator, input_size, batch, cpu, gpu, time_s)
-            for (batch, cpu, gpu), row in zip(configs, times.tolist())
-            for input_size, time_s in zip(self.input_sizes, row)
-        ]
-
     def build_database(
         self, operators: Optional[Iterable[str]] = None
     ) -> ProfileDatabase:

@@ -23,7 +23,7 @@ class ServingPlatform(Protocol):
 
     Everything the runtime and the invariant audit consume is declared
     here: the ingress/queueing knobs (``ingress_delay_s``,
-    ``waiting_batches``, ``timeout_slack_s``), the fault hooks
+    ``waiting_batches``), the fault hooks
     (``on_server_failure``, ``kill_instance``), the
     audit's Eq. 1 check level, the instance ledger (``registry``) and
     the Algorithm 1 ``scheduler``, if any.
@@ -91,9 +91,6 @@ class ServingPlatform(Protocol):
 
     def instances(self, name: str) -> List[Instance]:
         """The function's currently active instances."""
-
-    def timeout_slack_s(self, function: FunctionSpec) -> float:
-        """Slack subtracted from the batch-timeout budget (seconds)."""
 
     # -- fault hooks -----------------------------------------------------
     def on_server_failure(self, server_id: int, now: float) -> List[Instance]:

@@ -128,13 +128,6 @@ class Request:
         self.attempt = 0
         self.root = self.request_id if root is None else root
 
-    def __repr__(self) -> str:
-        return (
-            f"Request(function={self.function!r}, arrival={self.arrival!r},"
-            f" slo_s={self.slo_s!r}, origin={self.origin!r},"
-            f" request_id={self.request_id!r}, root={self.root!r})"
-        )
-
 
 class _BatchInFlight:
     """One executing batch: its instance, members and timing."""

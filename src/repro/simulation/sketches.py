@@ -214,9 +214,3 @@ class QuantileSketch:
             sketch._min = float(payload["min"])
             sketch._max = float(payload["max"])
         return sketch
-
-    def __repr__(self) -> str:
-        return (
-            f"QuantileSketch(count={self.count}, bins={len(self._bins)},"
-            f" subbuckets={self.subbuckets})"
-        )

@@ -38,11 +38,6 @@ class FunctionSummary:
     exec_s: List[float] = field(default_factory=list)
     latency_s: List[float] = field(default_factory=list)
 
-    @property
-    def dropped(self) -> int:
-        """Drops across every reason."""
-        return sum(self.drops.values())
-
     def mean(self, attr: str) -> float:
         """Mean of one per-completion series (0.0 when empty)."""
         values: List[float] = getattr(self, attr)

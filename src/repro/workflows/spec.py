@@ -191,13 +191,6 @@ class WorkflowSpec:
     # ------------------------------------------------------------------
     # topology views
     # ------------------------------------------------------------------
-    def stage(self, name: str) -> WorkflowStage:
-        """The stage with ``name`` (raises KeyError when unknown)."""
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(name)
-
     def stage_names(self) -> List[str]:
         """Stage names in declaration order."""
         return [stage.name for stage in self.stages]
@@ -261,14 +254,6 @@ class WorkflowSpec:
             name: tuple(dict.fromkeys(values))
             for name, values in neighbours.items()
         }
-
-    def edges(self) -> List[Tuple[str, str]]:
-        """All (src, dst) edges in declaration order."""
-        return [
-            (stage.name, succ)
-            for stage in self.stages
-            for succ in stage.downstream
-        ]
 
     def critical_path_time(self, t_exec: Dict[str, float]) -> float:
         """Longest entry->sink path weight under per-stage ``t_exec``,

@@ -13,7 +13,6 @@ from repro.workloads.generators import (
     periodic_trace,
     bursty_trace,
     sporadic_trace,
-    production_traces,
     timer_invocations,
 )
 from repro.workloads.arrivals import (
@@ -46,7 +45,6 @@ __all__ = [
     "periodic_trace",
     "bursty_trace",
     "sporadic_trace",
-    "production_traces",
     "timer_invocations",
     "sample_arrivals",
     "sample_arrivals_window",

@@ -8,8 +8,6 @@ cell: the count inside each grid cell is Poisson with the cell's
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from repro.workloads.trace import Trace
@@ -93,13 +91,3 @@ def sample_arrivals_window(
         cursor += count
     arrivals.sort()
     return arrivals
-
-
-def thin_arrivals(arrivals: Iterable[float], keep_fraction: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Randomly keep a fraction of arrivals (for load scaling studies)."""
-    if not 0.0 <= keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must lie in [0, 1]")
-    times = np.asarray(list(arrivals), dtype=float)
-    mask = rng.random(times.size) < keep_fraction
-    return times[mask]

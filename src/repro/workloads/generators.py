@@ -20,7 +20,7 @@ decorrelated internal streams -- see :mod:`repro.workloads.seeding`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -178,18 +178,3 @@ def timer_invocations(
             times.extend(cursor + rng.random(count) * length)
             cursor += length + rng.exponential(spike_every_s)
     return np.sort(np.array(times))
-
-
-def production_traces(
-    mean_rps: float,
-    duration_s: float = DAY_S,
-    step_s: float = 1.0,
-    seed: SeedLike = 0,
-) -> Dict[str, Trace]:
-    """The three Fig. 10 trace types, sharing a mean rate."""
-    sporadic_s, periodic_s, bursty_s = derive_streams(seed, (3, 1, 2))
-    return {
-        "sporadic": sporadic_trace(mean_rps, duration_s, step_s, seed=sporadic_s),
-        "periodic": periodic_trace(mean_rps, duration_s, step_s, seed=periodic_s),
-        "bursty": bursty_trace(mean_rps, duration_s, step_s, seed=bursty_s),
-    }

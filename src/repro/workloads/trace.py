@@ -79,19 +79,6 @@ class Trace:
             raise ValueError("cannot rescale an all-zero trace")
         return self.scaled(target_mean_rps / self.mean_rps)
 
-    def clipped(self, max_rps: float) -> "Trace":
-        return Trace(
-            name=self.name, step_s=self.step_s, rps=np.minimum(self.rps, max_rps)
-        )
-
-    def slice(self, start_s: float, end_s: float) -> "Trace":
-        """The sub-trace covering ``[start_s, end_s)``."""
-        if not 0 <= start_s < end_s <= self.duration_s + 1e-9:
-            raise ValueError("invalid slice bounds")
-        lo = int(start_s / self.step_s)
-        hi = int(np.ceil(end_s / self.step_s))
-        return Trace(name=self.name, step_s=self.step_s, rps=self.rps[lo:hi])
-
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """A JSON-serialisable view; exact (doubles survive JSON)."""

@@ -15,23 +15,15 @@ from repro.core.coldstart import IDLE_DROP, IDLE_SWAP, ColdStartDecision
 from repro.core.swap import SwapKeepAlive
 
 
-class PrewarmPolicy:
+class PrewarmPolicy(FixedKeepAlive):
     """Always unload immediately and prefetch after 30 s."""
-
-    name = "prewarm-test"
-
-    def record_invocation(self, function_name, now):
-        pass
 
     def windows(self, function_name, now):
         return ColdStartDecision(prewarm_s=30.0, keepalive_s=120.0)
 
 
-class NoKeepAlive:
-    name = "none"
-
-    def record_invocation(self, function_name, now):
-        pass
+class NoKeepAlive(FixedKeepAlive):
+    """Drops every retiring instance."""
 
     def windows(self, function_name, now):
         return ColdStartDecision(prewarm_s=0.0, keepalive_s=0.0)

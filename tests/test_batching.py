@@ -52,12 +52,6 @@ class TestRateBounds:
         with pytest.raises(ValueError):
             RateBounds(r_low=-1.0, r_up=10.0)
 
-    def test_width_and_contains(self):
-        bounds = RateBounds(10.0, 40.0)
-        assert bounds.width == 30.0
-        assert bounds.contains(25.0)
-        assert not bounds.contains(41.0)
-
     def test_slow_batches_keep_positive_capacity(self):
         """Regression: ``t_exec >= 1s`` used to floor ``r_up`` to zero.
 

@@ -46,11 +46,6 @@ class TestAllocation:
         with pytest.raises(AllocationError):
             small_cluster.release(placement)
 
-    def test_feasible_servers_filters(self, small_cluster):
-        small_cluster.allocate(0, ResourceVector(cpu=16))
-        feasible = small_cluster.feasible_servers(ResourceVector(cpu=1))
-        assert {s.server_id for s in feasible} == {1, 2}
-
     def test_reset_releases_everything(self, small_cluster):
         for server_id in range(3):
             small_cluster.allocate(server_id, ResourceVector(cpu=2))

@@ -9,11 +9,8 @@ from repro.ops.costmodel import (
     CostModel,
     HardwareSpec,
     LognormalStream,
-    is_pow2,
-    log2_int,
     max_batch_for_model,
     proportional_cpu_quota,
-    round_up_pow2,
 )
 from repro.ops.operator import OperatorSpec
 
@@ -195,29 +192,3 @@ class TestBatchHelpers:
     def test_max_batch_rejects_zero(self):
         with pytest.raises(ValueError):
             max_batch_for_model(0.0)
-
-    @pytest.mark.parametrize("value,expected", [(1, 1), (3, 4), (8, 8), (9, 16)])
-    def test_round_up_pow2(self, value, expected):
-        assert round_up_pow2(value) == expected
-
-    def test_round_up_pow2_rejects_zero(self):
-        with pytest.raises(ValueError):
-            round_up_pow2(0)
-
-    def test_is_pow2(self):
-        assert is_pow2(1) and is_pow2(32)
-        assert not is_pow2(0) and not is_pow2(12)
-
-    def test_log2_int(self):
-        assert log2_int(32) == 5
-
-    def test_log2_int_rejects_non_pow2(self):
-        with pytest.raises(ValueError):
-            log2_int(12)
-
-    @given(st.integers(1, 1 << 20))
-    def test_round_up_pow2_properties(self, value):
-        rounded = round_up_pow2(value)
-        assert rounded >= value
-        assert is_pow2(rounded)
-        assert rounded < 2 * value + 1

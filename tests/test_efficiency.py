@@ -1,8 +1,10 @@
 """Unit tests for the Eq. 10 resource-efficiency metric."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cluster import build_testbed_cluster
+from repro.core import FunctionSpec, GreedyScheduler
 from repro.core.efficiency import (
     FRAGMENTATION_FLOOR,
     resource_efficiency,
@@ -64,3 +66,58 @@ class TestResourceEfficiency:
     def test_score_always_positive(self, r_up, cpu, gpu):
         score = resource_efficiency(r_up, cpu, gpu, 16, 200, beta=1.0)
         assert score > 0
+
+
+class TestSchedulerAgreesWithReference:
+    """``GreedyScheduler._select_placement`` inlines Eq. 10; this keeps
+    :func:`resource_efficiency` as the reference it must agree with."""
+
+    @given(
+        model=st.sampled_from(("resnet-50", "mobilenet", "lstm-2365", "ssd")),
+        preload=st.floats(0.0, 4000.0),
+        residual=st.floats(5.0, 3000.0),
+    )
+    @settings(
+        max_examples=30, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_pick_maximises_resource_efficiency(
+        self, predictor, model, preload, residual
+    ):
+        """Algorithm 1's pick for each batch scores the maximum of Eq. 10
+        over every (feasible configuration, server it fits) pair, bit
+        for bit; no pick means no configuration fits any server."""
+        cluster = build_testbed_cluster(num_servers=3)
+        scheduler = GreedyScheduler(cluster, predictor)
+        if preload:  # fragment the servers first
+            scheduler.schedule(FunctionSpec.for_model("resnet-50", slo_s=0.2), preload)
+        function = FunctionSpec.for_model(model, slo_s=0.2)
+        scheduler._sorted_free()  # the index schedule() builds first
+        beta = scheduler._efficiency_beta()
+        for batch in (1, 4, 16):
+            rows = scheduler.available_configs(function, batch, residual)
+            pick = scheduler._select_placement(function, batch, residual)
+            fits = [
+                (config, bounds, server)
+                for config, _t, bounds in rows
+                for server in cluster.servers
+                if server.can_fit(scheduler._instance_resources(function, config))
+            ]
+            if pick is None:
+                assert fits == []
+                continue
+            normaliser = max(
+                rps_per_resource(min(bounds.r_up, residual), config.cpu, config.gpu, beta)
+                for config, _t, bounds in rows
+            )
+
+            def score(config, bounds, server):
+                return resource_efficiency(
+                    min(bounds.r_up, residual), config.cpu, config.gpu,
+                    server.cpu_free, server.gpu_free,
+                    beta=beta, normaliser=normaliser,
+                )
+
+            config, _t, bounds, server_id = pick
+            best = max(score(*pair) for pair in fits)
+            assert score(config, bounds, cluster.server(server_id)) == best

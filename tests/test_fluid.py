@@ -3,10 +3,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Experiment
+from repro.core import FunctionSpec
 from repro.fluid import FluidSimulation, HybridSimulation
 from repro.fluid.hybrid import partition_functions
 from repro.fluid.validate import (
@@ -17,7 +19,8 @@ from repro.fluid.validate import (
     fig12_experiment,
     load_envelope,
 )
-from repro.workloads import build_osvt, constant_trace
+from repro.invariants import InvariantChecker
+from repro.workloads import Trace, build_osvt, constant_trace
 from repro.workloads.generators import bursty_trace
 
 
@@ -47,7 +50,43 @@ def _report_bytes(report):
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
+class _ActiveCounts(InvariantChecker):
+    """The strict audit, also keeping each step's active-instance count."""
+
+    def __init__(self):
+        super().__init__("strict")
+        self.active = []
+
+    def check_fluid_tick(self, name, ledger, now):
+        self.active.append(ledger["active"])
+        super().check_fluid_tick(name, ledger, now)
+
+
 class TestFluidEngine:
+    def test_falling_load_scales_in_and_conserves(self):
+        """When the load falls, the dispatcher's case (iii) retires
+        instances into the warm pool, and the flow ledger still
+        balances: at every step (the strict audit) and at the end."""
+        function = FunctionSpec.for_model("resnet-50", slo_s=0.2)
+        rps = np.concatenate([np.full(20, 600.0), np.full(40, 30.0)])
+        audit = _ActiveCounts()
+        simulation = FluidSimulation(
+            functions=[function],
+            workload={function.name: Trace("falling", 1.0, rps)},
+            invariants=audit,
+            rate_mode="oracle",
+        )
+        simulation.run()
+        fluid = simulation.fluids[function.name]
+        peak = max(audit.active)
+        assert audit.active[-1] < peak
+        assert len(fluid.active) + len(fluid.warm_pool) >= peak
+        ledger = fluid.ledger()
+        assert ledger["arrived"] == pytest.approx(
+            ledger["served"] + ledger["dropped"] + ledger["queued"]
+        )
+        assert audit.violations == []
+
     def test_deterministic_reports(self):
         first = _osvt_experiment().run()
         second = _osvt_experiment().run()

@@ -93,9 +93,6 @@ class TestTiming:
     def test_total_time_is_sum_of_all(self, diamond):
         assert diamond.total_time(unit_time) == pytest.approx(9.0)
 
-    def test_critical_path_nodes(self, diamond):
-        assert diamond.critical_path(unit_time) == ["a", "c", "d"]
-
     def test_chain_critical_equals_total(self):
         graph = OperatorGraph.chain("g", [("a", op(2.0)), ("b", op(3.0))])
         assert graph.critical_path_time(unit_time) == pytest.approx(
@@ -177,17 +174,6 @@ class TestLongestPathFold:
             for nid in order:
                 assert float(arrays[nid][column]) == float(scalars[nid])
 
-    @given(dag=random_dags())
-    @settings(max_examples=200, deadline=None)
-    def test_critical_path_nodes_sum_to_critical_path_time(self, dag):
-        graph, _rows = dag
-        path = graph.critical_path(unit_time)
-        # From a source along edges (with zero times the tail need not
-        # be a sink).
-        assert path[0] in graph.sources()
-        assert all(dst in graph.successors(src) for src, dst in zip(path, path[1:]))
-        assert _path_time(graph, path) == float(graph.critical_path_time(unit_time))
-
 
 class TestSummaries:
     def test_calls_by_operator_folds_calls(self):
@@ -210,8 +196,3 @@ class TestSummaries:
 
     def test_total_gflops(self, diamond):
         assert diamond.total_gflops_per_item() == pytest.approx(9.0)
-
-    def test_has_parallel_branches(self, diamond):
-        assert diamond.has_parallel_branches()
-        chain = OperatorGraph.chain("g", [("a", op()), ("b", op())])
-        assert not chain.has_parallel_branches()

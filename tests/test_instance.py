@@ -63,10 +63,6 @@ class TestInstance:
         instance.state = InstanceState.TERMINATED
         assert not instance.is_dispatchable()
 
-    def test_describe_mentions_config(self):
-        text = make_instance().describe()
-        assert "(b=4, c=2, g=20)" in text
-
 
 class TestFunctionSpec:
     def test_for_model_names_function(self):

@@ -7,10 +7,12 @@ ordering method).  State another module needs is a public attribute or
 method of its owner.
 
 (b) Every function, method and class in src has a caller outside its
-own definition: its name appears in another part of src (package
-``__init__`` re-exports do not count), in ``benchmarks/``, in
-``examples/`` or in the CI workflow.  Code that only tests call is
-deleted, unless :data:`TEST_ONLY_KEEP` names it with a reason.
+own definition: its name appears in the code of another part of src,
+in ``benchmarks/``, in ``examples/`` or in the CI workflow.  Package
+``__init__`` re-exports, comments, docstrings and the prose of messages
+do not count in src; a string constant that is exactly the name does
+(``getattr`` reads it).  Code that only tests call is deleted, unless
+:data:`TEST_ONLY_KEEP` names it with a reason.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from typing import Dict, Iterator, List, Set, Tuple
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
 
-#: Only their own tests call these; deleting each one with its tests is
-#: still open (ROADMAP item 14), so the list only shrinks.
-_OPEN = "only its own tests call it; deletion is open"
-
 #: Definitions only tests call, each with the reason it stays.
 TEST_ONLY_KEEP: Dict[str, str] = {
     "is_zero": "ResourceVector.is_zero: the cluster conservation tests"
@@ -41,21 +39,14 @@ TEST_ONLY_KEEP: Dict[str, str] = {
     " fluid validation tests compare against",
     "parse_rows": "the Azure row rules on in-memory rows; iter_azure_csv"
     " streams a file through the same loop, which the tests reach here",
-    "max_stable_rate": _OPEN,
-    "smallest_slo_batch": _OPEN,
-    "feasible_servers": _OPEN,
-    "fits_within": _OPEN,
-    "split_gpu_allocation": _OPEN,
-    "get_llm_model": _OPEN,
-    "is_llm_model": _OPEN,
-    "round_up_pow2": _OPEN,
-    "log2_int": _OPEN,
-    "critical_path": _OPEN,
-    "has_parallel_branches": _OPEN,
-    "configs_for": _OPEN,
-    "profile_operator": _OPEN,
-    "thin_arrivals": _OPEN,
-    "production_traces": _OPEN,
+    "resource_efficiency": "Eq. 10 as the paper writes it: the reference"
+    " that the scheduler's inlined score must match bit for bit"
+    " (test_efficiency.TestSchedulerAgreesWithReference)",
+    "total_latency_s": "QueueEstimate.total_latency_s: the analytic"
+    " model's end-to-end latency, which test_queueing checks the"
+    " discrete-event runtime against",
+    "to_json": "ProfileDatabase.to_json: the profile-database sha256 pins"
+    " hash its bytes, and from_json reads them back",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -163,6 +154,38 @@ def _definitions(path: Path, tree: ast.Module) -> Iterator[_Definition]:
             yield path, node.name, first, node.end_lineno
 
 
+def _code_words(tree: ast.Module) -> Iterator[Tuple[int, str]]:
+    """``(line, word)`` of every name ``tree``'s code uses or binds, and
+    of every string constant that is one name (``getattr(obj, "name")``).
+    Comments, docstrings and the prose of messages are not code: they
+    mention a name without calling it."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.end_lineno, node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.lineno, node.arg
+        elif isinstance(node, ast.alias):
+            for word in _WORD.findall(f"{node.name} {node.asname or ''}"):
+                yield node.lineno, word
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and _WORD.fullmatch(node.value)
+        ):
+            yield node.lineno, node.value
+
+
 def _outside_words() -> Set[str]:
     """Identifiers in the benchmarks, examples and CI workflow."""
     files = [
@@ -178,30 +201,37 @@ def _outside_words() -> Set[str]:
 
 @functools.lru_cache(maxsize=None)
 def definitions_only_tests_call() -> Tuple[Tuple[str, str], ...]:
-    """``(name, "path:line")`` of every src definition whose name appears
-    nowhere but in its own body."""
-    lines: Dict[Path, List[str]] = {}
+    """``(name, "path:line")`` of every src definition whose name the
+    code of src uses nowhere but inside definitions of that name."""
+    words: Dict[Path, List[Tuple[int, str]]] = {}
     definitions: List[_Definition] = []
     src_words: Counter = Counter()
     for path in _src_files():
-        text = path.read_text()
-        lines[path] = text.splitlines()
         definitions += _definitions(path, _parse(path))
         if path.name != "__init__.py":
-            src_words.update(_WORD.findall(text))
+            words[path] = list(_code_words(_parse(path)))
+            src_words.update(word for _line, word in words[path])
     outside = _outside_words()
+    by_name: Dict[str, List[_Definition]] = {}
+    for definition in definitions:
+        by_name.setdefault(definition[1], []).append(definition)
     unused = []
-    for path, name, first, last in definitions:
+    for name, named in by_name.items():
         if name in outside:
             continue
-        own = 0
-        if path.name != "__init__.py":
-            own = sum(
-                _WORD.findall(line).count(name)
-                for line in lines[path][first - 1 : last]
-            )
-        if src_words[name] == own:
-            unused.append((name, f"{path.relative_to(REPO_ROOT)}:{first}"))
+        # Occurrences inside any definition of the name do not count,
+        # so two test-only methods named alike do not keep each other.
+        inside = sum(
+            1
+            for path, _name, first, last in named
+            for line, word in words.get(path, ())
+            if word == name and first <= line <= last
+        )
+        if src_words[name] == inside:
+            unused += [
+                (name, f"{path.relative_to(REPO_ROOT)}:{first}")
+                for path, _name, first, _last in named
+            ]
     return tuple(unused)
 
 

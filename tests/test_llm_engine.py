@@ -35,7 +35,7 @@ from repro.faults import (
     ServerRecovery,
 )
 from repro.models import LLM_ZOO
-from repro.telemetry import InMemoryTracer
+from repro.telemetry import InMemoryTracer, TimelineRecorder
 from repro.telemetry import spans as ev
 from repro.workloads import constant_trace
 
@@ -81,6 +81,31 @@ def test_continuous_batching_serves_and_reports():
     assert 0.0 <= llm["ttft_attainment"] <= 1.0
     assert llm["tokens_generated"] >= report.completed
     assert llm["kv_peak_tokens"] <= llm["kv_capacity_tokens"]
+
+
+def test_timeline_rows_count_each_function_s_workers():
+    """The LLM runtime samples its timeline once per function per control
+    tick (ticks at 0..duration); each row counts that function's workers,
+    and none is ever launching (workers serve from deployment)."""
+    functions = [_llm_function(), FunctionSpec.for_model("llm-1b", slo_s=1.0)]
+    platform = ContinuousBatchingLLM(build_testbed_cluster(num_servers=2))
+    for function in functions:
+        platform.deploy(function)
+    timeline = TimelineRecorder()
+    LLMSimulation(
+        platform=platform,
+        workload={f.name: constant_trace(6.0, 10.0) for f in functions},
+        timeline=timeline,
+        seed=3,
+    ).run()
+    ticks = [float(t) for t in range(11)]
+    assert len(timeline) == len(ticks) * len(functions)
+    for function in functions:
+        workers = len(platform.instances(function.name))
+        assert workers >= 1
+        assert timeline.series(function.name, "t") == ticks
+        assert timeline.series(function.name, "live_instances") == [workers] * len(ticks)
+        assert set(timeline.series(function.name, "launching_instances")) == {0}
 
 
 def test_llm_platform_rejects_single_shot_models():

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from repro.models import resolve_model
-from repro.models.llm import (
-    LLM_ZOO,
-    LLMSpec,
-    get_llm_model,
-    is_llm_model,
-    list_llm_models,
-)
+from repro.models.llm import LLM_ZOO, LLMSpec, list_llm_models
 from repro.models.zoo import MODEL_ZOO
 
 
@@ -26,19 +20,9 @@ def test_zoo_has_three_models_disjoint_from_table1():
     assert not set(LLM_ZOO) & set(MODEL_ZOO)
 
 
-def test_get_llm_model_unknown_raises_with_catalog():
-    with pytest.raises(KeyError, match="llm-125m"):
-        get_llm_model("llm-999t")
-
-
 def test_list_llm_models_is_largest_first():
     params = [spec.params_millions for spec in list_llm_models()]
     assert params == sorted(params, reverse=True)
-
-
-def test_is_llm_model():
-    assert is_llm_model("llm-1b")
-    assert not is_llm_model("resnet-50")
 
 
 def test_resolve_model_spans_both_zoos():

@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.queueing import (
     estimate,
-    max_stable_rate,
     mean_fill_wait,
     mean_queue_wait,
-    smallest_slo_batch,
     utilisation,
 )
 
@@ -46,14 +44,6 @@ class TestFormulas:
         )
         assert point.stable
 
-    def test_max_stable_rate_matches_eq1_ceiling(self):
-        # Eq. 1's r_up without the floor: b / t_exec.
-        assert max_stable_rate(4, 0.05) == pytest.approx(80.0)
-
-    def test_max_stable_rate_validates(self):
-        with pytest.raises(ValueError):
-            max_stable_rate(4, 0.05, target_utilisation=0.0)
-
     @given(
         lam=st.floats(1.0, 200.0),
         batch=st.sampled_from([1, 2, 4, 8, 16]),
@@ -64,24 +54,6 @@ class TestFormulas:
         point = estimate(lam, batch, tau, timeout=1.0)
         assert point.fill_wait_s >= 0
         assert point.queue_wait_s >= 0
-
-
-class TestSmallestSloBatch:
-    def exec_fn(self, batch):
-        return 0.01 + 0.004 * batch  # linear latency-vs-batch curve
-
-    def test_tight_slo_forces_small_batch(self):
-        assert smallest_slo_batch(200.0, self.exec_fn, t_slo=0.03) <= 2
-
-    def test_loose_slo_allows_big_batch(self):
-        assert smallest_slo_batch(150.0, self.exec_fn, t_slo=0.5) >= 16
-
-    def test_zero_load_defaults_to_one(self):
-        assert smallest_slo_batch(0.0, self.exec_fn, t_slo=0.5) == 1
-
-    def test_result_is_power_of_two(self):
-        batch = smallest_slo_batch(100.0, self.exec_fn, t_slo=0.2)
-        assert batch & (batch - 1) == 0
 
 
 class TestAgainstSimulation:

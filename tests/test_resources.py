@@ -49,22 +49,6 @@ class TestResourceVector:
         with pytest.raises(ValueError):
             ResourceVector(1, 0, 0) - ResourceVector(2, 0, 0)
 
-    def test_fits_within_equal(self):
-        vec = ResourceVector(2, 20, 200)
-        assert vec.fits_within(vec)
-
-    def test_fits_within_smaller(self):
-        assert ResourceVector(1, 5, 10).fits_within(ResourceVector(2, 20, 200))
-
-    def test_does_not_fit_cpu(self):
-        assert not ResourceVector(3, 0, 0).fits_within(ResourceVector(2, 100, 100))
-
-    def test_does_not_fit_gpu(self):
-        assert not ResourceVector(0, 30, 0).fits_within(ResourceVector(8, 20, 100))
-
-    def test_does_not_fit_memory(self):
-        assert not ResourceVector(0, 0, 300).fits_within(ResourceVector(8, 100, 200))
-
     def test_weighted_matches_formula(self):
         vec = ResourceVector(cpu=4, gpu=30)
         assert vec.weighted() == pytest.approx(BETA * 4 + 30)
@@ -79,12 +63,6 @@ class TestResourceVector:
     @given(a=vectors, b=vectors)
     def test_add_then_subtract_roundtrips(self, a, b):
         assert (a + b) - b == a
-
-    @given(a=vectors, b=vectors)
-    def test_sum_fits_iff_components_bounded(self, a, b):
-        total = a + b
-        assert a.fits_within(total)
-        assert b.fits_within(total)
 
 
 class TestBeta:

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.cluster.server import (
-    AllocationError,
-    GpuDevice,
-    Server,
-    split_gpu_allocation,
-)
+from repro.cluster.server import AllocationError, GpuDevice, Server
 
 
 @pytest.fixture()
@@ -132,28 +127,3 @@ class TestFragmentRatio:
             server.allocate(ResourceVector(gpu=100))
         server.allocate(ResourceVector(cpu=16))
         assert server.fragment_ratio() == pytest.approx(0.0)
-
-    def test_snapshot_fields(self, server):
-        server.allocate(ResourceVector(cpu=1))
-        snap = server.snapshot()
-        assert snap["active"] is True
-        assert snap["cpu_free"] == 15
-
-
-class TestSplitGpuAllocation:
-    def test_single_device(self):
-        assert split_gpu_allocation(70, 2) == [(0, 70)]
-
-    def test_spans_devices(self):
-        assert split_gpu_allocation(150, 2) == [(0, 100), (1, 50)]
-
-    def test_zero_percent(self):
-        assert split_gpu_allocation(0, 2) == []
-
-    def test_overflow_raises(self):
-        with pytest.raises(AllocationError):
-            split_gpu_allocation(250, 2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            split_gpu_allocation(-1, 2)

@@ -13,12 +13,10 @@ from repro.workloads import (
     coldstart_fleet_invocations,
     constant_trace,
     periodic_trace,
-    production_traces,
     sample_arrivals,
     sporadic_trace,
     timer_invocations,
 )
-from repro.workloads.arrivals import thin_arrivals
 
 
 class TestTrace:
@@ -68,20 +66,6 @@ class TestTrace:
         trace = periodic_trace(5.0, 1000.0).with_mean(50.0)
         assert trace.mean_rps == pytest.approx(50.0)
 
-    def test_clipped(self):
-        trace = constant_trace(10.0, 10.0).clipped(4.0)
-        assert trace.peak_rps == 4.0
-
-    def test_slice(self):
-        trace = Trace("t", 1.0, np.arange(10, dtype=float))
-        part = trace.slice(2.0, 5.0)
-        assert list(part.rps) == [2.0, 3.0, 4.0]
-
-    def test_invalid_slice(self):
-        trace = constant_trace(1.0, 10.0)
-        with pytest.raises(ValueError):
-            trace.slice(5.0, 3.0)
-
     def test_negative_rps_rejected(self):
         with pytest.raises(ValueError):
             Trace("t", 1.0, np.array([-1.0]))
@@ -126,10 +110,6 @@ class TestGenerators:
         a = bursty_trace(20.0, 3600.0, seed=5)
         b = bursty_trace(20.0, 3600.0, seed=6)
         assert not np.array_equal(a.rps, b.rps)
-
-    def test_production_traces_trio(self):
-        traces = production_traces(10.0, duration_s=3600.0)
-        assert set(traces) == {"sporadic", "periodic", "bursty"}
 
     def test_timer_invocations_regular(self):
         times = timer_invocations(600.0, 86400.0, jitter_frac=0.01, seed=1)
@@ -187,15 +167,6 @@ class TestArrivalSampling:
         with pytest.raises(ValueError):
             sample_arrivals(trace, np.random.default_rng(0), max_requests=1000)
 
-    def test_thinning(self):
-        rng = np.random.default_rng(0)
-        kept = thin_arrivals(np.arange(10_000.0), 0.25, rng)
-        assert len(kept) == pytest.approx(2500, rel=0.1)
-
-    def test_thinning_validates_fraction(self):
-        with pytest.raises(ValueError):
-            thin_arrivals([1.0], 1.5, np.random.default_rng(0))
-
     @given(rate=st.floats(0.5, 50.0), seed=st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
     def test_sampling_respects_poisson_mean(self, rate, seed):
@@ -226,6 +197,7 @@ class TestApplications:
         app = build_osvt()
         split = app.rps_split(300.0)
         assert sum(split.values()) == pytest.approx(300.0)
+        assert list(split) == app.function_names()
 
     def test_custom_shares_normalised(self):
         app = build_osvt()
@@ -290,17 +262,6 @@ class TestSeeding:
         # the legacy int path (which the golden reports pin down).
         assert np.array_equal(seq_trace.rps, repeat.rps)
         assert not np.array_equal(seq_trace.rps, int_trace.rps)
-
-    def test_production_traces_accept_seed_sequence(self):
-        traces = production_traces(
-            60.0, duration_s=20.0, seed=np.random.SeedSequence(1)
-        )
-        assert set(traces) == {"sporadic", "periodic", "bursty"}
-        again = production_traces(
-            60.0, duration_s=20.0, seed=np.random.SeedSequence(1)
-        )
-        for name in traces:
-            assert np.array_equal(traces[name].rps, again[name].rps)
 
     def test_trace_dict_round_trip(self):
         trace = periodic_trace(80.0, 40.0, seed=2)
