@@ -120,6 +120,47 @@ class GpuDevice:
         self.kv_reserved_tokens += tokens * sequences
         self.kv_reserved_mb = booked + mb
 
+    def kv_acquire_run(
+        self, mb_per_token: float, sequences: int, iterations: int
+    ) -> int:
+        """Book up to ``iterations`` decode iterations of one token each
+        for ``sequences`` sequences; return how many were booked.
+
+        Each iteration is the ``kv_acquire(1, mb_per_token, sequences)``
+        it replaces: the same per-sequence MB additions in the same
+        order, so the ledger is bit-identical.  The run stops before
+        the first iteration the free tokens, ``int(free_mb /
+        mb_per_token)``, could not hold.  A failed capacity check
+        raises with the ledger where those calls would have left it.
+        """
+        if sequences < 1:
+            raise AllocationError("negative KV acquisition")
+        avail = self.memory_mb - self.weights_reserved_mb
+        booked = self.kv_reserved_mb
+        others = range(sequences - 1)
+        done = 0
+        while done < iterations:
+            # int(free_mb / mb_per_token) < sequences, as sequences >= 1
+            # and free_mb <= 0 holds no token.
+            if (avail - booked) / mb_per_token < sequences:
+                break
+            charged = booked
+            for _ in others:
+                charged += mb_per_token
+            if mb_per_token > avail - charged + 1e-9:
+                self.kv_reserved_tokens += done * sequences
+                self.kv_reserved_mb = booked
+                raise AllocationError(
+                    f"GPU {self.device_id}: {self.memory_free_mb:.0f} MB"
+                    f" free, KV ask {sequences * mb_per_token:.0f} MB"
+                    f" ({sequences} x 1 tokens)"
+                )
+            booked = charged + mb_per_token
+            done += 1
+        self.kv_reserved_tokens += done * sequences
+        self.kv_reserved_mb = booked
+        return done
+
     def kv_release(self, tokens: int, mb_per_token: float) -> None:
         """Return ``tokens`` of KV cache; over-release is a hard error."""
         if tokens > self.kv_reserved_tokens:

@@ -192,8 +192,10 @@ class LLMWorker:
     def kv_acquire(self, tokens: int, sequences: int = 1) -> None:
         """Reserve ``tokens`` of KV cache for each of ``sequences``.
 
-        A decode iteration charges its whole batch (one token each)
-        in one call; the device still books one charge per sequence.
+        A prompt charges its tokens here, and a decode run's first
+        iteration its whole batch (one token each) in one call; the
+        device still books one charge per sequence.  The rest of the
+        run books through :meth:`kv_acquire_run`.
         """
         self.device.kv_acquire(tokens, self.spec.kv_mb_per_token, sequences)
         tokens *= sequences
@@ -201,6 +203,28 @@ class LLMWorker:
         self.kv_acquired_total += tokens
         if self.kv_resident_tokens > self.kv_peak_tokens:
             self.kv_peak_tokens = self.kv_resident_tokens
+
+    def kv_acquire_run(self, batch: int, iterations: int) -> int:
+        """Book up to ``iterations`` decode iterations of ``batch``
+        one-token charges; return how many were booked.
+
+        The run stops before the first iteration that
+        :attr:`kv_free_tokens` could not hold: the own budget caps it
+        in integers, the device books the rest in one call.
+        """
+        own = self.kv_capacity_tokens - self.kv_resident_tokens
+        cap = max(0, own) // batch
+        if iterations > cap:
+            iterations = cap
+        booked = self.device.kv_acquire_run(
+            self.spec.kv_mb_per_token, batch, iterations
+        )
+        tokens = booked * batch
+        self.kv_resident_tokens += tokens
+        self.kv_acquired_total += tokens
+        if self.kv_resident_tokens > self.kv_peak_tokens:
+            self.kv_peak_tokens = self.kv_resident_tokens
+        return booked
 
     def kv_release(self, tokens: int) -> None:
         """Return KV cache; raises when releasing more than resident."""
@@ -542,34 +566,38 @@ class ContinuousBatchingLLM:
     ) -> None:
         """Fold the decode iterations nothing can tell apart into ``plan``.
 
-        Runs after the plan's first decode iteration began.  While the
-        next iteration would start before ``until``, finish no
-        sequence early, and fit the KV cache without an eviction, the
-        iteration is applied now: its KV charge (one
-        :meth:`LLMWorker.kv_acquire` per iteration, so the device's MB
-        ledger books in the same order as iteration by iteration), its
-        counters, and the tokens of the iteration before it.  The
-        plan's ``end_s`` grows one iteration at a time, as successive
-        events would have summed it, and :meth:`finish_step` runs only
-        the last iteration.  Admission cannot change at these
+        Runs after the plan's first decode iteration began.  The run
+        takes each next iteration that would start before ``until``,
+        finish no sequence early, and fit the KV cache without an
+        eviction.  It first counts the iterations ``until`` and the
+        shortest sequence allow, then books their KV charge with one
+        :meth:`LLMWorker.kv_acquire_run` call, which stops where the
+        cache would fill; the device's MB ledger books in the same
+        order as iteration by iteration.  The booked iterations'
+        counters and tokens are then applied at once.  The plan's
+        ``end_s`` is summed one iteration at a time, as successive
+        events would have summed it (again over the booked iterations
+        when the cache cut the run short), and :meth:`finish_step`
+        runs only the last iteration.  Admission cannot change at these
         boundaries: free KV only shrinks along the run, so whatever the
         first iteration left swapped or waiting stays so.
         """
         batch = plan.batch_tokens
         # k iterations in all, each adding one token to every sequence.
-        limit = min(seq.remaining_tokens for seq in plan.seqs)
+        limit = min([seq.output_tokens - seq.generated for seq in plan.seqs])
         step = worker.spec.decode_time_s(batch)
-        end = plan.end_s
-        extra = 0
-        while (
-            extra + 1 < limit and end < until
-            and batch <= worker.kv_free_tokens
-        ):
-            worker.kv_acquire(1, batch)
+        start = end = plan.end_s
+        allowed = 0
+        while allowed + 1 < limit and end < until:
             end += step
-            extra += 1
+            allowed += 1
+        extra = worker.kv_acquire_run(batch, allowed)
         if not extra:
             return
+        if extra < allowed:
+            end = start
+            for _ in range(extra):
+                end += step
         for seq in plan.seqs:
             seq.kv_tokens += extra
             seq.generated += extra

@@ -90,11 +90,13 @@ class TestScaleInAndWarmPool:
         scaler.observe(resnet_fn, rps=2000.0, now=0.0)
         scaler.observe(resnet_fn, rps=50.0, now=10.0)
         cold_before = scaler.stats.cold_starts
+        reuses_before = scaler.stats.warm_reuses + scaler.stats.prefetch_reuses
         action = scaler.observe(resnet_fn, rps=2000.0, now=20.0)
         assert action.reclaimed
         for instance in action.reclaimed:
             assert instance.ready_at == 20.0
-        assert scaler.stats.warm_reuses >= len(action.reclaimed)
+        reuses = scaler.stats.warm_reuses + scaler.stats.prefetch_reuses
+        assert reuses - reuses_before == len(action.reclaimed)
         assert scaler.stats.cold_starts == cold_before  # no new cold start
 
     def test_expired_warm_instances_release_resources(self, predictor, resnet_fn):
@@ -107,11 +109,33 @@ class TestScaleInAndWarmPool:
         assert not scaler.warm_pool(resnet_fn.name)
 
     def test_reserved_idle_waste_accrues(self, predictor, resnet_fn):
+        def held_cost(scaler, entry, until):
+            beta = scaler.scheduler.cluster.beta
+            weighted = entry.instance.config.weighted_cost(beta)
+            return (until - entry.entered_at) * weighted
+
+        # An expired entry accrues its reserved time up to its expiry.
         scaler = make_scaler(predictor, FixedKeepAlive(30.0))
         scaler.observe(resnet_fn, rps=2000.0, now=0.0)
         scaler.observe(resnet_fn, rps=50.0, now=10.0)
+        pool = scaler.warm_pool(resnet_fn.name)
+        assert pool and all(entry.reserved for entry in pool)
         scaler.observe(resnet_fn, rps=50.0, now=100.0)
         assert scaler.stats.reserved_idle_resource_s > 0
+        assert scaler.stats.reserved_idle_resource_s == sum(
+            held_cost(scaler, entry, entry.expires_at) for entry in pool
+        )
+        # A reclaimed one accrues its reserved time up to the reuse.
+        scaler = make_scaler(predictor, FixedKeepAlive(30.0))
+        scaler.observe(resnet_fn, rps=2000.0, now=0.0)
+        scaler.observe(resnet_fn, rps=50.0, now=10.0)
+        pool = scaler.warm_pool(resnet_fn.name)
+        action = scaler.observe(resnet_fn, rps=2000.0, now=20.0)
+        assert action.reclaimed
+        assert scaler.stats.reserved_idle_resource_s == sum(
+            held_cost(scaler, entry, 20.0) for entry in pool
+            if entry.instance in action.reclaimed
+        )
 
     def test_zero_keepalive_releases_immediately(self, predictor, resnet_fn):
         scaler = make_scaler(predictor, NoKeepAlive())

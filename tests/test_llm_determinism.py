@@ -7,7 +7,8 @@
   arrival ends the run completed or dropped, never parked forever;
 * fused decode runs change nothing: a traced run plans one iteration
   per event, so it is the reference an untraced run must match, under
-  every policy, on a shared GPU and under faults;
+  every policy, on a shared GPU, under faults and where device memory
+  ends decode runs;
 * how many events a run takes: well under one per iteration when
   decode runs fuse, at least one per iteration when they cannot.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,9 @@ from hypothesis import strategies as st
 
 from repro.bench.suites import llm_decode_experiment
 from repro.cluster import build_testbed_cluster
+from repro.cluster.cluster import Cluster
+from repro.cluster.fleet import GpuProfile
+from repro.cluster.server import Server
 from repro.core import FunctionSpec
 from repro.faults import FaultPlan
 from repro.llm import ContinuousBatchingLLM, LLMSimulation
@@ -104,7 +109,7 @@ class _TickProbe(LLMSimulation):
     def _after_control(self, now: float) -> None:
         self.ticks.append([
             (w.worker_id, w.busy_until, w.decode_steps, w.tokens_generated,
-             w.kv_resident_tokens, w.device.kv_reserved_mb)
+             w.kv_resident_tokens, w.device.kv_reserved_mb, w.kv_free_tokens)
             for w in self.platform.workers
         ])
         super()._after_control(now)
@@ -112,14 +117,21 @@ class _TickProbe(LLMSimulation):
 
 def _simulation(
     traced: bool, servers: int = 2, faults=None, runtime=LLMSimulation,
+    model: str = "llm-125m", gpu_memory_gb: Optional[float] = None,
     **options,
 ):
-    """An llm-125m run under the strict audit."""
-    function = FunctionSpec.for_model("llm-125m", slo_s=0.5)
-    platform = ContinuousBatchingLLM(
-        build_testbed_cluster(num_servers=servers), tpot_slo_s=0.05,
-        **options,
-    )
+    """An llm-125m run (or ``model``'s) under the strict audit, on the
+    testbed or on one-GPU servers of ``gpu_memory_gb`` each."""
+    function = FunctionSpec.for_model(model, slo_s=0.5)
+    if gpu_memory_gb is None:
+        cluster = build_testbed_cluster(num_servers=servers)
+    else:
+        small = GpuProfile(name="small", memory_gb=gpu_memory_gb)
+        cluster = Cluster([
+            Server(server_id=i, num_gpus=1, gpu_profile=small)
+            for i in range(servers)
+        ])
+    platform = ContinuousBatchingLLM(cluster, tpot_slo_s=0.05, **options)
     platform.deploy(function)
     return runtime(
         platform=platform,
@@ -195,6 +207,27 @@ def test_control_ticks_see_the_unfused_state():
     )
     assert fused.ticks == reference.ticks
     assert fused.loop.processed < reference.loop.processed
+
+
+def test_fused_runs_match_where_device_memory_ends_them():
+    # No max_kv_tokens: each worker's budget is its GPU's free memory.
+    # 570 MB of KV room is exactly 3,000 llm-1b tokens of 0.19 MB in
+    # real arithmetic, so float residue in the device's MB ledger can
+    # leave the device a token short of the worker's own budget, and
+    # the device bound, not the budget, ends some decode runs.
+    reference, fused, _report = _traced_and_untraced(
+        runtime=_TickProbe, servers=1, model="llm-1b",
+        gpu_memory_gb=3170 / 1024,
+    )
+    assert fused.ticks == reference.ticks
+    assert fused.loop.processed < reference.loop.processed
+    (worker,) = fused.platform.workers
+    assert worker.kv_capacity_tokens == 3000
+    assert any(
+        free < worker.kv_capacity_tokens - resident
+        for tick in fused.ticks
+        for (_id, _busy, _steps, _tokens, resident, _mb, free) in tick
+    )
 
 
 def _events_and_iterations(simulation):

@@ -264,7 +264,7 @@ def test_admission_routes_past_a_replica_too_small_for_the_request(victims):
 
 
 # ----------------------------------------------------------------------
-# KV ledger: one device charge per decode iteration
+# KV ledger: one device charge per decode iteration, one call per run
 # ----------------------------------------------------------------------
 def _ledger(device):
     return device.kv_reserved_tokens, device.kv_reserved_mb
@@ -322,6 +322,125 @@ def test_batch_kv_charge_equals_per_sequence_charges(
         assert _ledger(batched) == _ledger(single)
 
 
+def _worker_on(device, spec, kv_capacity_tokens: int) -> LLMWorker:
+    return LLMWorker(
+        worker_id=0,
+        function=FunctionSpec.for_model(spec.name, slo_s=1.0),
+        placement=SimpleNamespace(server_id=0),
+        device=device,
+        config=(1, 2, 100),
+        kv_capacity_tokens=kv_capacity_tokens,
+    )
+
+
+def _book_each(worker, batch: int, iterations: int) -> int:
+    """The reference: one batch charge per iteration while it fits."""
+    n = iterations
+    while n and batch <= worker.kv_free_tokens:
+        worker.kv_acquire(1, batch)
+        n -= 1
+    return iterations - n
+
+
+def _kv_state(worker):
+    device = worker.device
+    return (
+        device.kv_reserved_tokens,
+        device.kv_reserved_mb.hex(),  # bit for bit
+        worker.kv_resident_tokens,
+        worker.kv_acquired_total,
+        worker.kv_peak_tokens,
+    )
+
+
+def _book_run_both_ways(
+    spec, memory_gb, prompts, slack, budget_offset, prime, overcommit_mb,
+    batch, iterations,
+) -> str:
+    """Book one decode run with ``kv_acquire_run`` and with the
+    reference on twin workers, assert they agree exactly, and say what
+    ended the run."""
+    devices = _near_full_devices(spec, memory_gb, prompts, slack)
+    budget = spec.kv_capacity_tokens(devices[0].memory_free_mb) + budget_offset
+    run, each = (_worker_on(device, spec, budget) for device in devices)
+    for worker in (run, each):
+        if 0 < prime <= worker.kv_free_tokens:
+            # Leaves a peak above what is resident.
+            worker.kv_acquire(prime)
+            worker.kv_release(prime)
+        if overcommit_mb is not None:
+            # Free memory at or below zero: weights claim the rest and more.
+            device = worker.device
+            device.weights_reserved_mb = (
+                device.memory_mb - device.kv_reserved_mb + overcommit_mb
+            )
+    own = run.kv_capacity_tokens - run.kv_resident_tokens
+    booked = run.kv_acquire_run(batch, iterations)
+    assert booked == _book_each(each, batch, iterations)
+    assert _kv_state(run) == _kv_state(each)
+    if booked == iterations:
+        return "all booked" if iterations else "none asked"
+    if own < 0:
+        return "own below zero"
+    if run.device.memory_free_mb <= 0:
+        return "no free memory"
+    if run.kv_capacity_tokens - run.kv_resident_tokens < batch:
+        return "own budget"
+    return "device"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    batch=st.integers(1, 64),
+    iterations=st.integers(0, 40),
+    budget_offset=st.integers(-400, 400),
+    prime=st.integers(0, 200),
+    overcommit_mb=st.one_of(st.none(), st.floats(0.0, 500.0)),
+    **_NEAR_FULL,
+)
+def test_run_booking_equals_per_iteration_charges(
+    spec, memory_gb, prompts, slack, budget_offset, prime, overcommit_mb,
+    batch, iterations,
+):
+    _book_run_both_ways(
+        spec, memory_gb, prompts, slack, budget_offset, prime,
+        overcommit_mb, batch, iterations,
+    )
+
+
+@pytest.mark.parametrize("stop,budget_offset,overcommit_mb,iterations", [
+    ("none asked", 1000, None, 0),
+    ("all booked", 1000, None, 3),
+    ("device", 1000, None, 40),
+    ("own budget", -60, None, 40),
+    ("own below zero", -200, None, 40),
+    ("no free memory", 1000, 0.0, 40),
+])
+def test_run_booking_stops_where_the_reference_does(
+    stop, budget_offset, overcommit_mb, iterations
+):
+    # About 101 free tokens on the device; batches of 8.
+    assert _book_run_both_ways(
+        LLM_ZOO["llm-125m"], 11.0, [300], 100, budget_offset, 50,
+        overcommit_mb, 8, iterations,
+    ) == stop
+
+
+def test_run_booking_fills_a_device_to_the_last_token():
+    # 8,664 MB of KV room over 0.19 MB a token is exactly 45,600.0, so
+    # one iteration of 45,600 sequences fits with nothing to spare.
+    spec = LLM_ZOO["llm-1b"]
+    run, each = (
+        _worker_on(GpuDevice(device_id=0, memory_mb=11 * 1024.0), spec,
+                   45_600)
+        for _ in range(2)
+    )
+    for worker in (run, each):
+        worker.device.reserve_weights(spec.weights_mb)
+    assert run.kv_acquire_run(45_600, 2) == _book_each(each, 45_600, 2) == 1
+    assert _kv_state(run) == _kv_state(each)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     sequences=st.integers(1, 64),
@@ -334,17 +453,9 @@ def test_kv_free_tokens_matches_the_device_capacity(
     overcommit_mb,
 ):
     batched, single = _near_full_devices(spec, memory_gb, prompts, slack)
-    worker = LLMWorker(
-        worker_id=0,
-        function=FunctionSpec.for_model(spec.name, slo_s=1.0),
-        placement=SimpleNamespace(server_id=0),
-        device=batched,
-        config=(1, 2, 100),
-        kv_capacity_tokens=max(
-            0, spec.kv_capacity_tokens(batched.memory_free_mb)
-            + budget_offset
-        ),
-    )
+    worker = _worker_on(batched, spec, max(
+        0, spec.kv_capacity_tokens(batched.memory_free_mb) + budget_offset
+    ))
     before = _ledger(single)
     try:
         _charge_each(single, spec.kv_mb_per_token, sequences)
