@@ -31,7 +31,13 @@ from repro.llm.simulation import LLMSimulation
 from repro.profiling.executor import GroundTruthExecutor
 from repro.profiling.predictor import LatencyPredictor, build_default_predictor
 from repro.simulation.metrics import SimulationReport
-from repro.simulation.runtime import ServingSimulation
+from repro.simulation.runtime import (
+    COLD_QUEUE_BATCHES,
+    CONTROL_INTERVAL_S,
+    EWMA_WEIGHT,
+    PENDING_CAP,
+    ServingSimulation,
+)
 from repro.telemetry import InMemoryTracer, TimelineRecorder, Tracer
 from repro.workflows import (
     WORKFLOW_POLICIES,
@@ -43,6 +49,15 @@ from repro.workloads.trace import Trace
 
 #: version tag of the :meth:`Experiment.to_spec` schema.
 SPEC_SCHEMA = 1
+
+#: spec keys of retired runtime options -> the constant each is now;
+#: older specs carried every one of them at that value.
+FIXED_SPEC_KEYS: Dict[str, float] = {
+    "control_interval_s": CONTROL_INTERVAL_S,
+    "ewma": EWMA_WEIGHT,
+    "pending_cap": PENDING_CAP,
+    "cold_queue_batches": COLD_QUEUE_BATCHES,
+}
 
 #: registry name -> platform class; every entry follows the normalized
 #: ``(cluster, predictor, *, name, seed, ...)`` constructor shape.
@@ -177,7 +192,13 @@ class Experiment:
         hot_k: hybrid-mode partition size (ignored by other engines).
 
     The remaining keyword arguments mirror
-    :class:`~repro.simulation.runtime.ServingSimulation` exactly.
+    :class:`~repro.simulation.runtime.ServingSimulation` exactly.  The
+    control tick, the EWMA weight, the park cap and the cold-start
+    queue depth are the runtime's constants
+    (:data:`~repro.simulation.runtime.CONTROL_INTERVAL_S`,
+    :data:`~repro.simulation.runtime.EWMA_WEIGHT`,
+    :data:`~repro.simulation.runtime.PENDING_CAP`,
+    :data:`~repro.simulation.runtime.COLD_QUEUE_BATCHES`), not options.
     """
 
     def __init__(
@@ -201,11 +222,7 @@ class Experiment:
         invariants: Union[None, str, object] = None,
         warmup_s: float = 0.0,
         seed: int = 42,
-        control_interval_s: float = 1.0,
         rate_mode: str = "measured",
-        ewma: float = 0.6,
-        pending_cap: int = 100_000,
-        cold_queue_batches: int = 64,
         workflow: Union[None, WorkflowSpec, Dict[str, object], str] = None,
         workflow_policy: str = "decomposed",
         metrics_mode: str = "exact",
@@ -245,11 +262,7 @@ class Experiment:
         self.invariants = invariants
         self.warmup_s = warmup_s
         self.seed = seed
-        self.control_interval_s = control_interval_s
         self.rate_mode = rate_mode
-        self.ewma = ewma
-        self.pending_cap = pending_cap
-        self.cold_queue_batches = cold_queue_batches
         self.workflow = WorkflowSpec.coerce(workflow)
         if workflow_policy not in WORKFLOW_POLICIES:
             known = ", ".join(WORKFLOW_POLICIES)
@@ -343,7 +356,6 @@ class Experiment:
             check(self.engine, self.platform.workload_class, self._features)
         common = dict(
             platform=self.platform, workload=self.workload,
-            control_interval_s=self.control_interval_s,
             warmup_s=self.warmup_s, tracer=self.tracer,
             timeline=self.timeline, invariants=self.invariants,
             faults=self.faults, resilience=self.resilience, seed=self.seed,
@@ -361,9 +373,6 @@ class Experiment:
         self.simulation = ServingSimulation(
             executor=self.executor or GroundTruthExecutor(),
             rate_mode=self.rate_mode,
-            ewma=self.ewma,
-            pending_cap=self.pending_cap,
-            cold_queue_batches=self.cold_queue_batches,
             workflow=self.workflow,
             metrics_mode=self.metrics_mode,
             arrival_mode=self.arrival_mode,
@@ -404,16 +413,14 @@ class Experiment:
         common = dict(
             functions=self.functions, workload=self.workload,
             predictor=self.predictor, executor=self.executor,
-            control_interval_s=self.control_interval_s,
-            warmup_s=self.warmup_s, ewma=self.ewma,
-            pending_cap=self.pending_cap, invariants=self.invariants,
-            seed=self.seed, rate_mode=self.rate_mode,
+            warmup_s=self.warmup_s, invariants=self.invariants,
+            rate_mode=self.rate_mode,
         )
         if self.engine == "fluid":
             return FluidSimulation(**common)
         return HybridSimulation(
             hot_k=self.hot_k, platform=self._platform_spec,
-            servers=self.servers, **common,
+            servers=self.servers, seed=self.seed, **common,
         )
 
     def run(self) -> SimulationReport:
@@ -494,11 +501,7 @@ class Experiment:
             "invariants": self.invariants,
             "warmup_s": self.warmup_s,
             "seed": self.seed,
-            "control_interval_s": self.control_interval_s,
             "rate_mode": self.rate_mode,
-            "ewma": self.ewma,
-            "pending_cap": self.pending_cap,
-            "cold_queue_batches": self.cold_queue_batches,
         }
         # Emitted only when non-default: campaign resume is content-
         # addressed on the spec, so default-mode specs must hash exactly
@@ -548,6 +551,14 @@ class Experiment:
                     " pass the pipeline and its end-to-end SLO as"
                     " workflow= (a WorkflowSpec)"
                 )
+        # Older specs carried the retired runtime options at their
+        # constant values; any other value would be dropped silently.
+        for key, fixed in FIXED_SPEC_KEYS.items():
+            if key in spec and spec[key] != fixed:
+                raise ValueError(
+                    f"experiment spec key {key!r} is no longer an option:"
+                    f" it is fixed at {fixed!r}, got {spec[key]!r}"
+                )
         functions = None
         if spec.get("functions") is not None:
             functions = [
@@ -576,11 +587,7 @@ class Experiment:
             invariants=spec.get("invariants"),
             warmup_s=spec.get("warmup_s", 0.0),
             seed=spec.get("seed", 42),
-            control_interval_s=spec.get("control_interval_s", 1.0),
             rate_mode=spec.get("rate_mode", "measured"),
-            ewma=spec.get("ewma", 0.6),
-            pending_cap=spec.get("pending_cap", 100_000),
-            cold_queue_batches=spec.get("cold_queue_batches", 64),
             workflow=spec.get("workflow"),
             workflow_policy=spec.get("workflow_policy", "decomposed"),
             metrics_mode=spec.get("metrics_mode", "exact"),

@@ -18,7 +18,7 @@ Observation 5):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.baselines.common import UniformScalingPlatform
 from repro.cluster.cluster import Cluster
@@ -56,18 +56,11 @@ class BatchOTP(UniformScalingPlatform):
         name: str = "batch",
         seed: int = 321,
         keepalive_s: float = 600.0,
-        headroom: float = 0.85,
-        config_space: Optional[ConfigSpace] = None,
     ) -> None:
         super().__init__(
-            cluster,
-            predictor,
-            name=name,
-            seed=seed,
-            keepalive_s=keepalive_s,
-            headroom=headroom,
+            cluster, predictor, name=name, seed=seed, keepalive_s=keepalive_s
         )
-        self.config_space = config_space or ConfigSpace()
+        self.config_space = ConfigSpace()
         #: keyed on (name, model, slo, load bucket): like the greedy
         #: scheduler's config cache, a name-only key would leak choices
         #: between same-named specs with different SLOs or models.

@@ -25,6 +25,10 @@ from repro.profiling.predictor import LatencyPredictor
 from repro.telemetry import spans as ev
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
+#: target utilisation of each instance's ``r_up`` when sizing the
+#: fleet (scaling out at 100% would leave no slack).
+HEADROOM = 0.85
+
 
 class UniformScalingPlatform(InstanceRegistry):
     """Base class for uniform-scaling serving platforms.
@@ -40,8 +44,8 @@ class UniformScalingPlatform(InstanceRegistry):
         name: platform label for reports.
         seed: seed for the uniform request router.
         keepalive_s: fixed keep-alive window for retired instances.
-        headroom: target utilisation of each instance's ``r_up`` when
-            sizing the fleet (scaling out at 100% would leave no slack).
+
+    The fleet is sized to :data:`HEADROOM` of its capacity.
     """
 
     #: the audit layer only checks ``r_up > 0`` (BATCH overrides).
@@ -62,14 +66,10 @@ class UniformScalingPlatform(InstanceRegistry):
         name: str = "uniform",
         seed: int = 321,
         keepalive_s: float = 300.0,
-        headroom: float = 0.85,
     ) -> None:
-        if not 0.0 < headroom <= 1.0:
-            raise ValueError("headroom must lie in (0, 1]")
         super().__init__(cluster)
         self.predictor = predictor
         self.keepalive_s = keepalive_s
-        self.headroom = headroom
         self.name = name
         self._functions: Dict[str, FunctionSpec] = {}
         self._rng = np.random.default_rng(seed)
@@ -213,7 +213,7 @@ class UniformScalingPlatform(InstanceRegistry):
         outcome = ControlOutcome()
 
         config = self.select_config(function, rps)
-        required = rps / self.headroom
+        required = rps / HEADROOM
 
         # Scale out against the fleet's *actual* capacity: instances
         # launched at earlier load levels may carry older uniform

@@ -44,23 +44,16 @@ class ReplayStats:
 class LambdaLike:
     """The proportional CPU-memory, one-to-one mapping platform."""
 
-    def __init__(
-        self,
-        executor: Optional[GroundTruthExecutor] = None,
-        mb_per_vcpu: float = 1769.0,
-        max_memory_mb: int = 3008,
-    ) -> None:
+    def __init__(self, executor: Optional[GroundTruthExecutor] = None) -> None:
         self.executor = executor or GroundTruthExecutor()
-        self.mb_per_vcpu = mb_per_vcpu
-        self.max_memory_mb = max_memory_mb
 
     # ------------------------------------------------------------------
     # per-invocation analysis (Fig. 2)
     # ------------------------------------------------------------------
     def cpu_quota(self, memory_mb: float) -> float:
-        """Fractional vCPU allocated for a memory configuration."""
-        memory_mb = min(memory_mb, self.max_memory_mb)
-        return proportional_cpu_quota(memory_mb, self.mb_per_vcpu)
+        """Fractional vCPU allocated for a memory configuration, capped
+        at the largest memory size."""
+        return proportional_cpu_quota(min(memory_mb, LAMBDA_MEMORY_SIZES_MB[-1]))
 
     def can_load(self, model: ModelSpec, memory_mb: float, batch: int = 1) -> bool:
         """Whether the model (and batch buffers) fit in the function memory."""

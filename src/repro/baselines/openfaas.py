@@ -35,15 +35,9 @@ class OpenFaaSPlus(UniformScalingPlatform):
         name: str = "openfaas+",
         seed: int = 321,
         keepalive_s: float = 300.0,
-        headroom: float = 0.85,
     ) -> None:
         super().__init__(
-            cluster,
-            predictor,
-            name=name,
-            seed=seed,
-            keepalive_s=keepalive_s,
-            headroom=headroom,
+            cluster, predictor, name=name, seed=seed, keepalive_s=keepalive_s
         )
 
     def select_config(self, function: FunctionSpec, rps: float) -> InstanceConfig:

@@ -247,7 +247,6 @@ def bench_fluid_step(quick: bool = False) -> int:
         workload={function.name: constant_trace(200.0, float(ticks))},
         predictor=build_default_predictor(),
         invariants="off",
-        seed=7,
     )
     sim.run()
     return sim.steps

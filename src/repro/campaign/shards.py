@@ -67,19 +67,17 @@ class TraceShardConfig:
     Every field is plain data so the config crosses process boundaries
     untouched.  ``model``/``slo_s`` assign a zoo model to every trace
     function (production traces carry invocation counts, not model
-    identities).
+    identities).  Each micro-simulation samples its arrivals in
+    windows, keeps every statistic (no warmup) and audits under the
+    process-default invariant mode.
     """
 
     platform: str = "infless"
     servers: int = 2
     model: str = "resnet-50"
     slo_s: float = 0.2
-    warmup_s: float = 0.0
     root_seed: int = 42
-    arrival_mode: str = "windowed"
     arrival_window_s: float = 60.0
-    invariants: str = "off"
-    control_interval_s: float = 1.0
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready view of this shard configuration."""
@@ -132,12 +130,9 @@ def _run_function(
         servers=config.servers,
         functions=[function],
         workload={name: trace},
-        warmup_s=config.warmup_s,
-        invariants=config.invariants,
         metrics_mode="sketch",
-        arrival_mode=config.arrival_mode,
+        arrival_mode="windowed",
         arrival_window_s=config.arrival_window_s,
-        control_interval_s=config.control_interval_s,
         seed=seed,
     ).run()
     return {

@@ -175,7 +175,7 @@ class CampaignSpec:
         warmup_s: statistics warmup per run.
         trace_step_s: RPS-grid resolution for generated traces.
         experiment: extra key/values merged into every run's
-            experiment spec (``rate_mode``, ``pending_cap``, ...).
+            experiment spec (``rate_mode``, ``metrics_mode``, ...).
     """
 
     name: str

@@ -27,6 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.server import Server
     from repro.core.instance import Instance
 
+#: keep-alive window, seconds, of a histogram policy's decision before
+#: a function has invocation history (the fluid engine's warm pool
+#: keeps retired instances this long).
+DEFAULT_KEEPALIVE_S = 600.0
+
 
 @dataclass(frozen=True)
 class ColdStartDecision:
@@ -198,7 +203,9 @@ class WindowedKeepAlive(_DefaultColdStartHooks):
     """
 
     #: decision used until a function has enough history.
-    DEFAULT_DECISION = ColdStartDecision(prewarm_s=0.0, keepalive_s=600.0)
+    DEFAULT_DECISION = ColdStartDecision(
+        prewarm_s=0.0, keepalive_s=DEFAULT_KEEPALIVE_S
+    )
     #: minimum observations before the histogram is considered
     #: representative.
     MIN_OBSERVATIONS = 10
@@ -215,9 +222,7 @@ class WindowedKeepAlive(_DefaultColdStartHooks):
     #: refresh histogram-derived windows periodically, not per request.
     DECISION_REFRESH_S = 10.0
 
-    def __init__(self, head_q: float = 5.0, tail_q: float = 99.0) -> None:
-        self.head_q = head_q
-        self.tail_q = tail_q
+    def __init__(self) -> None:
         #: function -> the invocation its next pending gap starts from.
         self._gap_start: Dict[str, float] = {}
         self._histograms: dict = {}
@@ -299,7 +304,7 @@ class WindowedKeepAlive(_DefaultColdStartHooks):
         )
         if histogram.count(now) < required:
             return None
-        head, tail = histogram.head_tail(now, self.head_q, self.tail_q)
+        head, tail = histogram.head_tail(now)
         cv = histogram.coefficient_of_variation(now)
         if cv is None or cv > self.PREWARM_MAX_CV:
             head = 0.0  # unpredictable idles: never unload early

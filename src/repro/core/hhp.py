@@ -23,10 +23,8 @@ class HybridHistogramPolicy(WindowedKeepAlive):
     def __init__(
         self,
         duration_s: float = 4 * 3600.0,
-        head_q: float = 5.0,
-        tail_q: float = 99.0,
     ) -> None:
-        super().__init__(head_q=head_q, tail_q=tail_q)
+        super().__init__()
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         self.duration_s = duration_s

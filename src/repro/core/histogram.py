@@ -19,6 +19,11 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
+#: the idle-time percentiles both policies read as the pre-warming
+#: (head) and keep-alive (tail) windows.
+HEAD_PERCENTILE = 5.0
+TAIL_PERCENTILE = 99.0
+
 
 @dataclass
 class IdleTimeHistogram:
@@ -86,14 +91,12 @@ class IdleTimeHistogram:
             return None
         return float(np.percentile(values, q))
 
-    def head_tail(
-        self, now: float, head_q: float = 5.0, tail_q: float = 99.0
-    ) -> Optional[Tuple[float, float]]:
+    def head_tail(self, now: float) -> Optional[Tuple[float, float]]:
         """The (head, tail) percentile pair both policies consume."""
         values = self.window_values(now)
         if not values:
             return None
-        head, tail = np.percentile(values, [head_q, tail_q])
+        head, tail = np.percentile(values, [HEAD_PERCENTILE, TAIL_PERCENTILE])
         return float(head), float(tail)
 
     def coefficient_of_variation(self, now: float) -> Optional[float]:

@@ -31,10 +31,8 @@ class LongShortTermHistogram(WindowedKeepAlive):
         gamma: float = GAMMA_DEFAULT,
         short_duration_s: float = 3600.0,
         long_duration_s: float = 24 * 3600.0,
-        head_q: float = 5.0,
-        tail_q: float = 99.0,
     ) -> None:
-        super().__init__(head_q=head_q, tail_q=tail_q)
+        super().__init__()
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if short_duration_s <= 0 or long_duration_s <= short_duration_s:

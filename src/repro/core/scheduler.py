@@ -100,6 +100,10 @@ class GreedyScheduler:
         predictor: the COP latency predictor supplying
             ``t_exec = f(b, c, g)``.
         config_space: discrete ``<b, c, g>`` choices to explore.
+        dynamic_beta: re-price beta by the remaining resources.
+
+    ``selection`` is ``"efficiency"``, Algorithm 1's Eq. 10 scoring;
+    the Fig. 11 RS ablation sets it to ``"max_density"``.
     """
 
     def __init__(
@@ -108,19 +112,11 @@ class GreedyScheduler:
         predictor: LatencyPredictor,
         config_space: Optional[ConfigSpace] = None,
         dynamic_beta: bool = True,
-        selection: str = "efficiency",
     ) -> None:
-        if selection not in ("efficiency", "max_rps", "max_density"):
-            raise ValueError(
-                "selection must be 'efficiency', 'max_rps' or 'max_density'"
-            )
         self.cluster = cluster
         self.predictor = predictor
         self.config_space = config_space or ConfigSpace()
-        #: "efficiency" is Algorithm 1's Eq. 10 scoring; "max_rps" is
-        #: the RS-ablation of Fig. 11 ("selecting only the resource
-        #: configuration with the maximum throughput").
-        self.selection = selection
+        self.selection = "efficiency"
         #: (model, slo, batch[, generation rate]) -> feasible (config,
         #: t_exec, bounds) rows independent of the residual-load
         #: filter; predictions do not change between scheduling calls,
@@ -543,8 +539,6 @@ class GreedyScheduler:
         beta = self.cluster.beta
 
         def key(row):
-            if self.selection == "max_rps":
-                return row[2].r_up
             return rps_per_resource(
                 min(row[2].r_up, remaining), row[0].cpu, row[0].gpu, beta
             )

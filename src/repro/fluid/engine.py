@@ -16,20 +16,15 @@ import math
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.campaign.shards import merge_function_results
-from repro.core.dispatcher import ALPHA_DEFAULT
+from repro.cluster.resources import BETA
 from repro.core.function import FunctionSpec
 from repro.fluid.model import CapacityLadder, FunctionFluid
 from repro.invariants import resolve_checker
-from repro.profiling.configspace import ConfigSpace
 from repro.profiling.executor import GroundTruthExecutor
 from repro.profiling.predictor import LatencyPredictor, build_default_predictor
 from repro.simulation.metrics import SimulationReport
+from repro.simulation.runtime import CONTROL_INTERVAL_S
 from repro.workloads.trace import Trace
-
-#: keep-alive window matching the policy default the discrete runtime
-#: applies before a function has invocation history
-#: (:data:`repro.core.coldstart.WindowedKeepAlive.DEFAULT_DECISION`).
-DEFAULT_KEEPALIVE_S = 600.0
 
 
 def _parse_config_key(key: str) -> Tuple[int, int, int]:
@@ -95,25 +90,22 @@ def report_from_merged(merged: Dict[str, object]) -> SimulationReport:
 class FluidSimulation:
     """Continuous-time fluid replay of a multi-function workload.
 
+    The Euler step is the discrete runtime's control tick
+    (:data:`~repro.simulation.runtime.CONTROL_INTERVAL_S`), and costs
+    and efficiency scores weigh CPU against GPU with the cluster's
+    :data:`~repro.cluster.resources.BETA`.  The path is deterministic
+    by construction: it draws no random numbers.
+
     Args:
         functions: specs to serve (one fluid state vector each).
         workload: function name -> arrival trace.
         predictor: latency predictor the capacity ladder plans with.
         executor: ground-truth executor supplying actual batch times
             and the noise spread for the latency atoms.
-        beta: CPU-vs-GPU weighting for cost/efficiency scores.
-        control_interval_s: Euler step, matching the discrete
-            runtime's control-tick cadence.
         warmup_s: statistics before this time are discarded (resource
             integrals are clipped, mirroring the discrete collector).
-        ewma: rate-estimate smoothing (``est = ewma*measured +
-            (1-ewma)*prev``), as the runtime's estimator.
-        pending_cap: queue-depth cap; overflow drops (``queue_full``).
-        keepalive_s: warm-pool retention window (LSTH default).
         invariants: audit mode (``off``/``collect``/``strict``) or a
             pre-built checker; flow conservation is audited per tick.
-        seed: accepted for engine-interface symmetry; the fluid path
-            is deterministic by construction and never draws from it.
         rate_mode: ``"measured"`` runs the controller on the EWMA of
             the fluid arrival rate (the runtime's estimator);
             ``"oracle"`` reads the trace directly, matching the
@@ -127,22 +119,10 @@ class FluidSimulation:
         workload: Dict[str, Trace],
         predictor: Optional[LatencyPredictor] = None,
         executor: Optional[GroundTruthExecutor] = None,
-        beta: Optional[float] = None,
-        control_interval_s: float = 1.0,
         warmup_s: float = 0.0,
-        ewma: float = 0.6,
-        pending_cap: int = 100_000,
-        keepalive_s: float = DEFAULT_KEEPALIVE_S,
-        alpha: float = ALPHA_DEFAULT,
         invariants: Union[None, str, object] = None,
-        seed: int = 42,
-        config_space: Optional[ConfigSpace] = None,
         rate_mode: str = "measured",
     ) -> None:
-        if control_interval_s <= 0:
-            raise ValueError("control_interval_s must be > 0")
-        from repro.cluster.resources import BETA
-
         self.functions = {spec.name: spec for spec in functions}
         missing = sorted(set(workload) - set(self.functions))
         if missing:
@@ -152,17 +132,9 @@ class FluidSimulation:
         self.workload = dict(workload)
         self.predictor = predictor or build_default_predictor()
         self.executor = executor or GroundTruthExecutor()
-        self.beta = BETA if beta is None else beta
-        self.control_interval_s = control_interval_s
         self.warmup_s = warmup_s
-        self.ewma = ewma
-        self.pending_cap = pending_cap
-        self.keepalive_s = keepalive_s
-        self.alpha = alpha
-        self.seed = seed
         self.rate_mode = rate_mode
         self.checker = resolve_checker(invariants)
-        self._config_space = config_space
         self.steps = 0
         self.fluids: Dict[str, FunctionFluid] = {}
         self._payloads: Optional[List[Dict[str, object]]] = None
@@ -173,24 +145,13 @@ class FluidSimulation:
     # ------------------------------------------------------------------
     def _build_fluid(self, name: str) -> FunctionFluid:
         function = self.functions[name]
-        ladder = CapacityLadder(
-            function,
-            self.predictor,
-            self.executor,
-            self.beta,
-            config_space=self._config_space,
-        )
-        hardware = self.executor.hardware
+        ladder = CapacityLadder(function, self.predictor, self.executor, BETA)
         return FunctionFluid(
             function,
             self.workload[name],
             ladder,
-            ewma=self.ewma,
-            alpha=self.alpha,
-            keepalive_s=self.keepalive_s,
-            pending_cap=self.pending_cap,
             warmup_s=self.warmup_s,
-            noise_sigma=hardware.noise_sigma,
+            noise_sigma=self.executor.hardware.noise_sigma,
             rate_mode=self.rate_mode,
         )
 
@@ -202,7 +163,7 @@ class FluidSimulation:
         for name in sorted(self.workload):
             fluid = self._build_fluid(name)
             self.fluids[name] = fluid
-            dt = self.control_interval_s
+            dt = CONTROL_INTERVAL_S
             horizon = self.workload[name].duration_s
             ticks = max(1, int(math.ceil(horizon / dt - 1e-9)))
             for k in range(ticks):

@@ -81,10 +81,7 @@ class HybridSimulation:
         servers: int = 8,
         predictor: Optional[LatencyPredictor] = None,
         executor: Optional[GroundTruthExecutor] = None,
-        control_interval_s: float = 1.0,
         warmup_s: float = 0.0,
-        ewma: float = 0.6,
-        pending_cap: int = 100_000,
         invariants: Union[None, str, object] = None,
         seed: int = 42,
         rate_mode: str = "measured",
@@ -96,10 +93,7 @@ class HybridSimulation:
         self.servers = servers
         self.predictor = predictor
         self.executor = executor
-        self.control_interval_s = control_interval_s
         self.warmup_s = warmup_s
-        self.ewma = ewma
-        self.pending_cap = pending_cap
         self.invariants = invariants
         self.seed = seed
         self.rate_mode = rate_mode
@@ -122,9 +116,6 @@ class HybridSimulation:
             predictor=self.predictor,
             executor=self.executor,
             warmup_s=self.warmup_s,
-            control_interval_s=self.control_interval_s,
-            ewma=self.ewma,
-            pending_cap=self.pending_cap,
             invariants=self.invariants,
             metrics_mode="sketch",
             rate_mode=self.rate_mode,
@@ -145,12 +136,8 @@ class HybridSimulation:
                 workload={name: self.workload[name] for name in self.cold},
                 predictor=self.predictor,
                 executor=self.executor,
-                control_interval_s=self.control_interval_s,
                 warmup_s=self.warmup_s,
-                ewma=self.ewma,
-                pending_cap=self.pending_cap,
                 invariants=self.invariants,
-                seed=self.seed,
                 rate_mode=self.rate_mode,
             )
             self.fluid.run()

@@ -25,13 +25,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.coldstart import DEFAULT_KEEPALIVE_S
 from repro.core.dispatcher import ALPHA_DEFAULT
 from repro.core.efficiency import rps_per_resource
+from repro.core.engine import INFlessEngine
 from repro.core.function import FunctionSpec
 from repro.core.scheduler import feasible_rows
 from repro.profiling.configspace import ConfigSpace
 from repro.profiling.executor import GroundTruthExecutor
 from repro.profiling.predictor import LatencyPredictor
+from repro.simulation.runtime import COLD_QUEUE_BATCHES, EWMA_WEIGHT, PENDING_CAP
 from repro.simulation.sketches import QuantileSketch
 from repro.workloads.trace import Trace
 
@@ -135,11 +138,10 @@ class CapacityLadder:
         predictor: LatencyPredictor,
         executor: GroundTruthExecutor,
         beta: float,
-        config_space: Optional[ConfigSpace] = None,
     ) -> None:
         self.function = function
         self.beta = beta
-        space = config_space or ConfigSpace()
+        space = ConfigSpace()
         self._rows_by_batch: Dict[int, List[ConfigRow]] = {}
         self.batches = [
             b for b in space.batches_descending() if b <= function.model.max_batch
@@ -288,23 +290,12 @@ class FunctionFluid:
     #: scale-out demand; see :meth:`control`.
     DRAIN_WINDOW_S = 2.0
 
-    #: per-instance bounded queue depths mirroring the discrete
-    #: runtime's overflow rule: a busy instance holds at most
-    #: ``WAITING_BATCHES`` batches, a cold-starting one buffers up to
-    #: ``COLD_QUEUE_BATCHES`` while it warms.
-    WAITING_BATCHES = 2
-    COLD_QUEUE_BATCHES = 64
-
     def __init__(
         self,
         function: FunctionSpec,
         trace: Trace,
         ladder: CapacityLadder,
         *,
-        ewma: float,
-        alpha: float = ALPHA_DEFAULT,
-        keepalive_s: float,
-        pending_cap: int,
         warmup_s: float,
         noise_sigma: float,
         rate_mode: str = "measured",
@@ -314,11 +305,7 @@ class FunctionFluid:
         self.function = function
         self.trace = trace
         self.ladder = ladder
-        self.ewma = ewma
         self.rate_mode = rate_mode
-        self.alpha = alpha
-        self.keepalive_s = keepalive_s
-        self.pending_cap = float(pending_cap)
         self.warmup_s = warmup_s
         self.noise_sigma = noise_sigma
         # -- state vector ----------------------------------------------
@@ -402,8 +389,8 @@ class FunctionFluid:
             estimate = self.trace.rps_at(now)
         else:
             estimate = (
-                self.ewma * self._measured_prev
-                + (1.0 - self.ewma) * self.rate_estimate
+                EWMA_WEIGHT * self._measured_prev
+                + (1.0 - EWMA_WEIGHT) * self.rate_estimate
             )
         self.rate_estimate = estimate
         self._drop_expired_warm(now)
@@ -471,7 +458,7 @@ class FunctionFluid:
         while len(self.active) > 1:
             r_min = math.fsum(row.r_low for row in self.active)
             r_max = self.capacity_rps
-            trigger = self.alpha * r_min + (1.0 - self.alpha) * r_max
+            trigger = ALPHA_DEFAULT * r_min + (1.0 - ALPHA_DEFAULT) * r_max
             if estimate >= trigger:
                 break
             candidate = min(
@@ -490,25 +477,26 @@ class FunctionFluid:
             if r_max - row.r_up < estimate:
                 break
             del self.active[candidate]
-            self.warm_pool.append((now + self.keepalive_s, now, row))
+            self.warm_pool.append((now + DEFAULT_KEEPALIVE_S, now, row))
 
     def _queue_capacity(self) -> float:
         """Total backlog the bounded per-instance queues can hold.
 
         Mirrors the discrete runtime's overflow rule (requests beyond
         it drop as ``queue_full``): each active instance queues up to
-        ``WAITING_BATCHES`` batches.  The deep ``COLD_QUEUE_BATCHES``
-        buffer only applies during a cold-start phase (no instance up
-        yet); once instances are active, arrivals route to them and
-        overflow there regardless of concurrent launches.
+        INFless's ``waiting_batches`` batches.  The deep
+        :data:`~repro.simulation.runtime.COLD_QUEUE_BATCHES` buffer only
+        applies during a cold-start phase (no instance up yet); once
+        instances are active, arrivals route to them and overflow there
+        regardless of concurrent launches.
         """
         if self.active:
             return sum(
-                row.batch * self.WAITING_BATCHES for row in self.active
+                row.batch * INFlessEngine.waiting_batches
+                for row in self.active
             )
         return sum(
-            row.batch * self.COLD_QUEUE_BATCHES
-            for _ready, row in self.launching
+            row.batch * COLD_QUEUE_BATCHES for _ready, row in self.launching
         )
 
     def _drop_expired_warm(self, now: float) -> None:
@@ -565,7 +553,7 @@ class FunctionFluid:
         backlog = self.queue + arrivals
         served = min(backlog, max(0.0, service_mass))
         self.queue = backlog - served
-        queue_cap = min(self.pending_cap, self._queue_capacity())
+        queue_cap = min(float(PENDING_CAP), self._queue_capacity())
         if self.queue > queue_cap:
             overflow = self.queue - queue_cap
             dropped = self._clock.drop_tail(overflow)

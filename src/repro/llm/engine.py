@@ -46,6 +46,9 @@ VICTIM_POLICIES = ("conservative", "aggressive")
 #: model copy.
 WORKER_OVERHEAD_MB = 1024
 
+#: CPU cores each model replica reserves next to its GPU share.
+WORKER_CPU = 2
+
 #: effective host<->device copy bandwidth for KV swaps (PCIe 3.0 x16
 #: with transfer overheads).
 SWAP_MBPS = 12_000.0
@@ -278,7 +281,6 @@ class ContinuousBatchingLLM:
         name: str = "llm",
         seed: int = 0,
         replicas: int = 1,
-        worker_cpu: int = 2,
         gpu_percent: int = 100,
         tpot_slo_s: float = 0.05,
         scheduling: str = "continuous",
@@ -287,7 +289,6 @@ class ContinuousBatchingLLM:
         victims: str = "conservative",
         max_queue: int = 512,
         max_kv_tokens: Optional[int] = None,
-        swap_mbps: float = SWAP_MBPS,
     ) -> None:
         if scheduling not in SCHEDULING_MODES:
             raise ValueError(
@@ -308,7 +309,6 @@ class ContinuousBatchingLLM:
         self.name = name
         self.seed = seed
         self.replicas = replicas
-        self.worker_cpu = worker_cpu
         self.gpu_percent = gpu_percent
         self.tpot_slo_s = tpot_slo_s
         self.scheduling = scheduling
@@ -317,7 +317,6 @@ class ContinuousBatchingLLM:
         self.victims = victims
         self.max_queue = max_queue
         self.max_kv_tokens = max_kv_tokens
-        self.swap_mbps = swap_mbps
         # The emit sites here stay on the keyword ``tracer.emit``, not
         # bound recorders: ``attach_tracer`` swaps this tracer after
         # construction, which would strand a recorder bound now.
@@ -367,7 +366,7 @@ class ContinuousBatchingLLM:
     def _place_worker(self, function: FunctionSpec) -> Optional[LLMWorker]:
         spec: LLMSpec = function.model
         request = ResourceVector(
-            cpu=self.worker_cpu,
+            cpu=WORKER_CPU,
             gpu=self.gpu_percent,
             memory_mb=int(spec.weights_mb) + WORKER_OVERHEAD_MB,
         )
@@ -393,7 +392,7 @@ class ContinuousBatchingLLM:
                 function=function,
                 placement=placement,
                 device=device,
-                config=(1, self.worker_cpu, self.gpu_percent),
+                config=(1, WORKER_CPU, self.gpu_percent),
                 kv_capacity_tokens=capacity,
             )
             self._next_worker_id += 1
@@ -627,7 +626,7 @@ class ContinuousBatchingLLM:
             seq.admitted_seq = worker.next_admit_seq()
             worker.running.append(seq)
             worker.swap_ins += 1
-            cost += worker.spec.kv_mb(resident) / self.swap_mbps
+            cost += worker.spec.kv_mb(resident) / SWAP_MBPS
             if self.tracer.enabled:
                 self.tracer.emit(
                     ev.SWAP_IN, now, request=seq.request_id,
@@ -710,7 +709,7 @@ class ContinuousBatchingLLM:
             seq.state = SequenceState.SWAPPED
             worker.swapped.append(seq)
             worker.swap_outs += 1
-            cost = worker.spec.kv_mb(released) / self.swap_mbps
+            cost = worker.spec.kv_mb(released) / SWAP_MBPS
         else:
             seq.state = SequenceState.WAITING
             seq.generated = 0  # restart from prefill

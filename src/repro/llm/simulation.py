@@ -31,7 +31,7 @@ from repro.llm.engine import ContinuousBatchingLLM, LLMWorker, Lost, StepPlan
 from repro.llm.sequence import Sequence, SequenceState
 from repro.simulation.events import Event, EventKind
 from repro.simulation.metrics import LLMRequestRecord, SimulationReport
-from repro.simulation.runtime import RuntimeCore
+from repro.simulation.runtime import CONTROL_INTERVAL_S, RuntimeCore
 from repro.telemetry import DROP_SERVER_FAILURE, TimelineRecorder, Tracer
 from repro.workloads.arrivals import sample_arrivals
 from repro.workloads.trace import Trace
@@ -45,8 +45,6 @@ class LLMSimulation(RuntimeCore):
             (:class:`~repro.llm.engine.ContinuousBatchingLLM` or a
             subclass).
         workload: function name -> arrival-rate trace.
-        control_interval_s: control-loop tick period (replica healing,
-            usage sampling, invariant audits).
         warmup_s: requests arriving earlier are excluded from stats.
         tracer: telemetry recorder (LLM steps, first tokens,
             preemptions and swap-ins land next to the standard request
@@ -69,7 +67,6 @@ class LLMSimulation(RuntimeCore):
         self,
         platform: ContinuousBatchingLLM,
         workload: Dict[str, Trace],
-        control_interval_s: float = 1.0,
         warmup_s: float = 0.0,
         tracer: Optional[Tracer] = None,
         timeline: Optional[TimelineRecorder] = None,
@@ -91,8 +88,8 @@ class LLMSimulation(RuntimeCore):
             workload=workload, faults=faults, resilience=resilience,
         ))
         super().__init__(
-            platform, workload, control_interval_s, warmup_s, tracer,
-            timeline, invariants, faults, "exact", seed,
+            platform, workload, warmup_s, tracer, timeline, invariants,
+            faults, "exact", seed,
         )
         self._request_ids = itertools.count()
         #: full token records: the report's ``llm`` block and the
@@ -237,7 +234,7 @@ class LLMSimulation(RuntimeCore):
     def _control(self, name: str, now: float) -> None:
         arrivals = self._arrivals_since_tick[name]
         self._arrivals_since_tick[name] = 0
-        rate = arrivals / self.control_interval_s
+        rate = arrivals / CONTROL_INTERVAL_S
         self.platform.control(name, rate, now)
         if self.timeline is not None:
             self._sample_timeline(name, rate, now)

@@ -199,17 +199,21 @@ class LognormalStream:
         return draws.pop()
 
 
-def proportional_cpu_quota(memory_mb: float, mb_per_vcpu: float = 1769.0) -> float:
+#: configured Lambda memory per full vCPU, MB.
+MB_PER_VCPU = 1769.0
+
+
+def proportional_cpu_quota(memory_mb: float) -> float:
     """AWS Lambda's proportional CPU-memory policy (Observation 3).
 
     Lambda allocates CPU power linearly in the configured memory, with
-    one full vCPU at 1,769 MB.  Quotas are capped at the platform's
+    one full vCPU at :data:`MB_PER_VCPU`.  Quotas are capped at the platform's
     maximum of 3,008 MB -> ~1.7 vCPU in the configuration range the
     paper studies (128 MB - 3,072 MB).
     """
     if memory_mb <= 0:
         raise ValueError("memory must be positive")
-    return memory_mb / mb_per_vcpu
+    return memory_mb / MB_PER_VCPU
 
 
 def max_batch_for_model(gflops: float) -> int:

@@ -14,7 +14,7 @@ pre-sampled arrival streams.  The lifecycle of one request:
    batch duration; completion records the latency decomposition
    ``l = t_cold + t_batch + t_exec``.
 
-The control loop ticks every ``control_interval_s``: it estimates each
+The control loop ticks every :data:`CONTROL_INTERVAL_S`: it estimates each
 function's RPS (measured EWMA by default, or an oracle reading of the
 trace), runs the platform's auto-scaler, re-dispatches parked requests
 and samples resource usage.
@@ -85,6 +85,17 @@ from repro.workloads.trace import Trace
 from repro.workflows import WorkflowLedger, WorkflowSpec
 
 _request_ids = itertools.count()
+
+#: the control loop's tick period, seconds.
+CONTROL_INTERVAL_S = 1.0
+#: weight of the newest per-tick measurement in the EWMA rate estimate.
+EWMA_WEIGHT = 0.6
+#: requests parked per function while it has no instance; beyond it
+#: arrivals drop (``no_capacity``).
+PENDING_CAP = 100_000
+#: batches that may queue at a still cold-starting instance before
+#: arrivals drop.
+COLD_QUEUE_BATCHES = 64
 
 
 class Request:
@@ -180,7 +191,6 @@ class RuntimeCore:
         self,
         platform,
         workload: Dict[str, Trace],
-        control_interval_s: float,
         warmup_s: float,
         tracer: Optional[Tracer],
         timeline: Optional[TimelineRecorder],
@@ -191,7 +201,6 @@ class RuntimeCore:
     ) -> None:
         self.platform = platform
         self.workload = dict(workload)
-        self.control_interval_s = control_interval_s
         self.warmup_s = warmup_s
         #: the functions each control tick visits, in order.
         self._managed = list(workload)
@@ -344,7 +353,7 @@ class RuntimeCore:
         sample_usage(self.metrics, self.platform.cluster, now)
         if self.invariants.enabled:
             self._audit_tick(now)
-        next_tick = now + self.control_interval_s
+        next_tick = now + CONTROL_INTERVAL_S
         if next_tick <= self._horizon:
             self.loop.schedule(next_tick, EventKind.CONTROL_TICK)
         else:
@@ -384,15 +393,10 @@ class ServingSimulation(RuntimeCore):
         platform: the system under test.
         executor: ground-truth execution times (the 'hardware').
         workload: function name -> arrival-rate trace.
-        control_interval_s: auto-scaler tick period.
         rate_mode: ``"measured"`` estimates RPS from observed arrivals
-            with EWMA smoothing; ``"oracle"`` reads the trace directly
-            (models an external rate monitor with no estimation lag).
-        ewma: smoothing weight on the newest measurement.
-        pending_cap: max requests parked while a function has no
-            instance; beyond it arrivals are dropped.
-        cold_queue_batches: how many batches may queue at an instance
-            that is still cold-starting before arrivals drop.
+            with EWMA smoothing (:data:`EWMA_WEIGHT`); ``"oracle"``
+            reads the trace directly (models an external rate monitor
+            with no estimation lag).
         workflow: optional :class:`~repro.workflows.spec.WorkflowSpec`
             DAG: stage completions fan out along the DAG's edges, join
             barriers gate fan-in stages until every upstream copy
@@ -428,11 +432,7 @@ class ServingSimulation(RuntimeCore):
         platform: ServingPlatform,
         executor: GroundTruthExecutor,
         workload: Dict[str, Trace],
-        control_interval_s: float = 1.0,
         rate_mode: str = "measured",
-        ewma: float = 0.6,
-        pending_cap: int = 100_000,
-        cold_queue_batches: int = 64,
         warmup_s: float = 0.0,
         workflow: Optional[WorkflowSpec] = None,
         tracer: Optional[Tracer] = None,
@@ -447,21 +447,16 @@ class ServingSimulation(RuntimeCore):
     ) -> None:
         if rate_mode not in ("measured", "oracle"):
             raise ValueError("rate_mode must be 'measured' or 'oracle'")
-        if not 0.0 < ewma <= 1.0:
-            raise ValueError("ewma must lie in (0, 1]")
         if arrival_mode not in ("eager", "windowed"):
             raise ValueError("arrival_mode must be 'eager' or 'windowed'")
         if arrival_window_s <= 0:
             raise ValueError("arrival_window_s must be positive")
         super().__init__(
-            platform, workload, control_interval_s, warmup_s, tracer,
-            timeline, invariants, faults, metrics_mode, seed,
+            platform, workload, warmup_s, tracer, timeline, invariants,
+            faults, metrics_mode, seed,
         )
         self.executor = executor
         self.rate_mode = rate_mode
-        self.ewma = ewma
-        self.pending_cap = pending_cap
-        self.cold_queue_batches = cold_queue_batches
         #: the DAG workflow under test and its token ledger (both None
         #: for plain runs).
         self.workflow = workflow
@@ -666,7 +661,7 @@ class ServingSimulation(RuntimeCore):
         instance = self._route(request.function, self.loop.now)
         if instance is None:
             pending = self.parked[request.function]
-            if len(pending) >= self.pending_cap:
+            if len(pending) >= PENDING_CAP:
                 self._drop(request, DROP_NO_CAPACITY)
                 return
             pending.append(request)
@@ -691,7 +686,7 @@ class ServingSimulation(RuntimeCore):
                 self._drop(request, DROP_QUEUE_FULL)
                 return
         else:
-            if len(queue) >= batch * self.cold_queue_batches:
+            if len(queue) >= batch * COLD_QUEUE_BATCHES:
                 # Same overflow rule, but classify hopeless waits: when
                 # the pending cold start alone already blows the SLO the
                 # drop was inevitable regardless of queue depth.
@@ -906,7 +901,7 @@ class ServingSimulation(RuntimeCore):
         oracle = self.rate_mode == "oracle"
         if oracle and name in self.workload:
             return self.workload[name].rps_at(self.loop.now)
-        measured = self._arrivals_since_tick[name] / self.control_interval_s
+        measured = self._arrivals_since_tick[name] / CONTROL_INTERVAL_S
         self._arrivals_since_tick[name] = 0
         if oracle:
             # Downstream stages have no trace to read.  Their true
@@ -919,8 +914,8 @@ class ServingSimulation(RuntimeCore):
             estimate = measured
         else:
             estimate = (
-                self.ewma * measured
-                + (1.0 - self.ewma) * self._rate_estimate[name]
+                EWMA_WEIGHT * measured
+                + (1.0 - EWMA_WEIGHT) * self._rate_estimate[name]
             )
         self._rate_estimate[name] = estimate
         return estimate

@@ -8,7 +8,7 @@ the same shareable GPU, and the :class:`WorkflowLedger` that follows a
 run's tokens through the DAG.  See ``docs/workflows.md``.
 """
 
-from repro.workflows.coplace import DEFAULT_TOLERANCE, CoPlacementHint
+from repro.workflows.coplace import CoPlacementHint
 from repro.workflows.decompose import (
     WORKFLOW_POLICIES,
     decompose_slo,
@@ -25,7 +25,6 @@ from repro.workflows.spec import (
 
 __all__ = [
     "CoPlacementHint",
-    "DEFAULT_TOLERANCE",
     "WORKFLOW_POLICIES",
     "WORKFLOW_PRESETS",
     "WorkflowLedger",

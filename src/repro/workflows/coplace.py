@@ -7,8 +7,8 @@ advisory only -- :class:`~repro.core.scheduler.GreedyScheduler`
 consults it inside ``_select_placement``, its one Eq. 10 selector on
 homogeneous and mixed-generation fleets alike, accepts a preferred
 server only when its Eq. 10 efficiency score stays within
-``tolerance`` of the unconstrained best, and never relaxes
-feasibility (Eq. 1 bounds, server capacity and the row's GPU
+:attr:`CoPlacementHint.tolerance` of the unconstrained best, and never
+relaxes feasibility (Eq. 1 bounds, server capacity and the row's GPU
 generation are checked exactly as before).
 """
 
@@ -18,10 +18,6 @@ from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.workflows.spec import WorkflowSpec
-
-#: a preferred server must score at least this fraction of the
-#: unconstrained best Eq. 10 score to win the placement.
-DEFAULT_TOLERANCE = 0.9
 
 
 class CoPlacementHint:
@@ -35,15 +31,12 @@ class CoPlacementHint:
     co-placement hit rate.
     """
 
-    def __init__(
-        self,
-        workflow: WorkflowSpec,
-        tolerance: float = DEFAULT_TOLERANCE,
-    ) -> None:
-        if not 0.0 < tolerance <= 1.0:
-            raise ValueError("tolerance must be in (0, 1]")
+    #: a preferred server must score at least this fraction of the
+    #: unconstrained best Eq. 10 score to win the placement.
+    tolerance = 0.9
+
+    def __init__(self, workflow: WorkflowSpec) -> None:
         self.workflow = workflow
-        self.tolerance = tolerance
         self._adjacency: Dict[str, Tuple[str, ...]] = workflow.adjacency()
         self._placed: Dict[str, Counter] = {
             name: Counter() for name in self._adjacency

@@ -242,15 +242,26 @@ class TestExperimentSpec:
             Experiment.from_spec(spec)
 
     def test_spec_accepts_null_retired_keys(self):
+        """Older specs carried retired keys: the workflow ones as null,
+        the retired runtime options at the values now fixed."""
         spec = self._experiment().to_spec()
-        old = {**spec, "chains": None, "end_to_end_slo_s": None}
+        old = {
+            **spec, "chains": None, "end_to_end_slo_s": None,
+            "control_interval_s": 1.0, "ewma": 0.6, "pending_cap": 100_000,
+            "cold_queue_batches": 64,
+        }
         assert Experiment.from_spec(old).to_spec() == spec
 
     @pytest.mark.parametrize("key, value", [
         ("chains", {"fn-mobilenet": "fn-mnist"}),
         ("end_to_end_slo_s", 0.4),
+        ("control_interval_s", 2.0),
+        ("ewma", 0.5),
+        ("pending_cap", 10),
+        ("cold_queue_batches", 8),
     ])
     def test_spec_rejects_retired_keys(self, key, value):
         spec = {**self._experiment().to_spec(), key: value}
-        with pytest.raises(ValueError, match=rf"'{key}'.*workflow="):
+        hint = "workflow=" if key in ("chains", "end_to_end_slo_s") else "fixed at"
+        with pytest.raises(ValueError, match=rf"'{key}'.*{hint}"):
             Experiment.from_spec(spec)

@@ -11,6 +11,7 @@ from repro.baselines import (
     OpenFaaSPlus,
 )
 from repro.baselines.batch_otp import OTP_RESOURCE_TIERS
+from repro.baselines.common import HEADROOM
 from repro.baselines.openfaas import OPENFAAS_CONFIG
 from repro.cluster import build_testbed_cluster
 from repro.core import FunctionSpec
@@ -37,7 +38,7 @@ class TestOpenFaaSPlus:
         outcome = platform.control(resnet_fn.name, rps=200.0, now=0.0)
         assert outcome.launched
         capacity = sum(i.r_up for i in platform.instances(resnet_fn.name))
-        assert capacity >= 200.0 * platform.headroom
+        assert capacity >= 200.0 * HEADROOM
 
     def test_scale_in_uses_warm_pool(self, predictor, resnet_fn):
         platform = OpenFaaSPlus(build_testbed_cluster(), predictor)

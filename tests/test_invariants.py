@@ -6,9 +6,9 @@ Two halves:
   and asserting each invariant family catches its corruption (strict
   raises, collect folds into the report);
 * a hypothesis-driven differential suite replaying randomized small
-  workloads through INFless (both selection modes) and every baseline
-  under the strict checker -- the platforms disagree on policy but must
-  all satisfy the same conservation laws.
+  workloads through INFless (full and the Fig. 11 no-RS ablation) and
+  every baseline under the strict checker -- the platforms disagree on
+  policy but must all satisfy the same conservation laws.
 """
 
 import ast
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Experiment
+from repro.analysis import build_engine_variant
 from repro.baselines import BatchOTP, BatchRS, OpenFaaSPlus
 from repro.cluster import build_testbed_cluster
 from repro.cluster.resources import ResourceVector
@@ -388,14 +389,12 @@ def _platforms(predictor):
     def infless(cluster):
         return INFlessEngine(cluster, predictor=predictor)
 
-    def infless_max_rps(cluster):
-        engine = INFlessEngine(cluster, predictor=predictor)
-        engine.scheduler.selection = "max_rps"
-        return engine
+    def infless_no_rs(cluster):
+        return build_engine_variant(cluster, predictor, "no-rs")
 
     return {
         "infless": infless,
-        "infless-max_rps": infless_max_rps,
+        "infless-no-rs": infless_no_rs,
         "openfaas+": lambda c: OpenFaaSPlus(c, predictor),
         "batch": lambda c: BatchOTP(c, predictor),
         "batch+rs": lambda c: BatchRS(c, predictor),
@@ -416,7 +415,7 @@ class TestDifferentialSuite:
     )
     @pytest.mark.parametrize(
         "platform_name",
-        ["infless", "infless-max_rps", "openfaas+", "batch", "batch+rs"],
+        ["infless", "infless-no-rs", "openfaas+", "batch", "batch+rs"],
     )
     def test_all_platforms_conserve(
         self, predictor, executor, platform_name, rps, duration, seed

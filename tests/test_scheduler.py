@@ -3,8 +3,10 @@
 import pytest
 
 from repro.cluster import build_testbed_cluster
+from repro.cluster.resources import ResourceVector
 from repro.core import FunctionSpec, GreedyScheduler
 from repro.core.scheduler import SchedulingError
+from repro.workflows import CoPlacementHint, WorkflowSpec, WorkflowStage
 
 
 @pytest.fixture()
@@ -242,6 +244,39 @@ class TestDynamicBeta:
     def test_static_beta_option(self, cluster, predictor):
         scheduler = GreedyScheduler(cluster, predictor, dynamic_beta=False)
         assert scheduler._efficiency_beta() == cluster.beta
+
+
+class TestCoPlacement:
+    def test_preference_below_tolerance_is_refused(self, predictor):
+        """The neighbour's server fits the instance, but its Eq. 10 score
+        falls short of ``tolerance`` times the best-fit server's, so the
+        scheduler keeps the best fit and counts a decision, not a hit.
+
+        The chosen row (b=8, 1 core, 20% GPU; weighted cost 32.5 at
+        beta 12.5) leaves 92% of the empty server 0 free, scoring
+        1/0.92; the part-filled server 1 (4 cores, 50% GPU free) hits
+        the fragmentation floor, scoring 1/0.8.  0.87 < 0.9.
+        """
+        workflow = WorkflowSpec(
+            name="pair",
+            stages=(
+                WorkflowStage("p-a", model="resnet-50", downstream=("p-b",)),
+                WorkflowStage("p-b", model="resnet-50"),
+            ),
+            end_to_end_slo_s=0.4,
+        )
+        cluster = build_testbed_cluster(num_servers=2)
+        scheduler = GreedyScheduler(cluster, predictor)
+        hint = CoPlacementHint(workflow)
+        scheduler.coplacement = hint
+        hint.record("p-a", 0)
+        cluster.allocate(1, ResourceVector(cpu=6, gpu=100, memory_mb=1000))
+        cluster.allocate(1, ResourceVector(cpu=6, gpu=50, memory_mb=1000))
+        function = FunctionSpec.for_model("resnet-50", slo_s=0.2, name="p-b")
+        (instance,) = scheduler.schedule(function, 50.0).instances
+        assert cluster.server(0).can_fit(instance.placement.resources)
+        assert instance.placement.server_id == 1
+        assert (hint.hits, hint.decisions) == (0, 1)
 
 
 class TestPinnedRows:
