@@ -12,11 +12,8 @@ from _harness import emit, once
 from repro.analysis import stress_capacity
 from repro.analysis.reporting import format_table
 from repro.api import make_platform
-from repro.simulation import (
-    build_large_cluster,
-    make_function_fleet,
-    scheduling_overhead_curve,
-)
+from repro.cluster import build_testbed_cluster
+from repro.simulation import make_function_fleet, scheduling_overhead_curve
 
 INSTANCE_COUNTS = (1000, 4000, 10000)
 FRAGMENT_SERVERS = 60
@@ -57,7 +54,7 @@ def _fragments(predictor):
     functions = make_function_fleet(FRAGMENT_FUNCTIONS)
     return {
         label: stress_capacity(
-            make_platform(label, build_large_cluster(FRAGMENT_SERVERS), predictor),
+            make_platform(label, build_testbed_cluster(FRAGMENT_SERVERS), predictor),
             functions,
         )
         for label in ("infless", "batch", "batch+rs", "openfaas+")

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from repro import FunctionSpec, GroundTruthExecutor, INFlessEngine, ServingSimulation
-from repro.cluster import build_mixed_cluster, describe_cluster
+from repro.cluster import FleetSpec, ServerGroup
 from repro.profiling import build_default_predictor
 from repro.workloads import (
     aggregate,
@@ -46,8 +46,12 @@ def main() -> None:
           f" aggregate mean load {total.mean_rps:.1f} RPS\n")
 
     # 3. Serve the busiest functions on a heterogeneous cluster.
-    cluster = build_mixed_cluster(gpu_servers=2, cpu_servers=4)
-    print("cluster:", describe_cluster(cluster))
+    mixed = FleetSpec((
+        ServerGroup(2),  # 16 cores + 2 GPUs each
+        ServerGroup(4, cpu=32, gpus=0),  # CPU-only nodes
+    ))
+    cluster = mixed.build_cluster()
+    print("cluster:", *mixed.groups, f"beta={cluster.beta:.2f}", sep="\n  ")
     engine = INFlessEngine(cluster, predictor=build_default_predictor())
     workload = {}
     for name, model in zip(

@@ -16,7 +16,7 @@ from dataclasses import asdict
 from typing import Callable, Dict, Iterable, Optional, Union
 
 from repro.api.compatibility import ENGINES, check, requested_features
-from repro.cluster.cluster import Cluster, build_testbed_cluster
+from repro.cluster.cluster import Cluster
 from repro.cluster.fleet import FleetSpec
 from repro.core.coldstart import COLDSTART_POLICIES
 from repro.core.engine import INFlessEngine
@@ -309,9 +309,8 @@ class Experiment:
     def _default_cluster(self) -> Cluster:
         if self._cluster is not None:
             return self._cluster
-        if self.fleet is not None:
-            return self.fleet.build_cluster()
-        return build_testbed_cluster(num_servers=self.servers)
+        fleet = self.fleet or FleetSpec.homogeneous(self.servers)
+        return fleet.build_cluster()
 
     def _resolve_platform(self):
         spec = self._platform_spec

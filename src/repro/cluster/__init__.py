@@ -18,14 +18,14 @@ from repro.cluster.resources import (
     weighted_cost,
 )
 from repro.cluster.server import GpuDevice, Server
-from repro.cluster.cluster import Cluster, Placement, build_testbed_cluster
-from repro.cluster.heterogeneous import build_mixed_cluster, describe_cluster
+from repro.cluster.cluster import Cluster, Placement
 from repro.cluster.fleet import (
     DEFAULT_GPU_PROFILE,
     GPU_PROFILES,
     FleetSpec,
     GpuProfile,
     ServerGroup,
+    build_testbed_cluster,
     resolve_gpu_profile,
 )
 
@@ -43,8 +43,6 @@ __all__ = [
     "Cluster",
     "Placement",
     "build_testbed_cluster",
-    "build_mixed_cluster",
-    "describe_cluster",
     "DEFAULT_GPU_PROFILE",
     "GPU_PROFILES",
     "FleetSpec",

@@ -310,22 +310,3 @@ class Cluster:
         self._sync_server_free(server)
         self.version += 1
 
-
-def build_testbed_cluster(
-    num_servers: int = 8,
-    cpu_per_server: int = 16,
-    gpus_per_server: int = 2,
-    memory_mb: int = 128 * 1024,
-    beta: float = BETA,
-) -> Cluster:
-    """Build the paper's local testbed: 8 machines, 16 GPUs total (Table 2)."""
-    servers = [
-        Server(
-            server_id=i,
-            cpu_capacity=cpu_per_server,
-            memory_capacity_mb=memory_mb,
-            num_gpus=gpus_per_server,
-        )
-        for i in range(num_servers)
-    ]
-    return Cluster(servers=servers, beta=beta)

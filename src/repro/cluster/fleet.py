@@ -13,9 +13,10 @@ fleet declaratively:
   round-trip (``to_dict``/``from_dict``) so fleets can be swept as a
   campaign axis or passed to ``cli simulate --fleet fleet.json``.
 
-The legacy ``servers=N`` facade knob is exactly
-``FleetSpec.homogeneous(N)``: eight 16-core boxes with two
-2080Ti-class GPUs each.
+Every cluster the repo runs is built here, by
+:meth:`FleetSpec.build_servers`.  The ``servers=N`` facade knob and
+:func:`build_testbed_cluster` are ``FleetSpec.homogeneous(N)``:
+16-core boxes with two 2080Ti-class GPUs each (Table 2 has eight).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.resources import GPU_UNIT_GFLOPS
+from repro.cluster.resources import GPU_UNIT_GFLOPS, scarcity_beta
 from repro.cluster.server import Server
 
 
@@ -179,14 +180,21 @@ class ServerGroup:
     gpu_profile: str = DEFAULT_GPU_PROFILE.name
 
     def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError("ServerGroup.count must be positive")
-        if self.cpu <= 0:
-            raise ValueError("ServerGroup.cpu must be positive")
-        if self.host_mem_gb <= 0:
-            raise ValueError("ServerGroup.host_mem_gb must be positive")
-        if self.gpus < 0:
-            raise ValueError("ServerGroup.gpus cannot be negative")
+        # ``type(...) is`` rather than isinstance: a JSON ``true`` is
+        # no server count.
+        for name, least in (("count", 1), ("cpu", 1), ("gpus", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(
+                    f"ServerGroup.{name} must be an int >= {least},"
+                    f" got {value!r}"
+                )
+        memory = self.host_mem_gb
+        if type(memory) not in (int, float) or not memory > 0:
+            raise ValueError(
+                "ServerGroup.host_mem_gb must be a positive number,"
+                f" got {memory!r}"
+            )
         resolve_gpu_profile(self.gpu_profile)  # validate the name early
 
     def profile(self) -> GpuProfile:
@@ -215,19 +223,9 @@ class FleetSpec:
             raise ValueError("FleetSpec needs at least one server group")
 
     @classmethod
-    def homogeneous(
-        cls,
-        servers: int = 8,
-        cpu: int = 16,
-        host_mem_gb: float = 128.0,
-        gpus: int = 2,
-        gpu_profile: str = DEFAULT_GPU_PROFILE.name,
-    ) -> "FleetSpec":
+    def homogeneous(cls, servers: int = 8) -> "FleetSpec":
         """The shape ``Experiment(servers=N)`` has always meant."""
-        return cls(groups=(ServerGroup(
-            count=servers, cpu=cpu, host_mem_gb=host_mem_gb,
-            gpus=gpus, gpu_profile=gpu_profile,
-        ),))
+        return cls(groups=(ServerGroup(count=servers),))
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form for JSON specs and campaign axes."""
@@ -286,13 +284,24 @@ class FleetSpec:
     def build_cluster(self, beta: Optional[float] = None) -> Cluster:
         """Build the cluster, defaulting beta to the fleet's scarcity.
 
-        For the homogeneous default shape this reproduces
-        ``build_testbed_cluster()`` exactly (same servers, same
-        ``BETA = 12.5``).
+        A fleet with GPUs is priced by :func:`scarcity_beta` over its
+        totals (``BETA = 12.5`` for the homogeneous shape); a CPU-only
+        fleet has no GPU units to weigh and gets ``1.0``.
         """
         servers = self.build_servers()
         if beta is None:
             total_cpu = sum(s.cpu_capacity for s in servers)
             total_gpu = sum(s.gpu_capacity for s in servers)
-            beta = total_gpu / total_cpu if total_gpu > 0 else 1.0
+            beta = (
+                scarcity_beta(total_cpu, total_gpu) if total_gpu > 0 else 1.0
+            )
         return Cluster(servers, beta=beta)
+
+
+def build_testbed_cluster(num_servers: int = 8) -> Cluster:
+    """The paper's local testbed: 8 machines, 16 GPUs total (Table 2).
+
+    Any ``num_servers`` scales the same server shape out, up to the
+    2,000 servers of the large-scale study (section 5.3).
+    """
+    return FleetSpec.homogeneous(num_servers).build_cluster()

@@ -24,7 +24,6 @@ from repro.simulation.coldstart_eval import (
     evaluate_policy,
 )
 from repro.simulation.largescale import (
-    build_large_cluster,
     make_function_fleet,
     scheduling_overhead_curve,
     largescale_capacity,
@@ -48,7 +47,6 @@ __all__ = [
     "PolicyEvaluation",
     "compare_policies",
     "evaluate_policy",
-    "build_large_cluster",
     "make_function_fleet",
     "scheduling_overhead_curve",
     "largescale_capacity",

@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.cluster.cluster import Cluster, build_testbed_cluster
+from repro.cluster.cluster import Cluster
+from repro.cluster.fleet import build_testbed_cluster
 from repro.core.engine import INFlessEngine
 from repro.core.function import FunctionSpec
 from repro.models.zoo import MODEL_ZOO
@@ -25,11 +26,6 @@ LARGE_CLUSTER_SERVERS = 2000
 
 #: SLO choices cycled across the synthetic fleet (seconds).
 FLEET_SLOS: Sequence[float] = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)
-
-
-def build_large_cluster(num_servers: int = LARGE_CLUSTER_SERVERS) -> Cluster:
-    """A cluster of testbed-shaped servers scaled out to ``num_servers``."""
-    return build_testbed_cluster(num_servers=num_servers)
 
 
 def make_function_fleet(
@@ -94,12 +90,12 @@ def scheduling_overhead_curve(
     # Warm the predictor's memoisation before timing: the production
     # system profiles ahead of deployment, so cache population is not
     # part of the scheduling overhead being measured.
-    warm_engine = INFlessEngine(build_large_cluster(4), predictor=predictor)
+    warm_engine = INFlessEngine(build_testbed_cluster(4), predictor=predictor)
     for function in functions:
         warm_engine.deploy(function)
         warm_engine.scheduler.schedule(function, 1e9, max_instances=1)
     for target in instance_counts:
-        cluster = build_large_cluster(num_servers)
+        cluster = build_testbed_cluster(num_servers)
         engine = INFlessEngine(cluster, predictor=predictor)
         for function in functions:
             engine.deploy(function)
@@ -185,7 +181,7 @@ def largescale_capacity(
     base_rps: float = 400.0,
 ) -> ProvisioningResult:
     """Provision a fixed fleet load through one platform (Fig. 18)."""
-    cluster = build_large_cluster(num_servers)
+    cluster = build_testbed_cluster(num_servers)
     platform = _resolve_factory(platform_factory)(cluster)
     functions = make_function_fleet(num_functions, slos=slos)
     loads = function_loads(functions, base_rps=base_rps)

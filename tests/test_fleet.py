@@ -38,6 +38,66 @@ from repro.profiling import GroundTruthExecutor, LatencyPredictor
 from repro.workloads import constant_trace
 from repro.workloads.trace import Trace
 
+
+def _rows(cluster):
+    """Every field a builder sets, per server, in id order.
+
+    ``type(...) is int`` guards the memory column: ``131072.0`` would
+    compare equal to the literal but is not the int every builder made.
+    """
+    for server in cluster.servers:
+        assert type(server.memory_capacity_mb) is int
+    return [
+        (s.server_id, s.cpu_capacity, s.memory_capacity_mb, s.num_gpus,
+         s.gpu_profile)
+        for s in cluster.servers
+    ]
+
+
+#: Table 2: 16 cores, 128 GiB and two 2080Ti-class GPUs per server.
+TESTBED_ROWS = [
+    (0, 16, 131072, 2, None),
+    (1, 16, 131072, 2, None),
+    (2, 16, 131072, 2, None),
+    (3, 16, 131072, 2, None),
+    (4, 16, 131072, 2, None),
+    (5, 16, 131072, 2, None),
+    (6, 16, 131072, 2, None),
+    (7, 16, 131072, 2, None),
+]
+
+#: GPU boxes plus CPU-only 32-core boxes: fleet, rows, default beta.
+CPU_BOX = dict(cpu=32, gpus=0)
+MIXED_SHAPES = {
+    "2gpu+4cpu": (
+        FleetSpec((ServerGroup(2), ServerGroup(4, **CPU_BOX))),
+        [
+            (0, 16, 131072, 2, None),
+            (1, 16, 131072, 2, None),
+            (2, 32, 131072, 0, None),
+            (3, 32, 131072, 0, None),
+            (4, 32, 131072, 0, None),
+            (5, 32, 131072, 0, None),
+        ],
+        2.5,
+    ),
+    "2gpu+0cpu": (
+        FleetSpec((ServerGroup(2),)),
+        [(0, 16, 131072, 2, None), (1, 16, 131072, 2, None)],
+        12.5,
+    ),
+    "0gpu+4cpu": (
+        FleetSpec((ServerGroup(4, **CPU_BOX),)),
+        [
+            (0, 32, 131072, 0, None),
+            (1, 32, 131072, 0, None),
+            (2, 32, 131072, 0, None),
+            (3, 32, 131072, 0, None),
+        ],
+        1.0,
+    ),
+}
+
 RESNET = "resnet-50"
 
 
@@ -131,16 +191,29 @@ class TestFleetSpec:
             FleetSpec(groups=())
 
     def test_homogeneous_matches_testbed_cluster(self):
-        """``Experiment(servers=N)`` and the FleetSpec shim agree."""
-        from_fleet = FleetSpec.homogeneous(8).build_cluster()
-        testbed = build_testbed_cluster(num_servers=8)
-        assert from_fleet.beta == testbed.beta
-        assert len(from_fleet.servers) == len(testbed.servers)
-        for a, b in zip(from_fleet.servers, testbed.servers):
-            assert a.cpu_capacity == b.cpu_capacity
-            assert a.memory_capacity_mb == b.memory_capacity_mb
-            assert a.num_gpus == b.num_gpus
-            assert a.gpu_profile is None and b.gpu_profile is None
+        """``build_testbed_cluster(n)`` and ``homogeneous(n)`` pin Table 2."""
+        for n in (1, 2, 8):
+            for cluster in (
+                build_testbed_cluster(n),
+                FleetSpec.homogeneous(n).build_cluster(),
+            ):
+                assert _rows(cluster) == TESTBED_ROWS[:n]
+                assert cluster.beta == 12.5
+
+    def test_large_cluster_shape(self):
+        cluster = build_testbed_cluster(2000)
+        rows = _rows(cluster)
+        assert len(rows) == 2000
+        assert rows[0] == (0, 16, 131072, 2, None)
+        assert rows[-1] == (1999, 16, 131072, 2, None)
+        assert cluster.beta == 12.5
+
+    @pytest.mark.parametrize("mix", sorted(MIXED_SHAPES))
+    def test_mixed_cluster_shape(self, mix):
+        fleet, rows, beta = MIXED_SHAPES[mix]
+        cluster = fleet.build_cluster()
+        assert _rows(cluster) == rows
+        assert cluster.beta == beta
 
     def test_mixed_fleet_builds_expected_servers(self):
         cluster = self.MIXED.build_cluster()
@@ -161,6 +234,16 @@ class TestFleetSpec:
             ServerGroup(count=0)
         with pytest.raises(ValueError):
             ServerGroup(count=1, gpu_profile="nope")
+        # A JSON fleet file can carry any number or string: each field
+        # is named, none reaches ``range()`` or a silent float core.
+        for field, bad in (
+            ("count", 2.5), ("count", "2"), ("count", True),
+            ("cpu", 8.5), ("gpus", 1.5), ("gpus", False),
+            ("host_mem_gb", "128"), ("host_mem_gb", 0),
+        ):
+            group = {"count": 1, field: bad}
+            with pytest.raises(ValueError, match=f"ServerGroup.{field}"):
+                ServerGroup.from_dict(group)
 
 
 class TestGenerationAwareLatency:

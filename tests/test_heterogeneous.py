@@ -1,59 +1,18 @@
-"""Tests for mixed CPU/GPU clusters."""
-
-import pytest
+"""Scheduling on mixed CPU/GPU fleets: GPU boxes plus CPU-only nodes."""
 
 from repro.analysis import stress_capacity
-from repro.cluster import build_mixed_cluster, describe_cluster
+from repro.cluster import FleetSpec, ServerGroup
 from repro.core import FunctionSpec, INFlessEngine
 
 
-class TestBuilder:
-    def test_server_mix(self):
-        cluster = build_mixed_cluster(gpu_servers=2, cpu_servers=3)
-        gpu_boxes = [s for s in cluster.servers if s.num_gpus > 0]
-        cpu_boxes = [s for s in cluster.servers if s.num_gpus == 0]
-        assert len(gpu_boxes) == 2 and len(cpu_boxes) == 3
-
-    def test_cpu_boxes_have_more_cores(self):
-        cluster = build_mixed_cluster(gpu_servers=1, cpu_servers=1)
-        gpu_box = next(s for s in cluster.servers if s.num_gpus > 0)
-        cpu_box = next(s for s in cluster.servers if s.num_gpus == 0)
-        assert cpu_box.cpu_capacity > gpu_box.cpu_capacity
-        assert cpu_box.gpu_capacity == 0
-
-    def test_beta_balances_actual_mix(self):
-        cluster = build_mixed_cluster(gpu_servers=2, cpu_servers=2)
-        total = cluster.total_capacity
-        assert cluster.beta == pytest.approx(total.gpu / total.cpu)
-
-    def test_cpu_only_cluster_gets_unit_beta(self):
-        cluster = build_mixed_cluster(gpu_servers=0, cpu_servers=4)
-        assert cluster.beta == 1.0
-
-    def test_empty_cluster_rejected(self):
-        with pytest.raises(ValueError):
-            build_mixed_cluster(gpu_servers=0, cpu_servers=0)
-
-    def test_gpuless_gpu_servers_rejected(self):
-        # Regression: a "GPU server" with zero devices silently became
-        # an undersized CPU box and skewed the scarcity-beta pricing.
-        with pytest.raises(ValueError, match="gpus_per_gpu_server"):
-            build_mixed_cluster(gpu_servers=2, gpus_per_gpu_server=0)
-
-    def test_zero_gpus_fine_without_gpu_servers(self):
-        cluster = build_mixed_cluster(
-            gpu_servers=0, cpu_servers=2, gpus_per_gpu_server=0
-        )
-        assert all(s.num_gpus == 0 for s in cluster.servers)
-
-    def test_describe(self):
-        text = describe_cluster(build_mixed_cluster(2, 3))
-        assert "2 GPU" in text and "3 CPU-only" in text
+def cpu_boxes(count):
+    """``count`` CPU-only nodes: 32 cores, no GPU."""
+    return ServerGroup(count, cpu=32, gpus=0)
 
 
 class TestSchedulingOnMixedCluster:
     def test_gpu_hungry_model_lands_on_gpu_boxes(self, predictor):
-        cluster = build_mixed_cluster(gpu_servers=2, cpu_servers=4)
+        cluster = FleetSpec((ServerGroup(2), cpu_boxes(4))).build_cluster()
         engine = INFlessEngine(cluster, predictor=predictor)
         fn = FunctionSpec.for_model("resnet-50", slo_s=0.15)
         engine.deploy(fn)
@@ -66,7 +25,7 @@ class TestSchedulingOnMixedCluster:
                 assert server.num_gpus > 0
 
     def test_small_models_use_cpu_boxes_when_gpus_exhaust(self, predictor):
-        cluster = build_mixed_cluster(gpu_servers=1, cpu_servers=4)
+        cluster = FleetSpec((ServerGroup(1), cpu_boxes(4))).build_cluster()
         engine = INFlessEngine(cluster, predictor=predictor)
         fn = FunctionSpec.for_model("lstm-2365", slo_s=0.05)
         engine.deploy(fn)
@@ -81,8 +40,8 @@ class TestSchedulingOnMixedCluster:
 
     def test_capacity_exceeds_gpu_only_subset(self, predictor):
         fn = FunctionSpec.for_model("dssm-2389", slo_s=0.05)
-        mixed = build_mixed_cluster(gpu_servers=2, cpu_servers=6)
-        gpu_only = build_mixed_cluster(gpu_servers=2, cpu_servers=0)
+        mixed = FleetSpec((ServerGroup(2), cpu_boxes(6))).build_cluster()
+        gpu_only = FleetSpec((ServerGroup(2),)).build_cluster()
         cap_mixed = stress_capacity(
             INFlessEngine(mixed, predictor=predictor), [fn]
         ).max_app_rps

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.baselines import BatchOTP
+from repro.cluster import build_testbed_cluster
 from repro.core import INFlessEngine
 from repro.simulation import (
-    build_large_cluster,
     largescale_capacity,
     make_function_fleet,
     scheduling_overhead_curve,
@@ -37,7 +37,7 @@ class TestFleetConstruction:
 
 class TestLargeCluster:
     def test_scales_out_testbed_servers(self):
-        cluster = build_large_cluster(num_servers=50)
+        cluster = build_testbed_cluster(num_servers=50)
         assert len(cluster) == 50
         assert cluster.servers[0].cpu_capacity == 16
 
@@ -74,15 +74,15 @@ class TestLargescaleCapacity:
     def test_fragments_lower_for_infless_at_saturation(self, predictor):
         """Fig. 17(b): INFless leaves fewer fragments when saturated."""
         from repro.analysis import stress_capacity
-        from repro.simulation import build_large_cluster, make_function_fleet
+        from repro.simulation import make_function_fleet
 
         functions = make_function_fleet(8)
         infless = stress_capacity(
-            INFlessEngine(build_large_cluster(20), predictor=predictor),
+            INFlessEngine(build_testbed_cluster(20), predictor=predictor),
             functions,
         )
         batch = stress_capacity(
-            BatchOTP(build_large_cluster(20), predictor), functions
+            BatchOTP(build_testbed_cluster(20), predictor), functions
         )
         # Comparable or lower fragments while sustaining a higher rate.
         assert infless.fragment_ratio <= batch.fragment_ratio + 0.05

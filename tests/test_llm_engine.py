@@ -17,7 +17,7 @@ from repro.api import Experiment
 from repro.baselines import LLMFCFSBaseline
 from repro.cluster import build_testbed_cluster
 from repro.cluster.cluster import Cluster
-from repro.cluster.fleet import GpuProfile
+from repro.cluster.fleet import FleetSpec, GpuProfile, ServerGroup
 from repro.cluster.server import AllocationError, GpuDevice, Server
 from repro.core import FunctionSpec
 from repro.llm import (
@@ -131,7 +131,7 @@ def test_llm_simulation_rejects_resilience_policies():
 
 def test_deploy_fails_loudly_when_nothing_fits():
     function = FunctionSpec.for_model("llm-3b", slo_s=1.0)
-    cluster = build_testbed_cluster(num_servers=1, gpus_per_server=1)
+    cluster = FleetSpec((ServerGroup(1, gpus=1),)).build_cluster()
     platform = ContinuousBatchingLLM(cluster, replicas=1, gpu_percent=100)
     platform.deploy(function)  # the first replica takes the whole GPU
     second = FunctionSpec.for_model("llm-3b", slo_s=1.0, name="second")
