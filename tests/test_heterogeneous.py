@@ -1,5 +1,7 @@
 """Scheduling on mixed CPU/GPU fleets: GPU boxes plus CPU-only nodes."""
 
+import pytest
+
 from repro.analysis import stress_capacity
 from repro.cluster import FleetSpec, ServerGroup
 from repro.core import FunctionSpec, INFlessEngine
@@ -8,6 +10,40 @@ from repro.core import FunctionSpec, INFlessEngine
 def cpu_boxes(count):
     """``count`` CPU-only nodes: 32 cores, no GPU."""
     return ServerGroup(count, cpu=32, gpus=0)
+
+
+def mixed_cluster(gpu_servers, cpu_servers):
+    """``gpu_servers`` Table-2 boxes followed by ``cpu_servers`` CPU-only nodes."""
+    groups = []
+    if gpu_servers:
+        groups.append(ServerGroup(gpu_servers))
+    if cpu_servers:
+        groups.append(cpu_boxes(cpu_servers))
+    return FleetSpec(tuple(groups)).build_cluster()
+
+
+class TestBuilder:
+    def test_server_mix(self):
+        cluster = mixed_cluster(gpu_servers=2, cpu_servers=3)
+        gpu_boxes = [s for s in cluster.servers if s.num_gpus > 0]
+        cpu_only = [s for s in cluster.servers if s.num_gpus == 0]
+        assert len(gpu_boxes) == 2 and len(cpu_only) == 3
+
+    def test_cpu_boxes_have_more_cores(self):
+        cluster = mixed_cluster(gpu_servers=1, cpu_servers=1)
+        gpu_box = next(s for s in cluster.servers if s.num_gpus > 0)
+        cpu_box = next(s for s in cluster.servers if s.num_gpus == 0)
+        assert cpu_box.cpu_capacity > gpu_box.cpu_capacity
+        assert cpu_box.gpu_capacity == 0
+
+    def test_beta_balances_actual_mix(self):
+        cluster = mixed_cluster(gpu_servers=2, cpu_servers=2)
+        total = cluster.total_capacity
+        assert cluster.beta == pytest.approx(total.gpu / total.cpu)
+
+    def test_empty_cluster_rejected(self):
+        with pytest.raises(ValueError):
+            mixed_cluster(gpu_servers=0, cpu_servers=0)
 
 
 class TestSchedulingOnMixedCluster:
