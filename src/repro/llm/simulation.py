@@ -224,7 +224,7 @@ class LLMSimulation(RuntimeCore):
             self._record_complete(
                 now, seq.request_id, seq.function, worker.worker_id, 0,
                 record.arrival, 0.0, queue_wait, record.exec_s,
-                record.latency_s, 1, list(record.config), record.slo_s,
+                record.latency_s, 1, record.config, record.slo_s,
                 record.violated_slo,
             )
 

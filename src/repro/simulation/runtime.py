@@ -769,7 +769,7 @@ class ServingSimulation(RuntimeCore):
             batch_id = self._record_batch_start(
                 now, instance.instance_id, instance.function.name,
                 [r.request_id for r in requests], len(requests), exec_s,
-                [config.batch, config.cpu, config.gpu],
+                (config.batch, config.cpu, config.gpu),
             )
         batch = _BatchInFlight(
             instance=instance, requests=requests, start=now, exec_s=exec_s,
@@ -818,6 +818,10 @@ class ServingSimulation(RuntimeCore):
         """
         instance = batch.instance
         requests = batch.requests
+        # One (b, c, g) tuple per batch, shared by the ledger and every
+        # member's trace row.
+        config = instance.config
+        bcg = (config.batch, config.cpu, config.gpu)
         ledger = self.workflow_ledger
         sink = (
             ledger is not None
@@ -839,22 +843,20 @@ class ServingSimulation(RuntimeCore):
                     resilience.retry_completions += 1
                 completed.append(request)
                 if self._trace:
-                    self._trace_completion(batch, request, now)
+                    self._trace_completion(batch, request, now, bcg)
         else:
             completed = requests
-        config = instance.config
         self.metrics.record_batch(
             instance.function.name, completed, batch.start, now,
-            instance.ready_at, batch.exec_s,
-            (config.batch, config.cpu, config.gpu), len(requests),
+            instance.ready_at, batch.exec_s, bcg, len(requests),
         )
 
     def _trace_completion(
-        self, batch: _BatchInFlight, request: Request, now: float
+        self, batch: _BatchInFlight, request: Request, now: float,
+        bcg: Tuple[int, int, int],
     ) -> None:
         """Emit one batch member's REQUEST_COMPLETE span."""
         instance = batch.instance
-        config = instance.config
         cold_wait = min(
             max(0.0, instance.ready_at - request.arrival),
             batch.start - request.arrival,
@@ -866,8 +868,7 @@ class ServingSimulation(RuntimeCore):
             now, request.request_id, request.function, instance.instance_id,
             batch.batch_id, request.origin, cold_wait,
             max(0.0, now - request.origin - cold_wait - batch.exec_s),
-            batch.exec_s, latency, len(batch.requests),
-            [config.batch, config.cpu, config.gpu], request.slo_s,
+            batch.exec_s, latency, len(batch.requests), bcg, request.slo_s,
             latency > request.slo_s + 1e-9,
         )
 

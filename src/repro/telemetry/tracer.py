@@ -22,20 +22,31 @@ policies all default to :data:`NULL_TRACER`; passing an
 (or calling :func:`attach_tracer` on a platform directly) switches the
 whole stack to recording.
 
+The recording tracer's log is columnar: each kind has a ``ts`` list,
+one list per field of its row and, for ``batch_start``, a list of the
+minted batch ids; one byte array holds the kinds' codes in emission
+order.  Recording an event appends its scalars to those lists and one
+code to the array, so it keeps no new container: the values the caller
+passes are kept by reference, and nothing else is allocated per event
+that outlives the call.  Reading :attr:`InMemoryTracer.events` zips
+each kind's columns back into rows, builds one
+:class:`~repro.telemetry.spans.TraceEvent` per code in order and
+empties the columns it read.
+
 Determinism: raw request/instance ids come from process-global
 counters, so two runs in one process would disagree.  The recording
 tracer therefore *interns* the id fields the table names -- dense,
 first-seen-order local ids -- which makes traces from identical seeds
-byte-identical.  It interns when the log is read, not when a row is
-written: rows are read in emission order, so the ids are the same.
+byte-identical.  It interns when the log is read, not when an event is
+recorded: events are built in emission order, so the ids are the same.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence
+from array import array
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.telemetry.spans import EVENT_SCHEMA, EventSchema, TraceEvent
 
@@ -65,6 +76,32 @@ def _bound_row(kind: str, names: tuple) -> EventSchema:
     if row is None or names != row.fields:
         raise _schema_error(kind, names)
     return row
+
+
+def _logged_fields(row: EventSchema) -> tuple:
+    """The fields a row logs after ``ts``: its own, then a minted batch."""
+    return row.fields + ("batch",) if row.mints_batch else row.fields
+
+
+def _known_row(kind: str) -> EventSchema:
+    """The kind's row, else the unknown-kind ValueError."""
+    row = EVENT_SCHEMA.get(kind)
+    if row is None:
+        raise _schema_error(kind, ())
+    return row
+
+
+def _column_position(kind: str, field: str) -> int:
+    """Where ``field`` sits in a logged ``kind`` row (``ts`` is 0).
+
+    Raises the :func:`_schema_error` ValueError naming the kind and the
+    field for an unknown kind or a field the kind's events do not carry.
+    """
+    row = _known_row(kind)
+    logged = _logged_fields(row)
+    if field not in logged:
+        raise _schema_error(kind, (*row.fields, field))
+    return 1 + logged.index(field)
 
 
 def _arity_error(kind: str, names: Sequence[str], values: int) -> ValueError:
@@ -128,11 +165,21 @@ class Tracer:
         return record
 
     def count(self, kind: str) -> int:
-        """How many events of ``kind`` were recorded."""
+        """How many events of ``kind`` were recorded.
+
+        ValueError for a kind :data:`EVENT_SCHEMA` does not declare.
+        """
+        _known_row(kind)
         return sum(1 for event in self.events if event.kind == kind)
 
     def column(self, kind: str, field: str) -> List[Any]:
-        """One field of every ``kind`` event, in emission order."""
+        """One field of every ``kind`` event, in emission order.
+
+        ValueError naming the kind and the field for an unknown kind or
+        a field outside the kind's row (a minting kind's ``batch`` is
+        inside it).
+        """
+        _column_position(kind, field)
         return [
             event.args[field] for event in self.events if event.kind == kind
         ]
@@ -151,6 +198,9 @@ _ID_TABLES = {
 }
 #: id fields that hold a list of ids.
 _ID_LISTS = frozenset({"requests"})
+#: fields a site may log as any sequence (the runtime shares one
+#: ``(b, c, g)`` tuple per batch); an event always holds a new list.
+_LISTS = frozenset({"config"})
 
 
 def _compile_builder(kind: str, row: EventSchema) -> Callable[..., TraceEvent]:
@@ -174,6 +224,8 @@ def _compile_builder(kind: str, row: EventSchema) -> Callable[..., TraceEvent]:
                 value = f"[{intern.format('r')} for r in {value}]"
             else:
                 value = intern.format(value)
+        elif name in _LISTS:
+            value = f"list({value})"
         items.append(f"{name!r}: {value}")
     source = (
         "def build(row, requests, instances):\n"
@@ -184,31 +236,86 @@ def _compile_builder(kind: str, row: EventSchema) -> Callable[..., TraceEvent]:
     return namespace["build"]
 
 
-#: kind -> its event builder, compiled once from the schema table.
-_BUILDERS = {
-    kind: _compile_builder(kind, row) for kind, row in EVENT_SCHEMA.items()
+def _compile_binder(width: int, mints: bool) -> Callable[..., Any]:
+    """``bind(order, code, columns, mint, kind, names) -> record``.
+
+    ``record(ts, *values) -> int`` is a bound recorder on one log for
+    rows of ``width`` fields: it checks the count of values, appends
+    ``ts`` and each value to the kind's ``columns`` (and, when
+    ``mints``, a fresh ``mint()`` batch id to the last one), then the
+    kind's ``code`` to ``order``.  Generated source, like the builders,
+    so a call runs no loop and keeps no container.
+    """
+    values = [f"v{index}" for index in range(width)]
+    adds = [f"add{index}" for index in range(1 + width + mints)]
+    appends = [f"add{index}({value})" for index, value in enumerate(values, 1)]
+    if mints:
+        appends += ["batch = mint()", f"add{width + 1}(batch)"]
+    source = (
+        "def bind(order, code, columns, mint, kind, names):\n"
+        "    add_code = order.append\n"
+        f"    {', '.join(adds)}, = [column.append for column in columns]\n"
+        "    def record(ts, *values):\n"
+        f"        if len(values) != {width}:\n"
+        "            raise _arity_error(kind, names, len(values))\n"
+        f"        {', '.join(values)}, = values\n"
+        f"        add0(ts); {'; '.join(appends)}\n"
+        "        add_code(code)\n"
+        f"        return {'batch' if mints else 0}\n"
+        "    return record\n"
+    )
+    namespace: Dict[str, Any] = {"_arity_error": _arity_error}
+    exec(source, namespace)
+    return namespace["bind"]
+
+
+#: kind -> its code in the log's order array (its schema position).
+_CODES = {kind: code for code, kind in enumerate(EVENT_SCHEMA)}
+#: code -> the kind's event builder, compiled once from the schema table.
+_BUILDERS = tuple(
+    _compile_builder(kind, row) for kind, row in EVENT_SCHEMA.items()
+)
+#: (field count, mints a batch) -> the recorder binder rows of that
+#: shape share, compiled once from the schema table.
+_BINDERS = {
+    shape: _compile_binder(*shape)
+    for shape in {(len(row.fields), row.mints_batch) for row in EVENT_SCHEMA.values()}
 }
 
 
 class InMemoryTracer(Tracer):
-    """Logs every event as one flat row; builds events on read.
+    """Logs every event into columns; builds events on read.
 
-    The log is two parallel deques: the event's ``(ts, *values)`` row,
-    with ``values`` in the row's field order and a ``batch_start``'s
-    minted batch id appended, and the event's kind.  :attr:`events`
-    turns the rows logged since the last read into :class:`TraceEvent`
-    objects with interned ids, freeing each row as it goes, and keeps
-    the events.  Bound recorders append rows without calling
-    :meth:`emit`, so a subclass that intercepts events overrides
-    :meth:`recorder` as well.
+    Each kind has its own columns: ``ts``, one per field of its row,
+    in the row's order, and a ``batch_start``'s minted batch ids last.
+    A byte array keeps the kind codes in emission order.
+    :attr:`events` turns the events logged since the last read into
+    :class:`TraceEvent` objects with interned ids, empties the columns
+    and keeps the events.  Bound recorders append to the columns
+    without calling :meth:`emit`, so a subclass that intercepts events
+    overrides :meth:`recorder` as well.
     """
 
     enabled = True
 
     def __init__(self) -> None:
-        self._rows: Deque[tuple] = deque()
-        self._kinds: Deque[str] = deque()
-        self._batches = itertools.count(1)
+        self._order = array("B")
+        self._columns: List[List[list]] = [
+            [[] for _ in range(1 + len(_logged_fields(row)))]
+            for row in EVENT_SCHEMA.values()
+        ]
+        # Per kind, the events already built from (and cleared out of)
+        # its columns.
+        self._read = [0] * len(EVENT_SCHEMA)
+        mint = itertools.count(1).__next__
+        self._records = [
+            _BINDERS[len(row.fields), row.mints_batch](
+                self._order, code, columns, mint, kind, row.fields
+            )
+            for code, ((kind, row), columns) in enumerate(
+                zip(EVENT_SCHEMA.items(), self._columns)
+            )
+        ]
         self._events: List[TraceEvent] = []
         # The interning tables: raw id -> dense first-seen id.
         self._requests: Dict[int, int] = {}
@@ -218,12 +325,18 @@ class InMemoryTracer(Tracer):
     def events(self) -> List[TraceEvent]:
         """Every recorded event, in emission order (do not mutate).
 
-        Rows logged since the last read become events here, each
-        row freed as its event is built; ids are interned in emission
+        Events logged since the last read are built here, in emission
+        order, and their columns emptied; ids are interned in emission
         order, so reading mid-run changes none.
         """
-        rows, kinds, events = self._rows, self._kinds, self._events
+        order, events = self._order, self._events
+        if not order:
+            return events
+        columns, read = self._columns, self._read
         requests, instances = self._requests, self._instances
+        # One row iterator per kind; zip hands back the row tuple it
+        # made last, once the builder has let go of it.
+        rows = [zip(*kind_columns).__next__ for kind_columns in columns]
         # The new events hold no reference cycles.  Pausing the
         # collector while ~2 containers per event arrive keeps it from
         # walking the whole heap over and over; it is re-enabled, not
@@ -231,14 +344,18 @@ class InMemoryTracer(Tracer):
         collecting = gc.isenabled()
         gc.disable()
         try:
-            pop_row, pop_kind = rows.popleft, kinds.popleft
             events += [
-                _BUILDERS[pop_kind()](pop_row(), requests, instances)
-                for _ in range(len(rows))
+                _BUILDERS[code](rows[code](), requests, instances)
+                for code in order
             ]
         finally:
             if collecting:
                 gc.enable()
+        for code, kind_columns in enumerate(columns):
+            read[code] += len(kind_columns[0])
+            for column in kind_columns:
+                column.clear()
+        del order[:]
         return events
 
     def as_dicts(self) -> List[Dict[str, Any]]:
@@ -246,40 +363,17 @@ class InMemoryTracer(Tracer):
         return [event.to_dict() for event in self.events]
 
     def recorder(self, kind: str, *names: str) -> Callable[..., int]:
-        """Bind an emit site to a row append (see :meth:`Tracer.recorder`).
+        """Bind an emit site to the kind's columns.
 
-        Each call checks only how many values it got.
+        See :meth:`Tracer.recorder`; each call checks only how many
+        values it got.  Every bind of one kind returns the same
+        recorder.
         """
-        schema = _bound_row(kind, names)
-        width = 1 + len(names)
-        add_row = self._rows.append
-        add_kind = self._kinds.append
-        # ``row`` is ``(ts, *values)``: the call packs it, nothing else
-        # is allocated per event.
-        if not schema.mints_batch:
-
-            def record(*row: Any) -> int:
-                if len(row) != width:
-                    raise _arity_error(kind, names, len(row) - 1)
-                add_row(row)
-                add_kind(kind)
-                return 0
-
-            return record
-        batches = self._batches
-
-        def record_batch(*row: Any) -> int:
-            if len(row) != width:
-                raise _arity_error(kind, names, len(row) - 1)
-            batch = next(batches)
-            add_row((*row, batch))
-            add_kind(kind)
-            return batch
-
-        return record_batch
+        _bound_row(kind, names)
+        return self._records[_CODES[kind]]
 
     def emit(self, kind: str, ts: float, **fields: Any) -> int:
-        """Check ``fields`` against the kind's row, then log one row.
+        """Check ``fields`` against the kind's row, then log the event.
 
         Raises ValueError naming the kind (and the offending fields)
         for an unknown kind or a field set that differs from the row.
@@ -291,41 +385,27 @@ class InMemoryTracer(Tracer):
             values = [fields[name] for name in schema.fields]
         except KeyError:
             raise _schema_error(kind, fields) from None
-        batch = 0
-        if schema.mints_batch:
-            batch = next(self._batches)
-            values.append(batch)
-        self._rows.append((ts, *values))
-        self._kinds.append(kind)
-        return batch
+        return self._records[_CODES[kind]](ts, *values)
 
     def count(self, kind: str) -> int:
-        """How many events of ``kind`` were logged.
-
-        Builds no events unless :attr:`events` was already read.
-        """
-        if self._events:
-            return super().count(kind)
-        return self._kinds.count(kind)
+        """How many events of ``kind`` were logged; builds none."""
+        _known_row(kind)
+        code = _CODES[kind]
+        return self._read[code] + len(self._columns[code][0])
 
     def column(self, kind: str, field: str) -> List[Any]:
         """One field of every ``kind`` event, in emission order.
 
-        Reads the log directly, unless :attr:`events` was already
-        read or ``field`` is an interned id or the minted ``batch``,
-        which only :attr:`events` resolves.
+        A copy of the field's column, unless events of ``kind`` were
+        already read or ``field`` is one that only :attr:`events`
+        resolves: an interned id or a ``config``.
         """
-        schema = EVENT_SCHEMA.get(kind)
-        if (
-            self._events
-            or schema is None
-            or field in schema.ids
-            or field not in schema.fields
-        ):
+        position = _column_position(kind, field)
+        code = _CODES[kind]
+        ids = EVENT_SCHEMA[kind].ids
+        if self._read[code] or field in ids or field in _LISTS:
             return super().column(kind, field)
-        index = 1 + schema.fields.index(field)
-        selected = itertools.compress(self._rows, map(kind.__eq__, self._kinds))
-        return [row[index] for row in selected]
+        return list(self._columns[code][position])
 
 
 def attach_tracer(platform: Any, tracer: Optional[Tracer]) -> Tracer:

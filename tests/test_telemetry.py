@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 import re
 
 import numpy as np
@@ -228,6 +229,155 @@ class TestRecorder:
         assert sim.invariants.mode == "strict"
         assert report.invariant_violations == []
         assert tracer.count(ev.REQUEST_COMPLETE) > 0
+
+    @pytest.mark.parametrize("make", [Tracer, InMemoryTracer])
+    def test_count_of_an_unknown_kind_rejected(self, make):
+        with pytest.raises(ValueError, match="unknown trace event kind 'nope'"):
+            make().count("nope")
+
+    @pytest.mark.parametrize("make", [Tracer, InMemoryTracer])
+    def test_column_of_an_unknown_kind_rejected(self, make):
+        with pytest.raises(ValueError, match="unknown trace event kind 'nope'"):
+            make().column("nope", "request")
+
+    @pytest.mark.parametrize("make", [Tracer, InMemoryTracer])
+    def test_column_of_an_unknown_field_rejected(self, make):
+        with pytest.raises(
+            ValueError, match=r"'request_arrival'.*unexpected fields \['bogus'\]"
+        ):
+            make().column(ev.REQUEST_ARRIVAL, "bogus")
+
+    @pytest.mark.parametrize("make", [Tracer, InMemoryTracer])
+    def test_column_of_ts_rejected(self, make):
+        with pytest.raises(
+            ValueError, match=r"'request_arrival'.*unexpected fields \['ts'\]"
+        ):
+            make().column(ev.REQUEST_ARRIVAL, "ts")
+
+    @pytest.mark.parametrize("make", [Tracer, InMemoryTracer])
+    def test_batch_column_only_on_the_minting_kind(self, make):
+        tracer = make()
+        assert tracer.column(ev.BATCH_START, "batch") == []
+        with pytest.raises(ValueError, match=r"unexpected fields \['batch'\]"):
+            tracer.column(ev.REQUEST_ARRIVAL, "batch")
+
+    def test_recording_keeps_no_container_per_event(self):
+        tracer = InMemoryTracer()
+        arrival = tracer.recorder(ev.REQUEST_ARRIVAL, "request", "function")
+        enqueued = tracer.recorder(
+            ev.REQUEST_ENQUEUED, "request", "function", "instance", "cold"
+        )
+        stage = tracer.recorder(
+            ev.WORKFLOW_STAGE, "workflow_id", "request", "function"
+        )
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            for request in range(10_000):
+                ts = request * 0.5
+                arrival(ts, request, "f")
+                enqueued(ts, request, "f", 7, False)
+                stage(ts, 3, request, "f")
+            allocated = gc.get_count()[0] - before
+        finally:
+            if collecting:
+                gc.enable()
+        assert tracer.count(ev.WORKFLOW_STAGE) == 10_000
+        assert allocated < 100
+
+
+#: id field -> its id space, as EVENT_SCHEMA's ``ids`` doc describes it.
+_ID_SPACE = {
+    "request": "requests", "workflow_id": "requests", "requests": "requests",
+    "instance": "instances",
+}
+
+
+class _ReferenceLog:
+    """The rows a recording tracer must read back, written out plainly.
+
+    Ids are interned per id space in first-seen order, walking each
+    event's fields in row order; a minting kind gets the next batch id
+    from 1; a logged ``config`` sequence reads back as a list.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.tables = {"requests": {}, "instances": {}}
+        self.batches = 0
+
+    def add(self, kind, ts, fields):
+        schema = ev.EVENT_SCHEMA[kind]
+        row = {"ts": ts, "kind": kind}
+        batch = 0
+        if schema.mints_batch:
+            self.batches += 1
+            batch = row["batch"] = self.batches
+        for name in schema.fields:
+            value = fields[name]
+            if name in schema.ids:
+                table = self.tables[_ID_SPACE[name]]
+                if isinstance(value, list):
+                    value = [table.setdefault(raw, len(table)) for raw in value]
+                else:
+                    value = table.setdefault(value, len(table))
+            elif name == "config":
+                value = list(value)
+            row[name] = value
+        self.rows.append(row)
+        return batch
+
+
+def _sample_fields(kind, step):
+    """Raw field values for one event: repeating raw ids, a config tuple."""
+    fields = {}
+    for name in ev.EVENT_SCHEMA[kind].fields:
+        if name == "requests":
+            fields[name] = [900 + step % 5, 950 + step]
+        elif name in ("request", "workflow_id"):
+            fields[name] = 900 + (step + len(fields)) % 7
+        elif name == "instance":
+            fields[name] = 40 + step % 3
+        elif name == "config":
+            fields[name] = (1 + step % 4, 2, 10)
+        else:
+            fields[name] = f"{name}-{step}"
+    return fields
+
+
+class TestReferenceRows:
+    @pytest.mark.parametrize("form", ["emit", "recorder", "both"])
+    def test_every_kind_reads_back_as_the_reference(self, form):
+        tracer, reference = InMemoryTracer(), _ReferenceLog()
+        records = {
+            kind: tracer.recorder(kind, *schema.fields)
+            for kind, schema in ev.EVENT_SCHEMA.items()
+        }
+        kinds = list(ev.EVENT_SCHEMA) * 3
+        random.Random(5).shuffle(kinds)
+        for step, kind in enumerate(kinds):
+            ts, fields = step * 0.25, _sample_fields(kind, step)
+            if form == "emit" or (form == "both" and step % 2):
+                minted = tracer.emit(kind, ts, **fields)
+            else:
+                minted = records[kind](ts, *fields.values())
+            assert minted == reference.add(kind, ts, fields)
+            if step == len(kinds) // 2:
+                self._assert_readers(tracer, reference)
+                assert [e.to_dict() for e in tracer.events] == reference.rows
+        self._assert_readers(tracer, reference)
+        assert [e.to_dict() for e in tracer.events] == reference.rows
+        self._assert_readers(tracer, reference)
+
+    @staticmethod
+    def _assert_readers(tracer, reference):
+        for kind, schema in ev.EVENT_SCHEMA.items():
+            rows = [row for row in reference.rows if row["kind"] == kind]
+            assert tracer.count(kind) == len(rows)
+            fields = schema.fields + (("batch",) if schema.mints_batch else ())
+            for name in fields:
+                assert tracer.column(kind, name) == [row[name] for row in rows]
 
 
 class TestTraceRecording:
