@@ -94,6 +94,26 @@ def rate_bounds(t_exec: float, t_slo: float, batch: int) -> RateBounds:
     return RateBounds(r_low=r_low, r_up=r_up)
 
 
+def r_low_floor(t_slo: float, batch: int) -> float:
+    """A lower bound on :func:`rate_bounds`'s ``r_low`` at any ``t_exec``.
+
+    For ``batch > 1``, ``r_low`` is ``ceil(1/(t_slo - t_exec))·b`` or
+    ``b/(t_slo - t_exec)``.  Both are at least ``b/(t_slo - t_exec)``,
+    which is more than ``b/t_slo`` because ``t_exec > 0``.  So a load
+    below ``b/t_slo`` cannot saturate any feasible configuration of
+    this batch, whatever its config or GPU generation: Algorithm 1
+    skips such a batch before pricing its rows.
+
+    The bound also holds after float rounding.  ``t_slo - t_exec``
+    rounds to at most ``t_slo``, and each form rounds monotonically:
+    the ceiling form is at least ``b·fl(1/t_slo)`` and the exact form
+    at least ``fl(b/t_slo)``.  Those two can differ by an ulp, and when
+    ``t_exec`` is below half an ulp of ``t_slo`` the ceiling form can
+    land under ``fl(b/t_slo)``, so the floor is the smaller of the two.
+    """
+    return min(batch / t_slo, batch * (1.0 / t_slo))
+
+
 @lru_cache(maxsize=65536)
 def cached_rate_bounds(
     t_exec: float, t_slo: float, batch: int

@@ -8,6 +8,7 @@ placement) is the platform's job.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.models.zoo import ModelSpec
@@ -32,8 +33,11 @@ class FunctionSpec:
     slo_s: float
 
     def __post_init__(self) -> None:
-        if self.slo_s <= 0:
-            raise ValueError(f"{self.name}: SLO must be positive")
+        if not 0 < self.slo_s < math.inf:
+            raise ValueError(
+                f"{self.name}: SLO slo_s must be positive and finite,"
+                f" got {self.slo_s!r}"
+            )
         if not self.name:
             raise ValueError("function name must be non-empty")
 

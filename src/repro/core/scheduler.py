@@ -15,17 +15,22 @@ is covered:
    place the argmax;
 4. subtract the instance's ``r_up`` from the residual and repeat.
 
-The search is exactly the paper's; the only engineering addition is a
-best-fit shortcut: for a fixed configuration, e_ij is maximised by the
-feasible server with the least weighted free capacity, so each
-configuration scans servers in ascending free order instead of scoring
-all ``m`` of them.  On a mixed-generation fleet each GPU generation
-prices the ``<b, c, g>`` grid separately, so the shortcut runs per
-generation: the ascending index is kept once for the whole fleet and
-once per generation (each in the same order), and a row priced for one
-generation scans only its servers.  CPU-only rows fit any server and
-scan the whole index.  A homogeneous fleet is the case with no extra
-generations: its one index serves every row.
+The search is exactly the paper's, with two engineering additions.
+The first is a batch floor: for ``b > 1`` every row's ``r_low`` is
+above ``b / t_slo`` (:func:`~repro.core.batching.r_low_floor`), so a
+batch whose floor is above the residual load can pass no row of step
+2 and is skipped before it is priced.  At low load that is every
+batch above 1.  The second is a best-fit shortcut: for a fixed
+configuration, e_ij is maximised by the feasible server with the least
+weighted free capacity, so each configuration scans servers in
+ascending free order instead of scoring all ``m`` of them.  On a
+mixed-generation fleet each GPU generation prices the ``<b, c, g>``
+grid separately, so the shortcut runs per generation: the ascending
+index is kept once for the whole fleet and once per generation (each
+in the same order), and a row priced for one generation scans only its
+servers.  CPU-only rows fit any server and scan the whole index.  A
+homogeneous fleet is the case with no extra generations: its one index
+serves every row.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.fleet import GpuProfile, profile_map
 from repro.cluster.resources import ResourceVector
 from repro.core import efficiency as _efficiency
-from repro.core.batching import RateBounds, cached_rate_bounds
+from repro.core.batching import RateBounds, cached_rate_bounds, r_low_floor
 from repro.core.efficiency import rps_per_resource
 from repro.core.function import FunctionSpec
 from repro.core.instance import Instance, InstanceState
@@ -122,8 +127,9 @@ class GreedyScheduler:
         #: filter; predictions do not change between scheduling calls,
         #: so this is safe to cache.  The rows depend on the model and
         #: the SLO only, never on the function's name, so functions
-        #: sharing both share one row list (a 120-function fleet needs
-        #: about half as many).
+        #: sharing both share one row list (``make_function_fleet(120)``
+        #: has 62 such pairs).  A batch the residual cannot fill is
+        #: never cached (see :meth:`available_configs`).
         self._config_cache: Dict[Tuple, List[Tuple]] = {}
         #: batch -> one InstanceConfig per (cpu, gpu) pair, in
         #: ``resource_pairs`` order, shared by every row of that batch.
@@ -219,8 +225,12 @@ class GreedyScheduler:
         rows are priced for that GPU generation (and CPU-only pairs are
         skipped -- they are generation-independent and already covered
         by the profile-free rows).  A cache miss builds the rows with
-        :func:`feasible_rows`.
+        :func:`feasible_rows`.  A batch whose :func:`r_low_floor` is
+        above the residual can pass no row, so it is neither priced
+        nor cached.
         """
+        if batch > 1 and residual_rps < r_low_floor(function.slo_s, batch):
+            return []
         if gpu_profile is None:
             cache_key = (function.model.name, function.slo_s, batch)
         else:

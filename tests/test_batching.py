@@ -1,14 +1,22 @@
 """Unit tests for Eq. 1 rate bounds and the per-instance batch queue."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.batching import (
     BatchQueue,
     InfeasibleBatchError,
     RateBounds,
+    r_low_floor,
     rate_bounds,
 )
+
+
+@st.composite
+def _slo_and_exec(draw):
+    """A ``(t_slo, t_exec)`` pair with ``0 < t_exec <= t_slo / 2``."""
+    t_slo = draw(st.floats(1e-4, 1e4))
+    return t_slo, draw(st.floats(0.0, t_slo / 2, exclude_min=True))
 
 
 class TestRateBounds:
@@ -78,6 +86,18 @@ class TestRateBounds:
     def test_low_never_exceeds_up_when_feasible(self, t_exec, batch):
         bounds = rate_bounds(t_exec=t_exec, t_slo=0.2, batch=batch)
         assert bounds.r_low <= bounds.r_up
+
+    @given(times=_slo_and_exec(), batch=st.integers(2, 4096))
+    # t_exec below half an ulp of t_slo: here ceil(1/t_slo)*b rounds
+    # under b/t_slo, so a plain ``batch / t_slo`` floor fails.
+    @example(times=(0.0007347538574577516, 1e-300), batch=3)
+    @settings(max_examples=300, deadline=None)
+    def test_floor_never_exceeds_r_low(self, times, batch):
+        """Algorithm 1 skips a batch whose floor is above the residual;
+        that is only safe if every feasible row's r_low is at least it."""
+        t_slo, t_exec = times
+        bounds = rate_bounds(t_exec=t_exec, t_slo=t_slo, batch=batch)
+        assert bounds.r_low >= r_low_floor(t_slo, batch)
 
     @given(
         t_exec=st.floats(0.01, 10.0),

@@ -78,6 +78,11 @@ class TestFunctionSpec:
         with pytest.raises(ValueError):
             FunctionSpec.for_model("mnist", slo_s=0.0)
 
+    @pytest.mark.parametrize("slo_s", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_slo_rejected(self, slo_s):
+        with pytest.raises(ValueError, match=r"fn-mnist: SLO slo_s .* finite"):
+            FunctionSpec.for_model("mnist", slo_s=slo_s)
+
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             FunctionSpec(name="", model=FunctionSpec.for_model("mnist", 0.05).model,

@@ -1,11 +1,16 @@
 """Unit tests for Algorithm 1 (the greedy scheduler)."""
 
+import math
+
 import pytest
 
-from repro.cluster import build_testbed_cluster
+from repro.cluster import FleetSpec, ServerGroup, build_testbed_cluster
+from repro.cluster.fleet import A100, T4
 from repro.cluster.resources import ResourceVector
 from repro.core import FunctionSpec, GreedyScheduler
-from repro.core.scheduler import SchedulingError
+from repro.core.batching import r_low_floor
+from repro.core.scheduler import SchedulingError, feasible_rows
+from repro.models.zoo import list_models
 from repro.workflows import CoPlacementHint, WorkflowSpec, WorkflowStage
 
 
@@ -60,6 +65,65 @@ class TestAvailableConfig:
         scheduler.available_configs(looser, batch=8, residual_rps=100.0)
         assert scheduler._config_cache[(resnet_fn.model.name, 0.4, 8)] is not rows
         assert len(scheduler._config_cache) == 2
+
+
+class TestBatchFloor:
+    """``available_configs`` skips a batch whose ``r_low_floor`` is above
+    the residual; the skip may only drop batches that pass no row."""
+
+    @pytest.mark.parametrize("fleet", ["testbed", "mixed"])
+    def test_rows_equal_the_unpruned_filter(self, predictor, fleet):
+        if fleet == "testbed":
+            cluster = build_testbed_cluster()
+        else:
+            cluster = FleetSpec((
+                ServerGroup(1), ServerGroup(1, gpu_profile="t4"),
+                ServerGroup(1, gpu_profile="a100"),
+            )).build_cluster()
+        scheduler = GreedyScheduler(cluster, predictor)
+        skipped = kept = 0
+        for model in list_models():
+            for slo_ms in (50, 100, 200, 400):
+                function = FunctionSpec("f", model, slo_ms / 1e3)
+                for batch in scheduler.config_space.batches():
+                    configs = list(scheduler.config_space.configs_for_batch(batch))
+                    for profile in (None, T4, A100):
+                        rows = feasible_rows(
+                            predictor, model, function.slo_s,
+                            [c for c in configs if profile is None or c.gpu],
+                            profile,
+                        )
+                        floor = batch / function.slo_s
+                        residuals = {
+                            floor * factor
+                            for factor in (0.5, 0.999, 1.0, 1.001, 2.0)
+                        }
+                        # Each row's own threshold and the float under it.
+                        for _config, _t, bounds in rows:
+                            residuals.add(bounds.r_low)
+                            residuals.add(math.nextafter(bounds.r_low, 0.0))
+                        for residual in sorted(residuals):
+                            expected = [
+                                row for row in rows
+                                if batch == 1 or residual >= row[2].r_low
+                            ]
+                            assert scheduler.available_configs(
+                                function, batch, residual, gpu_profile=profile
+                            ) == expected, (model.name, slo_ms, batch, residual)
+                            if batch > 1 and residual < r_low_floor(
+                                function.slo_s, batch
+                            ):
+                                skipped += 1
+                            elif expected:
+                                kept += 1
+        assert skipped and kept
+
+    def test_low_load_prices_batch_one_only(self, scheduler, resnet_fn):
+        """At 2 rps and 200 ms no batch above 1 can fill (its floor is
+        10 rps or more), so no such batch is priced or cached."""
+        outcome = scheduler.schedule(resnet_fn, residual_rps=2.0)
+        assert outcome.instances
+        assert sorted(scheduler._config_cache) == [("resnet-50", 0.2, 1)]
 
 
 class TestSchedule:
