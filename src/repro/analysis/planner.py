@@ -93,9 +93,11 @@ class SLOPlanner:
         ``min(r_up, residual)`` per weighted resource unit among those
         whose ``r_low`` the residual still saturates.  Unlike the
         scheduler, which tries the largest batch first, it ranks every
-        batch together.
+        batch together.  ``rps`` must be non-negative and finite.
         """
-        if rps <= 0:
+        if not 0 <= rps < math.inf:
+            raise ValueError(f"rps must be non-negative and finite, got {rps}")
+        if rps == 0:
             return []
         entries = self.feasible_configs(function)
         if not entries:

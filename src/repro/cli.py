@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -409,8 +410,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     """SLO feasibility & sizing table for one function."""
     from repro.analysis import SLOPlanner
 
-    if args.rps < 0:
-        print("--rps must be non-negative", file=sys.stderr)
+    if not 0 <= args.rps < math.inf:
+        print(f"cannot plan: --rps must be non-negative and finite,"
+              f" got {args.rps:g}", file=sys.stderr)
         return 1
     try:
         function = FunctionSpec.for_model(args.model, slo_s=args.slo_ms / 1e3)
@@ -590,14 +592,14 @@ def _out_of_range(
     """The first flag outside its range, as a message (None if all fit).
 
     ``counts`` must be at least 1 (``None`` means "use the default");
-    ``amounts`` must be positive.
+    ``amounts`` must be positive and finite.
     """
     for flag, value in counts:
         if value is not None and value < 1:
             return f"{flag} must be at least 1, got {value}"
     for flag, value in amounts:
-        if not value > 0:
-            return f"{flag} must be positive, got {value:g}"
+        if not 0 < value < math.inf:
+            return f"{flag} must be positive and finite, got {value:g}"
     return None
 
 

@@ -31,14 +31,14 @@ DAY_S = 24 * 3600.0
 
 
 def _check_duration(duration_s: float) -> None:
-    if not duration_s > 0:
-        raise ValueError("duration_s must be positive")
+    if not 0 < duration_s < np.inf:
+        raise ValueError("duration_s must be positive and finite")
 
 
 def constant_trace(rps: float, duration_s: float, step_s: float = 1.0) -> Trace:
     """A flat trace (the paper's stress-testing load)."""
-    if rps < 0:
-        raise ValueError("rps must be non-negative")
+    if not 0 <= rps < np.inf:
+        raise ValueError("rps must be non-negative and finite")
     _check_duration(duration_s)
     cells = max(1, int(round(duration_s / step_s)))
     return Trace(name="constant", step_s=step_s, rps=np.full(cells, float(rps)))

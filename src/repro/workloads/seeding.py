@@ -17,8 +17,8 @@ accepts either a plain ``int`` seed or a ``SeedSequence``:
 
 * **int** -- the legacy path.  :func:`derive_streams` reproduces the
   exact historical ``seed + offset`` values, so every checked-in
-  golden (``tests/data/golden_reports.json``) and seeded benchmark
-  stays bit-identical.
+  golden (``tests/data/goldens/``, regenerated only by ``pytest
+  --update-goldens``) and seeded benchmark stays bit-identical.
 * **SeedSequence** -- the hygienic path.  Streams are spawned children
   of the caller's sequence; the campaign runner
   (:mod:`repro.campaign`) uses this exclusively.

@@ -20,7 +20,7 @@ class Trace:
     Attributes:
         name: trace label (e.g. ``"periodic"``).
         step_s: grid resolution in seconds.
-        rps: non-negative arrival rate per grid cell.
+        rps: non-negative, finite arrival rate per grid cell.
     """
 
     name: str
@@ -28,13 +28,13 @@ class Trace:
     rps: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.step_s <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step_s < np.inf:
+            raise ValueError("step must be positive and finite")
         rps = np.asarray(self.rps, dtype=float)
         if rps.ndim != 1 or rps.size == 0:
             raise ValueError("rps must be a non-empty 1-D array")
-        if np.any(rps < 0):
-            raise ValueError("rps must be non-negative")
+        if not np.all((rps >= 0) & (rps < np.inf)):
+            raise ValueError("rps must be non-negative and finite")
         object.__setattr__(self, "rps", rps)
 
     # ------------------------------------------------------------------

@@ -17,6 +17,8 @@ from repro.cluster import build_testbed_cluster
 from repro.core import FunctionSpec
 from repro.models import get_model
 
+from tests.goldens import assert_golden
+
 
 @pytest.fixture()
 def resnet_fn():
@@ -124,8 +126,6 @@ class TestBatchOTP:
         """``select_config`` over the zoo at four SLOs and the OSVT and
         Q&A stage budgets, across load buckets, pinned byte for byte
         (``None`` where no configuration meets the SLO)."""
-        import hashlib
-
         from repro.models import MODEL_ZOO
         from repro.workflows.decompose import decompose_slo
         from repro.workflows.spec import build_preset_workflow
@@ -154,11 +154,7 @@ class TestBatchOTP:
                     rows.append((fn.name, rps, None))
                     continue
                 rows.append((fn.name, rps, config.batch, config.cpu, config.gpu))
-        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert (len(rows), digest) == (
-            300,
-            "f7baf6cf318e153c60b5a6ee90bd39b90b8021b09e800bd438b1ebe97b490b1f",
-        )
+        assert_golden("batch_otp.selections", rows)
 
 class TestBatchRS:
     def test_best_fit_reduces_fragments_vs_first_fit(self, predictor):

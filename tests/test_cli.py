@@ -301,11 +301,16 @@ def _run_cli(argv):
     ["predict", "--model", "resnet-50", "--gpu", "500"],
     ["plan", "--model", "resnet-50", "--slo-ms", "-5"],
     ["plan", "--model", "resnet-50", "--rps", "-1"],
+    ["plan", "--model", "resnet-50", "--rps", "nan"],
+    ["plan", "--model", "resnet-50", "--rps", "inf"],
     ["coldstart", "--days", "0"],
     ["coldstart", "--gamma", "-1"],
     ["capacity", "--servers", "0"],
     ["capacity", "--servers", "-2"],
     ["simulate", "--model", "mnist", "--duration", "-5"],
+    ["simulate", "--model", "mnist", "--duration", "inf"],
+    ["simulate", "--model", "mnist", "--rps", "nan"],
+    ["simulate", "--model", "mnist", "--rps", "inf"],
 ], ids=" ".join)
 def test_bad_numeric_arguments_exit_without_traceback(argv):
     done = _run_cli(argv)
@@ -328,6 +333,7 @@ def test_predict_at_unprofiled_config_exits_with_one_line(capsys, predictor):
 @pytest.mark.parametrize("argv", [
     ["fluid-validate", "--out", "-", "--duration", "0"],
     ["fluid-validate", "--out", "-", "--duration", "-3"],
+    ["fluid-validate", "--out", "-", "--duration", "inf"],
     ["fluid-validate", "--out", "-", "--points", "-5"],
     ["campaign", "shard-trace", "CSV", "--workers", "0"],
     ["campaign", "shard-trace", "CSV", "--shards", "-1"],

@@ -1,6 +1,5 @@
 """The chaos layer: fault plans, resilience mechanics, determinism."""
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -24,6 +23,8 @@ from repro.faults import (
 from repro.simulation import ServingSimulation
 from repro.workflows import WorkflowSpec
 from repro.workloads import constant_trace
+
+from tests.goldens import assert_golden
 
 #: Two of the eight servers die mid-trace.
 TWO_SERVER_CRASH = FaultPlan(events=(
@@ -347,31 +348,15 @@ def _chaos_report(case, predictor, executor):
 
 
 class TestChaosPins:
-    """The sha256 of ``report.to_dict()`` (sorted JSON) of five chaos
-    runs: retry, drop-at-completion, redispatch, workflow and shed
-    paths, byte for byte."""
+    """The ``report.to_dict()`` of five chaos runs: retry,
+    drop-at-completion, redispatch, workflow and shed paths, byte for
+    byte."""
 
-    PINS = {
-        "infless-policy": (
-            "4f208b5a488099e840d93a0b0a5a94f4d73021739889998c262f0ed460c99b85"
-        ),
-        "infless-no-policy": (
-            "d290e7153d0a237ced6d4000d78563f908560a4800e4189eaa6c4a8f1a17b903"
-        ),
-        "batch-no-policy": (
-            "113ad3a88e2099ce9458e74cd298739dfc644ee0c2e0233d4c21a2d3de07fac4"
-        ),
-        "osvt-policy": (
-            "97f584e6a5ad455a363471fd3e8d2283b5c617dd299d8814d64aa2093bdb6107"
-        ),
-        "shed-overload": (
-            "7a84697db84ef72061c1213b6208358e87c4f735ffcc75f67e8e20c7b9c80440"
-        ),
-    }
-
-    @pytest.mark.parametrize("case", sorted(PINS))
+    @pytest.mark.parametrize("case", [
+        "batch-no-policy", "infless-no-policy", "infless-policy",
+        "osvt-policy", "shed-overload",
+    ])
     def test_report_digest(self, case, predictor, executor):
         report = _chaos_report(case, predictor, executor)
         assert report.invariant_violations == []
-        encoded = json.dumps(report.to_dict(), sort_keys=True).encode()
-        assert hashlib.sha256(encoded).hexdigest() == self.PINS[case]
+        assert_golden(f"chaos.{case}", report.to_dict())

@@ -45,8 +45,8 @@ TEST_ONLY_KEEP: Dict[str, str] = {
     "total_latency_s": "QueueEstimate.total_latency_s: the analytic"
     " model's end-to-end latency, which test_queueing checks the"
     " discrete-event runtime against",
-    "to_json": "ProfileDatabase.to_json: the profile-database sha256 pins"
-    " hash its bytes, and from_json reads them back",
+    "to_json": "ProfileDatabase.to_json: the profiles.* goldens"
+    " (tests/data/goldens/) digest its bytes, and from_json reads them back",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -1,7 +1,10 @@
 """Determinism and safety properties of the LLM runtime.
 
 * bit-identical repeat runs (a run is a pure function of its seed);
-* the golden TTFT/TPOT report for a fixed seed;
+* the golden TTFT/TPOT report for a fixed seed (``llm.continuous``):
+  a divergence means a change altered continuous-batching behaviour
+  (RNG stream consumption, step planning order, KV accounting) rather
+  than just its speed;
 * a hypothesis property: preemption never strands a request --
   whatever the KV cap, preemption mode and victim policy, every
   arrival ends the run completed or dropped, never parked forever;
@@ -35,7 +38,31 @@ from repro.llm import ContinuousBatchingLLM, LLMSimulation
 from repro.telemetry import InMemoryTracer
 from repro.workloads import constant_trace
 
-from tests.llm_golden import GOLDEN_LLM_PATH, scenario_llm_continuous
+from tests.goldens import assert_golden
+
+
+def scenario_llm_continuous() -> dict:
+    """Continuous batching with swap preemption under a tight KV cap.
+
+    The cap forces the full machinery through the run -- prefill
+    packing, decode growth, swap-out/swap-in cycles -- so the golden
+    covers the paths a refactor is most likely to disturb.
+    """
+    function = FunctionSpec.for_model("llm-125m", slo_s=0.5)
+    platform = ContinuousBatchingLLM(
+        build_testbed_cluster(num_servers=2),
+        admission="fcfs",
+        max_kv_tokens=2000,
+        tpot_slo_s=0.05,
+    )
+    platform.deploy(function)
+    simulation = LLMSimulation(
+        platform=platform,
+        workload={function.name: constant_trace(15.0, 12.0)},
+        invariants="strict",
+        seed=11,
+    )
+    return simulation.run().to_dict()
 
 
 def test_repeat_runs_are_bit_identical():
@@ -45,17 +72,7 @@ def test_repeat_runs_are_bit_identical():
 
 
 def test_llm_report_matches_golden_bit_identically():
-    assert GOLDEN_LLM_PATH.exists(), (
-        f"{GOLDEN_LLM_PATH} missing; regenerate with"
-        " `PYTHONPATH=src python -m tests.llm_golden --write`"
-    )
-    golden = json.loads(GOLDEN_LLM_PATH.read_text())
-    current = json.loads(json.dumps(scenario_llm_continuous()))
-    assert current == golden, (
-        "the LLM golden diverged -- a change altered continuous-"
-        "batching behaviour (RNG consumption, step planning, KV"
-        " accounting); regenerate only if that change is deliberate"
-    )
+    assert_golden("llm.continuous", scenario_llm_continuous())
 
 
 @settings(max_examples=12, deadline=None)

@@ -5,6 +5,8 @@ import pytest
 from repro.analysis import SLOPlanner
 from repro.core import FunctionSpec
 
+from tests.goldens import assert_golden, digest_rows
+
 
 @pytest.fixture()
 def planner(predictor):
@@ -75,6 +77,13 @@ class TestCheapestPlan:
         fn = FunctionSpec.for_model("resnet-50", slo_s=0.2)
         assert planner.cheapest_plan(fn, rps=0.0) == []
 
+    @pytest.mark.parametrize("rps", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_load_rejected(self, planner, rps):
+        # inf never shrinks the residual: the greedy loop would not end.
+        fn = FunctionSpec.for_model("resnet-50", slo_s=0.2)
+        with pytest.raises(ValueError, match="rps must be non-negative and finite"):
+            planner.cheapest_plan(fn, rps)
+
     def test_infeasible_slo_returns_none(self, planner):
         fn = FunctionSpec.for_model("bert-v1", slo_s=0.004)
         assert planner.cheapest_plan(fn, rps=10.0) is None
@@ -95,31 +104,33 @@ class TestCheapestPlan:
 
 class TestPinnedPlans:
     """``feasible_configs`` and ``cheapest_plan`` over the zoo, pinned
-    byte for byte: every feasible row ``(b, c, g, t_exec, r_low,
-    r_up)`` in the planner's order, and every plan's configs."""
+    byte for byte: every plan's configs as stored values, and the
+    feasible rows ``(b, c, g, t_exec, r_low, r_up)`` in the planner's
+    order as one digest per (model, SLO) -- stored, the rows run to
+    0.75 MB -- beside the digest of the whole sequence."""
 
     def test_plans_digest(self, planner):
-        import hashlib
-
         from repro.models import MODEL_ZOO
 
-        rows = []
+        rows, groups, plans = [], {}, {}
         for model in sorted(MODEL_ZOO):
             for slo_ms in (50, 100, 200, 400):
                 fn = FunctionSpec.for_model(model, slo_s=slo_ms / 1000)
-                rows.append(tuple(
+                feasible = tuple(
                     (e.config.batch, e.config.cpu, e.config.gpu,
                      e.t_exec_s, e.r_low, e.r_up)
                     for e in planner.feasible_configs(fn)
-                ))
+                )
+                rows.append(feasible)
+                groups[f"{model}/{slo_ms}ms"] = digest_rows(feasible)
                 for rps in (10.0, 800.0):
                     plan = planner.cheapest_plan(fn, rps)
                     rows.append(None if plan is None else tuple(
                         (e.config.batch, e.config.cpu, e.config.gpu)
                         for e in plan
                     ))
-        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert (len(rows), digest) == (
-            132,
-            "58fbb570b28526600f299f2ebd1a2d569cdd3d47adb09851abe250b8b1a71a40",
-        )
+                    plans[f"{model}/{slo_ms}ms/{rps:g}rps"] = rows[-1]
+        assert_golden("planner.plans", {
+            "groups": groups, "plans": plans,
+            "whole": digest_rows(rows),
+        })

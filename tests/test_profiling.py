@@ -2,7 +2,6 @@
 
 import bisect
 import dataclasses
-import hashlib
 import json
 import re
 
@@ -21,6 +20,8 @@ from repro.profiling import (
     ProfileDatabase,
 )
 from repro.profiling.database import ProfileLookupError
+
+from tests.goldens import assert_golden, digest, digest_rows
 
 
 def _json_bytes(db: ProfileDatabase, tmp_path) -> bytes:
@@ -307,57 +308,46 @@ class TestOperatorProfiler:
 SMALL_SPACE = ConfigSpace(cpu_choices=(1, 4), gpu_choices=(0, 30, 100), max_batch=4)
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _database_golden(db: ProfileDatabase, tmp_path) -> dict:
+    """A profile store's pinned form: the digest of ``to_json``'s bytes
+    plus one digest per operator's series, so a failure names the
+    operator that moved (the default store is 2.5 MB of JSON)."""
+    data = _json_bytes(db, tmp_path)
+    return {
+        "groups": {
+            operator: digest(json.dumps(series))
+            for operator, series in json.loads(data).items()
+        },
+        "whole": digest(data),
+    }
 
 
 class TestPinnedProfiles:
     """The stored profiles are pinned byte for byte.
 
     Every prediction, report and golden downstream reads these stores,
-    so the digests of ``to_json`` must not move when the profiler's
+    so the bytes of ``to_json`` must not move when the profiler's
     implementation does.
     """
 
-    @pytest.mark.parametrize(
-        "kwargs, digest",
-        [
-            (
-                dict(hardware=DEFAULT_HARDWARE),
-                "af5d658b499852f9ee6c691520e6721224d56e5073dc1ef17a358b16ab7f64f3",
-            ),
-            (
-                dict(hardware=hardware_for_profile(A100)),
-                "edd23e7516f329c6e3f39a29dacab4e68de7d057d921a0e6ce773f0e04169878",
-            ),
-            (
-                dict(config_space=SMALL_SPACE, repetitions=1),
-                "e617d6765c197503c2dbc2d5ea8db40e4f03844c94c78f49f8a04fa551729ae9",
-            ),
-            (
-                dict(config_space=SMALL_SPACE, repetitions=50),
-                "ab6fce561050d1ef0c74b269ed7cb328c15cec7eb091f947562d4c31ea663367",
-            ),
-            (
-                # Out of order, with a duplicate size.
-                dict(config_space=SMALL_SPACE, input_sizes=(1.0, 0.1, 1.0)),
-                "a0367a3db34e081aa540b5cc2d5d3082dafd00450bd9006d5c7a0d386a67a8b7",
-            ),
-            (
-                # No noise: each point is the mean of equal samples.
-                dict(
-                    hardware=dataclasses.replace(DEFAULT_HARDWARE, noise_sigma=0.0),
-                    config_space=SMALL_SPACE,
-                ),
-                "8a0aae641612eb3b64050e1ebadd77b68aa3da0444f80c43bc13af262ac30efe",
-            ),
-        ],
-        ids=["default", "a100", "small-r1", "small-r50", "unsorted-sizes", "no-noise"],
-    )
-    def test_database_digest(self, tmp_path, kwargs, digest):
-        path = tmp_path / "profiles.json"
-        OperatorProfiler(**kwargs).build_database().to_json(path)
-        assert _sha256(path.read_bytes()) == digest
+    CASES = {
+        "default": dict(hardware=DEFAULT_HARDWARE),
+        "a100": dict(hardware=hardware_for_profile(A100)),
+        "small-r1": dict(config_space=SMALL_SPACE, repetitions=1),
+        "small-r50": dict(config_space=SMALL_SPACE, repetitions=50),
+        # Out of order, with a duplicate size.
+        "unsorted-sizes": dict(config_space=SMALL_SPACE, input_sizes=(1.0, 0.1, 1.0)),
+        # No noise: each point is the mean of equal samples.
+        "no-noise": dict(
+            hardware=dataclasses.replace(DEFAULT_HARDWARE, noise_sigma=0.0),
+            config_space=SMALL_SPACE,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_database_digest(self, tmp_path, case):
+        db = OperatorProfiler(**self.CASES[case]).build_database()
+        assert_golden(f"profiles.{case}", _database_golden(db, tmp_path))
 
     def test_measure_then_operator_then_database_share_one_stream(self, tmp_path):
         profiler = OperatorProfiler(config_space=SMALL_SPACE, seed=3)
@@ -370,14 +360,9 @@ class TestPinnedProfiles:
             for c in SMALL_SPACE.all_configs()
             for size in profiler.input_sizes
         ]
-        assert _sha256(repr(rows).encode()) == (
-            "1b47709dc8062de10c953bcf7643fb4c68881f43bcf5db041cb89290ce620ac8"
-        )
-        path = tmp_path / "profiles.json"
-        profiler.build_database(operators=["Relu", "MatMul"]).to_json(path)
-        assert _sha256(path.read_bytes()) == (
-            "aabe653e99a5e9e636d24bd5389754cb976df42b618a3014ce186eb4c214e272"
-        )
+        assert_golden("profiles.stream-conv2d", rows)
+        db = profiler.build_database(operators=["Relu", "MatMul"])
+        assert_golden("profiles.stream-database", _database_golden(db, tmp_path))
 
     def test_json_roundtrip_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -456,8 +441,14 @@ class TestLatencyPredictor:
         assert predictor.predict(model, 8, 2, 10) > predictor.predict(model, 8, 2, 50)
 
 
-def _grid_digest(values) -> str:
-    return _sha256(repr(list(values)).encode())
+def _grid_golden(groups) -> dict:
+    """Predictions digested per (generation, model), and as the whole
+    sequence in order (6,336 values a pass)."""
+    values = [value for group in groups.values() for value in group]
+    return {
+        "groups": {name: digest_rows(group) for name, group in groups.items()},
+        "whole": digest_rows(values),
+    }
 
 
 class TestPinnedPredictions:
@@ -469,7 +460,7 @@ class TestPinnedPredictions:
     predictors; CPU-only rows fold onto the baseline.
     """
 
-    GENERATIONS = (None, T4, A100)
+    GENERATIONS = (("2080ti", None), ("t4", T4), ("a100", A100))
 
     def _grid(self):
         from repro.models.zoo import MODEL_ZOO
@@ -479,26 +470,23 @@ class TestPinnedPredictions:
                 yield MODEL_ZOO[name], config.batch, config.cpu, config.gpu
 
     def test_predict_digest(self, predictor):
-        values = [
-            predictor.predict(model, batch, cpu, gpu, gpu_profile=profile)
-            for profile in self.GENERATIONS
-            for model, batch, cpu, gpu in self._grid()
-        ]
-        assert _grid_digest(values) == (
-            "28f545ef2c130f937825dd0ce3046b098c553ad6419dc684621b693cb454c805"
-        )
+        groups = {}
+        for generation, profile in self.GENERATIONS:
+            for model, batch, cpu, gpu in self._grid():
+                groups.setdefault(f"{generation}/{model.name}", []).append(
+                    predictor.predict(model, batch, cpu, gpu, gpu_profile=profile)
+                )
+        assert_golden("predictions.predict", _grid_golden(groups))
 
     def test_predict_raw_digest(self, predictor):
-        values = []
-        for profile in self.GENERATIONS:
+        groups = {}
+        for generation, profile in self.GENERATIONS:
             owner = (
                 predictor if profile is None
                 else predictor._profile_predictor(profile)
             )
-            values.extend(
-                owner.predict_raw(model, batch, cpu, gpu)
-                for model, batch, cpu, gpu in self._grid()
-            )
-        assert _grid_digest(values) == (
-            "459e6e8c89b443ce63a09bb9535680ebf7d070e09ab8b5283d0b6a90850ad791"
-        )
+            for model, batch, cpu, gpu in self._grid():
+                groups.setdefault(f"{generation}/{model.name}", []).append(
+                    owner.predict_raw(model, batch, cpu, gpu)
+                )
+        assert_golden("predictions.predict_raw", _grid_golden(groups))

@@ -13,6 +13,8 @@ from repro.core.scheduler import SchedulingError, feasible_rows
 from repro.models.zoo import list_models
 from repro.workflows import CoPlacementHint, WorkflowSpec, WorkflowStage
 
+from tests.goldens import assert_golden, digest_rows
+
 
 @pytest.fixture()
 def scheduler(cluster, predictor):
@@ -348,35 +350,36 @@ class TestPinnedRows:
 
     Every ``(b, c, g, t_exec, r_low, r_up)`` row ``available_configs``
     yields for each (model, SLO) pair of the 120-function fleet, each
-    batch up to the model's maximum and each GPU generation.
+    batch up to the model's maximum and each GPU generation.  Stored,
+    the 29,838 rows run to 1.8 MB, so the golden holds their digest in
+    order plus one digest and row count per (model, SLO, generation).
     """
 
     def test_rows_digest(self, predictor):
-        import hashlib
-
-        from repro.cluster.fleet import A100, T4
         from repro.simulation.largescale import make_function_fleet
 
         scheduler = GreedyScheduler(build_testbed_cluster(), predictor)
         pairs = {}
         for function in make_function_fleet(120):
             pairs.setdefault((function.model.name, function.slo_s), function)
-        rows = []
+        rows, groups = [], {}
         for key in sorted(pairs):
             function = pairs[key]
             for batch in scheduler.config_space.batches():
                 if batch > function.model.max_batch:
                     continue
                 for profile in (None, T4, A100):
-                    rows.extend(
+                    found = [
                         (config.batch, config.cpu, config.gpu, t_exec,
                          bounds.r_low, bounds.r_up)
                         for config, t_exec, bounds in scheduler.available_configs(
                             function, batch, 1e9, gpu_profile=profile
                         )
-                    )
-        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-        assert (len(rows), digest) == (
-            29838,
-            "7b9c38fb5857a94c45afec7fbbabb5aa59b6245f45e7d147d94017f9dcf23ae7",
-        )
+                    ]
+                    rows.extend(found)
+                    generation = profile.name if profile else "2080ti"
+                    groups.setdefault(f"{key[0]}/{key[1]}/{generation}", []).extend(found)
+        assert_golden("scheduler.rows", {
+            "groups": {name: digest_rows(group) for name, group in groups.items()},
+            "whole": digest_rows(rows),
+        })

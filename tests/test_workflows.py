@@ -1,24 +1,19 @@
 """Tests for ``repro.workflows``: DAG specs, SLO decomposition,
 co-placement and workflow execution.
 
-A linear pipeline is a path-shaped workflow, so two goldens under
-``tests/data/`` pin the forwarding path byte for byte:
+A linear pipeline is a path-shaped workflow, so goldens
+(``tests/goldens.py``) pin the forwarding path byte for byte:
 
-- ``golden_traces.json`` scenarios ``osvt_workflow`` and
-  ``osvt_workflow_crash`` (checked by ``tests/test_trace_golden.py``):
-  linear stage-to-stage forwarding on the OSVT pipeline, without and
-  with faults and retries, down to every trace event.
-- ``golden_workflow_report.json``: the diamond fan-out/fan-in
-  scenario.  Regenerate (deliberate behaviour changes only) with::
-
-      PYTHONPATH=src python -m tests.test_workflows --write
+- ``trace.osvt_workflow`` and ``trace.osvt_workflow_crash`` (checked by
+  ``tests/test_trace_golden.py``): linear stage-to-stage forwarding on
+  the OSVT pipeline, without and with faults and retries, down to every
+  trace event.
+- ``workflow.diamond``: the diamond fan-out/fan-in scenario.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,8 +46,7 @@ from repro.workloads import (
     constant_trace,
 )
 
-DATA = Path(__file__).parent / "data"
-WORKFLOW_GOLDEN = DATA / "golden_workflow_report.json"
+from tests.goldens import assert_golden
 
 
 def diamond_workflow() -> WorkflowSpec:
@@ -163,44 +157,27 @@ class TestSLODecomposition:
                 build_preset_workflow("qa"), predictor, policy="nosuch"
             )
 
-    @pytest.mark.parametrize(
-        "build, digest",
-        [
-            (
-                lambda: build_preset_workflow("osvt"),
-                "2a8647c81c0d39253162bf83e1d22450ac4706886ceab4fba949b33038c73d31",
-            ),
-            (
-                lambda: build_preset_workflow("qa"),
-                "e1e3cabe3084474c2a754dc1d0099e384dcef5e83cfc3ee7dafd45938968e3d4",
-            ),
-            (
-                diamond_workflow,
-                "5862ba96f09506e8053e5b5b0302fb74466ce1e8388766259334e077de98c8ff",
-            ),
-        ],
-        ids=["osvt", "qa", "diamond"],
-    )
-    def test_decomposed_budgets_pinned(self, predictor, build, digest):
+    @pytest.mark.parametrize("name", ["osvt", "qa", "diamond"])
+    def test_decomposed_budgets_pinned(self, predictor, name):
         # The critical path's sums associate in a fixed order; an ulp
         # there moves the budgets, so both are pinned byte for byte.
-        workflow = build()
+        # The budgets stay pairs in stage order.
+        workflow = (
+            diamond_workflow() if name == "diamond"
+            else build_preset_workflow(name)
+        )
         critical = workflow.critical_path_time(
             predicted_stage_times(workflow, predictor)
         )
         budgets = decompose_slo(workflow, predictor, policy="decomposed")
-        assert hashlib.sha256(repr((critical, budgets)).encode()).hexdigest() == digest
+        assert_golden(f"budgets.{name}", {
+            "critical_path_s": critical, "budgets": list(budgets.items()),
+        })
 
 
 class TestDiamondGolden:
     def test_diamond_matches_golden_bit_identically(self):
-        assert WORKFLOW_GOLDEN.exists(), (
-            f"{WORKFLOW_GOLDEN} missing; regenerate with"
-            " `PYTHONPATH=src python -m tests.test_workflows --write`"
-        )
-        golden = json.loads(WORKFLOW_GOLDEN.read_text())
-        current = json.loads(json.dumps(diamond_report()))
-        assert current == golden
+        assert_golden("workflow.diamond", diamond_report())
 
     def test_diamond_repeatable_within_process(self):
         first = json.loads(json.dumps(diamond_report()))
@@ -623,22 +600,3 @@ class TestWorkflowConservationProperty:
         assert not experiment.simulation.workflow_ledger.barriers
         counts = report.workflows
         assert counts["started"] >= counts["completed"]
-
-
-def main() -> None:
-    """Regenerate the diamond workflow golden (deliberate changes only)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--write", action="store_true")
-    args = parser.parse_args()
-    if not args.write:
-        parser.error("pass --write to regenerate the golden")
-    WORKFLOW_GOLDEN.write_text(
-        json.dumps(diamond_report(), indent=2, sort_keys=True) + "\n"
-    )
-    print(f"wrote {WORKFLOW_GOLDEN}")
-
-
-if __name__ == "__main__":
-    main()

@@ -70,6 +70,16 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace("t", 1.0, np.array([-1.0]))
 
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_rps_rejected(self, rate):
+        with pytest.raises(ValueError, match="rps must be non-negative and finite"):
+            Trace("t", 1.0, np.array([2.0, rate]))
+
+    @pytest.mark.parametrize("step_s", [0.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_step_rejected(self, step_s):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            Trace("t", step_s, np.array([1.0]))
+
     def test_empty_rps_rejected(self):
         with pytest.raises(ValueError):
             Trace("t", 1.0, np.array([]))
@@ -129,10 +139,15 @@ class TestGenerators:
         [constant_trace, periodic_trace, bursty_trace, sporadic_trace],
         ids=lambda g: g.__name__,
     )
-    @pytest.mark.parametrize("duration_s", [0.0, -5.0])
+    @pytest.mark.parametrize("duration_s", [0.0, -5.0, np.inf, np.nan])
     def test_rejects_non_positive_duration(self, generator, duration_s):
-        with pytest.raises(ValueError, match="duration_s must be positive"):
+        with pytest.raises(ValueError, match="duration_s must be positive and finite"):
             generator(10.0, duration_s)
+
+    @pytest.mark.parametrize("rps", [-1.0, np.nan, np.inf])
+    def test_constant_rejects_negative_or_non_finite_rps(self, rps):
+        with pytest.raises(ValueError, match="rps must be non-negative and finite"):
+            constant_trace(rps, 10.0)
 
     def test_timer_rejects_bad_period(self):
         with pytest.raises(ValueError):
